@@ -42,6 +42,11 @@ Rational = Union[int, Fraction]
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _FACTOR_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)(?:\^(?:(-?\d+)|\((-?\d+)/2\)))?\Z")
+# Coefficient tokens are integers or integer ratios only: no decimals, exponents or "_".
+_COEFF_RE = re.compile(r"[+-]?\d+(?:/\d+)?\Z", re.ASCII)
+
+_set = object.__setattr__
+_UNIT = Fraction(1)
 
 
 def valid_symbol(name: str) -> bool:
@@ -71,7 +76,10 @@ class SymbolValue:
 
 
 class Monomial:
-    """Element of the group (nonzero rationals) x (free symbols with exponents in Z/2)."""
+    """Element of the group (nonzero rationals) x (free symbols with exponents in Z/2).
+
+    Instances are immutable, so cached values can be shared between callers.
+    """
 
     __slots__ = ("_coeff", "_twice")
 
@@ -88,17 +96,23 @@ class Monomial:
                 raise ValueError("exponents must lie in (1/2)Z")
             if doubled != 0:
                 twice[name] = int(doubled)
-        object.__setattr__(self, "_coeff", coeff)
-        object.__setattr__(self, "_twice", tuple(sorted(twice.items())))
+        _set(self, "_coeff", coeff)
+        _set(self, "_twice", tuple(sorted(twice.items())))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Monomial is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("Monomial is immutable")
+
+    def __reduce__(self):
+        return _new, (self._coeff, self._twice)
 
     @classmethod
     def _from_twice(cls, coeff: Fraction, twice: Mapping[str, int]) -> "Monomial":
-        self = object.__new__(cls)
         if coeff == 0:
             raise ValueError("monomial coefficients are nonzero")
-        object.__setattr__(self, "_coeff", coeff)
-        object.__setattr__(self, "_twice", tuple(sorted((n, t) for n, t in twice.items() if t)))
-        return self
+        return _new(coeff, tuple(sorted((n, t) for n, t in twice.items() if t)))
 
     @property
     def coeff(self) -> Fraction:
@@ -122,28 +136,43 @@ class Monomial:
         return self._coeff == 1 and not self._twice
 
     def __mul__(self, other):
+        if isinstance(other, Monomial):
+            a, b = self._coeff, other._coeff
+            coeff = b if a == 1 else a if b == 1 else a * b
+            if not other._twice:
+                twice = self._twice
+            elif not self._twice:
+                twice = other._twice
+            else:
+                merged = dict(self._twice)
+                for name, t in other._twice:
+                    merged[name] = merged.get(name, 0) + t
+                twice = tuple(sorted(item for item in merged.items() if item[1]))
+            return _new(coeff, twice)
         if isinstance(other, (int, Fraction)):
-            return Monomial._from_twice(self._coeff * Fraction(other), dict(self._twice))
-        if not isinstance(other, Monomial):
-            return NotImplemented
-        twice = dict(self._twice)
-        for name, t in other._twice:
-            twice[name] = twice.get(name, 0) + t
-        return Monomial._from_twice(self._coeff * other._coeff, twice)
+            if other == 0:
+                raise ValueError("monomial coefficients are nonzero")
+            return _new(self._coeff * Fraction(other), self._twice)
+        return NotImplemented
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "Monomial":
         if not isinstance(n, int):
             return NotImplemented
-        return Monomial._from_twice(self._coeff ** n, {name: t * n for name, t in self._twice})
+        if n == 0:
+            return ONE
+        coeff = self._coeff if self._coeff == 1 else self._coeff ** n
+        # a list, not a generator: tuple() of a generator over-allocates and then
+        # shrinks, which leaves freed tuples piling up in the interpreter's free lists
+        return _new(coeff, tuple([(name, t * n) for name, t in self._twice]))
 
     def inverse(self) -> "Monomial":
         return self ** -1
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
-            return Monomial._from_twice(self._coeff / Fraction(other), dict(self._twice))
+            return _new(self._coeff / Fraction(other), self._twice)
         if not isinstance(other, Monomial):
             return NotImplemented
         return self * other.inverse()
@@ -208,11 +237,12 @@ class Monomial:
             token = token.strip()
             if not token:
                 raise ValueError(f"cannot parse monomial {text!r}")
-            try:
-                coeff *= Fraction(token)
+            if _COEFF_RE.match(token):
+                try:
+                    coeff *= Fraction(token)
+                except ZeroDivisionError:
+                    raise ValueError(f"zero denominator in coefficient {token!r}") from None
                 continue
-            except ValueError:
-                pass
             m = _FACTOR_RE.match(token)
             if not m:
                 raise ValueError(f"cannot parse monomial factor {token!r}")
@@ -228,6 +258,20 @@ class Monomial:
 
     def __repr__(self) -> str:
         return f"Monomial[{self.text()}]"
+
+
+def _new(coeff: Fraction, twice: tuple[tuple[str, int], ...]) -> Monomial:
+    """Unvalidated constructor: ``coeff`` is a nonzero ``Fraction`` and ``twice`` is
+    sorted by name with no zero entries."""
+    self = object.__new__(Monomial)
+    _set(self, "_coeff", coeff)
+    _set(self, "_twice", twice)
+    return self
+
+
+def _half_power(name: str, doubled: int) -> Monomial:
+    """``name^(doubled/2)`` with coefficient one, for a valid symbol ``name``."""
+    return _new(_UNIT, ((name, doubled),) if doubled else ())
 
 
 ONE = Monomial(1)

@@ -19,13 +19,12 @@ descriptors are refused rather than guessed at.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from itertools import permutations, product
 from math import factorial
 
 from .errors import ShapeMismatch, SizeMismatch, UnsupportedLinked
-from .monomial import Monomial, RESIDUE_SYMBOL
+from .monomial import Monomial, RESIDUE_SYMBOL, _half_power
 from .tori import (
     AlgebraicWeight,
     GroupShape,
@@ -66,20 +65,20 @@ class Segment:
     def params(self) -> tuple[Monomial, ...]:
         """The parameter ladder, descending: ``gamma·q^((d-1)/2) .. gamma·q^(-(d-1)/2)``."""
         return tuple(
-            self.gamma * Monomial(1, {RESIDUE_SYMBOL: Fraction(self.d - 1 - 2 * a, 2)})
+            self.gamma * _half_power(RESIDUE_SYMBOL, self.d - 1 - 2 * a)
             for a in range(self.d)
         )
 
     def top(self) -> Monomial:
-        return self.gamma * Monomial(1, {RESIDUE_SYMBOL: Fraction(self.d - 1, 2)})
+        return self.gamma * _half_power(RESIDUE_SYMBOL, self.d - 1)
 
     def bottom(self) -> Monomial:
-        return self.gamma * Monomial(1, {RESIDUE_SYMBOL: Fraction(-(self.d - 1), 2)})
+        return self.gamma * _half_power(RESIDUE_SYMBOL, -(self.d - 1))
 
 
 def segments_linked(a: Segment, b: Segment) -> bool:
     """True when the two parameter ladders concatenate into one longer ladder."""
-    step = Monomial(1, {RESIDUE_SYMBOL: -1})
+    step = _half_power(RESIDUE_SYMBOL, -2)
     return a.bottom() * step == b.top() or b.bottom() * step == a.top()
 
 

@@ -17,12 +17,11 @@ The half modulus character of the upper-triangular Borel is computed from
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import ShapeMismatch
-from .monomial import Monomial, ONE, RESIDUE_SYMBOL, UNIFORMIZER_SYMBOL
+from .monomial import Monomial, ONE, RESIDUE_SYMBOL, UNIFORMIZER_SYMBOL, _half_power
 
 __all__ = [
     "GroupShape",
@@ -62,14 +61,28 @@ class GroupShape:
             acc += b
         return tuple(out)
 
+    @cached_property
+    def _positions(self) -> tuple[tuple[int, int], ...]:
+        return tuple((i, j) for i, b in enumerate(self.blocks) for j in range(b))
+
+    @cached_property
+    def _modulus_half_values(self) -> tuple[tuple[Monomial, ...], tuple[Monomial, ...]]:
+        """Values of the half modulus and of its inverse, shared by :func:`modulus_half`.
+
+        Only values are cached: a cached character would point back at the
+        shape, and the cycle would leave every shape to the cyclic collector.
+        """
+        doubled = [-(self.blocks[i] + 1 - 2 * (j + 1)) for i, j in self._positions]
+        return tuple(
+            tuple(_half_power(RESIDUE_SYMBOL, sign * d) for d in doubled) for sign in (1, -1)
+        )
+
     def block_of(self, p: int) -> tuple[int, int]:
         """Block index and 0-based position within the block of flat position ``p``."""
-        if not 0 <= p < self.n:
+        positions = self._positions
+        if not 0 <= p < len(positions):
             raise ValueError(f"position {p} out of range")
-        for i, start in enumerate(self.offsets):
-            if p < start + self.blocks[i]:
-                return i, p - start
-        raise AssertionError("unreachable")
+        return positions[p]
 
     def flat(self, i: int, j: int) -> int:
         """Flat position of the 0-based ``j``-th entry of block ``i``."""
@@ -207,18 +220,12 @@ def modulus_half(shape: GroupShape, sign: int) -> UnramifiedCharacter:
     """The half power (``sign=+1``) or inverse half power (``sign=-1``) of the Borel modulus."""
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    values = []
-    for p in range(shape.n):
-        i, j = shape.block_of(p)
-        m = shape.blocks[i]
-        doubled = -sign * (m + 1 - 2 * (j + 1))
-        values.append(Monomial(1, {RESIDUE_SYMBOL: Fraction(doubled, 2)}))
-    return UnramifiedCharacter(shape, tuple(values))
+    return UnramifiedCharacter(shape, shape._modulus_half_values[0 if sign == 1 else 1])
 
 
 def weight_as_character(weight: AlgebraicWeight) -> UnramifiedCharacter:
     """The weight as an unramified character: ``W^k`` on each basis cocharacter."""
     return UnramifiedCharacter(
         weight.shape,
-        tuple(Monomial(1, {UNIFORMIZER_SYMBOL: k}) for k in weight.exps),
+        tuple(_half_power(UNIFORMIZER_SYMBOL, 2 * k) for k in weight.exps),
     )

@@ -50,6 +50,7 @@ from .monomial import (
     Monomial,
     RESIDUE_SYMBOL,
     UNIFORMIZER_SYMBOL,
+    _half_power,
     valid_symbol,
 )
 from .tori import (
@@ -198,7 +199,43 @@ class TransferConfig:
         return (self.n - self.source.blocks[i]) % 2
 
     def twist_monomial(self, i: int) -> Monomial:
-        return Monomial(1, {self.mu: self.twist_exponent(i)})
+        return self._twists[i]
+
+    @cached_property
+    def _twists(self) -> tuple[Monomial, ...]:
+        return tuple(
+            _half_power(self.mu, 2 * self.twist_exponent(i)) for i in range(self.source.r)
+        )
+
+    @cached_property
+    def _slot_twists(self) -> tuple[Monomial, ...]:
+        """The twist monomial at each target slot ``p``, from the block of ``sigma^-1(p)``."""
+        return tuple(self._twists[self.source.block_of(u)[0]] for u in self.sigma_inverse)
+
+    @cached_property
+    def _shifts(self) -> tuple[int, ...]:
+        """The weight-shift vector in flat source layout; see :func:`weight_shift`.
+
+        A non-integral shift raises on every access, since ``cached_property``
+        stores nothing when the computation raises.
+        """
+        n = self.n
+        two_alpha = 2 * self.alpha.numerator // self.alpha.denominator  # alpha is in (1/2)Z
+        shifts: list[int] = []
+        for i, (m, offset) in enumerate(zip(self.source.blocks, self.source.offsets)):
+            doubled = two_alpha * ((n - m) % 2) + m - n + 2 * offset
+            if doubled % 2:
+                raise NonIntegralShift(
+                    f"weight shift {Fraction(doubled, 2)} at block {i + 1} is not an integer "
+                    f"(alpha = {self.alpha})"
+                )
+            shifts.extend([doubled // 2] * m)
+        return tuple(shifts)
+
+    @cached_property
+    def _shift_monomials(self) -> tuple[Monomial, ...]:
+        """``W^shift[p]`` for each flat position ``p``."""
+        return tuple(_half_power(UNIFORMIZER_SYMBOL, 2 * s) for s in self._shifts)
 
 
 def _require_source(data, cfg: TransferConfig) -> None:
@@ -225,12 +262,11 @@ def iota_sigma_pullback(chi: UnramifiedCharacter, sigma: Sequence[int]) -> Unram
 def refinement_pullback(chi: UnramifiedCharacter, cfg: TransferConfig) -> UnramifiedCharacter:
     """Target value at ``p`` is ``M^[n - n_i odd] * chi(e_u)`` for ``u = sigma^-1(p)``."""
     _require_source(chi, cfg)
-    values = []
-    for p in range(cfg.n):
-        u = cfg.sigma_inverse[p]
-        i, _ = cfg.source.block_of(u)
-        values.append(cfg.twist_monomial(i) * chi.values[u])
-    return UnramifiedCharacter(cfg.target, tuple(values))
+    values = chi.values
+    return UnramifiedCharacter(
+        cfg.target,
+        tuple(twist * values[u] for twist, u in zip(cfg._slot_twists, cfg.sigma_inverse)),
+    )
 
 
 def refinement_pullback_normalized(
@@ -244,18 +280,12 @@ def refinement_pullback_normalized(
     times ``delta_target^(-1/2)``.
     """
     _require_source(chi, cfg)
-    half_source = modulus_half(cfg.source, 1)
-    inv_half_target = modulus_half(cfg.target, -1)
+    half_source = modulus_half(cfg.source, 1).values
+    inv_half_target = modulus_half(cfg.target, -1).values
+    twists = cfg._slot_twists
     values = []
-    for p in range(cfg.n):
-        u = cfg.sigma_inverse[p]
-        i, _ = cfg.source.block_of(u)
-        values.append(
-            cfg.twist_monomial(i)
-            * chi.values[u]
-            * half_source.values[u]
-            * inv_half_target.values[p]
-        )
+    for p, u in enumerate(cfg.sigma_inverse):
+        values.append(twists[p] * chi.values[u] * half_source[u] * inv_half_target[p])
     return UnramifiedCharacter(cfg.target, tuple(values))
 
 
@@ -268,24 +298,13 @@ def weight_shift(cfg: TransferConfig, permuted: bool = False) -> tuple[int, ...]
     ``u``).  Raises when a shift fails to be an integer, which happens exactly
     when some ``n - n_i`` is odd and ``alpha`` is not in ``Z + 1/2``.
     """
-    shifts: list[int] = []
-    for i in range(cfg.source.r):
-        c = (
-            cfg.alpha * cfg.twist_exponent(i)
-            + Fraction(cfg.source.blocks[i] - cfg.n, 2)
-            + cfg.source.offsets[i]
-        )
-        if c.denominator != 1:
-            raise NonIntegralShift(
-                f"weight shift {c} at block {i + 1} is not an integer (alpha = {cfg.alpha})"
-            )
-        shifts.extend([int(c)] * cfg.source.blocks[i])
+    shifts = cfg._shifts
     if permuted:
         out = [0] * cfg.n
         for u, s in enumerate(shifts):
             out[cfg.sigma[u]] = s
         return tuple(out)
-    return tuple(shifts)
+    return shifts
 
 
 def weight_pullback(weight: AlgebraicWeight, cfg: TransferConfig) -> AlgebraicWeight:
@@ -308,12 +327,11 @@ def weight_character_pullback(
 ) -> UnramifiedCharacter:
     """Character form of the weight map: value at ``p`` is ``W^shift[p] * chi(e_u)``."""
     _require_source(chi, cfg)
-    shifts = weight_shift(cfg)
-    values = tuple(
-        Monomial(1, {UNIFORMIZER_SYMBOL: shifts[p]}) * chi.values[cfg.sigma_inverse[p]]
-        for p in range(cfg.n)
+    values = chi.values
+    return UnramifiedCharacter(
+        cfg.target,
+        tuple(w * values[u] for w, u in zip(cfg._shift_monomials, cfg.sigma_inverse)),
     )
-    return UnramifiedCharacter(cfg.target, values)
 
 
 def atkin_lehner_pullback(
@@ -324,13 +342,11 @@ def atkin_lehner_pullback(
     ``normalized=False`` drops the modulus normalisation and is provided as a
     negative control for the compatibility verifier.
     """
-    shifts = weight_shift(cfg)
+    shift_monomials = cfg._shift_monomials
     base = refinement_pullback_normalized(chi, cfg) if normalized else refinement_pullback(chi, cfg)
-    values = tuple(
-        Monomial(1, {UNIFORMIZER_SYMBOL: shifts[p]}) * base.values[p]
-        for p in range(cfg.n)
+    return UnramifiedCharacter(
+        cfg.target, tuple(w * v for w, v in zip(shift_monomials, base.values))
     )
-    return UnramifiedCharacter(cfg.target, values)
 
 
 @dataclass(frozen=True)
@@ -363,7 +379,7 @@ def _generic_character(shape: GroupShape, prefix: str, avoid: set[str]) -> Unram
         name = f"{prefix}{u + 1}"
         while name in avoid or name in (RESIDUE_SYMBOL, UNIFORMIZER_SYMBOL):
             name += "_"
-        values.append(Monomial(1, {name: 1}))
+        values.append(_half_power(name, 2))
     return UnramifiedCharacter(shape, tuple(values))
 
 
@@ -527,7 +543,7 @@ def satake_transfer(poly: LaurentPoly, cfg: TransferConfig) -> LaurentPoly:
             if e:
                 i, _ = cfg.source.block_of(u)
                 twist += e * cfg.twist_exponent(i)
-        out[pulled] = mono * Monomial(1, {cfg.mu: twist})
+        out[pulled] = mono * _half_power(cfg.mu, 2 * twist)
     return LaurentPoly(cfg.source.blocks, out)
 
 

@@ -1,9 +1,12 @@
 """Tests for the exact monomial value group and its evaluation semantics."""
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from eigentransfer.errors import MissingSymbol, NonSquareAssignment
 from eigentransfer.monomial import (
@@ -15,6 +18,7 @@ from eigentransfer.monomial import (
     symbol,
     valid_symbol,
 )
+from eigentransfer.tori import GroupShape, modulus_half
 
 
 def test_reserved_names():
@@ -240,3 +244,84 @@ def test_text_parse_round_trip_random():
         exps = {n: Fraction(rng.randint(-5, 5), rng.choice((1, 2))) for n in names}
         m = Monomial(coeff, exps)
         assert Monomial.parse(m.text()) == m
+
+
+def test_parse_accepts_integer_and_ratio_coefficients():
+    assert Monomial.parse("+3 * q") == Monomial(3, {"q": 1})
+    assert Monomial.parse("-12/8 * q") == Monomial(Fraction(-3, 2), {"q": 1})
+    assert Monomial.parse("+5/10") == Monomial(Fraction(1, 2))
+    assert Monomial.parse("007") == Monomial(7)
+
+
+def test_parse_rejects_inexact_coefficient_tokens():
+    bad_forms = ["1.5 * q", "1e3 * q", "1_000 * q", ".5", "2.", "1E2", "3 / 2 * q", "1/-2"]
+    for bad in bad_forms:
+        with pytest.raises(ValueError):
+            Monomial.parse(bad)
+
+
+def test_parse_rejects_zero_denominator():
+    with pytest.raises(ValueError):
+        Monomial.parse("1/0 * q")
+
+
+def test_monomial_is_immutable():
+    cached = modulus_half(GroupShape((2,)), 1).values[0]
+    with pytest.raises(AttributeError):
+        cached._coeff = 7
+    with pytest.raises(AttributeError):
+        cached._twice = ()
+    with pytest.raises(AttributeError):
+        del cached._coeff
+    with pytest.raises(AttributeError):
+        ONE.coeff = 2
+    assert modulus_half(GroupShape((2,)), 1).values[0] == Monomial(1, {"q": Fraction(-1, 2)})
+    assert ONE == Monomial(1)
+
+
+def test_copy_and_pickle_round_trip():
+    m = Monomial(Fraction(-3, 2), {"W": 1, "q": Fraction(1, 2)})
+    for clone in (copy.copy(m), copy.deepcopy(m), pickle.loads(pickle.dumps(m))):
+        assert clone == m
+        assert clone.text() == m.text()
+
+
+_NAMES = ("a", "b", "q", "W")
+_coefficients = st.one_of(
+    st.just(Fraction(1)),
+    st.fractions(min_value=-9, max_value=9, max_denominator=9).filter(bool),
+)
+_exponents = st.dictionaries(
+    st.sampled_from(_NAMES), st.integers(-4, 4).map(lambda t: Fraction(t, 2)), max_size=4
+)
+_monomials = st.builds(Monomial, _coefficients, _exponents)
+
+
+def _reference(coeff, exps):
+    """The same value rebuilt through the validating public constructor."""
+    return Monomial(coeff, {name: e for name, e in exps.items() if e})
+
+
+def _combined(x, y, sign):
+    exps = x.exponents()
+    for name, e in y.exponents().items():
+        exps[name] = exps.get(name, 0) + sign * e
+    return exps
+
+
+def _assert_same(value, reference):
+    assert value == reference
+    assert value.text() == reference.text()
+    assert hash(value) == hash(reference)
+
+
+@settings(max_examples=300, derandomize=True, database=None)
+@given(_monomials, _monomials, st.integers(-3, 3), _coefficients)
+def test_arithmetic_matches_validating_constructor(x, y, n, scalar):
+    _assert_same(x * y, _reference(x.coeff * y.coeff, _combined(x, y, 1)))
+    _assert_same(x / y, _reference(x.coeff / y.coeff, _combined(x, y, -1)))
+    _assert_same(x ** n, _reference(x.coeff ** n, {k: e * n for k, e in x.exponents().items()}))
+    _assert_same(x.inverse(), _reference(1 / x.coeff, {k: -e for k, e in x.exponents().items()}))
+    _assert_same(x * scalar, _reference(x.coeff * scalar, x.exponents()))
+    _assert_same(scalar * x, _reference(x.coeff * scalar, x.exponents()))
+    _assert_same(x / scalar, _reference(x.coeff / scalar, x.exponents()))

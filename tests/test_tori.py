@@ -196,3 +196,33 @@ def test_weight_as_character():
         Monomial(1, {"W": -1}),
         Monomial(1, {"W": 3}),
     )
+
+
+def _compositions(n):
+    if n == 0:
+        yield ()
+        return
+    for first in range(1, n + 1):
+        for rest in _compositions(n - first):
+            yield (first,) + rest
+
+
+def test_cached_torus_data_matches_closed_formulas():
+    """Every shape with n <= 6: ``block_of`` and both half moduli against the formulas."""
+    for n in range(1, 7):
+        for blocks in _compositions(n):
+            shape = GroupShape(blocks)
+            scan = [(i, j) for i, m in enumerate(blocks) for j in range(m)]
+            assert [shape.block_of(p) for p in range(n)] == scan
+            for sign in (1, -1):
+                # e_j (1-based j) of a block of size m goes to q^(-sign (m + 1 - 2j) / 2)
+                expected = tuple(
+                    Monomial(1, {"q": Fraction(-sign * (blocks[i] + 1 - 2 * (j + 1)), 2)})
+                    for i, j in scan
+                )
+                assert modulus_half(shape, sign).values == expected
+                assert modulus_half(shape, sign).values is modulus_half(shape, sign).values
+            with pytest.raises(ValueError):
+                shape.block_of(n)
+            with pytest.raises(ValueError):
+                shape.block_of(-1)

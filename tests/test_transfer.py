@@ -1,5 +1,6 @@
 """Tests for the character, weight, and spherical transfer maps."""
 
+import gc
 import random
 from fractions import Fraction
 from itertools import permutations
@@ -553,3 +554,114 @@ def test_satake_param_transfer():
         satake_param_transfer(((symbol("a"), symbol("b")),), cfg)
     with pytest.raises(SizeMismatch):
         satake_param_transfer(((symbol("a"),), (symbol("b"),)), cfg)
+
+
+def _compositions(n):
+    if n == 0:
+        yield ()
+        return
+    for first in range(1, n + 1):
+        for rest in _compositions(n - first):
+            yield (first,) + rest
+
+
+def _seed_shifts(blocks, alpha):
+    """The affine weight shifts in flat source layout, or the error text of the first
+    shift that is not an integer."""
+    n, offset, shifts = sum(blocks), 0, []
+    for i, m in enumerate(blocks):
+        c = alpha * ((n - m) % 2) + Fraction(m - n, 2) + offset
+        if c.denominator != 1:
+            return f"weight shift {c} at block {i + 1} is not an integer (alpha = {alpha})"
+        shifts.extend([int(c)] * m)
+        offset += m
+    return tuple(shifts)
+
+
+def _seed_half_modulus(blocks, sign):
+    return [
+        Monomial(1, {"q": Fraction(-sign * (m + 1 - 2 * (j + 1)), 2)})
+        for m in blocks
+        for j in range(m)
+    ]
+
+
+def _seed_refinement(chi, cfg, normalized):
+    blocks = cfg.source.blocks
+    block_index = [i for i, m in enumerate(blocks) for _ in range(m)]
+    half_source = _seed_half_modulus(blocks, 1)
+    inv_half_target = _seed_half_modulus((cfg.n,), -1)
+    values = []
+    for p in range(cfg.n):
+        u = cfg.sigma.index(p)
+        value = Monomial(1, {cfg.mu: (cfg.n - blocks[block_index[u]]) % 2}) * chi.values[u]
+        if normalized:
+            value = value * half_source[u] * inv_half_target[p]
+        values.append(value)
+    return values
+
+
+def test_cached_config_data_matches_seed_formulas():
+    """Every config with n <= 5, integral and non-integral shifts: cached data against formulas."""
+    alphas = [Fraction(a, 2) for a in (-3, -1, 1, 3)] + [Fraction(0), Fraction(1)]
+    for n in range(1, 6):
+        for blocks in _compositions(n):
+            shape = GroupShape(blocks)
+            chi = UnramifiedCharacter(
+                shape,
+                tuple(Monomial(u + 2, {f"x{u}": 1, "q": Fraction(u - 2, 2)}) for u in range(n)),
+            )
+            for sigma in block_order_preserving_permutations(shape):
+                for alpha in alphas:
+                    cfg = TransferConfig(source=shape, sigma=sigma, alpha=alpha)
+                    for i, m in enumerate(blocks):
+                        assert cfg.twist_monomial(i) == Monomial(1, {"M": (n - m) % 2})
+                    plain = _seed_refinement(chi, cfg, False)
+                    normed = _seed_refinement(chi, cfg, True)
+                    assert refinement_pullback(chi, cfg).values == tuple(plain)
+                    assert refinement_pullback_normalized(chi, cfg).values == tuple(normed)
+                    shifts = _seed_shifts(blocks, alpha)
+                    if isinstance(shifts, str):
+                        for _ in range(2):
+                            with pytest.raises(NonIntegralShift) as err:
+                                weight_shift(cfg)
+                            assert str(err.value) == shifts
+                            with pytest.raises(NonIntegralShift):
+                                weight_character_pullback(chi, cfg)
+                            with pytest.raises(NonIntegralShift):
+                                atkin_lehner_pullback(chi, cfg)
+                        continue
+                    permuted = [0] * n
+                    for u, s in enumerate(shifts):
+                        permuted[sigma[u]] = s
+                    for _ in range(2):
+                        assert weight_shift(cfg) == shifts
+                        assert weight_shift(cfg, permuted=True) == tuple(permuted)
+                    w = [Monomial(1, {"W": s}) for s in shifts]
+                    assert weight_character_pullback(chi, cfg).values == tuple(
+                        w[p] * chi.values[sigma.index(p)] for p in range(n)
+                    )
+                    assert atkin_lehner_pullback(chi, cfg).values == tuple(
+                        w[p] * normed[p] for p in range(n)
+                    )
+                    assert atkin_lehner_pullback(chi, cfg, normalized=False).values == tuple(
+                        w[p] * plain[p] for p in range(n)
+                    )
+
+
+def test_cached_data_leaves_no_cyclic_garbage():
+    """Per-shape and per-config caches must be freed by reference counting alone."""
+    sigmas = list(block_order_preserving_permutations(GroupShape((2, 1, 2))))
+    gc.collect()
+    gc.disable()
+    try:
+        for sigma in sigmas:
+            cfg = config((2, 1, 2), sigma=sigma)
+            chi = UnramifiedCharacter.trivial(cfg.source)
+            for pullback in (refinement_pullback, weight_character_pullback, atkin_lehner_pullback):
+                pullback(chi, cfg)
+            verify_transfer_compatibility(cfg)
+            del cfg, chi
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
