@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import Mapping, Sequence
 
 from .errors import EmptyPacket, SizeMismatch
@@ -175,9 +174,27 @@ class AtkinLehnerFactor:
         return twisted.evaluate(assign)
 
 
+def _elementary_symmetric(values: Sequence[Fraction], degree: int) -> Fraction:
+    """``e_degree`` of ``values`` by the recurrence ``e[k] += e[k-1]·v``, one value at a time.
+
+    ``O(len(values)·degree)`` exact multiplications; 0 when ``degree`` exceeds
+    the number of values.
+    """
+    e = [Fraction(1)] + [Fraction(0)] * degree
+    for count, v in enumerate(values, 1):
+        for k in range(min(count, degree), 0, -1):
+            e[k] += e[k - 1] * v
+    return e[degree]
+
+
 @dataclass(frozen=True)
 class SphericalFactor:
-    """Unramified Hecke generator at a tracked place: elementary symmetric of given degree."""
+    """Unramified Hecke generator at a tracked place: elementary symmetric of given degree.
+
+    The eigenvalue on a point is ``e_degree`` of its evaluated Satake
+    parameters, computed by a recurrence in ``O(n·degree)`` rational
+    multiplications rather than as a sum over the ``C(n, degree)`` subsets.
+    """
 
     place: str
     degree: int
@@ -197,13 +214,7 @@ class SphericalFactor:
             raise ValueError(
                 f"degree {self.degree} exceeds the {len(params)} Satake parameters"
             )
-        total = Fraction(0)
-        for subset in combinations(params, self.degree):
-            term = Fraction(1)
-            for value in subset:
-                term *= value
-            total += term
-        return total
+        return _elementary_symmetric(params, self.degree)
 
 
 HeckeFactor = AtkinLehnerFactor | SphericalFactor

@@ -159,6 +159,14 @@ class UnramifiedCharacter:
         object.__setattr__(self, "values", values)
 
     @classmethod
+    def _new(cls, shape: GroupShape, values: tuple[Monomial, ...]) -> "UnramifiedCharacter":
+        """Unvalidated constructor: ``values`` is a tuple of ``shape.n`` Monomials."""
+        chi = object.__new__(cls)
+        object.__setattr__(chi, "shape", shape)
+        object.__setattr__(chi, "values", values)
+        return chi
+
+    @classmethod
     def trivial(cls, shape: GroupShape) -> "UnramifiedCharacter":
         return cls(shape, (ONE,) * shape.n)
 
@@ -170,12 +178,12 @@ class UnramifiedCharacter:
         if not isinstance(other, UnramifiedCharacter):
             return NotImplemented
         _check_shape(self, other)
-        return UnramifiedCharacter(
+        return UnramifiedCharacter._new(
             self.shape, tuple(a * b for a, b in zip(self.values, other.values))
         )
 
     def inverse(self) -> "UnramifiedCharacter":
-        return UnramifiedCharacter(self.shape, tuple(v.inverse() for v in self.values))
+        return UnramifiedCharacter._new(self.shape, tuple(v.inverse() for v in self.values))
 
     def eval(self, cochar: CocharVector) -> Monomial:
         """Value on an arbitrary cocharacter, by multiplicativity."""
@@ -220,12 +228,12 @@ def modulus_half(shape: GroupShape, sign: int) -> UnramifiedCharacter:
     """The half power (``sign=+1``) or inverse half power (``sign=-1``) of the Borel modulus."""
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    return UnramifiedCharacter(shape, shape._modulus_half_values[0 if sign == 1 else 1])
+    return UnramifiedCharacter._new(shape, shape._modulus_half_values[0 if sign == 1 else 1])
 
 
 def weight_as_character(weight: AlgebraicWeight) -> UnramifiedCharacter:
     """The weight as an unramified character: ``W^k`` on each basis cocharacter."""
-    return UnramifiedCharacter(
+    return UnramifiedCharacter._new(
         weight.shape,
         tuple(_half_power(UNIFORMIZER_SYMBOL, 2 * k) for k in weight.exps),
     )

@@ -102,17 +102,24 @@ def block_order_preserving_permutations(shape: GroupShape) -> Iterator[tuple[int
     position ``u``, in lexicographic order of the chosen target sets; the
     identity comes first.  There are ``n! / prod(n_i!)`` of them.
     """
+    yield from _block_order_preserving(shape.blocks, 0, tuple(range(shape.n)))
 
-    def rec(i: int, remaining: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-        if i == shape.r:
-            yield ()
-            return
-        for chosen in combinations(remaining, shape.blocks[i]):
-            rest = tuple(x for x in remaining if x not in chosen)
-            for tail in rec(i + 1, rest):
-                yield chosen + tail
 
-    yield from rec(0, tuple(range(shape.n)))
+def _block_order_preserving(
+    blocks: tuple[int, ...], i: int, remaining: tuple[int, ...]
+) -> Iterator[tuple[int, ...]]:
+    """Images of blocks ``i, i+1, ...`` drawn in order from the free slots ``remaining``.
+
+    Module-level rather than a closure: a self-referencing closure is a
+    reference cycle left to the cyclic collector on every call.
+    """
+    if i == len(blocks):
+        yield ()
+        return
+    for chosen in combinations(remaining, blocks[i]):
+        rest = tuple(x for x in remaining if x not in chosen)
+        for tail in _block_order_preserving(blocks, i + 1, rest):
+            yield chosen + tail
 
 
 def dominant_generators(shape: GroupShape) -> tuple[CocharVector, ...]:
@@ -256,14 +263,14 @@ def iota_sigma_pullback(chi: UnramifiedCharacter, sigma: Sequence[int]) -> Unram
     if sorted(sigma) != list(range(n)):
         raise InvalidSigma(f"not a permutation of 0..{n - 1}: {sigma}")
     inv = invert_permutation(sigma)
-    return UnramifiedCharacter(chi.shape, tuple(chi.values[inv[p]] for p in range(n)))
+    return UnramifiedCharacter._new(chi.shape, tuple(chi.values[inv[p]] for p in range(n)))
 
 
 def refinement_pullback(chi: UnramifiedCharacter, cfg: TransferConfig) -> UnramifiedCharacter:
     """Target value at ``p`` is ``M^[n - n_i odd] * chi(e_u)`` for ``u = sigma^-1(p)``."""
     _require_source(chi, cfg)
     values = chi.values
-    return UnramifiedCharacter(
+    return UnramifiedCharacter._new(
         cfg.target,
         tuple(twist * values[u] for twist, u in zip(cfg._slot_twists, cfg.sigma_inverse)),
     )
@@ -286,7 +293,7 @@ def refinement_pullback_normalized(
     values = []
     for p, u in enumerate(cfg.sigma_inverse):
         values.append(twists[p] * chi.values[u] * half_source[u] * inv_half_target[p])
-    return UnramifiedCharacter(cfg.target, tuple(values))
+    return UnramifiedCharacter._new(cfg.target, tuple(values))
 
 
 def weight_shift(cfg: TransferConfig, permuted: bool = False) -> tuple[int, ...]:
@@ -328,7 +335,7 @@ def weight_character_pullback(
     """Character form of the weight map: value at ``p`` is ``W^shift[p] * chi(e_u)``."""
     _require_source(chi, cfg)
     values = chi.values
-    return UnramifiedCharacter(
+    return UnramifiedCharacter._new(
         cfg.target,
         tuple(w * values[u] for w, u in zip(cfg._shift_monomials, cfg.sigma_inverse)),
     )
@@ -344,7 +351,7 @@ def atkin_lehner_pullback(
     """
     shift_monomials = cfg._shift_monomials
     base = refinement_pullback_normalized(chi, cfg) if normalized else refinement_pullback(chi, cfg)
-    return UnramifiedCharacter(
+    return UnramifiedCharacter._new(
         cfg.target, tuple(w * v for w, v in zip(shift_monomials, base.values))
     )
 
@@ -497,25 +504,66 @@ def archimedean_transfer(weight: AlgebraicWeight, alpha) -> ArchimedeanTransfer:
     return ArchimedeanTransfer(AlgebraicWeight(target, tuple(exps)), invert_permutation(tuple(order)))
 
 
+def _first_realizing_sigma(
+    shape: GroupShape, k: Sequence[int], need: Sequence[int]
+) -> tuple[int, ...] | None:
+    """The lexicographically first block-order-preserving ``sigma`` with
+    ``k[u] == need[sigma[u]]`` for every ``u``, or ``None``.
+
+    Depth-first over ``u = 0..n-1``: each position takes the smallest free
+    slot whose ``need`` matches ``k[u]`` and that lies above the previous image
+    in its block, and the search backtracks when no slot is left.
+    """
+    n = shape.n
+    block_starts = set(shape.offsets)
+    sigma = [0] * n
+    used = [False] * n
+    u, lo = 0, 0
+    while u < n:
+        if u not in block_starts:
+            lo = max(lo, sigma[u - 1] + 1)
+        p = lo
+        while p < n and (used[p] or need[p] != k[u]):
+            p += 1
+        if p < n:
+            sigma[u] = p
+            used[p] = True
+            u, lo = u + 1, 0
+        else:
+            u -= 1
+            if u < 0:
+                return None
+            used[sigma[u]] = False
+            lo = sigma[u] + 1
+    return tuple(sigma)
+
+
 def archimedean_sigma(weight: AlgebraicWeight, alpha) -> tuple[int, ...]:
     """A block-order-preserving permutation realizing the archimedean transfer.
 
-    Tries the sorting permutation first, then the remaining block-order-
-    preserving permutations; raises ``NotRelevant`` when no permutation makes
-    ``weight_pullback`` reproduce ``archimedean_transfer`` (which does happen
-    for some mixed shapes).
+    ``weight_pullback`` puts ``shift[p] + k[sigma^-1(p)]`` at slot ``p`` and
+    the shifts do not depend on ``sigma``, so ``sigma`` realizes the target
+    weight ``k'`` exactly when ``k[u] == need[sigma(u)]`` with
+    ``need = k' - shift``.  The sorting permutation is returned when it
+    realizes; otherwise the lexicographically first realizing permutation,
+    found by a depth-first search over the slots whose ``need`` matches (a
+    pruned walk of :func:`block_order_preserving_permutations` in its own
+    order: at most ``n!/prod(n_i!)`` leaves, ``O(n^2)`` steps when nothing
+    backtracks).
+    Raises ``NotRelevant`` when no permutation realizes (which does happen for
+    some mixed shapes); a multiset mismatch between ``need`` and ``k`` settles
+    that at once.  Non-integral shifts raise ``NonIntegralShift``.
     """
     art = archimedean_transfer(weight, alpha)
     shape = weight.shape
-
-    def realizes(sigma: tuple[int, ...]) -> bool:
-        cfg = TransferConfig(source=shape, sigma=sigma, alpha=alpha)
-        return weight_pullback(weight, cfg) == art.weight
-
-    if realizes(art.sigma):
+    shifts = weight_shift(TransferConfig(source=shape, sigma=art.sigma, alpha=alpha))
+    need = [t - s for t, s in zip(art.weight.exps, shifts)]
+    k = weight.exps
+    if all(k[u] == need[p] for u, p in enumerate(art.sigma)):
         return art.sigma
-    for sigma in block_order_preserving_permutations(shape):
-        if sigma != art.sigma and realizes(sigma):
+    if sorted(need) == sorted(k):
+        sigma = _first_realizing_sigma(shape, k, need)
+        if sigma is not None:
             return sigma
     raise NotRelevant(
         f"no block-order-preserving permutation realizes the transferred weight "

@@ -2,9 +2,11 @@
 
 import hashlib
 import json
+import os
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -331,16 +333,28 @@ def test_pretty_output(tmp_path, capsys):
     assert "\n  " not in compact
 
 
-def cli_argv():
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_cli(raw):
+    """Run one job from ``raw`` stdin bytes in a child process.
+
+    Uses the installed console script if there is one, else
+    ``python -m eigentransfer.cli`` with this checkout's ``src`` first on
+    ``PYTHONPATH``, so a fresh checkout needs no install.
+    """
     script = shutil.which("eigentransfer")
     if script:
-        return [script]
-    return [sys.executable, "-m", "eigentransfer.cli"]
+        return subprocess.run([script], input=raw, capture_output=True)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    argv = [sys.executable, "-m", "eigentransfer.cli"]
+    return subprocess.run(argv, input=raw, capture_output=True, env=env)
 
 
 def test_stdin_subprocess():
     raw = json.dumps(hyp1_job([1, 1], [1, 2], "1/2")).encode()
-    proc = subprocess.run(cli_argv(), input=raw, capture_output=True)
+    proc = run_cli(raw)
     assert proc.returncode == 0
     report = json.loads(proc.stdout)
     assert report["verdict"] == "pass"
@@ -349,6 +363,6 @@ def test_stdin_subprocess():
 
 def test_subprocess_exit_codes():
     fail = json.dumps(hyp1_job([1, 1], [1, 2], "1/2", drop_normalization=True)).encode()
-    assert subprocess.run(cli_argv(), input=fail, capture_output=True).returncode == 1
+    assert run_cli(fail).returncode == 1
     garbage = b"]["
-    assert subprocess.run(cli_argv(), input=garbage, capture_output=True).returncode == 2
+    assert run_cli(garbage).returncode == 2

@@ -1,8 +1,10 @@
 """Tests for classical points, Hecke factors, and the divisibility criterion."""
 
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from eigentransfer.errors import EmptyPacket, SizeMismatch
 from eigentransfer.monomial import Monomial, SymbolValue, symbol
@@ -11,6 +13,7 @@ from eigentransfer.points import (
     ClassicalPoint,
     MockFormSpace,
     SphericalFactor,
+    _elementary_symmetric,
     build_transferred_space,
     charpoly,
     constant_C,
@@ -131,6 +134,44 @@ def test_spherical_factor_eigenvalue():
         SphericalFactor("v", 3).eigenvalue(point, {})
     with pytest.raises(ValueError):
         SphericalFactor("v", 0)
+
+
+def _subset_sum(values, degree):
+    """Oracle: ``e_degree`` as the sum over all ``C(n, degree)`` subsets of their products."""
+    total = Fraction(0)
+    for subset in combinations(values, degree):
+        term = Fraction(1)
+        for value in subset:
+            term *= value
+        total += term
+    return total
+
+
+# small numerators and denominators make zeros, sign changes and repeats common
+_params = st.lists(
+    st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3)), min_size=1, max_size=8
+)
+
+
+@settings(max_examples=150, derandomize=True, database=None)
+@given(_params)
+def test_elementary_symmetric_matches_subset_sum(values):
+    for degree in range(1, len(values) + 2):
+        assert _elementary_symmetric(values, degree) == _subset_sum(values, degree)
+    # Satake parameters are nonzero monomials, so a point carries the nonzero values only
+    params = [v for v in values if v]
+    if not params:
+        return
+    n = len(params)
+    point = ClassicalPoint.build(
+        AlgebraicWeight(GroupShape((n,)), (0,) * n),
+        satake={"v": (tuple(Monomial(v) for v in params),)},
+    )
+    for degree in range(1, n + 1):
+        assert SphericalFactor("v", degree).eigenvalue(point, {}) == _subset_sum(params, degree)
+    with pytest.raises(ValueError) as err:
+        SphericalFactor("v", n + 1).eigenvalue(point, {})
+    assert str(err.value) == f"degree {n + 1} exceeds the {n} Satake parameters"
 
 
 def test_point_eigenvalue_is_product():

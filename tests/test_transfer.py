@@ -3,11 +3,13 @@
 import gc
 import random
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations_with_replacement, permutations, product
 from math import factorial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import eigentransfer.transfer as transfer_module
 from eigentransfer.errors import (
     InvalidSigma,
     NonIntegralShift,
@@ -22,10 +24,12 @@ from eigentransfer.tori import (
     GroupShape,
     UnramifiedCharacter,
     modulus_half,
+    weight_as_character,
 )
 from eigentransfer.transfer import (
     ArchimedeanTransfer,
     TransferConfig,
+    _first_realizing_sigma,
     archimedean_sigma,
     archimedean_transfer,
     atkin_lehner_pullback,
@@ -661,7 +665,170 @@ def test_cached_data_leaves_no_cyclic_garbage():
             for pullback in (refinement_pullback, weight_character_pullback, atkin_lehner_pullback):
                 pullback(chi, cfg)
             verify_transfer_compatibility(cfg)
+            list(block_order_preserving_permutations(GroupShape((2, 2))))
             del cfg, chi
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def _walk_archimedean_sigma(weight, alpha, configs):
+    """Oracle: the brute-force search that ``archimedean_sigma`` replaced.
+
+    ``configs`` maps every block-order-preserving permutation of the weight's
+    shape, in enumeration order, to its config under ``alpha``.  Tries the
+    sorting permutation, then each permutation in turn, until
+    ``weight_pullback`` reproduces the archimedean weight.
+    """
+    art = transfer_module.archimedean_transfer(weight, alpha)
+
+    def realizes(sigma):
+        return weight_pullback(weight, configs[sigma]) == art.weight
+
+    if realizes(art.sigma):
+        return art.sigma
+    for sigma in configs:
+        if sigma != art.sigma and realizes(sigma):
+            return sigma
+    raise NotRelevant(
+        f"no block-order-preserving permutation realizes the transferred weight "
+        f"{art.weight.exps} from {weight.exps}"
+    )
+
+
+def _remember_last(fn):
+    """``fn`` with the outcome of its latest call replayed while the arguments stay the same."""
+    last = [None, None, None]
+
+    def wrapper(weight, alpha):
+        if last[0] is not weight or last[1] is not alpha:
+            try:
+                last[2] = (True, fn(weight, alpha))
+            except Exception as err:
+                last[2] = (False, err)
+            last[0], last[1] = weight, alpha
+        ok, value = last[2]
+        if ok:
+            return value
+        raise value.with_traceback(None)
+
+    return wrapper
+
+
+def _outcome(search, *args):
+    try:
+        return search(*args)
+    except (NotRelevant, NonIntegralShift) as err:
+        return type(err), str(err)
+
+
+def _compare_with_walk(monkeypatch, shapes, bound, alphas):
+    """Assert that both searches agree on every dominant weight with entries in
+    ``[-bound, bound]`` under each alpha; count the cases each branch decides."""
+    # both searches start from archimedean_transfer on the same case: compute it once
+    monkeypatch.setattr(
+        transfer_module, "archimedean_transfer", _remember_last(archimedean_transfer)
+    )
+    counts = {"sorting": 0, "searched": 0, "refused": 0, "total": 0}
+    for blocks in shapes:
+        shape = GroupShape(blocks)
+        per_block = [
+            combinations_with_replacement(range(bound, -bound - 1, -1), m) for m in blocks
+        ]
+        weights = [
+            AlgebraicWeight(shape, tuple(x for block in combo for x in block))
+            for combo in product(*per_block)
+        ]
+        for alpha in alphas:
+            configs = {
+                sigma: TransferConfig(source=shape, sigma=sigma, alpha=alpha)
+                for sigma in block_order_preserving_permutations(shape)
+            }
+            for kappa in weights:
+                counts["total"] += 1
+                expected = _outcome(_walk_archimedean_sigma, kappa, alpha, configs)
+                assert _outcome(archimedean_sigma, kappa, alpha) == expected, (
+                    blocks,
+                    kappa.exps,
+                    alpha,
+                )
+                if expected[0] is NotRelevant and "no block-order" in expected[1]:
+                    counts["refused"] += 1
+                elif isinstance(expected[0], int):
+                    art = transfer_module.archimedean_transfer(kappa, alpha)
+                    counts["sorting" if expected == art.sigma else "searched"] += 1
+    return counts
+
+
+def test_archimedean_sigma_matches_walk_oracle(monkeypatch):
+    """Every dominant weight with entries in [-3, 3] on shapes with n <= 4, four alphas:
+    the same sigma, exception type and message as the brute-force walk."""
+    shapes = [blocks for n in range(1, 5) for blocks in _compositions(n)]
+    alphas = (HALF, -HALF, Fraction(3, 2), Fraction(-3, 2))
+    counts = _compare_with_walk(monkeypatch, shapes, 3, alphas)
+    assert counts["total"] == 38360
+    assert counts["sorting"] and counts["refused"]
+
+
+def test_archimedean_sigma_search_matches_walk_oracle(monkeypatch):
+    """Cases where the sorting permutation fails but another realizes: n = 6 with a
+    singleton middle block, entries in [-1, 1], alpha = +-5/2."""
+    counts = _compare_with_walk(
+        monkeypatch, [(2, 1, 3), (3, 1, 2)], 1, (Fraction(5, 2), Fraction(-5, 2))
+    )
+    assert counts["searched"] and counts["refused"]
+
+
+_SHAPES_UP_TO_6 = [blocks for n in range(1, 7) for blocks in _compositions(n)]
+
+
+@settings(max_examples=200, derandomize=True, database=None)
+@given(st.data())
+def test_first_realizing_sigma_is_first_in_enumeration(data):
+    """The depth-first search returns the first matching permutation of the enumeration."""
+    shape = GroupShape(data.draw(st.sampled_from(_SHAPES_UP_TO_6)))
+    n = shape.n
+    k = data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    if data.draw(st.booleans()):  # a rearrangement of k passes the multiset precheck
+        need = data.draw(st.permutations(k))
+    else:
+        need = data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    first = next(
+        (
+            sigma
+            for sigma in block_order_preserving_permutations(shape)
+            if all(k[u] == need[p] for u, p in enumerate(sigma))
+        ),
+        None,
+    )
+    assert _first_realizing_sigma(shape, k, need) == first
+
+
+def test_library_built_characters_pass_validation():
+    """Characters built without validation equal the validated constructor's, n <= 5."""
+
+    def check(chi):
+        assert type(chi.values) is tuple
+        assert chi == UnramifiedCharacter(chi.shape, chi.values)
+
+    for n in range(1, 6):
+        for blocks in _compositions(n):
+            shape = GroupShape(blocks)
+            chi = UnramifiedCharacter(
+                shape,
+                tuple(Monomial(u + 2, {f"x{u}": 1, "q": Fraction(u - 2, 2)}) for u in range(n)),
+            )
+            for sign in (1, -1):
+                check(modulus_half(shape, sign))
+            check(chi * chi.inverse())
+            check(chi.inverse())
+            check(weight_as_character(AlgebraicWeight(shape, tuple(range(n, 0, -1)))))
+            for sigma in block_order_preserving_permutations(shape):
+                for alpha in (HALF, -HALF, Fraction(3, 2), Fraction(-3, 2)):
+                    cfg = TransferConfig(source=shape, sigma=sigma, alpha=alpha)
+                    check(refinement_pullback(chi, cfg))
+                    check(refinement_pullback_normalized(chi, cfg))
+                    check(weight_character_pullback(chi, cfg))
+                    check(atkin_lehner_pullback(chi, cfg))
+                    check(atkin_lehner_pullback(chi, cfg, normalized=False))
+                check(iota_sigma_pullback(refinement_pullback(chi, cfg), sigma))
