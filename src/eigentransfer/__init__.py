@@ -10,161 +10,19 @@ polynomial divisibility criterion.  A JSON batch interface lives in
 ``eigentransfer.cli``.
 """
 
-from .errors import (
-    BlockMismatch,
-    EmptyPacket,
-    InvalidSigma,
-    MissingSymbol,
-    NonIntegralShift,
-    NonSquareAssignment,
-    NotRelevant,
-    NotSymmetric,
-    SchemaError,
-    ShapeMismatch,
-    SizeMismatch,
-    TransferError,
-    UnsupportedLinked,
-)
-from .laurent import LaurentPoly, elementary_symmetric
-from .monomial import (
-    Monomial,
-    ONE,
-    RESIDUE_SYMBOL,
-    SymbolValue,
-    UNIFORMIZER_SYMBOL,
-    symbol,
-    valid_symbol,
-)
-from .points import (
-    AtkinLehnerFactor,
-    ClassicalPoint,
-    DiagramReport,
-    MockFormSpace,
-    SphericalFactor,
-    build_transferred_space,
-    charpoly,
-    constant_C,
-    diagram_check,
-    divisibility_check,
-    point_eigenvalue,
-    transfer_point,
-)
-from .refinements import (
-    LocalRepDescriptor,
-    Segment,
-    accessible_transfer_check,
-    count_accessible,
-    enumerate_refinements,
-    is_accessible,
-    normalize_point,
-    refinement_count_inequality,
-    segments_linked,
-    transferred_descriptor,
-)
-from .tori import (
-    AlgebraicWeight,
-    CocharVector,
-    GroupShape,
-    UnramifiedCharacter,
-    modulus_half,
-    weight_as_character,
-)
-from .transfer import (
-    ArchimedeanTransfer,
-    CheckResult,
-    DEFAULT_TWIST_SYMBOL,
-    TransferConfig,
-    TransferReport,
-    archimedean_sigma,
-    archimedean_transfer,
-    atkin_lehner_pullback,
-    block_order_preserving_permutations,
-    dominant_generators,
-    invert_permutation,
-    iota_sigma_pullback,
-    refinement_pullback,
-    refinement_pullback_normalized,
-    satake_param_transfer,
-    satake_transfer,
-    verify_transfer_compatibility,
-    weight_character_pullback,
-    weight_map_check,
-    weight_pullback,
-    weight_shift,
-)
+from . import errors, laurent, monomial, points, refinements, tori, transfer
+from .errors import *  # noqa: F403
+from .laurent import *  # noqa: F403
+from .monomial import *  # noqa: F403
+from .points import *  # noqa: F403
+from .refinements import *  # noqa: F403
+from .tori import *  # noqa: F403
+from .transfer import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AlgebraicWeight",
-    "ArchimedeanTransfer",
-    "AtkinLehnerFactor",
-    "BlockMismatch",
-    "CheckResult",
-    "ClassicalPoint",
-    "CocharVector",
-    "DEFAULT_TWIST_SYMBOL",
-    "DiagramReport",
-    "EmptyPacket",
-    "GroupShape",
-    "InvalidSigma",
-    "LaurentPoly",
-    "LocalRepDescriptor",
-    "MissingSymbol",
-    "MockFormSpace",
-    "Monomial",
-    "NonIntegralShift",
-    "NonSquareAssignment",
-    "NotRelevant",
-    "NotSymmetric",
-    "ONE",
-    "RESIDUE_SYMBOL",
-    "SchemaError",
-    "Segment",
-    "ShapeMismatch",
-    "SizeMismatch",
-    "SphericalFactor",
-    "SymbolValue",
-    "TransferConfig",
-    "TransferError",
-    "TransferReport",
-    "UNIFORMIZER_SYMBOL",
-    "UnramifiedCharacter",
-    "UnsupportedLinked",
-    "accessible_transfer_check",
-    "archimedean_sigma",
-    "archimedean_transfer",
-    "atkin_lehner_pullback",
-    "block_order_preserving_permutations",
-    "build_transferred_space",
-    "charpoly",
-    "constant_C",
-    "count_accessible",
-    "diagram_check",
-    "divisibility_check",
-    "dominant_generators",
-    "elementary_symmetric",
-    "enumerate_refinements",
-    "invert_permutation",
-    "iota_sigma_pullback",
-    "is_accessible",
-    "modulus_half",
-    "normalize_point",
-    "point_eigenvalue",
-    "refinement_count_inequality",
-    "refinement_pullback",
-    "refinement_pullback_normalized",
-    "satake_param_transfer",
-    "satake_transfer",
-    "segments_linked",
-    "symbol",
-    "transfer_point",
-    "transferred_descriptor",
-    "valid_symbol",
-    "verify_transfer_compatibility",
-    "weight_as_character",
-    "weight_character_pullback",
-    "weight_map_check",
-    "weight_pullback",
-    "weight_shift",
-]
+__all__ = sorted(
+    name
+    for module in (errors, laurent, monomial, points, refinements, tori, transfer)
+    for name in module.__all__
+)

@@ -1,11 +1,12 @@
 """Batch command-line front end: one JSON job in, one JSON report out.
 
 A job is ``{"schema_version": "1", "command": <name>, "payload": {...}}``
-read from ``--job FILE`` or standard input.  Reports echo the SHA-256 of the
-raw input bytes and are emitted with sorted keys, so identical jobs produce
-byte-identical reports.  Exit status: 0 for success or a passing verdict, 1
-for a verified failing verdict (including weight collisions and non-integral
-shifts), 2 for malformed input.
+read from ``--job FILE`` or standard input.  ``jsonio`` checks the job and
+decodes its payload; each handler here only computes and encodes.  Reports
+echo the SHA-256 of the raw input bytes and are emitted with sorted keys, so
+identical jobs produce byte-identical reports.  Exit status: 0 for success or
+a passing verdict, 1 for a verified failing verdict (including weight
+collisions and non-integral shifts), 2 for malformed input.
 """
 
 from __future__ import annotations
@@ -14,41 +15,41 @@ import argparse
 import hashlib
 import json
 import sys
+from fractions import Fraction
 from pathlib import Path
 from typing import Any, Callable
 
-from .errors import NonIntegralShift, NotRelevant, SchemaError, TransferError
+from .errors import NonIntegralShift, NotRelevant, TransferError
 from .jsonio import (
-    decode_assignment,
-    decode_character,
-    decode_config,
-    decode_descriptor,
-    decode_factors,
-    decode_point,
-    decode_rational,
-    decode_shape,
-    decode_space,
-    decode_weight,
+    SCHEMA_VERSION,
+    decode_job,
+    decode_payload,
     encode_character,
     encode_point,
     encode_sigma,
     encode_weight,
 )
+from .monomial import SymbolValue
 from .points import (
+    ClassicalPoint,
+    HeckeFactor,
+    MockFormSpace,
     build_transferred_space,
-    constant_C,
     diagram_check,
     divisibility_check,
     transfer_point,
 )
 from .refinements import (
+    LocalRepDescriptor,
     accessible_transfer_check,
     count_accessible,
     enumerate_refinements,
     is_accessible,
     refinement_count_inequality,
 )
+from .tori import AlgebraicWeight, UnramifiedCharacter
 from .transfer import (
+    TransferConfig,
     archimedean_sigma,
     archimedean_transfer,
     atkin_lehner_pullback,
@@ -57,32 +58,12 @@ from .transfer import (
     verify_transfer_compatibility,
 )
 
-SCHEMA_VERSION = "1"
+# Library errors that are verdicts on a well-formed job (exit 1); every other
+# error refuses the input (exit 2).
+_VERDICT_ERRORS = (NotRelevant, NonIntegralShift)
 
 
-def _payload_keys(payload: Any, required: tuple[str, ...], optional: tuple[str, ...] = ()) -> dict:
-    if not isinstance(payload, dict):
-        raise SchemaError("payload: expected an object")
-    for key in required:
-        if key not in payload:
-            raise SchemaError(f"payload: missing key {key!r}")
-    for key in payload:
-        if key not in required and key not in optional:
-            raise SchemaError(f"payload: unknown key {key!r}")
-    return payload
-
-
-def _boolean(obj: Any, where: str) -> bool:
-    if not isinstance(obj, bool):
-        raise SchemaError(f"{where}: expected a boolean")
-    return obj
-
-
-def _cmd_transfer_weight(payload: dict) -> tuple[dict, int]:
-    _payload_keys(payload, ("shape", "alpha", "weight"))
-    shape = decode_shape(payload["shape"], "shape")
-    alpha = decode_rational(payload["alpha"], "alpha")
-    weight = decode_weight(payload["weight"], shape, "weight")
+def _cmd_transfer_weight(weight: AlgebraicWeight, alpha: Fraction) -> tuple[dict, int]:
     result = archimedean_transfer(weight, alpha)
     try:
         sigma = archimedean_sigma(weight, alpha)
@@ -98,10 +79,7 @@ def _cmd_transfer_weight(payload: dict) -> tuple[dict, int]:
     return body, 0
 
 
-def _cmd_transfer_refinement(payload: dict) -> tuple[dict, int]:
-    _payload_keys(payload, ("config", "character"))
-    cfg = decode_config(payload["config"])
-    chi = decode_character(payload["character"], cfg.source)
+def _cmd_transfer_refinement(cfg: TransferConfig, chi: UnramifiedCharacter) -> tuple[dict, int]:
     body = {
         "refinement": encode_character(refinement_pullback(chi, cfg)),
         "refinement_normalized": encode_character(refinement_pullback_normalized(chi, cfg)),
@@ -110,10 +88,7 @@ def _cmd_transfer_refinement(payload: dict) -> tuple[dict, int]:
     return body, 0
 
 
-def _cmd_check_hypothesis1(payload: dict) -> tuple[dict, int]:
-    _payload_keys(payload, ("config",), ("drop_normalization",))
-    cfg = decode_config(payload["config"])
-    drop = _boolean(payload.get("drop_normalization", False), "drop_normalization")
+def _cmd_check_hypothesis1(cfg: TransferConfig, drop: bool) -> tuple[dict, int]:
     report = verify_transfer_compatibility(cfg, drop_normalization=drop)
     body = {
         "verdict": report.verdict,
@@ -125,9 +100,7 @@ def _cmd_check_hypothesis1(payload: dict) -> tuple[dict, int]:
     return body, 0 if report.passed else 1
 
 
-def _cmd_enumerate_refinements(payload: dict) -> tuple[dict, int]:
-    _payload_keys(payload, ("descriptor",))
-    desc = decode_descriptor(payload["descriptor"])
+def _cmd_enumerate_refinements(desc: LocalRepDescriptor) -> tuple[dict, int]:
     refinements = enumerate_refinements(desc)
     flags = [is_accessible(desc, refinement) for refinement in refinements]
     body = {
@@ -142,10 +115,9 @@ def _cmd_enumerate_refinements(payload: dict) -> tuple[dict, int]:
     return body, 0
 
 
-def _cmd_check_accessible_transfer(payload: dict) -> tuple[dict, int]:
-    _payload_keys(payload, ("config", "descriptor"))
-    cfg = decode_config(payload["config"])
-    desc = decode_descriptor(payload["descriptor"])
+def _cmd_check_accessible_transfer(
+    cfg: TransferConfig, desc: LocalRepDescriptor
+) -> tuple[dict, int]:
     transfer_ok = accessible_transfer_check(desc, cfg)
     count_source, count_target, count_ok = refinement_count_inequality(desc, cfg)
     passed = transfer_ok and count_ok
@@ -159,28 +131,13 @@ def _cmd_check_accessible_transfer(payload: dict) -> tuple[dict, int]:
     return body, 0 if passed else 1
 
 
-def _cmd_transfer_point(payload: dict) -> tuple[dict, int]:
-    _payload_keys(payload, ("config", "point"))
-    cfg = decode_config(payload["config"])
-    point = decode_point(payload["point"], cfg.source)
+def _cmd_transfer_point(cfg: TransferConfig, point: ClassicalPoint) -> tuple[dict, int]:
     return {"point": encode_point(transfer_point(point, cfg))}, 0
 
 
-def _cmd_check_diagram(payload: dict) -> tuple[dict, int]:
-    _payload_keys(payload, ("config", "source_points", "target_points"))
-    cfg = decode_config(payload["config"])
-    if not isinstance(payload["source_points"], list) or not isinstance(
-        payload["target_points"], list
-    ):
-        raise SchemaError("source_points and target_points must be arrays")
-    source = [
-        decode_point(obj, cfg.source, f"source_points[{i}]")
-        for i, obj in enumerate(payload["source_points"])
-    ]
-    target = [
-        decode_point(obj, cfg.target, f"target_points[{i}]")
-        for i, obj in enumerate(payload["target_points"])
-    ]
+def _cmd_check_diagram(
+    cfg: TransferConfig, source: list[ClassicalPoint], target: list[ClassicalPoint]
+) -> tuple[dict, int]:
     report = diagram_check(source, target, cfg)
     body = {
         "verdict": "pass" if report.ok else "fail",
@@ -191,46 +148,14 @@ def _cmd_check_diagram(payload: dict) -> tuple[dict, int]:
     return body, 0 if report.ok else 1
 
 
-def _cmd_check_interpolation(payload: dict) -> tuple[dict, int]:
-    _payload_keys(
-        payload,
-        ("config", "source_space", "target_space", "generators", "assignments"),
-        ("constant", "packet"),
-    )
-    cfg = decode_config(payload["config"])
-    source_space = decode_space(payload["source_space"], cfg.source, "source_space")
-    target_space = decode_space(payload["target_space"], cfg.target, "target_space")
-    if ("constant" in payload) == ("packet" in payload):
-        raise SchemaError("payload: provide exactly one of 'constant' and 'packet'")
-    if "constant" in payload:
-        constant = payload["constant"]
-        if isinstance(constant, bool) or not isinstance(constant, int) or constant < 1:
-            raise SchemaError("constant: expected a positive integer")
-    else:
-        packet = payload["packet"]
-        if not isinstance(packet, dict):
-            raise SchemaError("packet: expected an object")
-        for key in ("dim_source", "dims_target"):
-            if key not in packet:
-                raise SchemaError(f"packet: missing key {key!r}")
-        for key in packet:
-            if key not in ("dim_source", "dims_target"):
-                raise SchemaError(f"packet: unknown key {key!r}")
-        if not isinstance(packet["dims_target"], list):
-            raise SchemaError("packet.dims_target: expected an array")
-        constant = constant_C(packet["dim_source"], packet["dims_target"])
-    if not isinstance(payload["generators"], list) or not payload["generators"]:
-        raise SchemaError("generators: expected a non-empty array")
-    generators = [
-        decode_factors(obj, f"generators[{i}]")
-        for i, obj in enumerate(payload["generators"])
-    ]
-    if not isinstance(payload["assignments"], list) or not payload["assignments"]:
-        raise SchemaError("assignments: expected a non-empty array")
-    assignments = [
-        decode_assignment(obj, f"assignments[{i}]")
-        for i, obj in enumerate(payload["assignments"])
-    ]
+def _cmd_check_interpolation(
+    cfg: TransferConfig,
+    source_space: MockFormSpace,
+    target_space: MockFormSpace,
+    constant: int,
+    generators: list[tuple[HeckeFactor, ...]],
+    assignments: list[dict[str, SymbolValue]],
+) -> tuple[dict, int]:
     transferred = build_transferred_space(source_space, cfg)
     results = [
         [
@@ -248,7 +173,7 @@ def _cmd_check_interpolation(payload: dict) -> tuple[dict, int]:
     return body, 0 if passed else 1
 
 
-_HANDLERS: dict[str, Callable[[dict], tuple[dict, int]]] = {
+_HANDLERS: dict[str, Callable[..., tuple[dict, int]]] = {
     "transfer-weight": _cmd_transfer_weight,
     "transfer-refinement": _cmd_transfer_refinement,
     "check-hypothesis1": _cmd_check_hypothesis1,
@@ -266,25 +191,6 @@ def _emit(report: dict, pretty: bool) -> None:
     else:
         text = json.dumps(report, sort_keys=True, separators=(",", ":"))
     sys.stdout.write(text + "\n")
-
-
-def _validate_job(job: Any) -> tuple[str, dict]:
-    if not isinstance(job, dict):
-        raise SchemaError("job: expected a JSON object")
-    for key in job:
-        if key not in ("schema_version", "command", "payload"):
-            raise SchemaError(f"job: unknown key {key!r}")
-    version = job.get("schema_version", SCHEMA_VERSION)
-    if version != SCHEMA_VERSION:
-        raise SchemaError(f"job: unsupported schema_version {version!r}")
-    command = job.get("command")
-    if not isinstance(command, str) or command not in _HANDLERS:
-        known = ", ".join(sorted(_HANDLERS))
-        raise SchemaError(f"job: command must be one of {known}")
-    payload = job.get("payload")
-    if not isinstance(payload, dict):
-        raise SchemaError("job: missing payload object")
-    return command, payload
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -316,35 +222,17 @@ def main(argv: list[str] | None = None) -> int:
         "input_sha256": hashlib.sha256(raw).hexdigest(),
     }
     try:
-        job = json.loads(raw.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as err:
-        report["error"] = {"type": "SchemaError", "message": f"invalid JSON: {err}"}
-        _emit(report, args.pretty)
-        return 2
-
-    try:
-        command, payload = _validate_job(job)
+        command, payload = decode_job(raw)
         report["command"] = command
-        body, code = _HANDLERS[command](payload)
+        body, code = _HANDLERS[command](**decode_payload(command, payload))
         report.update(body)
-        _emit(report, args.pretty)
-        return code
-    except SchemaError as err:
-        report["error"] = {"type": "SchemaError", "message": str(err)}
-        _emit(report, args.pretty)
-        return 2
-    except (NotRelevant, NonIntegralShift) as err:
-        report["error"] = {"type": type(err).__name__, "message": str(err)}
-        _emit(report, args.pretty)
-        return 1
-    except TransferError as err:
-        report["error"] = {"type": type(err).__name__, "message": str(err)}
-        _emit(report, args.pretty)
-        return 2
-    except ValueError as err:
-        report["error"] = {"type": "SchemaError", "message": str(err)}
-        _emit(report, args.pretty)
-        return 2
+    except (TransferError, ValueError) as err:
+        # a ValueError from the library is reported as a schema violation
+        kind = type(err).__name__ if isinstance(err, TransferError) else "SchemaError"
+        report["error"] = {"type": kind, "message": str(err)}
+        code = 1 if isinstance(err, _VERDICT_ERRORS) else 2
+    _emit(report, args.pretty)
+    return code
 
 
 if __name__ == "__main__":

@@ -5,6 +5,22 @@ so callers (in particular the command line driver) can distinguish failures of
 the mathematics from ordinary programming errors.
 """
 
+__all__ = [
+    "TransferError",
+    "MissingSymbol",
+    "NonSquareAssignment",
+    "BlockMismatch",
+    "ShapeMismatch",
+    "SizeMismatch",
+    "InvalidSigma",
+    "NonIntegralShift",
+    "NotRelevant",
+    "NotSymmetric",
+    "UnsupportedLinked",
+    "EmptyPacket",
+    "SchemaError",
+]
+
 
 class TransferError(Exception):
     """Base class for domain errors raised by this library."""

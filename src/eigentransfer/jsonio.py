@@ -1,32 +1,42 @@
 """JSON codecs for the batch command-line interface.
 
 Schema conventions (version "1"): shapes are arrays of positive block sizes;
-permutations are one-line and 1-based; rationals are integers or strings such
-as ``"1/2"`` (floats are rejected to keep everything exact); characters are
-flat arrays of canonical monomial strings; weights and Satake data are arrays
-grouped by block.  Every decoder raises ``SchemaError`` with the offending
-location on malformed input; unknown keys are rejected.
+permutations are one-line and 1-based; rationals are integers or strings of
+ASCII digits ``n`` or ``n/d`` with an optional sign, such as ``"1/2"``
+(floats, decimals and exponents are rejected to keep everything exact);
+characters are flat arrays of canonical monomial strings; weights and Satake
+data are arrays grouped by block.  Every decoder raises ``SchemaError`` with
+the offending location on malformed input; unknown keys are rejected.
+
+``decode_job`` checks the job envelope and ``decode_payload`` decodes a
+command's payload into the keyword arguments of its handler, so this module
+is the only one that checks the JSON job.
 """
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 from typing import Any
 
 from .errors import SchemaError
-from .monomial import Monomial, SymbolValue, valid_symbol
+from .monomial import _COEFF_RE, Monomial, SymbolValue, valid_symbol
 from .points import (
     AtkinLehnerFactor,
     ClassicalPoint,
     HeckeFactor,
     MockFormSpace,
     SphericalFactor,
+    constant_C,
 )
 from .refinements import LocalRepDescriptor, Segment
 from .tori import AlgebraicWeight, GroupShape, UnramifiedCharacter
 from .transfer import TransferConfig
 
 __all__ = [
+    "SCHEMA_VERSION",
+    "decode_job",
+    "decode_payload",
     "decode_config",
     "decode_shape",
     "decode_rational",
@@ -42,6 +52,8 @@ __all__ = [
     "decode_factors",
     "encode_sigma",
 ]
+
+SCHEMA_VERSION = "1"
 
 
 def _object(obj: Any, where: str) -> dict:
@@ -83,10 +95,12 @@ def decode_rational(obj: Any, where: str) -> Fraction:
     if isinstance(obj, int):
         return Fraction(obj)
     if isinstance(obj, str):
-        try:
-            return Fraction(obj)
-        except (ValueError, ZeroDivisionError) as err:
-            raise SchemaError(f"{where}: not a rational: {obj!r}") from err
+        if _COEFF_RE.match(obj):
+            try:
+                return Fraction(obj)
+            except ZeroDivisionError:
+                pass
+        raise SchemaError(f"{where}: not a rational: {obj!r}")
     raise SchemaError(
         f"{where}: expected an integer or a rational string (floats are not accepted)"
     )
@@ -115,33 +129,13 @@ def encode_sigma(sigma: tuple[int, ...]) -> list[int]:
 
 def decode_config(obj: Any, where: str = "config") -> TransferConfig:
     cfg = _object(obj, where)
-    _check_keys(
-        cfg,
-        ("blocks", "sigma", "alpha"),
-        ("mu", "p_places", "tracked"),
-        where,
-    )
+    _check_keys(cfg, ("blocks", "sigma", "alpha"), ("mu",), where)
     shape = decode_shape(cfg["blocks"], f"{where}.blocks")
     sigma = _decode_sigma(cfg["sigma"], shape.n, f"{where}.sigma")
     alpha = decode_rational(cfg["alpha"], f"{where}.alpha")
     mu = _string(cfg.get("mu", "M"), f"{where}.mu")
-    p_places = tuple(
-        _string(tag, f"{where}.p_places[{i}]")
-        for i, tag in enumerate(_array(cfg.get("p_places", ["p"]), f"{where}.p_places"))
-    )
-    tracked = tuple(
-        _string(tag, f"{where}.tracked[{i}]")
-        for i, tag in enumerate(_array(cfg.get("tracked", []), f"{where}.tracked"))
-    )
     try:
-        return TransferConfig(
-            source=shape,
-            sigma=sigma,
-            alpha=alpha,
-            mu=mu,
-            p_places=p_places,
-            tracked=tracked,
-        )
+        return TransferConfig(source=shape, sigma=sigma, alpha=alpha, mu=mu)
     except ValueError as err:
         raise SchemaError(f"{where}: {err}") from err
 
@@ -327,3 +321,149 @@ def decode_factors(obj: Any, where: str = "generator") -> tuple[HeckeFactor, ...
                 f"{where}[{i}].type: expected 'atkin-lehner' or 'spherical', got {kind!r}"
             )
     return tuple(factors)
+
+
+def _non_empty(obj: Any, where: str) -> list:
+    if not isinstance(obj, list) or not obj:
+        raise SchemaError(f"{where}: expected a non-empty array")
+    return obj
+
+
+def _decode_constant(payload: dict) -> int:
+    """The divisibility constant: given directly, or derived from a packet of dimensions."""
+    if ("constant" in payload) == ("packet" in payload):
+        raise SchemaError("payload: provide exactly one of 'constant' and 'packet'")
+    if "constant" in payload:
+        constant = payload["constant"]
+        if isinstance(constant, bool) or not isinstance(constant, int) or constant < 1:
+            raise SchemaError("constant: expected a positive integer")
+        return constant
+    packet = _object(payload["packet"], "packet")
+    _check_keys(packet, ("dim_source", "dims_target"), (), "packet")
+    dims = [
+        _integer(d, f"packet.dims_target[{i}]")
+        for i, d in enumerate(_array(packet["dims_target"], "packet.dims_target"))
+    ]
+    return constant_C(_integer(packet["dim_source"], "packet.dim_source"), dims)
+
+
+# One decoder per command.  Each checks the payload keys, then decodes its
+# fields in a fixed order, so a payload with several faults reports the first.
+
+
+def _weight_payload(payload: dict) -> dict:
+    _check_keys(payload, ("shape", "alpha", "weight"), (), "payload")
+    shape = decode_shape(payload["shape"], "shape")
+    alpha = decode_rational(payload["alpha"], "alpha")
+    return {"weight": decode_weight(payload["weight"], shape, "weight"), "alpha": alpha}
+
+
+def _refinement_payload(payload: dict) -> dict:
+    _check_keys(payload, ("config", "character"), (), "payload")
+    cfg = decode_config(payload["config"])
+    return {"cfg": cfg, "chi": decode_character(payload["character"], cfg.source)}
+
+
+def _hypothesis1_payload(payload: dict) -> dict:
+    _check_keys(payload, ("config",), ("drop_normalization",), "payload")
+    cfg = decode_config(payload["config"])
+    drop = payload.get("drop_normalization", False)
+    if not isinstance(drop, bool):
+        raise SchemaError("drop_normalization: expected a boolean")
+    return {"cfg": cfg, "drop": drop}
+
+
+def _descriptor_payload(payload: dict) -> dict:
+    _check_keys(payload, ("descriptor",), (), "payload")
+    return {"desc": decode_descriptor(payload["descriptor"])}
+
+
+def _accessible_payload(payload: dict) -> dict:
+    _check_keys(payload, ("config", "descriptor"), (), "payload")
+    cfg = decode_config(payload["config"])
+    return {"cfg": cfg, "desc": decode_descriptor(payload["descriptor"])}
+
+
+def _point_payload(payload: dict) -> dict:
+    _check_keys(payload, ("config", "point"), (), "payload")
+    cfg = decode_config(payload["config"])
+    return {"cfg": cfg, "point": decode_point(payload["point"], cfg.source)}
+
+
+def _diagram_payload(payload: dict) -> dict:
+    _check_keys(payload, ("config", "source_points", "target_points"), (), "payload")
+    cfg = decode_config(payload["config"])
+    source, target = payload["source_points"], payload["target_points"]
+    if not isinstance(source, list) or not isinstance(target, list):
+        raise SchemaError("source_points and target_points must be arrays")
+    return {
+        "cfg": cfg,
+        "source": [
+            decode_point(obj, cfg.source, f"source_points[{i}]") for i, obj in enumerate(source)
+        ],
+        "target": [
+            decode_point(obj, cfg.target, f"target_points[{i}]") for i, obj in enumerate(target)
+        ],
+    }
+
+
+def _interpolation_payload(payload: dict) -> dict:
+    _check_keys(
+        payload,
+        ("config", "source_space", "target_space", "generators", "assignments"),
+        ("constant", "packet"),
+        "payload",
+    )
+    cfg = decode_config(payload["config"])
+    return {
+        "cfg": cfg,
+        "source_space": decode_space(payload["source_space"], cfg.source, "source_space"),
+        "target_space": decode_space(payload["target_space"], cfg.target, "target_space"),
+        "constant": _decode_constant(payload),
+        "generators": [
+            decode_factors(obj, f"generators[{i}]")
+            for i, obj in enumerate(_non_empty(payload["generators"], "generators"))
+        ],
+        "assignments": [
+            decode_assignment(obj, f"assignments[{i}]")
+            for i, obj in enumerate(_non_empty(payload["assignments"], "assignments"))
+        ],
+    }
+
+
+_PAYLOADS = {
+    "transfer-weight": _weight_payload,
+    "transfer-refinement": _refinement_payload,
+    "check-hypothesis1": _hypothesis1_payload,
+    "enumerate-refinements": _descriptor_payload,
+    "check-accessible-transfer": _accessible_payload,
+    "transfer-point": _point_payload,
+    "check-diagram": _diagram_payload,
+    "check-interpolation": _interpolation_payload,
+}
+
+
+def decode_job(raw: bytes) -> tuple[str, dict]:
+    """Parse the job bytes and check the envelope; return the command and its payload."""
+    try:
+        job = json.loads(raw.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as err:
+        raise SchemaError(f"invalid JSON: {err}") from err
+    if not isinstance(job, dict):
+        raise SchemaError("job: expected a JSON object")
+    _check_keys(job, (), ("schema_version", "command", "payload"), "job")
+    version = job.get("schema_version", SCHEMA_VERSION)
+    if version != SCHEMA_VERSION:
+        raise SchemaError(f"job: unsupported schema_version {version!r}")
+    command = job.get("command")
+    if not isinstance(command, str) or command not in _PAYLOADS:
+        raise SchemaError(f"job: command must be one of {', '.join(sorted(_PAYLOADS))}")
+    payload = job.get("payload")
+    if not isinstance(payload, dict):
+        raise SchemaError("job: missing payload object")
+    return command, payload
+
+
+def decode_payload(command: str, payload: dict) -> dict[str, Any]:
+    """Decode the payload of ``command`` into the keyword arguments of its handler."""
+    return _PAYLOADS[command](payload)

@@ -154,7 +154,7 @@ def enumerate_refinements(desc: LocalRepDescriptor) -> tuple[UnramifiedCharacter
         values: list[Monomial] = []
         for ordering in choice:
             values.extend(ordering)
-        out.append(UnramifiedCharacter(desc.shape, tuple(values)))
+        out.append(UnramifiedCharacter._new(desc.shape, tuple(values)))
     return tuple(out)
 
 

@@ -151,15 +151,14 @@ class TransferConfig:
     be strictly increasing on each source block.  ``alpha`` is the archimedean
     half-integer entering the weight shifts; values outside ``Z + 1/2`` are
     accepted and flagged per-operation when they make a shift non-integral.
-    ``p_places`` and ``tracked`` are the place tags used by point-level data.
+    ``mu`` names the unramified twist symbol.  Place tags are not part of the
+    config: a point carries its own tags, and the transfer treats them alike.
     """
 
     source: GroupShape
     sigma: tuple[int, ...]
     alpha: Fraction
     mu: str = DEFAULT_TWIST_SYMBOL
-    p_places: tuple[str, ...] = ("p",)
-    tracked: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         if not isinstance(self.source, GroupShape):
@@ -181,13 +180,6 @@ class TransferConfig:
         object.__setattr__(self, "alpha", alpha)
         if not valid_symbol(self.mu) or self.mu in (RESIDUE_SYMBOL, UNIFORMIZER_SYMBOL):
             raise ValueError(f"mu must be a fresh symbol name, got {self.mu!r}")
-        p_places = tuple(str(tag) for tag in self.p_places)
-        tracked = tuple(str(tag) for tag in self.tracked)
-        tags = p_places + tracked
-        if len(set(tags)) != len(tags):
-            raise ValueError("place tags must be pairwise distinct")
-        object.__setattr__(self, "p_places", p_places)
-        object.__setattr__(self, "tracked", tracked)
 
     @property
     def n(self) -> int:
@@ -387,7 +379,7 @@ def _generic_character(shape: GroupShape, prefix: str, avoid: set[str]) -> Unram
         while name in avoid or name in (RESIDUE_SYMBOL, UNIFORMIZER_SYMBOL):
             name += "_"
         values.append(_half_power(name, 2))
-    return UnramifiedCharacter(shape, tuple(values))
+    return UnramifiedCharacter._new(shape, tuple(values))
 
 
 def verify_transfer_compatibility(

@@ -357,9 +357,7 @@ def _matched_spaces(blocks, sigma, kappa_exps, segment_plan, mults):
     refinement of the transferred descriptor, normalized the same way.
     """
     shape = GroupShape(blocks)
-    cfg = TransferConfig(
-        source=shape, sigma=sigma, alpha=HALF, p_places=("p",), tracked=("v",)
-    )
+    cfg = TransferConfig(source=shape, sigma=sigma, alpha=HALF)
     kappa = AlgebraicWeight(shape, kappa_exps)
     segments = tuple(
         tuple(Segment(symbol(name), d) for name, d in block) for block in segment_plan

@@ -1,9 +1,9 @@
 """End-to-end tests for the JSON job runner."""
 
 import hashlib
+import io
 import json
 import os
-import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -166,12 +166,7 @@ def test_transfer_point(tmp_path, capsys):
         "schema_version": "1",
         "command": "transfer-point",
         "payload": {
-            "config": {
-                "blocks": [1, 1],
-                "sigma": [1, 2],
-                "alpha": "1/2",
-                "tracked": ["v"],
-            },
+            "config": {"blocks": [1, 1], "sigma": [1, 2], "alpha": "1/2"},
             "point": {
                 "weight": [[2], [0]],
                 "up": {"p": ["1 * c1", "1 * c2"]},
@@ -307,6 +302,207 @@ def test_unknown_payload_key(tmp_path, capsys):
     assert "junk" in report["error"]["message"]
 
 
+def sha256(raw):
+    return hashlib.sha256(raw).hexdigest()
+
+
+DROP = object()
+
+
+def edit(job, **changes):
+    """A copy of ``job`` with payload keys replaced, added or (``DROP``) removed."""
+    payload = {**job["payload"], **changes}
+    return {**job, "payload": {k: v for k, v in payload.items() if v is not DROP}}
+
+
+HYP1 = hyp1_job([1, 1], [1, 2], "1/2")
+WEIGHT = {
+    "schema_version": "1",
+    "command": "transfer-weight",
+    "payload": {"shape": [1, 1], "alpha": "1/2", "weight": [[0], [5]]},
+}
+CONFIG = {"blocks": [1, 1], "sigma": [1, 2], "alpha": "1/2"}
+POINT = {"weight": [[2], [0]], "up": {"p": ["1 * c1", "1 * c2"]}}
+DIAGRAM = {
+    "schema_version": "1",
+    "command": "check-diagram",
+    "payload": {"config": CONFIG, "source_points": [POINT], "target_points": []},
+}
+TRANSFER_POINT = {
+    "schema_version": "1",
+    "command": "transfer-point",
+    "payload": {"config": CONFIG, "point": POINT},
+}
+INTERP = interpolation_job()
+PACKET = edit(INTERP, constant=DROP, packet={"dim_source": 5, "dims_target": [2, 4]})
+
+
+def packet(dim_source, dims_target):
+    return edit(PACKET, packet={"dim_source": dim_source, "dims_target": dims_target})
+
+
+COMMANDS = (
+    "check-accessible-transfer, check-diagram, check-hypothesis1, check-interpolation, "
+    "enumerate-refinements, transfer-point, transfer-refinement, transfer-weight"
+)
+XOR = "payload: provide exactly one of 'constant' and 'packet'"
+ARRAYS = "source_points and target_points must be arrays"
+POSITIVE = "constant: expected a positive integer"
+NON_EMPTY = "{}: expected a non-empty array"
+
+
+def schema(job, message):
+    return job, "SchemaError", message, 2
+
+
+# One row per error message of the job envelope and the command payloads:
+# (job, error type, error message, exit code).
+ERROR_ROWS = [
+    schema(edit(HYP1, junk=1), "payload: unknown key 'junk'"),
+    schema(edit(HYP1, config=DROP), "payload: missing key 'config'"),
+    schema(edit(WEIGHT, weight=DROP), "payload: missing key 'weight'"),
+    schema(edit(INTERP, assignments=DROP), "payload: missing key 'assignments'"),
+    schema(edit(INTERP, extra=1), "payload: unknown key 'extra'"),
+    schema(edit(HYP1, drop_normalization=1), "drop_normalization: expected a boolean"),
+    schema(edit(HYP1, drop_normalization="true"), "drop_normalization: expected a boolean"),
+    schema(edit(DIAGRAM, source_points={}), ARRAYS),
+    schema(edit(DIAGRAM, target_points="x"), ARRAYS),
+    schema(edit(DIAGRAM, source_points=[{"weight": "bad"}], target_points=None), ARRAYS),
+    schema(edit(INTERP, packet={"dim_source": 3, "dims_target": [2]}), XOR),
+    schema(edit(INTERP, constant=DROP), XOR),
+    schema(edit(INTERP, constant=0), POSITIVE),
+    schema(edit(INTERP, constant=-1), POSITIVE),
+    schema(edit(INTERP, constant=True), POSITIVE),
+    schema(edit(INTERP, constant="1"), POSITIVE),
+    schema(edit(INTERP, constant=1.0), POSITIVE),
+    schema(edit(PACKET, packet=[]), "packet: expected an object"),
+    schema(edit(PACKET, packet={"dims_target": [2]}), "packet: missing key 'dim_source'"),
+    schema(edit(PACKET, packet={"dim_source": 3}), "packet: missing key 'dims_target'"),
+    schema(
+        edit(PACKET, packet={"dim_source": 3, "dims_target": [], "x": 1}), "packet: unknown key 'x'"
+    ),
+    schema(packet(3, 2), "packet.dims_target: expected an array"),
+    schema(packet(3, [0]), "dimensions must be positive integers"),
+    (packet(3, []), "EmptyPacket", "the packet of target dimensions is empty", 2),
+    schema(edit(INTERP, generators=[]), NON_EMPTY.format("generators")),
+    schema(edit(INTERP, generators={}), NON_EMPTY.format("generators")),
+    schema(edit(INTERP, generators="x"), NON_EMPTY.format("generators")),
+    schema(edit(INTERP, assignments=[]), NON_EMPTY.format("assignments")),
+    schema(edit(INTERP, assignments={}), NON_EMPTY.format("assignments")),
+    schema([1, 2, 3], "job: expected a JSON object"),
+    schema({**HYP1, "junk": 1}, "job: unknown key 'junk'"),
+    schema({**HYP1, "schema_version": "2"}, "job: unsupported schema_version '2'"),
+    schema({**HYP1, "schema_version": 1}, "job: unsupported schema_version 1"),
+    schema({"payload": {}}, f"job: command must be one of {COMMANDS}"),
+    schema({"command": 5, "payload": {}}, f"job: command must be one of {COMMANDS}"),
+    schema({"command": "nope", "payload": {}}, f"job: command must be one of {COMMANDS}"),
+    schema({"command": "check-hypothesis1"}, "job: missing payload object"),
+    schema({"command": "check-hypothesis1", "payload": []}, "job: missing payload object"),
+    # several faults: the first one in decoding order is reported
+    schema({"schema_version": "2", "command": "nope", "junk": 1}, "job: unknown key 'junk'"),
+    schema(edit(HYP1, junk=1, config={}), "payload: unknown key 'junk'"),
+    schema(edit(INTERP, config={"blocks": [1]}, generators=[]), "config: missing key 'sigma'"),
+    schema(edit(INTERP, target_space={}, constant=0), "target_space: missing key 'weight'"),
+    schema(edit(INTERP, constant=0, generators=[]), POSITIVE),
+    schema(edit(INTERP, generators=[], assignments=[]), NON_EMPTY.format("generators")),
+    schema(packet("5", 2), "packet.dims_target: expected an array"),
+    schema(edit(DIAGRAM, config={"blocks": [1]}, source_points={}), "config: missing key 'sigma'"),
+    # library errors keep their type; ValueError is reported as SchemaError
+    (edit(WEIGHT, weight=[[0], [0]]), "NotRelevant", "archimedean parameters collide: 1/2, 1/2", 1),
+    (
+        edit(
+            TRANSFER_POINT,
+            config={"blocks": [1, 2], "sigma": [1, 2, 3], "alpha": 1},
+            point={"weight": [[0], [0, 0]]},
+        ),
+        "NonIntegralShift",
+        "weight shift 3/2 at block 2 is not an integer (alpha = 1)",
+        1,
+    ),
+    (
+        edit(HYP1, config={"blocks": [1, 2], "sigma": [1, 3, 2], "alpha": "1/2"}),
+        "InvalidSigma",
+        "sigma must be strictly increasing on block 2; images [2, 1]",
+        2,
+    ),
+    schema(edit(WEIGHT, shape=[2], weight=[[0, 3]]), "archimedean transfer needs a dominant weight"),
+]
+
+
+# Jobs that the schema now refuses: packet dimensions that are not integers,
+# place-tag config keys and inexact rational strings.
+CHANGED_ROWS = [
+    schema(packet(5, [2.5]), "packet.dims_target[0]: expected an integer"),
+    schema(packet(5.9, [2]), "packet.dim_source: expected an integer"),
+    schema(packet(5, ["2"]), "packet.dims_target[0]: expected an integer"),
+    schema(packet(True, [2]), "packet.dim_source: expected an integer"),
+    schema(packet(5, [True]), "packet.dims_target[0]: expected an integer"),
+    schema(packet("5", [2]), "packet.dim_source: expected an integer"),
+    *(
+        schema(edit(TRANSFER_POINT, config={**CONFIG, key: ["v"]}), f"config: unknown key '{key}'")
+        for key in ("p_places", "tracked")
+    ),
+    schema(edit(WEIGHT, alpha="1.5"), "alpha: not a rational: '1.5'"),
+    schema(edit(HYP1, config={**CONFIG, "alpha": "1e3"}), "config.alpha: not a rational: '1e3'"),
+]
+
+
+def check_error_report(tmp_path, capsys, job, kind, message, code):
+    got, report, _ = run_job(tmp_path, capsys, job)
+    expected = {
+        "schema_version": "1",
+        "input_sha256": sha256(json.dumps(job).encode()),
+        "error": {"type": kind, "message": message},
+    }
+    if not message.startswith("job:"):
+        expected["command"] = job["command"]
+    assert (got, report) == (code, expected)
+
+
+@pytest.mark.parametrize("job, kind, message, code", ERROR_ROWS)
+def test_error_reports(tmp_path, capsys, job, kind, message, code):
+    check_error_report(tmp_path, capsys, job, kind, message, code)
+
+
+@pytest.mark.parametrize("job, kind, message, code", CHANGED_ROWS)
+def test_schema_changes(tmp_path, capsys, job, kind, message, code):
+    check_error_report(tmp_path, capsys, job, kind, message, code)
+
+
+def test_unreadable_and_invalid_json_reports(tmp_path, capsys):
+    missing = tmp_path / "absent.json"
+    with pytest.raises(OSError) as err:
+        missing.read_bytes()
+    assert main(["--job", str(missing)]) == 2
+    assert json.loads(capsys.readouterr().out) == {
+        "schema_version": "1",
+        "error": {"type": "SchemaError", "message": f"cannot read job file: {err.value}"},
+    }
+    path = tmp_path / "raw.json"
+    for raw, reason in [
+        (b"{not json", "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+        (b"\xff", "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+    ]:
+        path.write_bytes(raw)
+        assert main(["--job", str(path)]) == 2
+        assert json.loads(capsys.readouterr().out) == {
+            "schema_version": "1",
+            "input_sha256": sha256(raw),
+            "error": {"type": "SchemaError", "message": f"invalid JSON: {reason}"},
+        }
+
+
+POOL = json.loads((Path(__file__).resolve().parents[1] / "bench" / "jobs.json").read_text())
+
+
+@pytest.mark.parametrize("entry", POOL, ids=[entry["name"] for entry in POOL])
+def test_bench_pool_replay(monkeypatch, capsys, entry):
+    """Every pool job keeps its exit code and its report bytes."""
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(entry["job"].encode())))
+    assert main([]) == entry["exit_code"]
+    assert sha256(capsys.readouterr().out.encode()) == entry["report_sha256"]
+
+
 def test_reports_are_deterministic(tmp_path, capsys):
     job = hyp1_job([1, 2], [3, 1, 2], "1/2")
     _, _, first = run_job(tmp_path, capsys, job)
@@ -339,13 +535,10 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 def run_cli(raw):
     """Run one job from ``raw`` stdin bytes in a child process.
 
-    Uses the installed console script if there is one, else
-    ``python -m eigentransfer.cli`` with this checkout's ``src`` first on
-    ``PYTHONPATH``, so a fresh checkout needs no install.
+    Runs ``python -m eigentransfer.cli`` with this checkout's ``src`` first on
+    ``PYTHONPATH``, so the child tests this checkout even when another
+    ``eigentransfer`` is installed, and a fresh checkout needs no install.
     """
-    script = shutil.which("eigentransfer")
-    if script:
-        return subprocess.run([script], input=raw, capture_output=True)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     argv = [sys.executable, "-m", "eigentransfer.cli"]

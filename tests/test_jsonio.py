@@ -36,6 +36,19 @@ def test_decode_rational():
             decode_rational(bad, "x")
 
 
+def test_decode_rational_token_grammar():
+    """String rationals follow the monomial coefficient grammar ``[+-]?\\d+(/\\d+)?``."""
+    assert decode_rational("-3/2", "x") == Fraction(-3, 2)
+    assert decode_rational("+2", "x") == Fraction(2)
+    for bad in ["1.5", "1e3", "1_000", " 1/2 ", "1/0", "\u0663", "3 / 2", ""]:
+        with pytest.raises(SchemaError) as err:
+            decode_rational(bad, "x")
+        assert str(err.value) == f"x: not a rational: {bad!r}"
+    for field in ("value", "sqrt"):
+        with pytest.raises(SchemaError, match=f"^a.s.{field}: not a rational: '1.5'$"):
+            decode_assignment({"s": {"value": 4, "sqrt": 2, field: "1.5"}}, "a")
+
+
 def test_decode_shape():
     assert decode_shape([2, 1]) == GroupShape((2, 1))
     assert decode_shape([4]) == GroupShape((4,))
@@ -50,23 +63,10 @@ def test_decode_config_minimal_and_full():
     assert cfg.sigma == (0, 1, 2)
     assert cfg.alpha == Fraction(1, 2)
     assert cfg.mu == "M"
-    assert cfg.p_places == ("p",)
-    assert cfg.tracked == ()
-    cfg = decode_config(
-        {
-            "blocks": [1, 2],
-            "sigma": [3, 1, 2],
-            "alpha": -1,
-            "mu": "nu",
-            "p_places": ["p1", "p2"],
-            "tracked": ["v"],
-        }
-    )
+    cfg = decode_config({"blocks": [1, 2], "sigma": [3, 1, 2], "alpha": -1, "mu": "nu"})
     assert cfg.sigma == (2, 0, 1)
     assert cfg.alpha == Fraction(-1)
     assert cfg.mu == "nu"
-    assert cfg.p_places == ("p1", "p2")
-    assert cfg.tracked == ("v",)
 
 
 def test_decode_config_errors():
@@ -87,8 +87,10 @@ def test_decode_config_errors():
         decode_config({**good, "alpha": "1/3"})
     with pytest.raises(SchemaError):
         decode_config({**good, "mu": "q"})
-    with pytest.raises(SchemaError):
-        decode_config({**good, "p_places": ["p", "p"]})
+    # place tags are not config fields
+    for key in ("p_places", "tracked"):
+        with pytest.raises(SchemaError, match=f"^config: unknown key '{key}'$"):
+            decode_config({**good, key: ["p"]})
     # a decreasing in-block permutation is a domain error, not a schema error
     with pytest.raises(InvalidSigma):
         decode_config({**good, "sigma": [1, 3, 2]})

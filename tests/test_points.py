@@ -195,7 +195,7 @@ def test_transfer_point_anchor():
         up={"p": chi},
         satake={"v": ((symbol("s1"),), (symbol("s2"),))},
     )
-    cfg = config((1, 1), tracked=("v",))
+    cfg = config((1, 1))
     moved = transfer_point(point, cfg)
     assert moved.weight == AlgebraicWeight(GroupShape((2,)), (2, 1))
     assert moved.up_at("p").values == (

@@ -19,6 +19,7 @@ from eigentransfer.errors import (
 )
 from eigentransfer.laurent import LaurentPoly, elementary_symmetric
 from eigentransfer.monomial import Monomial, ONE, symbol
+from eigentransfer.refinements import LocalRepDescriptor, Segment, enumerate_refinements
 from eigentransfer.tori import (
     AlgebraicWeight,
     GroupShape,
@@ -122,7 +123,6 @@ def test_config_validation():
     assert cfg.sigma_inverse == (1, 2, 0)
     assert cfg.alpha == HALF
     assert cfg.mu == "M"
-    assert cfg.p_places == ("p",)
     with pytest.raises(InvalidSigma):
         config((1, 2), sigma=(0, 1))
     with pytest.raises(InvalidSigma):
@@ -140,10 +140,10 @@ def test_config_validation():
         config((1, 1), mu="W")
     with pytest.raises(ValueError):
         config((1, 1), mu="2m")
-    with pytest.raises(ValueError):
-        config((1, 1), p_places=("p", "p"))
-    with pytest.raises(ValueError):
-        config((1, 1), p_places=("p",), tracked=("p",))
+    # place tags are not config fields
+    for tags in ({"p_places": ("p",)}, {"tracked": ("v",)}):
+        with pytest.raises(TypeError):
+            config((1, 1), **tags)
     assert config((1, 1), alpha=2).alpha == Fraction(2)
 
 
@@ -823,6 +823,15 @@ def test_library_built_characters_pass_validation():
             check(chi * chi.inverse())
             check(chi.inverse())
             check(weight_as_character(AlgebraicWeight(shape, tuple(range(n, 0, -1)))))
+            check(transfer_module._generic_character(shape, "x", {"x1"}))
+            for plan in (
+                [[(f"g{i}", b)] for i, b in enumerate(blocks)],  # one Steinberg segment per block
+                [[(f"g{i}_{j}", 1) for j in range(b)] for i, b in enumerate(blocks)],
+                [[("g", 1)] * b for b in blocks],  # repeated parameters
+            ):
+                segments = tuple(tuple(Segment(symbol(g), d) for g, d in block) for block in plan)
+                for refinement in enumerate_refinements(LocalRepDescriptor(shape, segments)):
+                    check(refinement)
             for sigma in block_order_preserving_permutations(shape):
                 for alpha in (HALF, -HALF, Fraction(3, 2), Fraction(-3, 2)):
                     cfg = TransferConfig(source=shape, sigma=sigma, alpha=alpha)
