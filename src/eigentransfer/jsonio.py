@@ -6,7 +6,7 @@ ASCII digits ``n`` or ``n/d`` with an optional sign, such as ``"1/2"``
 (floats, decimals and exponents are rejected to keep everything exact);
 characters are flat arrays of canonical monomial strings; weights and Satake
 data are arrays grouped by block.  Every decoder raises ``SchemaError`` with
-the offending location on malformed input; unknown keys are rejected.
+the offending location on malformed input; unknown and repeated keys are rejected.
 
 ``decode_job`` checks the job envelope and ``decode_payload`` decodes a
 command's payload into the keyword arguments of its handler, so this module
@@ -443,12 +443,24 @@ _PAYLOADS = {
 }
 
 
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
+    """``object_pairs_hook`` that refuses a key repeated within one JSON object."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise SchemaError(f"job: duplicate key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def decode_job(raw: bytes) -> tuple[str, dict]:
     """Parse the job bytes and check the envelope; return the command and its payload."""
     try:
-        job = json.loads(raw.decode("utf-8"))
+        job = json.loads(raw.decode("utf-8"), object_pairs_hook=_unique_keys)
     except (UnicodeDecodeError, json.JSONDecodeError) as err:
         raise SchemaError(f"invalid JSON: {err}") from err
+    except RecursionError:
+        raise SchemaError("invalid JSON: nested too deeply") from None
     if not isinstance(job, dict):
         raise SchemaError("job: expected a JSON object")
     _check_keys(job, (), ("schema_version", "command", "payload"), "job")

@@ -19,10 +19,10 @@ configurations additionally bind a twist symbol, ``M`` by default.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Union
 
+from ._frozen import FrozenValue, _set
 from .errors import MissingSymbol, NonSquareAssignment
 
 __all__ = [
@@ -45,7 +45,6 @@ _FACTOR_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)(?:\^(?:(-?\d+)|\((-?\d+)/2\))
 # Coefficient tokens are integers or integer ratios only: no decimals, exponents or "_".
 _COEFF_RE = re.compile(r"[+-]?\d+(?:/\d+)?\Z", re.ASCII)
 
-_set = object.__setattr__
 _UNIT = Fraction(1)
 
 
@@ -54,25 +53,28 @@ def valid_symbol(name: str) -> bool:
     return isinstance(name, str) and bool(_NAME_RE.match(name))
 
 
-@dataclass(frozen=True)
-class SymbolValue:
+class SymbolValue(FrozenValue):
     """Positive rational value of a symbol, with an optional declared square root.
 
     The root must be supplied explicitly whenever the symbol occurs with a
     half-integer exponent; it is never derived numerically.
     """
 
-    value: Fraction
-    sqrt: Optional[Fraction] = None
+    __slots__ = _fields = ("value", "sqrt")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "value", Fraction(self.value))
-        if self.value <= 0:
+    def __init__(self, value: Rational, sqrt: Optional[Rational] = None) -> None:
+        value = Fraction(value)
+        if value <= 0:
             raise ValueError("symbol values must be positive rationals")
-        if self.sqrt is not None:
-            object.__setattr__(self, "sqrt", Fraction(self.sqrt))
-            if self.sqrt * self.sqrt != self.value:
+        if sqrt is not None:
+            sqrt = Fraction(sqrt)
+            if sqrt * sqrt != value:
                 raise ValueError("declared square root does not square to the value")
+        _set(self, "value", value)
+        _set(self, "sqrt", sqrt)
+
+    def _key(self) -> tuple:
+        return (self.value, self.sqrt)
 
 
 class Monomial:

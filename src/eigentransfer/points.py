@@ -18,10 +18,10 @@ comparing per-eigenvalue multiplicities.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
+from ._frozen import FrozenValue, _set
 from .errors import EmptyPacket, SizeMismatch
 from .monomial import Monomial, SymbolValue
 from .tori import (
@@ -55,8 +55,7 @@ __all__ = [
 Assignment = Mapping[str, SymbolValue]
 
 
-@dataclass(frozen=True)
-class ClassicalPoint:
+class ClassicalPoint(FrozenValue):
     """A weight plus eigenvalue data, keyed by place tags.
 
     ``up`` maps each place above p to an unramified character of the weight's
@@ -65,15 +64,16 @@ class ClassicalPoint:
     compares parameter multisets.
     """
 
-    weight: AlgebraicWeight
-    up: tuple[tuple[str, UnramifiedCharacter], ...]
-    satake: tuple[tuple[str, tuple[tuple[Monomial, ...], ...]], ...]
+    __slots__ = _fields = ("weight", "up", "satake")
 
-    def __post_init__(self) -> None:
-        shape = self.weight.shape
-        up = tuple(
-            sorted(((str(place), chi) for place, chi in self.up), key=lambda item: item[0])
-        )
+    def __init__(
+        self,
+        weight: AlgebraicWeight,
+        up: Iterable[tuple[str, UnramifiedCharacter]],
+        satake: Iterable[tuple[str, Sequence[Sequence[Monomial]]]],
+    ) -> None:
+        shape = weight.shape
+        up = tuple(sorted(((str(place), chi) for place, chi in up), key=lambda item: item[0]))
         for place, chi in up:
             if not isinstance(chi, UnramifiedCharacter) or chi.shape != shape:
                 raise ValueError(
@@ -81,7 +81,7 @@ class ClassicalPoint:
                 )
         satake_norm = []
         sorted_satake = sorted(
-            ((str(place), blocks) for place, blocks in self.satake),
+            ((str(place), blocks) for place, blocks in satake),
             key=lambda item: item[0],
         )
         for place, blocks in sorted_satake:
@@ -101,8 +101,12 @@ class ClassicalPoint:
             raise ValueError("duplicate place tags in eigenvalue systems")
         if len({place for place, _ in satake_norm}) != len(satake_norm):
             raise ValueError("duplicate place tags in Satake data")
-        object.__setattr__(self, "up", up)
-        object.__setattr__(self, "satake", tuple(satake_norm))
+        _set(self, "weight", weight)
+        _set(self, "up", up)
+        _set(self, "satake", tuple(satake_norm))
+
+    def _key(self) -> tuple:
+        return (self.weight, self.up, self.satake)
 
     @classmethod
     def build(
@@ -131,36 +135,42 @@ class ClassicalPoint:
         raise ValueError(f"point has no Satake data at place {place!r}")
 
 
-@dataclass(frozen=True)
-class MockFormSpace:
+class MockFormSpace(FrozenValue):
     """Classical points of one weight with positive multiplicities."""
 
-    weight: AlgebraicWeight
-    entries: tuple[tuple[ClassicalPoint, int], ...]
+    __slots__ = _fields = ("weight", "entries")
 
-    def __post_init__(self) -> None:
-        entries = tuple((point, int(mult)) for point, mult in self.entries)
+    def __init__(
+        self, weight: AlgebraicWeight, entries: Iterable[tuple[ClassicalPoint, int]]
+    ) -> None:
+        entries = tuple((point, int(mult)) for point, mult in entries)
         for point, mult in entries:
             if mult < 1:
                 raise ValueError(f"multiplicity must be positive, got {mult}")
-            if point.weight != self.weight:
+            if point.weight != weight:
                 raise ValueError("all entries of a form space must share its weight")
-        object.__setattr__(self, "entries", entries)
+        _set(self, "weight", weight)
+        _set(self, "entries", entries)
+
+    def _key(self) -> tuple:
+        return (self.weight, self.entries)
 
 
-@dataclass(frozen=True)
-class AtkinLehnerFactor:
+class AtkinLehnerFactor(FrozenValue):
     """Generator of the antidominant double-coset algebra at one place above p.
 
     The eigenvalue on a point is the value of its (weight-twisted) eigenvalue
     system at the antidominant-ordered cocharacter.
     """
 
-    place: str
-    cochar: tuple[int, ...]
+    __slots__ = _fields = ("place", "cochar")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "cochar", tuple(int(e) for e in self.cochar))
+    def __init__(self, place: str, cochar: Iterable[int]) -> None:
+        _set(self, "place", place)
+        _set(self, "cochar", tuple(int(e) for e in cochar))
+
+    def _key(self) -> tuple:
+        return (self.place, self.cochar)
 
     def eigenvalue(self, point: ClassicalPoint, assign: Assignment) -> Fraction:
         shape = point.weight.shape
@@ -187,8 +197,7 @@ def _elementary_symmetric(values: Sequence[Fraction], degree: int) -> Fraction:
     return e[degree]
 
 
-@dataclass(frozen=True)
-class SphericalFactor:
+class SphericalFactor(FrozenValue):
     """Unramified Hecke generator at a tracked place: elementary symmetric of given degree.
 
     The eigenvalue on a point is ``e_degree`` of its evaluated Satake
@@ -196,13 +205,16 @@ class SphericalFactor:
     multiplications rather than as a sum over the ``C(n, degree)`` subsets.
     """
 
-    place: str
-    degree: int
+    __slots__ = _fields = ("place", "degree")
 
-    def __post_init__(self) -> None:
-        if int(self.degree) != self.degree or self.degree < 1:
-            raise ValueError(f"degree must be a positive integer, got {self.degree}")
-        object.__setattr__(self, "degree", int(self.degree))
+    def __init__(self, place: str, degree: int) -> None:
+        if int(degree) != degree or degree < 1:
+            raise ValueError(f"degree must be a positive integer, got {degree}")
+        _set(self, "place", place)
+        _set(self, "degree", int(degree))
+
+    def _key(self) -> tuple:
+        return (self.place, self.degree)
 
     def eigenvalue(self, point: ClassicalPoint, assign: Assignment) -> Fraction:
         params = [
@@ -244,11 +256,16 @@ def transfer_point(point: ClassicalPoint, cfg: TransferConfig) -> ClassicalPoint
     return ClassicalPoint.build(weight, up, satake)
 
 
-@dataclass(frozen=True)
-class DiagramReport:
+class DiagramReport(FrozenValue):
     """Per-source-point match flags against a target point list."""
 
-    results: tuple[bool, ...]
+    __slots__ = _fields = ("results",)
+
+    def __init__(self, results: tuple[bool, ...]) -> None:
+        _set(self, "results", results)
+
+    def _key(self) -> tuple:
+        return (self.results,)
 
     @property
     def matched(self) -> int:

@@ -18,11 +18,12 @@ descriptors are refused rather than guessed at.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import permutations, product
 from math import factorial
+from typing import Iterable
 
+from ._frozen import FrozenValue, _set
 from .errors import ShapeMismatch, SizeMismatch, UnsupportedLinked
 from .monomial import Monomial, RESIDUE_SYMBOL, _half_power
 from .tori import (
@@ -48,19 +49,21 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Segment:
+class Segment(FrozenValue):
     """A twisted Steinberg segment: unramified twist value ``gamma``, length ``d``."""
 
-    gamma: Monomial
-    d: int
+    __slots__ = _fields = ("gamma", "d")
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.gamma, Monomial):
+    def __init__(self, gamma: Monomial, d: int) -> None:
+        if not isinstance(gamma, Monomial):
             raise ValueError("segment twist must be a Monomial")
-        if int(self.d) != self.d or self.d < 1:
-            raise ValueError(f"segment length must be a positive integer, got {self.d}")
-        object.__setattr__(self, "d", int(self.d))
+        if int(d) != d or d < 1:
+            raise ValueError(f"segment length must be a positive integer, got {d}")
+        _set(self, "gamma", gamma)
+        _set(self, "d", int(d))
+
+    def _key(self) -> tuple:
+        return (self.gamma, self.d)
 
     def params(self) -> tuple[Monomial, ...]:
         """The parameter ladder, descending: ``gamma·q^((d-1)/2) .. gamma·q^(-(d-1)/2)``."""
@@ -82,29 +85,29 @@ def segments_linked(a: Segment, b: Segment) -> bool:
     return a.bottom() * step == b.top() or b.bottom() * step == a.top()
 
 
-@dataclass(frozen=True)
-class LocalRepDescriptor:
+class LocalRepDescriptor(FrozenValue):
     """Per-block segment lists; segment lengths must sum to each block size."""
 
-    shape: GroupShape
-    segments: tuple[tuple[Segment, ...], ...]
+    _fields = ("shape", "segments")
 
-    def __post_init__(self) -> None:
-        segments = tuple(tuple(block) for block in self.segments)
-        object.__setattr__(self, "segments", segments)
-        if len(segments) != self.shape.r:
-            raise ValueError(
-                f"descriptor needs {self.shape.r} segment blocks, got {len(segments)}"
-            )
+    def __init__(self, shape: GroupShape, segments: Iterable[Iterable[Segment]]) -> None:
+        segments = tuple(tuple(block) for block in segments)
+        if len(segments) != shape.r:
+            raise ValueError(f"descriptor needs {shape.r} segment blocks, got {len(segments)}")
         for i, block in enumerate(segments):
             if not all(isinstance(seg, Segment) for seg in block):
                 raise ValueError("segment blocks must contain Segment instances")
             total = sum(seg.d for seg in block)
-            if total != self.shape.blocks[i]:
+            if total != shape.blocks[i]:
                 raise ValueError(
                     f"segment lengths in block {i + 1} sum to {total}, expected "
-                    f"{self.shape.blocks[i]}"
+                    f"{shape.blocks[i]}"
                 )
+        _set(self, "shape", shape)
+        _set(self, "segments", segments)
+
+    def _key(self) -> tuple:
+        return (self.shape, self.segments)
 
     def block_params(self, i: int) -> tuple[Monomial, ...]:
         out: list[Monomial] = []
@@ -130,6 +133,18 @@ class LocalRepDescriptor:
                 if segments_linked(flat[a], flat[b]):
                     return False
         return True
+
+    @cached_property
+    def _ladders(self) -> tuple[tuple[int, int, list[str], tuple[tuple[str, ...], ...]], ...]:
+        """Per block, for :func:`is_accessible`: its flat range, the sorted
+        canonical texts of its parameters and the text ladder of each segment."""
+        out = []
+        for i, block in enumerate(self.segments):
+            ladders = tuple(tuple(m.text() for m in seg.params()) for seg in block)
+            texts = sorted(text for ladder in ladders for text in ladder)
+            start = self.shape.offsets[i]
+            out.append((start, start + self.shape.blocks[i], texts, ladders))
+        return tuple(out)
 
 
 def _require_generic(desc: LocalRepDescriptor) -> None:
@@ -159,23 +174,26 @@ def enumerate_refinements(desc: LocalRepDescriptor) -> tuple[UnramifiedCharacter
 
 
 def is_accessible(desc: LocalRepDescriptor, refinement: UnramifiedCharacter) -> bool:
-    """Whether each segment's ladder appears in internal order within its block."""
+    """Whether each segment's ladder appears in internal order within its block.
+
+    Parameters are compared by canonical text, which identifies a monomial;
+    a generic descriptor's parameters are distinct, so each text has one position.
+    """
     _require_generic(desc)
     if refinement.shape != desc.shape:
         raise ShapeMismatch(
             f"refinement on {refinement.shape} does not match descriptor on {desc.shape}"
         )
-    for i in range(desc.shape.r):
-        ordering = [refinement.values[p] for p in desc.shape.block_range(i)]
-        if sorted(ordering, key=lambda m: m.text()) != sorted(
-            desc.block_params(i), key=lambda m: m.text()
-        ):
+    for i, (start, stop, expected, ladders) in enumerate(desc._ladders):
+        texts = [m.text() for m in refinement.values[start:stop]]
+        if sorted(texts) != expected:
             raise ValueError(
                 f"refinement values in block {i + 1} are not an ordering of the "
                 f"descriptor parameters"
             )
-        for seg in desc.segments[i]:
-            positions = [ordering.index(v) for v in seg.params()]
+        position = {text: p for p, text in enumerate(texts)}
+        for ladder in ladders:
+            positions = [position[text] for text in ladder]
             if any(a >= b for a, b in zip(positions, positions[1:])):
                 return False
     return True

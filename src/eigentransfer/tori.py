@@ -16,10 +16,10 @@ The half modulus character of the upper-triangular Borel is computed from
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable
 
+from ._frozen import FrozenValue, _set
 from .errors import ShapeMismatch
 from .monomial import Monomial, ONE, RESIDUE_SYMBOL, UNIFORMIZER_SYMBOL, _half_power
 
@@ -33,17 +33,19 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class GroupShape:
+class GroupShape(FrozenValue):
     """Ordered block sizes of a product of general linear groups."""
 
-    blocks: tuple[int, ...]
+    _fields = ("blocks",)
 
-    def __post_init__(self) -> None:
-        blocks = tuple(int(b) for b in self.blocks)
+    def __init__(self, blocks: Iterable[int]) -> None:
+        blocks = tuple(int(b) for b in blocks)
         if not blocks or any(b < 1 for b in blocks):
             raise ValueError("a group shape needs at least one block, all of positive size")
-        object.__setattr__(self, "blocks", blocks)
+        _set(self, "blocks", blocks)
+
+    def _key(self) -> tuple:
+        return (self.blocks,)
 
     @property
     def n(self) -> int:
@@ -102,18 +104,20 @@ def _check_shape(a, b) -> None:
         raise ShapeMismatch(f"shapes differ: {a.shape} vs {b.shape}")
 
 
-@dataclass(frozen=True)
-class CocharVector:
+class CocharVector(FrozenValue):
     """Integer cocharacter of the diagonal torus, in flat coordinates."""
 
-    shape: GroupShape
-    exps: tuple[int, ...]
+    __slots__ = _fields = ("shape", "exps")
 
-    def __post_init__(self) -> None:
-        exps = tuple(int(e) for e in self.exps)
-        if len(exps) != self.shape.n:
-            raise ValueError(f"cocharacter needs {self.shape.n} entries, got {len(exps)}")
-        object.__setattr__(self, "exps", exps)
+    def __init__(self, shape: GroupShape, exps: Iterable[int]) -> None:
+        exps = tuple(int(e) for e in exps)
+        if len(exps) != shape.n:
+            raise ValueError(f"cocharacter needs {shape.n} entries, got {len(exps)}")
+        _set(self, "shape", shape)
+        _set(self, "exps", exps)
+
+    def _key(self) -> tuple:
+        return (self.shape, self.exps)
 
     @classmethod
     def zero(cls, shape: GroupShape) -> "CocharVector":
@@ -143,27 +147,29 @@ class CocharVector:
         return CocharVector(self.shape, tuple(-e for e in self.exps))
 
 
-@dataclass(frozen=True)
-class UnramifiedCharacter:
+class UnramifiedCharacter(FrozenValue):
     """Unramified character of the torus, stored by its values on basis cocharacters."""
 
-    shape: GroupShape
-    values: tuple[Monomial, ...]
+    __slots__ = _fields = ("shape", "values")
 
-    def __post_init__(self) -> None:
-        values = tuple(self.values)
-        if len(values) != self.shape.n:
-            raise ValueError(f"character needs {self.shape.n} values, got {len(values)}")
+    def __init__(self, shape: GroupShape, values: Iterable[Monomial]) -> None:
+        values = tuple(values)
+        if len(values) != shape.n:
+            raise ValueError(f"character needs {shape.n} values, got {len(values)}")
         if not all(isinstance(v, Monomial) for v in values):
             raise ValueError("character values must be Monomial instances")
-        object.__setattr__(self, "values", values)
+        _set(self, "shape", shape)
+        _set(self, "values", values)
+
+    def _key(self) -> tuple:
+        return (self.shape, self.values)
 
     @classmethod
     def _new(cls, shape: GroupShape, values: tuple[Monomial, ...]) -> "UnramifiedCharacter":
         """Unvalidated constructor: ``values`` is a tuple of ``shape.n`` Monomials."""
         chi = object.__new__(cls)
-        object.__setattr__(chi, "shape", shape)
-        object.__setattr__(chi, "values", values)
+        _set(chi, "shape", shape)
+        _set(chi, "values", values)
         return chi
 
     @classmethod
@@ -195,18 +201,20 @@ class UnramifiedCharacter:
         return out
 
 
-@dataclass(frozen=True)
-class AlgebraicWeight:
+class AlgebraicWeight(FrozenValue):
     """Integer character of the torus, in flat coordinates."""
 
-    shape: GroupShape
-    exps: tuple[int, ...]
+    __slots__ = _fields = ("shape", "exps")
 
-    def __post_init__(self) -> None:
-        exps = tuple(int(e) for e in self.exps)
-        if len(exps) != self.shape.n:
-            raise ValueError(f"weight needs {self.shape.n} entries, got {len(exps)}")
-        object.__setattr__(self, "exps", exps)
+    def __init__(self, shape: GroupShape, exps: Iterable[int]) -> None:
+        exps = tuple(int(e) for e in exps)
+        if len(exps) != shape.n:
+            raise ValueError(f"weight needs {shape.n} entries, got {len(exps)}")
+        _set(self, "shape", shape)
+        _set(self, "exps", exps)
+
+    def _key(self) -> tuple:
+        return (self.shape, self.exps)
 
     def classify(self) -> str:
         """``"regular"`` (strictly decreasing per block), ``"dominant"`` (weakly), or ``"neither"``."""

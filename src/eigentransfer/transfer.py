@@ -32,12 +32,12 @@ integers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
+from ._frozen import FrozenValue, _set
 from .errors import (
     InvalidSigma,
     NonIntegralShift,
@@ -143,8 +143,7 @@ def dominant_generators(shape: GroupShape) -> tuple[CocharVector, ...]:
     return tuple(gens)
 
 
-@dataclass(frozen=True)
-class TransferConfig:
+class TransferConfig(FrozenValue):
     """A transfer datum: source blocks, slot permutation, half-integer alpha, twist symbol.
 
     ``sigma`` maps flat source positions to target positions (0-based) and must
@@ -155,31 +154,39 @@ class TransferConfig:
     config: a point carries its own tags, and the transfer treats them alike.
     """
 
-    source: GroupShape
-    sigma: tuple[int, ...]
-    alpha: Fraction
-    mu: str = DEFAULT_TWIST_SYMBOL
+    _fields = ("source", "sigma", "alpha", "mu")
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.source, GroupShape):
-            object.__setattr__(self, "source", GroupShape(tuple(self.source)))
-        sigma = tuple(int(s) for s in self.sigma)
-        object.__setattr__(self, "sigma", sigma)
-        n = self.source.n
+    def __init__(
+        self,
+        source: GroupShape | Iterable[int],
+        sigma: Iterable[int],
+        alpha: Fraction | int | str,
+        mu: str = DEFAULT_TWIST_SYMBOL,
+    ) -> None:
+        if not isinstance(source, GroupShape):
+            source = GroupShape(tuple(source))
+        sigma = tuple(int(s) for s in sigma)
+        n = source.n
         if len(sigma) != n or sorted(sigma) != list(range(n)):
             raise InvalidSigma(f"sigma must be a permutation of 0..{n - 1}, got {sigma}")
-        for i in range(self.source.r):
-            images = [sigma[u] for u in self.source.block_range(i)]
+        for i in range(source.r):
+            images = [sigma[u] for u in source.block_range(i)]
             if any(a >= b for a, b in zip(images, images[1:])):
                 raise InvalidSigma(
                     f"sigma must be strictly increasing on block {i + 1}; images {images}"
                 )
-        alpha = self.alpha if isinstance(self.alpha, Fraction) else Fraction(self.alpha)
+        alpha = alpha if isinstance(alpha, Fraction) else Fraction(alpha)
         if alpha.denominator not in (1, 2):
             raise ValueError(f"alpha must be a half-integer, got {alpha}")
-        object.__setattr__(self, "alpha", alpha)
-        if not valid_symbol(self.mu) or self.mu in (RESIDUE_SYMBOL, UNIFORMIZER_SYMBOL):
-            raise ValueError(f"mu must be a fresh symbol name, got {self.mu!r}")
+        if not valid_symbol(mu) or mu in (RESIDUE_SYMBOL, UNIFORMIZER_SYMBOL):
+            raise ValueError(f"mu must be a fresh symbol name, got {mu!r}")
+        _set(self, "source", source)
+        _set(self, "sigma", sigma)
+        _set(self, "alpha", alpha)
+        _set(self, "mu", mu)
+
+    def _key(self) -> tuple:
+        return (self.source, self.sigma, self.alpha, self.mu)
 
     @property
     def n(self) -> int:
@@ -348,20 +355,30 @@ def atkin_lehner_pullback(
     )
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(FrozenValue):
     """One named identity check; ``residuals`` lists the non-trivial ratios on failure."""
 
-    name: str
-    passed: bool
-    residuals: tuple[str, ...] = ()
+    __slots__ = _fields = ("name", "passed", "residuals")
+
+    def __init__(self, name: str, passed: bool, residuals: tuple[str, ...] = ()) -> None:
+        _set(self, "name", name)
+        _set(self, "passed", passed)
+        _set(self, "residuals", residuals)
+
+    def _key(self) -> tuple:
+        return (self.name, self.passed, self.residuals)
 
 
-@dataclass(frozen=True)
-class TransferReport:
+class TransferReport(FrozenValue):
     """Outcome of the compatibility verifier; passes iff every check has no residual."""
 
-    checks: tuple[CheckResult, ...]
+    __slots__ = _fields = ("checks",)
+
+    def __init__(self, checks: tuple[CheckResult, ...]) -> None:
+        _set(self, "checks", checks)
+
+    def _key(self) -> tuple:
+        return (self.checks,)
 
     @property
     def passed(self) -> bool:
@@ -446,16 +463,21 @@ def verify_transfer_compatibility(
     return TransferReport(tuple(checks))
 
 
-@dataclass(frozen=True)
-class ArchimedeanTransfer:
+class ArchimedeanTransfer(FrozenValue):
     """Result of the archimedean recipe: the target weight and the sorting permutation.
 
     ``sigma[u]`` is the descending rank of the shifted parameter of source
     position ``u``; it is always strictly increasing on each source block.
     """
 
-    weight: AlgebraicWeight
-    sigma: tuple[int, ...]
+    __slots__ = _fields = ("weight", "sigma")
+
+    def __init__(self, weight: AlgebraicWeight, sigma: tuple[int, ...]) -> None:
+        _set(self, "weight", weight)
+        _set(self, "sigma", sigma)
+
+    def _key(self) -> tuple:
+        return (self.weight, self.sigma)
 
 
 def archimedean_transfer(weight: AlgebraicWeight, alpha) -> ArchimedeanTransfer:

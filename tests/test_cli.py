@@ -495,12 +495,51 @@ def test_unreadable_and_invalid_json_reports(tmp_path, capsys):
 POOL = json.loads((Path(__file__).resolve().parents[1] / "bench" / "jobs.json").read_text())
 
 
+def run_stdin(monkeypatch, capsys, raw):
+    """Run ``main`` in process on ``raw`` stdin bytes; return the exit code and stdout."""
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(raw)))
+    code = main([])
+    return code, capsys.readouterr().out
+
+
 @pytest.mark.parametrize("entry", POOL, ids=[entry["name"] for entry in POOL])
 def test_bench_pool_replay(monkeypatch, capsys, entry):
     """Every pool job keeps its exit code and its report bytes."""
-    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(entry["job"].encode())))
-    assert main([]) == entry["exit_code"]
-    assert sha256(capsys.readouterr().out.encode()) == entry["report_sha256"]
+    code, out = run_stdin(monkeypatch, capsys, entry["job"].encode())
+    assert code == entry["exit_code"]
+    assert sha256(out.encode()) == entry["report_sha256"]
+
+
+def refusal(raw, message):
+    """The exact stdout of a job refused before its command is known."""
+    report = {
+        "schema_version": "1",
+        "input_sha256": sha256(raw),
+        "error": {"type": "SchemaError", "message": message},
+    }
+    return json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+WEIGHT_RAW = json.dumps(WEIGHT)
+POINT_RAW = json.dumps(TRANSFER_POINT)
+
+
+@pytest.mark.parametrize(
+    "raw, entry, repeat, key",
+    [
+        (WEIGHT_RAW, '"command": "transfer-weight"', '"command": "check-hypothesis1"', "command"),
+        (WEIGHT_RAW, '"alpha": "1/2"', '"alpha": "3/2"', "alpha"),
+        (POINT_RAW, '"sigma": [1, 2]', '"sigma": [2, 1]', "sigma"),
+        (POINT_RAW, '"p": ["1 * c1", "1 * c2"]', '"p": ["1 * c1", "1 * c2"]', "p"),
+    ],
+    ids=["envelope", "payload", "config", "point-up"],
+)
+def test_duplicate_keys_are_refused(monkeypatch, capsys, raw, entry, repeat, key):
+    """A repeated key is refused at any level, where the last value used to win."""
+    assert run_stdin(monkeypatch, capsys, raw.encode())[0] == 0
+    assert raw.count(entry) == 1
+    raw = raw.replace(entry, f"{entry}, {repeat}").encode()
+    assert run_stdin(monkeypatch, capsys, raw) == (2, refusal(raw, f"job: duplicate key {key!r}"))
 
 
 def test_reports_are_deterministic(tmp_path, capsys):
@@ -532,17 +571,22 @@ def test_pretty_output(tmp_path, capsys):
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
+def child_env():
+    """The environment with this checkout's ``src`` first on ``PYTHONPATH``."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return env
+
+
 def run_cli(raw):
     """Run one job from ``raw`` stdin bytes in a child process.
 
-    Runs ``python -m eigentransfer.cli`` with this checkout's ``src`` first on
-    ``PYTHONPATH``, so the child tests this checkout even when another
-    ``eigentransfer`` is installed, and a fresh checkout needs no install.
+    Runs ``python -m eigentransfer.cli`` under :func:`child_env`, so the child
+    tests this checkout even when another ``eigentransfer`` is installed, and a
+    fresh checkout needs no install.
     """
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     argv = [sys.executable, "-m", "eigentransfer.cli"]
-    return subprocess.run(argv, input=raw, capture_output=True, env=env)
+    return subprocess.run(argv, input=raw, capture_output=True, env=child_env())
 
 
 def test_stdin_subprocess():
@@ -559,3 +603,23 @@ def test_subprocess_exit_codes():
     assert run_cli(fail).returncode == 1
     garbage = b"]["
     assert run_cli(garbage).returncode == 2
+
+
+def test_deeply_nested_job_is_refused(monkeypatch, capsys):
+    raw = b"[" * 100_000
+    expected = refusal(raw, "invalid JSON: nested too deeply")
+    assert run_stdin(monkeypatch, capsys, raw) == (2, expected)
+    proc = run_cli(raw)
+    assert (proc.returncode, proc.stdout.decode(), proc.stderr) == (2, expected, b"")
+
+
+def test_cli_import_skips_dataclasses_and_inspect():
+    """The value classes are plain classes, so a cold CLI start imports neither module."""
+    code = (
+        "import sys, eigentransfer.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=child_env()
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")

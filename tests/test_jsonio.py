@@ -11,6 +11,7 @@ from eigentransfer.jsonio import (
     decode_config,
     decode_descriptor,
     decode_factors,
+    decode_job,
     decode_point,
     decode_rational,
     decode_shape,
@@ -47,6 +48,43 @@ def test_decode_rational_token_grammar():
     for field in ("value", "sqrt"):
         with pytest.raises(SchemaError, match=f"^a.s.{field}: not a rational: '1.5'$"):
             decode_assignment({"s": {"value": 4, "sqrt": 2, field: "1.5"}}, "a")
+
+
+def test_decode_job_refuses_deep_nesting():
+    for raw in (b"[" * 100_000, b'{"a": ' * 100_000, b'{"payload": ' + b"[" * 100_000):
+        with pytest.raises(SchemaError) as err:
+            decode_job(raw)
+        assert str(err.value) == "invalid JSON: nested too deeply"
+
+
+HYP1_RAW = (
+    '{"schema_version": "1", "command": "check-hypothesis1", '
+    '"payload": {"config": {"blocks": [1, 1], "sigma": [1, 2], "alpha": "1/2"}}}'
+)
+
+
+@pytest.mark.parametrize(
+    "raw, key",
+    [
+        (HYP1_RAW.replace('"command"', '"schema_version": "1", "command"'), "schema_version"),
+        (
+            HYP1_RAW.replace('{"config"', '{"drop_normalization": 1, "drop_normalization": 2, '
+                             '"config"'),
+            "drop_normalization",
+        ),
+        (HYP1_RAW.replace('"alpha": "1/2"', '"alpha": "1/2", "alpha": "3/2"'), "alpha"),
+        (
+            '{"payload": {"descriptor": {"blocks": [[{"gamma": "1 * a", "d": 1, "gamma": "b"}]]}}}',
+            "gamma",
+        ),
+    ],
+    ids=["envelope", "payload", "config", "array-nested"],
+)
+def test_decode_job_refuses_duplicate_keys(raw, key):
+    with pytest.raises(SchemaError) as err:
+        decode_job(raw.encode())
+    assert str(err.value) == f"job: duplicate key {key!r}"
+    assert decode_job(HYP1_RAW.encode())[0] == "check-hypothesis1"
 
 
 def test_decode_shape():

@@ -1,14 +1,20 @@
 """Tests for segment descriptors, refinement enumeration, and accessibility."""
 
+import json
 from fractions import Fraction
+from itertools import product
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from eigentransfer.errors import ShapeMismatch, SizeMismatch, UnsupportedLinked
+from eigentransfer.jsonio import decode_descriptor
 from eigentransfer.monomial import Monomial, symbol
 from eigentransfer.refinements import (
     LocalRepDescriptor,
     Segment,
+    _require_generic,
     accessible_transfer_check,
     count_accessible,
     enumerate_refinements,
@@ -257,3 +263,159 @@ def test_normalization_commutes_with_transfer():
                 weight_pullback(kappa, cfg), refinement_pullback(chi, cfg)
             )
             assert lhs == rhs
+
+
+def _old_is_accessible(desc, refinement):
+    """Oracle: ``is_accessible`` before the per-descriptor ladder cache.
+
+    Rebuilds the sorted parameter list and the segment ladders on every call
+    and finds positions with ``list.index``.
+    """
+    _require_generic(desc)
+    if refinement.shape != desc.shape:
+        raise ShapeMismatch(
+            f"refinement on {refinement.shape} does not match descriptor on {desc.shape}"
+        )
+    for i in range(desc.shape.r):
+        ordering = [refinement.values[p] for p in desc.shape.block_range(i)]
+        if sorted(ordering, key=lambda m: m.text()) != sorted(
+            desc.block_params(i), key=lambda m: m.text()
+        ):
+            raise ValueError(
+                f"refinement values in block {i + 1} are not an ordering of the "
+                f"descriptor parameters"
+            )
+        for seg in desc.segments[i]:
+            positions = [ordering.index(v) for v in seg.params()]
+            if any(a >= b for a, b in zip(positions, positions[1:])):
+                return False
+    return True
+
+
+def _outcome(check, desc, refinement):
+    try:
+        return check(desc, refinement)
+    except Exception as err:  # the oracle comparison covers the refusals too
+        return type(err), str(err)
+
+
+def _assert_matches_oracle(desc, refinement):
+    expected = _outcome(_old_is_accessible, desc, refinement)
+    assert _outcome(is_accessible, desc, refinement) == expected, (desc, refinement)
+    return expected
+
+
+def _compositions(n):
+    if n == 0:
+        yield ()
+        return
+    for head in range(1, n + 1):
+        for tail in _compositions(n - head):
+            yield (head,) + tail
+
+
+def _generic_descriptors(max_n):
+    """Criterion 6's family: every shape and per-block segment split, fresh twist symbols."""
+    for n in range(1, max_n + 1):
+        for blocks in _compositions(n):
+            for split in product(*(list(_compositions(b)) for b in blocks)):
+                names = iter(range(n))
+                segments = tuple(
+                    tuple(Segment(symbol(f"s{next(names)}"), d) for d in lengths)
+                    for lengths in split
+                )
+                yield LocalRepDescriptor(GroupShape(blocks), segments)
+
+
+def test_is_accessible_matches_oracle_on_criterion_6_family():
+    verdicts = set()
+    for desc in _generic_descriptors(4):
+        refinements = enumerate_refinements(desc)
+        for chi in refinements:
+            verdicts.add(_assert_matches_oracle(desc, chi))
+        for sigma in block_order_preserving_permutations(desc.shape):
+            cfg = config(desc.shape.blocks, sigma=sigma)
+            moved = transferred_descriptor(desc, cfg)
+            for chi in refinements:
+                verdicts.add(_assert_matches_oracle(moved, refinement_pullback(chi, cfg)))
+    assert verdicts == {True, False}
+
+
+def test_is_accessible_matches_oracle_on_six_parameters():
+    pool = json.loads((Path(__file__).resolve().parents[1] / "bench" / "jobs.json").read_text())
+    (job,) = [entry["job"] for entry in pool if entry["name"] == "enumerate-refinements-heavy"]
+    desc = decode_descriptor(json.loads(job)["payload"]["descriptor"])
+    refinements = enumerate_refinements(desc)
+    assert len(refinements) == 720
+    assert all(_assert_matches_oracle(desc, chi) is True for chi in refinements)
+
+
+def test_is_accessible_matches_oracle_on_refusals():
+    a, b, g = symbol("a"), symbol("b"), symbol("g")
+    desc = LocalRepDescriptor(
+        GroupShape((2, 2)), ((Segment(g, 2),), (Segment(a, 1), Segment(b, 1)))
+    )
+    top, bottom = g * qpow(HALF), g * qpow(-HALF)
+    foreign = UnramifiedCharacter(desc.shape, (top, symbol("z"), a, b))
+    repeated = UnramifiedCharacter(desc.shape, (top, top, a, b))
+    swapped = UnramifiedCharacter(desc.shape, (top, a, bottom, b))
+    # block 1 is out of order before block 2 is checked, so the verdict wins
+    late = UnramifiedCharacter(desc.shape, (bottom, top, a, symbol("z")))
+    broken_second = UnramifiedCharacter(desc.shape, (top, bottom, a, symbol("z")))
+    wrong_shape = UnramifiedCharacter.trivial(GroupShape((1, 3)))
+    q = qpow(1)
+    linked = LocalRepDescriptor(GroupShape((2,)), ((Segment(g, 1), Segment(g / q, 1)),))
+    repeats = LocalRepDescriptor(GroupShape((2,)), ((Segment(a, 1), Segment(a, 1)),))
+    not_an_ordering = (
+        "refinement values in block {} are not an ordering of the descriptor parameters"
+    )
+    mismatch = "refinement on (1,3) does not match descriptor on (2,2)"
+    cases = [
+        (desc, foreign, (ValueError, not_an_ordering.format(1))),
+        (desc, repeated, (ValueError, not_an_ordering.format(1))),
+        (desc, swapped, (ValueError, not_an_ordering.format(1))),
+        (desc, late, False),
+        (desc, broken_second, (ValueError, not_an_ordering.format(2))),
+        (desc, wrong_shape, (ShapeMismatch, mismatch)),
+        (linked, UnramifiedCharacter(linked.shape, (g, g / q)), (UnsupportedLinked, _LINKED)),
+        (linked, wrong_shape, (UnsupportedLinked, _LINKED)),
+        (repeats, UnramifiedCharacter(repeats.shape, (a, a)), (UnsupportedLinked, _LINKED)),
+    ]
+    for d, chi, expected in cases:
+        assert _assert_matches_oracle(d, chi) == expected
+
+
+_LINKED = (
+    "descriptor has repeated or linked segment parameters; accessibility "
+    "is only decided for generic descriptors"
+)
+
+_GAMMAS = [
+    symbol("a"), symbol("b"), symbol("c"), symbol("d"), symbol("e"),
+    2 * symbol("a"), symbol("a") * qpow(1), symbol("b") * qpow(HALF), qpow(-1),
+]
+
+
+@st.composite
+def _descriptor_and_refinement(draw):
+    """A descriptor whose twists come from a small pool, so repeats and links occur,
+    and a blockwise shuffle of its parameters, sometimes with one value replaced."""
+    blocks = []
+    segments = []
+    for _ in range(draw(st.integers(1, 3))):
+        lengths = draw(st.lists(st.integers(1, 3), min_size=1, max_size=2))
+        blocks.append(sum(lengths))
+        segments.append(tuple(Segment(draw(st.sampled_from(_GAMMAS)), d) for d in lengths))
+    desc = LocalRepDescriptor(GroupShape(tuple(blocks)), tuple(segments))
+    values = []
+    for i in range(desc.shape.r):
+        values.extend(draw(st.permutations(desc.block_params(i))))
+    if draw(st.booleans()):
+        values[draw(st.integers(0, len(values) - 1))] = draw(st.sampled_from(_GAMMAS))
+    return desc, UnramifiedCharacter(desc.shape, tuple(values))
+
+
+@settings(max_examples=300, derandomize=True, database=None)
+@given(_descriptor_and_refinement())
+def test_is_accessible_matches_oracle_property(case):
+    _assert_matches_oracle(*case)
