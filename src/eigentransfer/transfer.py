@@ -3,22 +3,21 @@
 The source group is a product of general linear groups with block sizes
 ``(n_1, ..., n_r)``; the target is a single block of size ``n = sum(n_i)``.
 Both share a diagonal torus of rank ``n``, so every map here is plain exact
-arithmetic on length-``n`` tuples:
+arithmetic on length-``n`` tuples.  The four character maps are affine: the
+value at target slot ``p`` is ``T[p] * chi[sigma^-1(p)]``, where ``sigma`` is a
+block-order-preserving permutation and the tuple ``T`` is cached per config.
 
-* ``refinement_pullback`` moves each source character value to the target slot
-  chosen by a block-order-preserving permutation ``sigma`` and multiplies in
-  the unramified twist ``M`` on blocks whose complementary size ``n - n_i`` is
-  odd (the twist symbol is trivial on even blocks).
-* ``refinement_pullback_normalized`` additionally multiplies by the source
-  half-modulus at the source slot and divides by the target half-modulus at
-  the target slot, so that induction normalisations match on both sides.
+* ``refinement_pullback``: ``T`` is the unramified twist ``M`` on blocks whose
+  complementary size ``n - n_i`` is odd (the twist symbol is trivial on even blocks).
+* ``refinement_pullback_normalized``: that twist times the source half-modulus
+  at ``sigma^-1(p)`` and the inverse target half-modulus at ``p``.
+* ``weight_character_pullback``: ``T`` is ``W^shift``, the shift of the weight map.
+* ``atkin_lehner_pullback``: ``W^shift`` times the normalized ``T``, giving the
+  transfer of eigenvalue systems on the commutative double-coset algebra.
 * ``weight_shift`` / ``weight_pullback`` implement the affine map on integer
   weights: entry ``p`` of the result is ``shift[p] + k[sigma^-1(p)]`` where
   the shift depends only on the source block occupying flat position ``p``,
   via ``alpha·[n - n_i odd] + (n_i - n)/2 + offset_i``.
-* ``atkin_lehner_pullback`` combines the normalized refinement map with the
-  uniformizer power ``W^shift``, giving the transfer of eigenvalue systems on
-  the commutative double-coset algebra.
 * ``archimedean_transfer`` is the discrete-series recipe: shift each weight
   entry by the half-sum data of its block, sort strictly descending, and
   unshift with the target half-sum; collisions mean no transfer exists.
@@ -205,18 +204,27 @@ class TransferConfig(FrozenValue):
         return (self.n - self.source.blocks[i]) % 2
 
     def twist_monomial(self, i: int) -> Monomial:
-        return self._twists[i]
+        return _half_power(self.mu, 2 * self.twist_exponent(i))
 
     @cached_property
-    def _twists(self) -> tuple[Monomial, ...]:
-        return tuple(
-            _half_power(self.mu, 2 * self.twist_exponent(i)) for i in range(self.source.r)
-        )
+    def _slot_twist_exponents(self) -> tuple[int, ...]:
+        """The twist exponent at each target slot ``p``, from the block of ``sigma^-1(p)``."""
+        return tuple(self.twist_exponent(self.source.block_of(u)[0]) for u in self.sigma_inverse)
 
     @cached_property
     def _slot_twists(self) -> tuple[Monomial, ...]:
-        """The twist monomial at each target slot ``p``, from the block of ``sigma^-1(p)``."""
-        return tuple(self._twists[self.source.block_of(u)[0]] for u in self.sigma_inverse)
+        """The twist monomial at each target slot ``p``: the plain refinement multipliers."""
+        return tuple(_half_power(self.mu, 2 * t) for t in self._slot_twist_exponents)
+
+    @cached_property
+    def _normalized_multipliers(self) -> tuple[Monomial, ...]:
+        """Slot twist x source half-modulus at ``sigma^-1(p)`` x inverse target half-modulus at ``p``."""
+        half_source = modulus_half(self.source, 1).values
+        inv_half_target = modulus_half(self.target, -1).values
+        return tuple(
+            twist * half_source[u] * inv_half_target[p]
+            for p, (twist, u) in enumerate(zip(self._slot_twists, self.sigma_inverse))
+        )
 
     @cached_property
     def _shifts(self) -> tuple[int, ...]:
@@ -240,8 +248,16 @@ class TransferConfig(FrozenValue):
 
     @cached_property
     def _shift_monomials(self) -> tuple[Monomial, ...]:
-        """``W^shift[p]`` for each flat position ``p``."""
+        """``W^shift[p]`` for each flat position ``p``: the weight-character multipliers."""
         return tuple(_half_power(UNIFORMIZER_SYMBOL, 2 * s) for s in self._shifts)
+
+    @cached_property
+    def _atkin_lehner_multipliers(self) -> tuple[Monomial, ...]:
+        return tuple(w * t for w, t in zip(self._shift_monomials, self._normalized_multipliers))
+
+    @cached_property
+    def _atkin_lehner_plain_multipliers(self) -> tuple[Monomial, ...]:
+        return tuple(w * t for w, t in zip(self._shift_monomials, self._slot_twists))
 
 
 def _require_source(data, cfg: TransferConfig) -> None:
@@ -265,14 +281,20 @@ def iota_sigma_pullback(chi: UnramifiedCharacter, sigma: Sequence[int]) -> Unram
     return UnramifiedCharacter._new(chi.shape, tuple(chi.values[inv[p]] for p in range(n)))
 
 
+def _affine_pullback(
+    chi: UnramifiedCharacter, cfg: TransferConfig, multipliers: tuple[Monomial, ...]
+) -> UnramifiedCharacter:
+    """The character with value ``multipliers[p] * chi(e_u)``, ``u = sigma^-1(p)``, at slot ``p``."""
+    values = chi.values
+    return UnramifiedCharacter._new(
+        cfg.target, tuple(m * values[u] for m, u in zip(multipliers, cfg.sigma_inverse))
+    )
+
+
 def refinement_pullback(chi: UnramifiedCharacter, cfg: TransferConfig) -> UnramifiedCharacter:
     """Target value at ``p`` is ``M^[n - n_i odd] * chi(e_u)`` for ``u = sigma^-1(p)``."""
     _require_source(chi, cfg)
-    values = chi.values
-    return UnramifiedCharacter._new(
-        cfg.target,
-        tuple(twist * values[u] for twist, u in zip(cfg._slot_twists, cfg.sigma_inverse)),
-    )
+    return _affine_pullback(chi, cfg, cfg._slot_twists)
 
 
 def refinement_pullback_normalized(
@@ -286,31 +308,18 @@ def refinement_pullback_normalized(
     times ``delta_target^(-1/2)``.
     """
     _require_source(chi, cfg)
-    half_source = modulus_half(cfg.source, 1).values
-    inv_half_target = modulus_half(cfg.target, -1).values
-    twists = cfg._slot_twists
-    values = []
-    for p, u in enumerate(cfg.sigma_inverse):
-        values.append(twists[p] * chi.values[u] * half_source[u] * inv_half_target[p])
-    return UnramifiedCharacter._new(cfg.target, tuple(values))
+    return _affine_pullback(chi, cfg, cfg._normalized_multipliers)
 
 
-def weight_shift(cfg: TransferConfig, permuted: bool = False) -> tuple[int, ...]:
+def weight_shift(cfg: TransferConfig) -> tuple[int, ...]:
     """The integer shift vector of the affine weight map.
 
     In flat source layout the entry at every position of block ``i`` is
-    ``alpha·[n - n_i odd] + (n_i - n)/2 + offset_i``.  With ``permuted=True``
-    the vector is reindexed by ``sigma`` (entry at ``sigma(u)`` is the entry at
-    ``u``).  Raises when a shift fails to be an integer, which happens exactly
-    when some ``n - n_i`` is odd and ``alpha`` is not in ``Z + 1/2``.
+    ``alpha·[n - n_i odd] + (n_i - n)/2 + offset_i``.  Raises when a shift
+    fails to be an integer, which happens exactly when some ``n - n_i`` is odd
+    and ``alpha`` is not in ``Z + 1/2``.
     """
-    shifts = cfg._shifts
-    if permuted:
-        out = [0] * cfg.n
-        for u, s in enumerate(shifts):
-            out[cfg.sigma[u]] = s
-        return tuple(out)
-    return shifts
+    return cfg._shifts
 
 
 def weight_pullback(weight: AlgebraicWeight, cfg: TransferConfig) -> AlgebraicWeight:
@@ -321,10 +330,7 @@ def weight_pullback(weight: AlgebraicWeight, cfg: TransferConfig) -> AlgebraicWe
     recipe is reproduced whenever it can be.
     """
     _require_source(weight, cfg)
-    shifts = weight_shift(cfg)
-    exps = tuple(
-        shifts[p] + weight.exps[cfg.sigma_inverse[p]] for p in range(cfg.n)
-    )
+    exps = tuple(s + weight.exps[u] for s, u in zip(weight_shift(cfg), cfg.sigma_inverse))
     return AlgebraicWeight(cfg.target, exps)
 
 
@@ -333,11 +339,7 @@ def weight_character_pullback(
 ) -> UnramifiedCharacter:
     """Character form of the weight map: value at ``p`` is ``W^shift[p] * chi(e_u)``."""
     _require_source(chi, cfg)
-    values = chi.values
-    return UnramifiedCharacter._new(
-        cfg.target,
-        tuple(w * values[u] for w, u in zip(cfg._shift_monomials, cfg.sigma_inverse)),
-    )
+    return _affine_pullback(chi, cfg, cfg._shift_monomials)
 
 
 def atkin_lehner_pullback(
@@ -348,11 +350,12 @@ def atkin_lehner_pullback(
     ``normalized=False`` drops the modulus normalisation and is provided as a
     negative control for the compatibility verifier.
     """
-    shift_monomials = cfg._shift_monomials
-    base = refinement_pullback_normalized(chi, cfg) if normalized else refinement_pullback(chi, cfg)
-    return UnramifiedCharacter._new(
-        cfg.target, tuple(w * v for w, v in zip(shift_monomials, base.values))
+    # the shifts are read first: a non-integral shift raises before the shape check
+    multipliers = (
+        cfg._atkin_lehner_multipliers if normalized else cfg._atkin_lehner_plain_multipliers
     )
+    _require_source(chi, cfg)
+    return _affine_pullback(chi, cfg, multipliers)
 
 
 class CheckResult(FrozenValue):
@@ -598,13 +601,10 @@ def satake_transfer(poly: LaurentPoly, cfg: TransferConfig) -> LaurentPoly:
     if not poly.is_block_symmetric():
         raise NotSymmetric("input polynomial is not symmetric in the target variables")
     out: dict[tuple[int, ...], Monomial] = {}
+    slot_twists = cfg._slot_twist_exponents
     for exps, mono in poly.terms():
-        pulled = tuple(exps[cfg.sigma[u]] for u in range(cfg.n))
-        twist = 0
-        for u, e in enumerate(pulled):
-            if e:
-                i, _ = cfg.source.block_of(u)
-                twist += e * cfg.twist_exponent(i)
+        pulled = tuple(exps[p] for p in cfg.sigma)
+        twist = sum(e * t for e, t in zip(exps, slot_twists))
         out[pulled] = mono * _half_power(cfg.mu, 2 * twist)
     return LaurentPoly(cfg.source.blocks, out)
 

@@ -261,10 +261,7 @@ def test_refinement_pullback_normalized_routes():
 
 def test_weight_shift_anchors():
     assert weight_shift(config((1, 1))) == (0, 1)
-    assert weight_shift(config((1, 1)), permuted=True) == (0, 1)
-    assert weight_shift(config((1, 1), sigma=(1, 0)), permuted=True) == (1, 0)
     assert weight_shift(config((1, 2), sigma=(2, 0, 1))) == (-1, 1, 1)
-    assert weight_shift(config((1, 2), sigma=(2, 0, 1)), permuted=True) == (1, 1, -1)
     assert weight_shift(config((1, 1), alpha=Fraction(3, 2))) == (1, 2)
     # even complements need no half-integer alpha
     assert weight_shift(config((2, 2), alpha=1)) == (-1, -1, 1, 1)
@@ -273,6 +270,26 @@ def test_weight_shift_anchors():
         weight_shift(config((1, 2), alpha=1))
     with pytest.raises(NonIntegralShift):
         weight_shift(config((1, 1), alpha=0))
+
+
+def test_pullback_error_order():
+    """A non-integral config and a character on the wrong shape: the
+    Atkin-Lehner map reads the shifts first, the other three check the shape first."""
+    cfg = config((1, 2), alpha=0)
+    wrong = char((3,), "1 * a", "1 * b", "1 * c")
+    with pytest.raises(NonIntegralShift) as expected:
+        weight_shift(cfg)
+    for normalized in (True, False):
+        with pytest.raises(NonIntegralShift) as err:
+            atkin_lehner_pullback(wrong, cfg, normalized=normalized)
+        assert str(err.value) == str(expected.value)
+    for pullback in (
+        refinement_pullback,
+        refinement_pullback_normalized,
+        weight_character_pullback,
+    ):
+        with pytest.raises(SizeMismatch):
+            pullback(wrong, cfg)
 
 
 def test_weight_map_check():
@@ -620,37 +637,36 @@ def test_cached_config_data_matches_seed_formulas():
                     cfg = TransferConfig(source=shape, sigma=sigma, alpha=alpha)
                     for i, m in enumerate(blocks):
                         assert cfg.twist_monomial(i) == Monomial(1, {"M": (n - m) % 2})
-                    plain = _seed_refinement(chi, cfg, False)
-                    normed = _seed_refinement(chi, cfg, True)
-                    assert refinement_pullback(chi, cfg).values == tuple(plain)
-                    assert refinement_pullback_normalized(chi, cfg).values == tuple(normed)
+                    plain = tuple(_seed_refinement(chi, cfg, False))
+                    normed = tuple(_seed_refinement(chi, cfg, True))
                     shifts = _seed_shifts(blocks, alpha)
+                    for _ in range(2):
+                        assert refinement_pullback(chi, cfg).values == plain
+                        assert refinement_pullback_normalized(chi, cfg).values == normed
                     if isinstance(shifts, str):
                         for _ in range(2):
-                            with pytest.raises(NonIntegralShift) as err:
-                                weight_shift(cfg)
-                            assert str(err.value) == shifts
-                            with pytest.raises(NonIntegralShift):
-                                weight_character_pullback(chi, cfg)
-                            with pytest.raises(NonIntegralShift):
-                                atkin_lehner_pullback(chi, cfg)
+                            for fn, *args in (
+                                (weight_shift, cfg),
+                                (weight_character_pullback, chi, cfg),
+                                (atkin_lehner_pullback, chi, cfg, True),
+                                (atkin_lehner_pullback, chi, cfg, False),
+                            ):
+                                with pytest.raises(NonIntegralShift) as err:
+                                    fn(*args)
+                                assert str(err.value) == shifts
                         continue
-                    permuted = [0] * n
-                    for u, s in enumerate(shifts):
-                        permuted[sigma[u]] = s
+                    w = [Monomial(1, {"W": s}) for s in shifts]
                     for _ in range(2):
                         assert weight_shift(cfg) == shifts
-                        assert weight_shift(cfg, permuted=True) == tuple(permuted)
-                    w = [Monomial(1, {"W": s}) for s in shifts]
-                    assert weight_character_pullback(chi, cfg).values == tuple(
-                        w[p] * chi.values[sigma.index(p)] for p in range(n)
-                    )
-                    assert atkin_lehner_pullback(chi, cfg).values == tuple(
-                        w[p] * normed[p] for p in range(n)
-                    )
-                    assert atkin_lehner_pullback(chi, cfg, normalized=False).values == tuple(
-                        w[p] * plain[p] for p in range(n)
-                    )
+                        assert weight_character_pullback(chi, cfg).values == tuple(
+                            w[p] * chi.values[sigma.index(p)] for p in range(n)
+                        )
+                        assert atkin_lehner_pullback(chi, cfg).values == tuple(
+                            w[p] * normed[p] for p in range(n)
+                        )
+                        assert atkin_lehner_pullback(chi, cfg, normalized=False).values == tuple(
+                            w[p] * plain[p] for p in range(n)
+                        )
 
 
 def test_cached_data_leaves_no_cyclic_garbage():
@@ -662,8 +678,14 @@ def test_cached_data_leaves_no_cyclic_garbage():
         for sigma in sigmas:
             cfg = config((2, 1, 2), sigma=sigma)
             chi = UnramifiedCharacter.trivial(cfg.source)
-            for pullback in (refinement_pullback, weight_character_pullback, atkin_lehner_pullback):
+            for pullback in (
+                refinement_pullback,
+                refinement_pullback_normalized,
+                weight_character_pullback,
+                atkin_lehner_pullback,
+            ):
                 pullback(chi, cfg)
+            atkin_lehner_pullback(chi, cfg, normalized=False)
             verify_transfer_compatibility(cfg)
             list(block_order_preserving_permutations(GroupShape((2, 2))))
             del cfg, chi
