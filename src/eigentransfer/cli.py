@@ -2,11 +2,12 @@
 
 A job is ``{"schema_version": "1", "command": <name>, "payload": {...}}``
 read from ``--job FILE`` or standard input.  ``jsonio`` checks the job and
-decodes its payload; each handler here only computes and encodes.  Reports
-echo the SHA-256 of the raw input bytes and are emitted with sorted keys, so
-identical jobs produce byte-identical reports.  Exit status: 0 for success or
-a passing verdict, 1 for a verified failing verdict (including weight
-collisions and non-integral shifts), 2 for malformed input.
+decodes its payload; each handler here only computes and encodes its report
+body.  Reports echo the SHA-256 of the raw input bytes and are emitted with
+sorted keys, so identical jobs produce byte-identical reports.  The exit status
+follows the report: 1 when its ``"verdict"`` is ``"fail"`` or its error is a
+verdict on a well-formed job (weight collisions and non-integral shifts), 2
+for any other error, which refuses the input, and 0 otherwise.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ from .transfer import (
 _VERDICT_ERRORS = (NotRelevant, NonIntegralShift)
 
 
-def _cmd_transfer_weight(weight: AlgebraicWeight, alpha: Fraction) -> tuple[dict, int]:
+def _cmd_transfer_weight(weight: AlgebraicWeight, alpha: Fraction) -> dict:
     result = archimedean_transfer(weight, alpha)
     try:
         sigma = archimedean_sigma(weight, alpha)
@@ -71,39 +72,36 @@ def _cmd_transfer_weight(weight: AlgebraicWeight, alpha: Fraction) -> tuple[dict
     except NotRelevant:
         sigma = result.sigma
         realized = False
-    body = {
+    return {
         "weight": encode_weight(result.weight),
         "sigma": encode_sigma(sigma),
         "realized": realized,
     }
-    return body, 0
 
 
-def _cmd_transfer_refinement(cfg: TransferConfig, chi: UnramifiedCharacter) -> tuple[dict, int]:
-    body = {
+def _cmd_transfer_refinement(cfg: TransferConfig, chi: UnramifiedCharacter) -> dict:
+    return {
         "refinement": encode_character(refinement_pullback(chi, cfg)),
         "refinement_normalized": encode_character(refinement_pullback_normalized(chi, cfg)),
         "atkin_lehner": encode_character(atkin_lehner_pullback(chi, cfg)),
     }
-    return body, 0
 
 
-def _cmd_check_hypothesis1(cfg: TransferConfig, drop: bool) -> tuple[dict, int]:
+def _cmd_check_hypothesis1(cfg: TransferConfig, drop: bool) -> dict:
     report = verify_transfer_compatibility(cfg, drop_normalization=drop)
-    body = {
+    return {
         "verdict": report.verdict,
         "checks": [
             {"name": check.name, "passed": check.passed, "residuals": list(check.residuals)}
             for check in report.checks
         ],
     }
-    return body, 0 if report.passed else 1
 
 
-def _cmd_enumerate_refinements(desc: LocalRepDescriptor) -> tuple[dict, int]:
+def _cmd_enumerate_refinements(desc: LocalRepDescriptor) -> dict:
     refinements = enumerate_refinements(desc)
     flags = [is_accessible(desc, refinement) for refinement in refinements]
-    body = {
+    return {
         "refinements": [encode_character(refinement) for refinement in refinements],
         "accessible": flags,
         "counts": {
@@ -112,40 +110,34 @@ def _cmd_enumerate_refinements(desc: LocalRepDescriptor) -> tuple[dict, int]:
             "formula": count_accessible(desc),
         },
     }
-    return body, 0
 
 
-def _cmd_check_accessible_transfer(
-    cfg: TransferConfig, desc: LocalRepDescriptor
-) -> tuple[dict, int]:
+def _cmd_check_accessible_transfer(cfg: TransferConfig, desc: LocalRepDescriptor) -> dict:
     transfer_ok = accessible_transfer_check(desc, cfg)
     count_source, count_target, count_ok = refinement_count_inequality(desc, cfg)
-    passed = transfer_ok and count_ok
-    body = {
-        "verdict": "pass" if passed else "fail",
+    return {
+        "verdict": "pass" if transfer_ok and count_ok else "fail",
         "accessible_transfer": transfer_ok,
         "count_source": count_source,
         "count_target": count_target,
         "count_inequality": count_ok,
     }
-    return body, 0 if passed else 1
 
 
-def _cmd_transfer_point(cfg: TransferConfig, point: ClassicalPoint) -> tuple[dict, int]:
-    return {"point": encode_point(transfer_point(point, cfg))}, 0
+def _cmd_transfer_point(cfg: TransferConfig, point: ClassicalPoint) -> dict:
+    return {"point": encode_point(transfer_point(point, cfg))}
 
 
 def _cmd_check_diagram(
     cfg: TransferConfig, source: list[ClassicalPoint], target: list[ClassicalPoint]
-) -> tuple[dict, int]:
+) -> dict:
     report = diagram_check(source, target, cfg)
-    body = {
+    return {
         "verdict": "pass" if report.ok else "fail",
         "matched": report.matched,
         "unmatched": report.unmatched,
         "results": list(report.results),
     }
-    return body, 0 if report.ok else 1
 
 
 def _cmd_check_interpolation(
@@ -155,7 +147,7 @@ def _cmd_check_interpolation(
     constant: int,
     generators: list[tuple[HeckeFactor, ...]],
     assignments: list[dict[str, SymbolValue]],
-) -> tuple[dict, int]:
+) -> dict:
     transferred = build_transferred_space(source_space, cfg)
     results = [
         [
@@ -164,16 +156,15 @@ def _cmd_check_interpolation(
         ]
         for generator in generators
     ]
-    passed = all(all(row) for row in results)
-    body = {
-        "verdict": "pass" if passed else "fail",
+    return {
+        "verdict": "pass" if all(all(row) for row in results) else "fail",
         "constant": constant,
         "results": results,
     }
-    return body, 0 if passed else 1
 
 
-_HANDLERS: dict[str, Callable[..., tuple[dict, int]]] = {
+# Each handler returns its report body; main derives the exit code from it.
+_HANDLERS: dict[str, Callable[..., dict]] = {
     "transfer-weight": _cmd_transfer_weight,
     "transfer-refinement": _cmd_transfer_refinement,
     "check-hypothesis1": _cmd_check_hypothesis1,
@@ -224,8 +215,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         command, payload = decode_job(raw)
         report["command"] = command
-        body, code = _HANDLERS[command](**decode_payload(command, payload))
-        report.update(body)
+        report.update(_HANDLERS[command](**decode_payload(command, payload)))
+        code = 1 if report.get("verdict") == "fail" else 0
     except (TransferError, ValueError) as err:
         # a ValueError from the library is reported as a schema violation
         kind = type(err).__name__ if isinstance(err, TransferError) else "SchemaError"

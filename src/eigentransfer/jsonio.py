@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Any
+from typing import Any, Callable, TypeVar
 
 from .errors import SchemaError
 from .monomial import _COEFF_RE, Monomial, SymbolValue, valid_symbol
@@ -31,7 +31,7 @@ from .points import (
 )
 from .refinements import LocalRepDescriptor, Segment
 from .tori import AlgebraicWeight, GroupShape, UnramifiedCharacter
-from .transfer import TransferConfig
+from .transfer import DEFAULT_TWIST_SYMBOL, TransferConfig
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -54,6 +54,9 @@ __all__ = [
 ]
 
 SCHEMA_VERSION = "1"
+
+_T = TypeVar("_T")
+_Decode = Callable[[Any, str], _T]  # decodes one JSON value found at a location
 
 
 def _object(obj: Any, where: str) -> dict:
@@ -78,6 +81,33 @@ def _integer(obj: Any, where: str) -> int:
     if isinstance(obj, bool) or not isinstance(obj, int):
         raise SchemaError(f"{where}: expected an integer")
     return obj
+
+
+def _located(where: str, make: Callable[..., _T], *args: Any) -> _T:
+    """``make(*args)``, with its ``ValueError`` relabeled as a ``SchemaError`` at ``where``."""
+    try:
+        return make(*args)
+    except ValueError as err:
+        raise SchemaError(f"{where}: {err}") from err
+
+
+def _sized(obj: Any, count: int, noun: str, where: str, decode: _Decode[_T]) -> list[_T]:
+    """An array of exactly ``count`` entries, each decoded by ``decode(entry, where[index])``."""
+    entries = _array(obj, where)
+    if len(entries) != count:
+        raise SchemaError(f"{where}: expected {count} {noun}, got {len(entries)}")
+    return [decode(entry, f"{where}[{i}]") for i, entry in enumerate(entries)]
+
+
+def _by_block(
+    obj: Any, shape: GroupShape, noun: str, where: str, decode: _Decode[_T]
+) -> list[list[_T]]:
+    """One array per block of ``shape``, each holding the block's size of decoded entries."""
+    groups = _sized(obj, shape.r, "blocks", where, lambda group, _: group)
+    return [
+        _sized(group, size, noun, f"{where}[{i}]", decode)
+        for i, (group, size) in enumerate(zip(groups, shape.blocks))
+    ]
 
 
 def _check_keys(obj: dict, required: tuple[str, ...], optional: tuple[str, ...], where: str) -> None:
@@ -108,10 +138,7 @@ def decode_rational(obj: Any, where: str) -> Fraction:
 
 def decode_shape(obj: Any, where: str = "blocks") -> GroupShape:
     blocks = [_integer(b, f"{where}[{i}]") for i, b in enumerate(_array(obj, where))]
-    try:
-        return GroupShape(tuple(blocks))
-    except ValueError as err:
-        raise SchemaError(f"{where}: {err}") from err
+    return _located(where, GroupShape, tuple(blocks))
 
 
 def _decode_sigma(obj: Any, n: int, where: str) -> tuple[int, ...]:
@@ -133,26 +160,13 @@ def decode_config(obj: Any, where: str = "config") -> TransferConfig:
     shape = decode_shape(cfg["blocks"], f"{where}.blocks")
     sigma = _decode_sigma(cfg["sigma"], shape.n, f"{where}.sigma")
     alpha = decode_rational(cfg["alpha"], f"{where}.alpha")
-    mu = _string(cfg.get("mu", "M"), f"{where}.mu")
-    try:
-        return TransferConfig(source=shape, sigma=sigma, alpha=alpha, mu=mu)
-    except ValueError as err:
-        raise SchemaError(f"{where}: {err}") from err
+    mu = _string(cfg.get("mu", DEFAULT_TWIST_SYMBOL), f"{where}.mu")
+    return _located(where, TransferConfig, shape, sigma, alpha, mu)
 
 
 def decode_weight(obj: Any, shape: GroupShape, where: str = "weight") -> AlgebraicWeight:
-    groups = _array(obj, where)
-    if len(groups) != shape.r:
-        raise SchemaError(f"{where}: expected {shape.r} blocks, got {len(groups)}")
-    exps: list[int] = []
-    for i, group in enumerate(groups):
-        entries = _array(group, f"{where}[{i}]")
-        if len(entries) != shape.blocks[i]:
-            raise SchemaError(
-                f"{where}[{i}]: expected {shape.blocks[i]} entries, got {len(entries)}"
-            )
-        exps.extend(_integer(e, f"{where}[{i}][{j}]") for j, e in enumerate(entries))
-    return AlgebraicWeight(shape, tuple(exps))
+    groups = _by_block(obj, shape, "entries", where, _integer)
+    return AlgebraicWeight(shape, tuple(e for group in groups for e in group))
 
 
 def encode_weight(weight: AlgebraicWeight) -> list[list[int]]:
@@ -161,19 +175,12 @@ def encode_weight(weight: AlgebraicWeight) -> list[list[int]]:
 
 
 def _decode_monomial(obj: Any, where: str) -> Monomial:
-    text = _string(obj, where)
-    try:
-        return Monomial.parse(text)
-    except ValueError as err:
-        raise SchemaError(f"{where}: {err}") from err
+    return _located(where, Monomial.parse, _string(obj, where))
 
 
 def decode_character(obj: Any, shape: GroupShape, where: str = "character") -> UnramifiedCharacter:
-    entries = _array(obj, where)
-    if len(entries) != shape.n:
-        raise SchemaError(f"{where}: expected {shape.n} values, got {len(entries)}")
-    values = tuple(_decode_monomial(v, f"{where}[{p}]") for p, v in enumerate(entries))
-    return UnramifiedCharacter(shape, values)
+    values = _sized(obj, shape.n, "values", where, _decode_monomial)
+    return UnramifiedCharacter(shape, tuple(values))
 
 
 def encode_character(chi: UnramifiedCharacter) -> list[str]:
@@ -194,10 +201,7 @@ def decode_assignment(obj: Any, where: str = "assignment") -> dict[str, SymbolVa
             if "sqrt" in entry
             else None
         )
-        try:
-            out[name] = SymbolValue(value, sqrt)
-        except ValueError as err:
-            raise SchemaError(f"{where}.{name}: {err}") from err
+        out[name] = _located(f"{where}.{name}", SymbolValue, value, sqrt)
     return out
 
 
@@ -214,17 +218,11 @@ def decode_descriptor(obj: Any, where: str = "descriptor") -> LocalRepDescriptor
             _check_keys(entry, ("gamma", "d"), (), f"{where}.blocks[{i}][{j}]")
             gamma = _decode_monomial(entry["gamma"], f"{where}.blocks[{i}][{j}].gamma")
             d = _integer(entry["d"], f"{where}.blocks[{i}][{j}].d")
-            try:
-                segs.append(Segment(gamma, d))
-            except ValueError as err:
-                raise SchemaError(f"{where}.blocks[{i}][{j}]: {err}") from err
+            segs.append(_located(f"{where}.blocks[{i}][{j}]", Segment, gamma, d))
         segments.append(tuple(segs))
         sizes.append(sum(seg.d for seg in segs))
-    try:
-        shape = GroupShape(tuple(sizes))
-        return LocalRepDescriptor(shape, tuple(segments))
-    except ValueError as err:
-        raise SchemaError(f"{where}: {err}") from err
+    shape = _located(where, GroupShape, tuple(sizes))
+    return _located(where, LocalRepDescriptor, shape, tuple(segments))
 
 
 def decode_point(obj: Any, shape: GroupShape, where: str = "point") -> ClassicalPoint:
@@ -235,31 +233,10 @@ def decode_point(obj: Any, shape: GroupShape, where: str = "point") -> Classical
     for place, values in _object(entry.get("up", {}), f"{where}.up").items():
         up[place] = decode_character(values, shape, f"{where}.up.{place}")
     satake = {}
-    for place, groups_obj in _object(entry.get("satake", {}), f"{where}.satake").items():
-        groups = _array(groups_obj, f"{where}.satake.{place}")
-        if len(groups) != shape.r:
-            raise SchemaError(
-                f"{where}.satake.{place}: expected {shape.r} blocks, got {len(groups)}"
-            )
-        blocks = []
-        for i, group in enumerate(groups):
-            values = _array(group, f"{where}.satake.{place}[{i}]")
-            if len(values) != shape.blocks[i]:
-                raise SchemaError(
-                    f"{where}.satake.{place}[{i}]: expected {shape.blocks[i]} values, "
-                    f"got {len(values)}"
-                )
-            blocks.append(
-                tuple(
-                    _decode_monomial(v, f"{where}.satake.{place}[{i}][{j}]")
-                    for j, v in enumerate(values)
-                )
-            )
-        satake[place] = tuple(blocks)
-    try:
-        return ClassicalPoint.build(weight, up, satake)
-    except ValueError as err:
-        raise SchemaError(f"{where}: {err}") from err
+    for place, raw in _object(entry.get("satake", {}), f"{where}.satake").items():
+        groups = _by_block(raw, shape, "values", f"{where}.satake.{place}", _decode_monomial)
+        satake[place] = tuple(tuple(group) for group in groups)
+    return _located(where, ClassicalPoint.build, weight, up, satake)
 
 
 def encode_point(point: ClassicalPoint) -> dict:
@@ -284,10 +261,7 @@ def decode_space(obj: Any, shape: GroupShape, where: str = "space") -> MockFormS
         point = decode_point(item_obj["point"], shape, f"{where}.entries[{i}].point")
         mult = _integer(item_obj["mult"], f"{where}.entries[{i}].mult")
         entries.append((point, mult))
-    try:
-        return MockFormSpace(weight, tuple(entries))
-    except ValueError as err:
-        raise SchemaError(f"{where}: {err}") from err
+    return _located(where, MockFormSpace, weight, tuple(entries))
 
 
 def decode_factors(obj: Any, where: str = "generator") -> tuple[HeckeFactor, ...]:
@@ -312,10 +286,7 @@ def decode_factors(obj: Any, where: str = "generator") -> tuple[HeckeFactor, ...
             _check_keys(entry, ("type", "place", "degree"), (), f"{where}[{i}]")
             place = _string(entry["place"], f"{where}[{i}].place")
             degree = _integer(entry["degree"], f"{where}[{i}].degree")
-            try:
-                factors.append(SphericalFactor(place, degree))
-            except ValueError as err:
-                raise SchemaError(f"{where}[{i}]: {err}") from err
+            factors.append(_located(f"{where}[{i}]", SphericalFactor, place, degree))
         else:
             raise SchemaError(
                 f"{where}[{i}].type: expected 'atkin-lehner' or 'spherical', got {kind!r}"

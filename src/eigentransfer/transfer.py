@@ -600,13 +600,15 @@ def satake_transfer(poly: LaurentPoly, cfg: TransferConfig) -> LaurentPoly:
         )
     if not poly.is_block_symmetric():
         raise NotSymmetric("input polynomial is not symmetric in the target variables")
-    out: dict[tuple[int, ...], Monomial] = {}
-    slot_twists = cfg._slot_twist_exponents
-    for exps, mono in poly.terms():
+    # keyed like LaurentPoly's own terms, so coefficients sharing an exponent vector all survive
+    out = {}
+    mu, slot_twists = cfg.mu, cfg._slot_twist_exponents
+    for (exps, sym), coeff in poly._terms.items():
         pulled = tuple(exps[p] for p in cfg.sigma)
-        twist = sum(e * t for e, t in zip(exps, slot_twists))
-        out[pulled] = mono * _half_power(cfg.mu, 2 * twist)
-    return LaurentPoly(cfg.source.blocks, out)
+        twice = dict(sym)
+        twice[mu] = twice.get(mu, 0) + 2 * sum(e * t for e, t in zip(exps, slot_twists))
+        out[pulled, tuple(sorted((n, t) for n, t in twice.items() if t))] = coeff
+    return LaurentPoly._raw(cfg.source.blocks, out)
 
 
 def satake_param_transfer(

@@ -333,7 +333,18 @@ TRANSFER_POINT = {
     "command": "transfer-point",
     "payload": {"config": CONFIG, "point": POINT},
 }
+REFINEMENT = {
+    "schema_version": "1",
+    "command": "transfer-refinement",
+    "payload": {"config": CONFIG, "character": ["1 * c1", "1 * c2"]},
+}
+DESCRIPTOR = {
+    "schema_version": "1",
+    "command": "enumerate-refinements",
+    "payload": {"descriptor": {"blocks": [[{"gamma": "1 * g", "d": 2}]]}},
+}
 INTERP = interpolation_job()
+POINT_0 = {"weight": [[0]]}
 PACKET = edit(INTERP, constant=DROP, packet={"dim_source": 5, "dims_target": [2, 4]})
 
 
@@ -349,6 +360,12 @@ XOR = "payload: provide exactly one of 'constant' and 'packet'"
 ARRAYS = "source_points and target_points must be arrays"
 POSITIVE = "constant: expected a positive integer"
 NON_EMPTY = "{}: expected a non-empty array"
+NO_BLOCKS = "a group shape needs at least one block, all of positive size"
+
+
+def satake(groups):
+    """The transfer-point job whose point carries ``groups`` as its Satake data at ``v``."""
+    return edit(TRANSFER_POINT, point={**POINT, "satake": {"v": groups}})
 
 
 def schema(job, message):
@@ -426,6 +443,47 @@ ERROR_ROWS = [
         2,
     ),
     schema(edit(WEIGHT, shape=[2], weight=[[0, 3]]), "archimedean transfer needs a dominant weight"),
+    # a constructor's ValueError is reported with the location of the decoded value
+    schema(edit(WEIGHT, shape=[0]), f"shape: {NO_BLOCKS}"),
+    schema(
+        edit(HYP1, config={**CONFIG, "alpha": "1/3"}),
+        "config: alpha must be a half-integer, got 1/3",
+    ),
+    schema(
+        edit(HYP1, config={**CONFIG, "mu": "q"}),
+        "config: mu must be a fresh symbol name, got 'q'",
+    ),
+    schema(
+        edit(REFINEMENT, character=["1 * c1", "nope nope"]),
+        "character[1]: cannot parse monomial factor 'nope nope'",
+    ),
+    schema(
+        edit(DESCRIPTOR, descriptor={"blocks": [[{"gamma": "1 * g", "d": 0}]]}),
+        "descriptor.blocks[0][0]: segment length must be a positive integer, got 0",
+    ),
+    schema(edit(DESCRIPTOR, descriptor={"blocks": [[]]}), f"descriptor: {NO_BLOCKS}"),
+    schema(
+        edit(INTERP, source_space={"weight": [[0]], "entries": [{"point": POINT_0, "mult": 0}]}),
+        "source_space: multiplicity must be positive, got 0",
+    ),
+    schema(
+        edit(INTERP, generators=[[{"type": "spherical", "place": "v", "degree": 0}]]),
+        "generators[0][0]: degree must be a positive integer, got 0",
+    ),
+    schema(
+        edit(INTERP, assignments=[{"q": {"value": -2}}]),
+        "assignments[0].q: symbol values must be positive rationals",
+    ),
+    # a sized array: the outer length, then block by block the type, the length and the entries
+    schema(edit(REFINEMENT, character=["1 * c1"]), "character: expected 2 values, got 1"),
+    schema(edit(WEIGHT, weight=[[0]]), "weight: expected 2 blocks, got 1"),
+    schema(edit(WEIGHT, shape=[1, 2], weight=[[0], [1]]), "weight[1]: expected 2 entries, got 1"),
+    schema(edit(WEIGHT, weight=[[0], 5]), "weight[1]: expected an array"),
+    schema(edit(WEIGHT, weight=[[0.5], []]), "weight[0][0]: expected an integer"),
+    schema(satake([["1 * s1"]]), "point.satake.v: expected 2 blocks, got 1"),
+    schema(satake([["1 * s1"], []]), "point.satake.v[1]: expected 1 values, got 0"),
+    schema(satake([["1 * s1"], "s2"]), "point.satake.v[1]: expected an array"),
+    schema(satake([[5], []]), "point.satake.v[0][0]: expected a string"),
 ]
 
 
@@ -504,10 +562,16 @@ def run_stdin(monkeypatch, capsys, raw):
 
 @pytest.mark.parametrize("entry", POOL, ids=[entry["name"] for entry in POOL])
 def test_bench_pool_replay(monkeypatch, capsys, entry):
-    """Every pool job keeps its exit code and its report bytes."""
+    """Every pool job keeps its exit code and its report bytes, and the code follows the report."""
     code, out = run_stdin(monkeypatch, capsys, entry["job"].encode())
     assert code == entry["exit_code"]
     assert sha256(out.encode()) == entry["report_sha256"]
+    report = json.loads(out)
+    error = report.get("error", {}).get("type")
+    if report.get("verdict") == "fail" or error in ("NotRelevant", "NonIntegralShift"):
+        assert code == 1
+    else:
+        assert code == (2 if error else 0)
 
 
 def refusal(raw, message):

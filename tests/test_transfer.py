@@ -476,6 +476,10 @@ def test_satake_transfer_anchors():
     )
     e2 = elementary_symmetric(target, 2)
     assert satake_transfer(e2, cfg) == LaurentPoly((1, 1), {(1, 1): symbol("M", 2)})
+    # every symbolic coefficient on one exponent vector is kept
+    ab = LaurentPoly.constant(target, symbol("a")) + LaurentPoly.constant(target, symbol("b"))
+    a_plus_b = LaurentPoly.constant((1, 1), symbol("a")) + LaurentPoly.constant((1, 1), symbol("b"))
+    assert satake_transfer(ab * e1, cfg) == a_plus_b * image
     # constants pass through untouched
     assert satake_transfer(LaurentPoly.constant(target, 7), cfg) == LaurentPoly.constant(
         (1, 1), 7
@@ -526,7 +530,10 @@ def test_satake_transfer_is_ring_homomorphism():
         (LaurentPoly.variable(target, u, -1) for u in range(3)),
         LaurentPoly.zero(target),
     )
+    # sums of distinct symbolic coefficients that share an exponent vector
+    ab = LaurentPoly.constant(target, symbol("a")) + LaurentPoly.constant(target, symbol("b"))
     samples = [e[0], e[1], e[2], e[3], p2, pm1, e[1] * e[2] - 3 * p2]
+    samples += [ab * e[1], ab * e[2] - pm1]
     for a in samples:
         for b in samples:
             assert satake_transfer(a * b, cfg) == satake_transfer(a, cfg) * satake_transfer(
