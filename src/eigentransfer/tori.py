@@ -33,13 +33,23 @@ __all__ = [
 ]
 
 
+def _integers(values: Iterable, what: str) -> tuple[int, ...]:
+    """``values`` as a tuple of ints, refusing any entry ``x`` with ``int(x) != x``."""
+    values = tuple(values)
+    ints = tuple(map(int, values))
+    if ints != values:
+        bad = next(x for x, k in zip(values, ints) if k != x)
+        raise ValueError(f"{what} must be integers, got {bad!r}")
+    return ints
+
+
 class GroupShape(FrozenValue):
     """Ordered block sizes of a product of general linear groups."""
 
     _fields = ("blocks",)
 
     def __init__(self, blocks: Iterable[int]) -> None:
-        blocks = tuple(int(b) for b in blocks)
+        blocks = _integers(blocks, "group shape blocks")
         if not blocks or any(b < 1 for b in blocks):
             raise ValueError("a group shape needs at least one block, all of positive size")
         _set(self, "blocks", blocks)
@@ -110,7 +120,7 @@ class CocharVector(FrozenValue):
     __slots__ = _fields = ("shape", "exps")
 
     def __init__(self, shape: GroupShape, exps: Iterable[int]) -> None:
-        exps = tuple(int(e) for e in exps)
+        exps = _integers(exps, "cocharacter entries")
         if len(exps) != shape.n:
             raise ValueError(f"cocharacter needs {shape.n} entries, got {len(exps)}")
         _set(self, "shape", shape)
@@ -207,7 +217,7 @@ class AlgebraicWeight(FrozenValue):
     __slots__ = _fields = ("shape", "exps")
 
     def __init__(self, shape: GroupShape, exps: Iterable[int]) -> None:
-        exps = tuple(int(e) for e in exps)
+        exps = _integers(exps, "weight entries")
         if len(exps) != shape.n:
             raise ValueError(f"weight needs {shape.n} entries, got {len(exps)}")
         _set(self, "shape", shape)

@@ -20,7 +20,12 @@ block-order-preserving permutation and the tuple ``T`` is cached per config.
   via ``alpha·[n - n_i odd] + (n_i - n)/2 + offset_i``.
 * ``archimedean_transfer`` is the discrete-series recipe: shift each weight
   entry by the half-sum data of its block, sort strictly descending, and
-  unshift with the target half-sum; collisions mean no transfer exists.
+  unshift with the target half-sum; collisions mean no transfer exists.  The
+  recipe runs on doubled integers (``2m`` rather than the half-integer ``m``),
+  sorting ints and testing parity for integrality; a ``Fraction`` is built
+  only for the text of an error.  ``archimedean_sigma`` reads the weight
+  shifts from the same private helper as ``TransferConfig`` and builds no
+  config.
 
 ``verify_transfer_compatibility`` checks, with fully generic character
 symbols, that these maps fit together: the combined map factors as
@@ -57,6 +62,7 @@ from .tori import (
     CocharVector,
     GroupShape,
     UnramifiedCharacter,
+    _integers,
     modulus_half,
 )
 
@@ -85,6 +91,29 @@ __all__ = [
 ]
 
 DEFAULT_TWIST_SYMBOL = "M"
+
+
+def _doubled_alpha(alpha: Fraction | int | str) -> int:
+    """``2·alpha`` as an int, refusing any ``alpha`` outside ``(1/2)Z``."""
+    alpha = alpha if isinstance(alpha, Fraction) else Fraction(alpha)
+    if alpha.denominator not in (1, 2):
+        raise ValueError(f"alpha must be a half-integer, got {alpha}")
+    return 2 * alpha.numerator // alpha.denominator
+
+
+def _weight_shifts(source: GroupShape, two_alpha: int) -> tuple[int, ...]:
+    """The weight-shift vector in flat source layout; see :func:`weight_shift`."""
+    n = source.n
+    shifts: list[int] = []
+    for i, (m, offset) in enumerate(zip(source.blocks, source.offsets)):
+        doubled = two_alpha * ((n - m) % 2) + m - n + 2 * offset
+        if doubled % 2:
+            raise NonIntegralShift(
+                f"weight shift {Fraction(doubled, 2)} at block {i + 1} is not an integer "
+                f"(alpha = {Fraction(two_alpha, 2)})"
+            )
+        shifts.extend([doubled // 2] * m)
+    return tuple(shifts)
 
 
 def invert_permutation(sigma: Sequence[int]) -> tuple[int, ...]:
@@ -164,7 +193,7 @@ class TransferConfig(FrozenValue):
     ) -> None:
         if not isinstance(source, GroupShape):
             source = GroupShape(tuple(source))
-        sigma = tuple(int(s) for s in sigma)
+        sigma = _integers(sigma, "sigma entries")
         n = source.n
         if len(sigma) != n or sorted(sigma) != list(range(n)):
             raise InvalidSigma(f"sigma must be a permutation of 0..{n - 1}, got {sigma}")
@@ -174,14 +203,12 @@ class TransferConfig(FrozenValue):
                 raise InvalidSigma(
                     f"sigma must be strictly increasing on block {i + 1}; images {images}"
                 )
-        alpha = alpha if isinstance(alpha, Fraction) else Fraction(alpha)
-        if alpha.denominator not in (1, 2):
-            raise ValueError(f"alpha must be a half-integer, got {alpha}")
+        two_alpha = _doubled_alpha(alpha)
         if not valid_symbol(mu) or mu in (RESIDUE_SYMBOL, UNIFORMIZER_SYMBOL):
             raise ValueError(f"mu must be a fresh symbol name, got {mu!r}")
         _set(self, "source", source)
         _set(self, "sigma", sigma)
-        _set(self, "alpha", alpha)
+        _set(self, "alpha", Fraction(two_alpha, 2))
         _set(self, "mu", mu)
 
     def _key(self) -> tuple:
@@ -233,18 +260,7 @@ class TransferConfig(FrozenValue):
         A non-integral shift raises on every access, since ``cached_property``
         stores nothing when the computation raises.
         """
-        n = self.n
-        two_alpha = 2 * self.alpha.numerator // self.alpha.denominator  # alpha is in (1/2)Z
-        shifts: list[int] = []
-        for i, (m, offset) in enumerate(zip(self.source.blocks, self.source.offsets)):
-            doubled = two_alpha * ((n - m) % 2) + m - n + 2 * offset
-            if doubled % 2:
-                raise NonIntegralShift(
-                    f"weight shift {Fraction(doubled, 2)} at block {i + 1} is not an integer "
-                    f"(alpha = {self.alpha})"
-                )
-            shifts.extend([doubled // 2] * m)
-        return tuple(shifts)
+        return _weight_shifts(self.source, _doubled_alpha(self.alpha))
 
     @cached_property
     def _shift_monomials(self) -> tuple[Monomial, ...]:
@@ -272,7 +288,7 @@ def iota_sigma_pullback(chi: UnramifiedCharacter, sigma: Sequence[int]) -> Unram
     if chi.shape.r != 1:
         raise SizeMismatch("permutation pullback acts on single-block characters")
     n = chi.shape.n
-    sigma = tuple(int(s) for s in sigma)
+    sigma = _integers(sigma, "permutation entries")
     if len(sigma) != n:
         raise SizeMismatch(f"permutation has length {len(sigma)}, character has rank {n}")
     if sorted(sigma) != list(range(n)):
@@ -490,35 +506,35 @@ def archimedean_transfer(weight: AlgebraicWeight, alpha) -> ArchimedeanTransfer:
     odd]`` (1-based ``j``), require the ``m`` to be pairwise distinct, sort
     strictly descending, and set ``k'_p = m'_p - (n + 1)/2 + p`` (1-based
     ``p``).  The output is automatically dominant.  Collisions raise
-    ``NotRelevant``; non-integral outputs raise ``NonIntegralShift``.
+    ``NotRelevant``; non-integral outputs raise ``NonIntegralShift``.  The
+    work is done on the doubled parameters ``2m``, which are integers.
     """
     shape = weight.shape
     if weight.classify() == "neither":
         raise ValueError("archimedean transfer needs a dominant weight")
-    alpha = alpha if isinstance(alpha, Fraction) else Fraction(alpha)
-    if alpha.denominator not in (1, 2):
-        raise ValueError(f"alpha must be a half-integer, got {alpha}")
-    n = shape.n
-    ms = []
-    for u in range(n):
-        i, j = shape.block_of(u)
-        twist = (n - shape.blocks[i]) % 2
-        ms.append(
-            weight.exps[u] + Fraction(shape.blocks[i] + 1, 2) - (j + 1) + alpha * twist
-        )
+    two_alpha = _doubled_alpha(alpha)
+    n, exps = shape.n, weight.exps
+    # doubled parameters 2m = 2k + (n_i + 1) - 2(j + 1) + 2·alpha·[n - n_i odd]
+    ms: list[int] = []
+    for m, offset in zip(shape.blocks, shape.offsets):
+        base = m - 1 + two_alpha * ((n - m) % 2)
+        ms.extend(2 * exps[offset + j] + base - 2 * j for j in range(m))
     if len(set(ms)) != n:
         raise NotRelevant(
-            "archimedean parameters collide: " + ", ".join(str(m) for m in sorted(ms))
+            "archimedean parameters collide: "
+            + ", ".join(str(Fraction(d, 2)) for d in sorted(ms))
         )
-    order = sorted(range(n), key=lambda u: ms[u], reverse=True)
-    exps = []
-    for p in range(n):
-        k = ms[order[p]] - Fraction(n + 1, 2) + (p + 1)
-        if k.denominator != 1:
-            raise NonIntegralShift(f"transferred weight entry {k} is not an integer")
-        exps.append(int(k))
+    order = sorted(range(n), key=ms.__getitem__, reverse=True)
+    out = []
+    for p, u in enumerate(order):
+        doubled = ms[u] - n + 1 + 2 * p  # 2k'_p = 2m'_p - (n + 1) + 2(p + 1)
+        if doubled % 2:
+            raise NonIntegralShift(
+                f"transferred weight entry {Fraction(doubled, 2)} is not an integer"
+            )
+        out.append(doubled // 2)
     target = GroupShape((n,))
-    return ArchimedeanTransfer(AlgebraicWeight(target, tuple(exps)), invert_permutation(tuple(order)))
+    return ArchimedeanTransfer(AlgebraicWeight(target, out), invert_permutation(order))
 
 
 def _first_realizing_sigma(
@@ -569,11 +585,13 @@ def archimedean_sigma(weight: AlgebraicWeight, alpha) -> tuple[int, ...]:
     backtracks).
     Raises ``NotRelevant`` when no permutation realizes (which does happen for
     some mixed shapes); a multiset mismatch between ``need`` and ``k`` settles
-    that at once.  Non-integral shifts raise ``NonIntegralShift``.
+    that at once.  Non-integral shifts raise ``NonIntegralShift``, after any
+    error of :func:`archimedean_transfer`; the shifts come from the shared
+    helper, with no ``TransferConfig`` built.
     """
     art = archimedean_transfer(weight, alpha)
     shape = weight.shape
-    shifts = weight_shift(TransferConfig(source=shape, sigma=art.sigma, alpha=alpha))
+    shifts = _weight_shifts(shape, _doubled_alpha(alpha))
     need = [t - s for t, s in zip(art.weight.exps, shifts)]
     k = weight.exps
     if all(k[u] == need[p] for u, p in enumerate(art.sigma)):

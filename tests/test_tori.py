@@ -69,6 +69,41 @@ def test_cochar_vector():
         e1 + CocharVector.zero(GroupShape((3,)))
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: GroupShape((2, 1.5)), "group shape blocks must be integers, got 1.5"),
+        (lambda: GroupShape(("2",)), "group shape blocks must be integers, got '2'"),
+        (
+            lambda: CocharVector(GroupShape((2,)), (1, Fraction(1, 2))),
+            "cocharacter entries must be integers, got Fraction(1, 2)",
+        ),
+        (
+            lambda: AlgebraicWeight(GroupShape((1, 1)), (2.7, "0")),
+            "weight entries must be integers, got 2.7",
+        ),
+        (
+            lambda: AlgebraicWeight(GroupShape((1, 1)), (2, "0")),
+            "weight entries must be integers, got '0'",
+        ),
+    ],
+)
+def test_non_integral_entries_are_refused(build, message):
+    """Entries with ``int(x) != x`` used to be truncated silently by ``int``."""
+    with pytest.raises(ValueError) as err:
+        build()
+    assert type(err.value) is ValueError
+    assert str(err.value) == message
+
+
+def test_integral_entries_of_other_types_are_accepted():
+    assert GroupShape((2.0, Fraction(3))).blocks == (2, 3)
+    assert CocharVector(GroupShape((2,)), (Fraction(4, 2), True)).exps == (2, 1)
+    weight = AlgebraicWeight(GroupShape((1, 1)), (2.0, -0.0))
+    assert weight.exps == (2, 0)
+    assert all(type(e) is int for e in weight.exps)
+
+
 def test_cochar_antidominance():
     shape = GroupShape((2, 1))
     assert CocharVector(shape, (3, 1, 5)).is_antidominant()

@@ -145,6 +145,43 @@ def test_config_validation():
         with pytest.raises(TypeError):
             config((1, 1), **tags)
     assert config((1, 1), alpha=2).alpha == Fraction(2)
+    for alpha in (HALF, 1, "3/2", "-5/2", Fraction(4, 2)):
+        cfg = config((1, 1), alpha=alpha)
+        assert type(cfg.alpha) is Fraction
+        assert cfg.alpha == Fraction(alpha)
+
+
+def test_half_integer_alpha_rule_is_shared():
+    """The config and the archimedean recipe refuse the same alphas with the same text."""
+    kappa = AlgebraicWeight(GroupShape((1, 1)), (2, 0))
+    for alpha, text in ((Fraction(1, 3), "1/3"), ("5/4", "5/4"), (0.25, "1/4")):
+        message = f"alpha must be a half-integer, got {text}"
+        for build in (
+            lambda: config((1, 1), alpha=alpha),
+            lambda: archimedean_transfer(kappa, alpha),
+        ):
+            with pytest.raises(ValueError) as err:
+                build()
+            assert type(err.value) is ValueError
+            assert str(err.value) == message
+
+
+def test_non_integral_sigma_entries_are_refused():
+    """``int`` used to truncate these: sigma ``(0.2, 1.9)`` became ``(0, 1)``."""
+    with pytest.raises(ValueError) as err:
+        TransferConfig((1, 1), (0.2, 1.9), "1/2")
+    assert type(err.value) is ValueError
+    assert str(err.value) == "sigma entries must be integers, got 0.2"
+    with pytest.raises(ValueError) as err:
+        TransferConfig((1, 1), (1, "0"), "1/2")
+    assert str(err.value) == "sigma entries must be integers, got '0'"
+    assert TransferConfig((1, 1), (1.0, 0), "1/2").sigma == (1, 0)
+    chi = char((2,), "a", "b")
+    with pytest.raises(ValueError) as err:
+        iota_sigma_pullback(chi, (1.5, 0))
+    assert type(err.value) is ValueError
+    assert str(err.value) == "permutation entries must be integers, got 1.5"
+    assert iota_sigma_pullback(chi, (1.0, 0)) == iota_sigma_pullback(chi, (1, 0))
 
 
 def test_twist_exponent():
@@ -701,6 +738,58 @@ def test_cached_data_leaves_no_cyclic_garbage():
         gc.enable()
 
 
+def _fraction_archimedean_transfer(weight, alpha):
+    """Oracle: the discrete-series recipe in ``Fraction`` arithmetic, the form
+    that the doubled-integer ``archimedean_transfer`` replaced."""
+    shape = weight.shape
+    if weight.classify() == "neither":
+        raise ValueError("archimedean transfer needs a dominant weight")
+    alpha = alpha if isinstance(alpha, Fraction) else Fraction(alpha)
+    if alpha.denominator not in (1, 2):
+        raise ValueError(f"alpha must be a half-integer, got {alpha}")
+    n = shape.n
+    ms = []
+    for u in range(n):
+        i, j = shape.block_of(u)
+        twist = (n - shape.blocks[i]) % 2
+        ms.append(
+            weight.exps[u] + Fraction(shape.blocks[i] + 1, 2) - (j + 1) + alpha * twist
+        )
+    if len(set(ms)) != n:
+        raise NotRelevant(
+            "archimedean parameters collide: " + ", ".join(str(m) for m in sorted(ms))
+        )
+    order = sorted(range(n), key=lambda u: ms[u], reverse=True)
+    exps = []
+    for p in range(n):
+        k = ms[order[p]] - Fraction(n + 1, 2) + (p + 1)
+        if k.denominator != 1:
+            raise NonIntegralShift(f"transferred weight entry {k} is not an integer")
+        exps.append(int(k))
+    target = GroupShape((n,))
+    return ArchimedeanTransfer(AlgebraicWeight(target, tuple(exps)), invert_permutation(tuple(order)))
+
+
+def _fraction_archimedean_sigma(weight, alpha):
+    """Oracle: ``archimedean_sigma`` on the ``Fraction`` recipe, reading the
+    shifts from a ``TransferConfig`` built for the sorting permutation."""
+    art = _fraction_archimedean_transfer(weight, alpha)
+    shape = weight.shape
+    shifts = weight_shift(TransferConfig(source=shape, sigma=art.sigma, alpha=alpha))
+    need = [t - s for t, s in zip(art.weight.exps, shifts)]
+    k = weight.exps
+    if all(k[u] == need[p] for u, p in enumerate(art.sigma)):
+        return art.sigma
+    if sorted(need) == sorted(k):
+        sigma = _first_realizing_sigma(shape, k, need)
+        if sigma is not None:
+            return sigma
+    raise NotRelevant(
+        f"no block-order-preserving permutation realizes the transferred weight "
+        f"{art.weight.exps} from {weight.exps}"
+    )
+
+
 def _walk_archimedean_sigma(weight, alpha, configs):
     """Oracle: the brute-force search that ``archimedean_sigma`` replaced.
 
@@ -744,16 +833,17 @@ def _remember_last(fn):
     return wrapper
 
 
-def _outcome(search, *args):
+def _outcome(fn, *args):
     try:
-        return search(*args)
-    except (NotRelevant, NonIntegralShift) as err:
+        return fn(*args)
+    except (ValueError, NotRelevant, NonIntegralShift) as err:
         return type(err), str(err)
 
 
 def _compare_with_walk(monkeypatch, shapes, bound, alphas):
     """Assert that both searches agree on every dominant weight with entries in
-    ``[-bound, bound]`` under each alpha; count the cases each branch decides."""
+    ``[-bound, bound]`` under each alpha, and that ``archimedean_transfer``
+    agrees with its ``Fraction`` oracle; count the cases each branch decides."""
     # both searches start from archimedean_transfer on the same case: compute it once
     monkeypatch.setattr(
         transfer_module, "archimedean_transfer", _remember_last(archimedean_transfer)
@@ -775,6 +865,9 @@ def _compare_with_walk(monkeypatch, shapes, bound, alphas):
             }
             for kappa in weights:
                 counts["total"] += 1
+                assert _outcome(transfer_module.archimedean_transfer, kappa, alpha) == _outcome(
+                    _fraction_archimedean_transfer, kappa, alpha
+                ), (blocks, kappa.exps, alpha)
                 expected = _outcome(_walk_archimedean_sigma, kappa, alpha, configs)
                 assert _outcome(archimedean_sigma, kappa, alpha) == expected, (
                     blocks,
@@ -809,6 +902,35 @@ def test_archimedean_sigma_search_matches_walk_oracle(monkeypatch):
 
 
 _SHAPES_UP_TO_6 = [blocks for n in range(1, 7) for blocks in _compositions(n)]
+_SHAPES_UP_TO_7 = [blocks for n in range(1, 8) for blocks in _compositions(n)]
+_HALF_INTEGERS = [Fraction(t, 2) for t in range(-9, 10)]
+_ALPHAS = [*_HALF_INTEGERS, *range(-4, 5), *map(str, _HALF_INTEGERS), Fraction(1, 3)]
+
+
+@settings(max_examples=500, derandomize=True, database=None)
+@given(st.data())
+def test_archimedean_recipe_matches_fraction_oracle(data):
+    """Doubled-integer recipe against the ``Fraction`` oracle: n <= 7, entries in
+    [-30, 30], dominant or not, alphas in (1/2)Z up to +-9/2 as Fraction, int or
+    str, and 1/3; the same weight and sigma, or the same exception type and text."""
+    blocks = data.draw(st.sampled_from(_SHAPES_UP_TO_7))
+    shape = GroupShape(blocks)
+    bound = data.draw(st.sampled_from((2, 30, 30)))  # small entries collide often
+    exps = data.draw(st.lists(st.integers(-bound, bound), min_size=shape.n, max_size=shape.n))
+    if data.draw(st.sampled_from((True, True, True, False))):  # sort each block: dominant
+        exps = [
+            e
+            for i in range(shape.r)
+            for e in sorted((exps[u] for u in shape.block_range(i)), reverse=True)
+        ]
+    kappa = AlgebraicWeight(shape, exps)
+    alpha = data.draw(st.sampled_from(_ALPHAS))
+    assert _outcome(archimedean_transfer, kappa, alpha) == _outcome(
+        _fraction_archimedean_transfer, kappa, alpha
+    )
+    assert _outcome(archimedean_sigma, kappa, alpha) == _outcome(
+        _fraction_archimedean_sigma, kappa, alpha
+    )
 
 
 @settings(max_examples=200, derandomize=True, database=None)
