@@ -20,6 +20,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import BlockMismatch
 from .monomial import Monomial
+from .tori import _integers
 
 __all__ = ["LaurentPoly", "elementary_symmetric"]
 
@@ -33,13 +34,13 @@ class LaurentPoly:
     __slots__ = ("_blocks", "_terms")
 
     def __init__(self, blocks: Sequence[int], terms: Mapping[tuple[int, ...], Monomial] | None = None):
-        blocks = tuple(int(b) for b in blocks)
+        blocks = _integers(blocks, "blocks")
         if not blocks or any(b < 1 for b in blocks):
             raise ValueError("blocks must be a nonempty tuple of positive sizes")
         raw: dict[_Key, Fraction] = {}
         n = sum(blocks)
         for exps, mono in (terms or {}).items():
-            exps = tuple(int(e) for e in exps)
+            exps = _integers(exps, "exponents")
             if len(exps) != n:
                 raise ValueError(f"exponent vector {exps} does not have length {n}")
             key = (exps, mono._twice)
@@ -74,13 +75,13 @@ class LaurentPoly:
     def constant(cls, blocks: Sequence[int], value) -> "LaurentPoly":
         if not isinstance(value, Monomial):
             value = Monomial(value)
-        zero_exps = (0,) * sum(int(b) for b in blocks)
+        zero_exps = (0,) * sum(_integers(blocks, "blocks"))
         return cls(blocks, {zero_exps: value})
 
     @classmethod
     def variable(cls, blocks: Sequence[int], index: int, power: int = 1) -> "LaurentPoly":
         """The single variable ``x_index`` (flat indexing), possibly to a Laurent power."""
-        n = sum(int(b) for b in blocks)
+        n = sum(_integers(blocks, "blocks"))
         if not 0 <= index < n:
             raise ValueError(f"variable index {index} out of range for {n} variables")
         exps = tuple(power if p == index else 0 for p in range(n))
@@ -96,7 +97,7 @@ class LaurentPoly:
 
     def coefficients(self, exps: Sequence[int]) -> tuple[Monomial, ...]:
         """All monomial summands sitting on one variable exponent vector."""
-        exps = tuple(int(e) for e in exps)
+        exps = _integers(exps, "exponents")
         found = [
             Monomial._from_twice(c, dict(sym))
             for (e, sym), c in sorted(self._terms.items())
@@ -162,7 +163,7 @@ class LaurentPoly:
     def permute_variables(self, pi: Sequence[int]) -> "LaurentPoly":
         """Rename variable ``u`` to ``pi[u]``; ``pi`` must be a permutation of 0..n-1."""
         n = self.n
-        pi = tuple(int(p) for p in pi)
+        pi = _integers(pi, "permutation entries")
         if sorted(pi) != list(range(n)):
             raise ValueError(f"{pi} is not a permutation of 0..{n - 1}")
         out: dict[_Key, Fraction] = {}
@@ -205,7 +206,7 @@ class LaurentPoly:
 
 def elementary_symmetric(blocks: Sequence[int], degree: int) -> LaurentPoly:
     """The elementary symmetric polynomial of the given degree in all variables."""
-    n = sum(int(b) for b in blocks)
+    n = sum(_integers(blocks, "blocks"))
     if not 0 <= degree <= n:
         raise ValueError(f"degree {degree} out of range for {n} variables")
     terms: dict[tuple[int, ...], Monomial] = {}

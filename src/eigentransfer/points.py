@@ -28,6 +28,7 @@ from .tori import (
     AlgebraicWeight,
     CocharVector,
     UnramifiedCharacter,
+    _integers,
     weight_as_character,
 )
 from .transfer import (
@@ -143,7 +144,9 @@ class MockFormSpace(FrozenValue):
     def __init__(
         self, weight: AlgebraicWeight, entries: Iterable[tuple[ClassicalPoint, int]]
     ) -> None:
-        entries = tuple((point, int(mult)) for point, mult in entries)
+        entries = tuple(entries)
+        mults = _integers((mult for _, mult in entries), "multiplicities")
+        entries = tuple(zip((point for point, _ in entries), mults))
         for point, mult in entries:
             if mult < 1:
                 raise ValueError(f"multiplicity must be positive, got {mult}")
@@ -167,7 +170,7 @@ class AtkinLehnerFactor(FrozenValue):
 
     def __init__(self, place: str, cochar: Iterable[int]) -> None:
         _set(self, "place", place)
-        _set(self, "cochar", tuple(int(e) for e in cochar))
+        _set(self, "cochar", _integers(cochar, "cocharacter entries"))
 
     def _key(self) -> tuple:
         return (self.place, self.cochar)
@@ -334,9 +337,9 @@ def divisibility_check(
     Both polynomials split into linear factors by construction, so this is the
     per-eigenvalue comparison ``mult_source <= constant · mult_target``.
     """
-    constant = int(constant)
-    if constant < 1:
+    if int(constant) != constant or constant < 1:
         raise ValueError(f"the constant must be a positive integer, got {constant}")
+    constant = int(constant)
     source = _eigenvalue_multiplicities(space_source, factors, assign)
     target = _eigenvalue_multiplicities(space_target, factors, assign)
     return all(mult <= constant * target.get(lam, 0) for lam, mult in source.items())
@@ -344,10 +347,10 @@ def divisibility_check(
 
 def constant_C(dim_source: int, dims_target: Sequence[int]) -> int:
     """Max over the packet of ``ceil(dim_source / dim_target)``."""
-    dims = [int(d) for d in dims_target]
+    dims = _integers(dims_target, "packet dimensions")
     if not dims:
         raise EmptyPacket("the packet of target dimensions is empty")
-    if dim_source < 1 or any(d < 1 for d in dims):
+    if int(dim_source) != dim_source or dim_source < 1 or any(d < 1 for d in dims):
         raise ValueError("dimensions must be positive integers")
     return max(-(-int(dim_source) // d) for d in dims)
 

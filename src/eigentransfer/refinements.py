@@ -11,9 +11,10 @@ A refinement is an ordering of the full parameter multiset, one block at a
 time, recorded as an unramified character of the diagonal torus.  For generic
 descriptors (pairwise distinct parameters, no two segments concatenating into
 a longer ladder) a refinement is accessible exactly when each segment's
-parameters appear in their internal descending order, so the accessible count
-is the product over blocks of multinomial coefficients.  Non-generic
-descriptors are refused rather than guessed at.
+parameters (identified by value) appear in their internal descending order.
+The accessible refinements of a block are thus the shuffles of its segment
+ladders, and their count is the product over blocks of multinomial
+coefficients.  Non-generic descriptors are refused rather than guessed at.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from __future__ import annotations
 from functools import cached_property
 from itertools import permutations, product
 from math import factorial
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from ._frozen import FrozenValue, _set
 from .errors import ShapeMismatch, SizeMismatch, UnsupportedLinked
@@ -33,7 +34,8 @@ from .tori import (
     modulus_half,
     weight_as_character,
 )
-from .transfer import TransferConfig, refinement_pullback
+from .transfer import TransferConfig, invert_permutation, refinement_pullback
+from .transfer import block_order_preserving_permutations
 
 __all__ = [
     "Segment",
@@ -127,23 +129,20 @@ class LocalRepDescriptor(FrozenValue):
         params = self.all_params()
         if len(set(params)) != len(params):
             return False
+        # b links to a when b's bottom times q^-1 is a's top; never a itself (d = 0)
         flat = [seg for block in self.segments for seg in block]
-        for a in range(len(flat)):
-            for b in range(a + 1, len(flat)):
-                if segments_linked(flat[a], flat[b]):
-                    return False
-        return True
+        tops = {seg.top() for seg in flat}
+        return not any(seg.bottom() * _half_power(RESIDUE_SYMBOL, -2) in tops for seg in flat)
 
     @cached_property
-    def _ladders(self) -> tuple[tuple[int, int, list[str], tuple[tuple[str, ...], ...]], ...]:
-        """Per block, for :func:`is_accessible`: its flat range, the sorted
-        canonical texts of its parameters and the text ladder of each segment."""
+    def _ladders(self) -> tuple[tuple[int, int, dict[Monomial, tuple[int, int]]], ...]:
+        """Per block, for :func:`is_accessible`: its flat range and each
+        parameter's segment and rank within that segment's ladder."""
         out = []
         for i, block in enumerate(self.segments):
-            ladders = tuple(tuple(m.text() for m in seg.params()) for seg in block)
-            texts = sorted(text for ladder in ladders for text in ladder)
+            places = {m: (s, k) for s, seg in enumerate(block) for k, m in enumerate(seg.params())}
             start = self.shape.offsets[i]
-            out.append((start, start + self.shape.blocks[i], texts, ladders))
+            out.append((start, start + self.shape.blocks[i], places))
         return tuple(out)
 
 
@@ -155,6 +154,12 @@ def _require_generic(desc: LocalRepDescriptor) -> None:
         )
 
 
+def _characters(shape: GroupShape, per_block: list) -> Iterator[UnramifiedCharacter]:
+    """One character per choice of an ordering from each block, in product order."""
+    for choice in product(*per_block):
+        yield UnramifiedCharacter._new(shape, tuple(v for ordering in choice for v in ordering))
+
+
 def enumerate_refinements(desc: LocalRepDescriptor) -> tuple[UnramifiedCharacter, ...]:
     """All orderings of the parameter multiset, blockwise, as characters.
 
@@ -164,38 +169,41 @@ def enumerate_refinements(desc: LocalRepDescriptor) -> tuple[UnramifiedCharacter
         tuple(dict.fromkeys(permutations(desc.block_params(i))))
         for i in range(desc.shape.r)
     ]
-    out = []
-    for choice in product(*per_block):
-        values: list[Monomial] = []
-        for ordering in choice:
-            values.extend(ordering)
-        out.append(UnramifiedCharacter._new(desc.shape, tuple(values)))
-    return tuple(out)
+    return tuple(_characters(desc.shape, per_block))
+
+
+def _ladder_shuffles(desc: LocalRepDescriptor, i: int) -> list[tuple[Monomial, ...]]:
+    """Block ``i``'s accessible orderings: for each order-preserving ``sigma`` of the
+    segment lengths, slot ``p`` gets ladder entry ``sigma^-1(p)``."""
+    ladder = desc.block_params(i)
+    sigmas = block_order_preserving_permutations(GroupShape(seg.d for seg in desc.segments[i]))
+    return [tuple(ladder[u] for u in invert_permutation(sigma)) for sigma in sigmas]
 
 
 def is_accessible(desc: LocalRepDescriptor, refinement: UnramifiedCharacter) -> bool:
     """Whether each segment's ladder appears in internal order within its block.
 
-    Parameters are compared by canonical text, which identifies a monomial;
-    a generic descriptor's parameters are distinct, so each text has one position.
+    A generic descriptor's parameters are distinct, so each value has one
+    segment and rank; the block is accessible when each segment's ranks
+    appear as 0, 1, 2, ....
     """
     _require_generic(desc)
     if refinement.shape != desc.shape:
         raise ShapeMismatch(
             f"refinement on {refinement.shape} does not match descriptor on {desc.shape}"
         )
-    for i, (start, stop, expected, ladders) in enumerate(desc._ladders):
-        texts = [m.text() for m in refinement.values[start:stop]]
-        if sorted(texts) != expected:
+    for i, (start, stop, places) in enumerate(desc._ladders):
+        found = [places.get(v) for v in refinement.values[start:stop]]
+        if None in found or len(set(found)) != len(found):
             raise ValueError(
                 f"refinement values in block {i + 1} are not an ordering of the "
                 f"descriptor parameters"
             )
-        position = {text: p for p, text in enumerate(texts)}
-        for ladder in ladders:
-            positions = [position[text] for text in ladder]
-            if any(a >= b for a, b in zip(positions, positions[1:])):
+        next_rank = [0] * len(desc.segments[i])
+        for s, rank in found:
+            if rank != next_rank[s]:
                 return False
+            next_rank[s] = rank + 1
     return True
 
 
@@ -230,11 +238,8 @@ def accessible_transfer_check(desc: LocalRepDescriptor, cfg: TransferConfig) -> 
     transferred = transferred_descriptor(desc, cfg)
     _require_generic(desc)
     _require_generic(transferred)
-    for refinement in enumerate_refinements(desc):
-        if is_accessible(desc, refinement):
-            if not is_accessible(transferred, refinement_pullback(refinement, cfg)):
-                return False
-    return True
+    accessible = _characters(desc.shape, [_ladder_shuffles(desc, i) for i in range(desc.shape.r)])
+    return all(is_accessible(transferred, refinement_pullback(r, cfg)) for r in accessible)
 
 
 def refinement_count_inequality(

@@ -78,6 +78,11 @@ class GroupShape(FrozenValue):
         return tuple((i, j) for i, b in enumerate(self.blocks) for j in range(b))
 
     @cached_property
+    def _neighbours(self) -> tuple[tuple[int, int], ...]:
+        """Flat position pairs ``(p, p + 1)`` that lie in one block."""
+        return tuple((p, p + 1) for i in range(self.r) for p in self.block_range(i)[:-1])
+
+    @cached_property
     def _modulus_half_values(self) -> tuple[tuple[Monomial, ...], tuple[Monomial, ...]]:
         """Values of the half modulus and of its inverse, shared by :func:`modulus_half`.
 
@@ -141,11 +146,8 @@ class CocharVector(FrozenValue):
 
     def is_antidominant(self) -> bool:
         """Weakly decreasing within each block: the contracting monoid of the torus."""
-        for i in range(self.shape.r):
-            block = [self.exps[p] for p in self.shape.block_range(i)]
-            if any(block[j] < block[j + 1] for j in range(len(block) - 1)):
-                return False
-        return True
+        exps = self.exps
+        return all(exps[p] >= exps[q] for p, q in self.shape._neighbours)
 
     def __add__(self, other):
         if not isinstance(other, CocharVector):
@@ -228,14 +230,11 @@ class AlgebraicWeight(FrozenValue):
 
     def classify(self) -> str:
         """``"regular"`` (strictly decreasing per block), ``"dominant"`` (weakly), or ``"neither"``."""
-        strict = True
-        for i in range(self.shape.r):
-            block = [self.exps[p] for p in self.shape.block_range(i)]
-            for j in range(len(block) - 1):
-                if block[j] < block[j + 1]:
-                    return "neither"
-                if block[j] == block[j + 1]:
-                    strict = False
+        exps, strict = self.exps, True
+        for p, q in self.shape._neighbours:
+            if exps[p] < exps[q]:
+                return "neither"
+            strict = strict and exps[p] > exps[q]
         return "regular" if strict else "dominant"
 
     def is_dominant(self) -> bool:

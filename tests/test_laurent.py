@@ -211,3 +211,36 @@ def test_str():
     assert str(LaurentPoly.zero(blocks)) == "0"
     p = symbol("a") * var(blocks, 0) + var(blocks, 1, -2)
     assert str(p) == "1 * x1^-2 + 1 * a * x0"
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: LaurentPoly((1.5,)), "blocks must be integers, got 1.5"),
+        (lambda: LaurentPoly.constant((2, 0.5), 3), "blocks must be integers, got 0.5"),
+        # the variable count comes from the blocks, so they are checked before the index
+        (lambda: LaurentPoly.variable((1.5,), 1), "blocks must be integers, got 1.5"),
+        (lambda: elementary_symmetric((1.5,), 2), "blocks must be integers, got 1.5"),
+        (lambda: LaurentPoly((1,), {(1.5,): Monomial(1)}), "exponents must be integers, got 1.5"),
+        (lambda: var((2,), 0).coefficients((0.5, 0)), "exponents must be integers, got 0.5"),
+        (
+            lambda: var((2,), 0).permute_variables((1.2, 0)),
+            "permutation entries must be integers, got 1.2",
+        ),
+        (lambda: LaurentPoly((2, 0)), "blocks must be a nonempty tuple of positive sizes"),
+    ],
+)
+def test_non_integral_values_are_refused(build, message):
+    """Blocks and exponents used to be truncated by ``int``: ``(1.5,)`` became ``(1,)``."""
+    with pytest.raises(ValueError) as err:
+        build()
+    assert type(err.value) is ValueError
+    assert str(err.value) == message
+
+
+def test_integral_values_of_other_types_are_accepted():
+    p = LaurentPoly((2.0,), {(1.0, Fraction(0)): Monomial(3)})
+    assert p.blocks == (2,) and all(type(b) is int for b in p.blocks)
+    assert p == 3 * var((2,), 0)
+    assert p.coefficients((1.0, 0)) == (Monomial(3),)
+    assert p.permute_variables((1.0, 0)) == 3 * var((2,), 1)

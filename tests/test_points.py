@@ -285,3 +285,64 @@ def test_build_transferred_space():
         (transfer_point(a, cfg), 2),
         (transfer_point(b, cfg), 3),
     )
+
+
+_FACTORS = (AtkinLehnerFactor("p", (1,)),)
+
+
+def _space(mult=1):
+    point = scalar_point(2)
+    return MockFormSpace(point.weight, ((point, mult),))
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (
+            lambda: AtkinLehnerFactor("p", (1.5, 0.2)),
+            "cocharacter entries must be integers, got 1.5",
+        ),
+        (
+            lambda: AtkinLehnerFactor("p", (1, "0")),
+            "cocharacter entries must be integers, got '0'",
+        ),
+        (lambda: _space(1.9), "multiplicities must be integers, got 1.9"),
+        # every multiplicity is read before any entry is checked, as with int() before
+        (
+            lambda: MockFormSpace(
+                scalar_point(2).weight, ((scalar_point(2), 0), (scalar_point(3), 2.5))
+            ),
+            "multiplicities must be integers, got 2.5",
+        ),
+        (lambda: _space(0), "multiplicity must be positive, got 0"),
+        (
+            lambda: divisibility_check(_space(), _space(), 1.9, _FACTORS, {}),
+            "the constant must be a positive integer, got 1.9",
+        ),
+        (
+            lambda: divisibility_check(_space(), _space(), 0, _FACTORS, {}),
+            "the constant must be a positive integer, got 0",
+        ),
+        (lambda: constant_C(2.5, [1]), "dimensions must be positive integers"),
+        (lambda: constant_C(3, [2, 1.5]), "packet dimensions must be integers, got 1.5"),
+        (lambda: constant_C(0, [2]), "dimensions must be positive integers"),
+    ],
+)
+def test_non_integral_values_are_refused(build, message):
+    """Values with ``int(x) != x`` used to be truncated silently by ``int``: the
+    cocharacter ``(1.5, 0.2)`` became ``(1, 0)``, the multiplicity and the
+    constant 1.9 became 1 and ``constant_C(2.5, [1])`` returned 2."""
+    with pytest.raises(ValueError) as err:
+        build()
+    assert type(err.value) is ValueError
+    assert str(err.value) == message
+
+
+def test_integral_values_of_other_types_are_accepted():
+    cochar = AtkinLehnerFactor("p", (2.0, Fraction(1))).cochar
+    assert cochar == (2, 1) and all(type(e) is int for e in cochar)
+    ((_, mult),) = _space(2.0).entries
+    assert mult == 2 and type(mult) is int
+    assert divisibility_check(_space(2), _space(1), 2.0, _FACTORS, {})
+    assert not divisibility_check(_space(2), _space(1), Fraction(1), _FACTORS, {})
+    assert constant_C(Fraction(4), [2.0, 3]) == 2

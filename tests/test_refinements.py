@@ -8,12 +8,15 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import eigentransfer.refinements as refinements_module
 from eigentransfer.errors import ShapeMismatch, SizeMismatch, UnsupportedLinked
 from eigentransfer.jsonio import decode_descriptor
-from eigentransfer.monomial import Monomial, symbol
+from eigentransfer.monomial import ONE, Monomial, symbol
 from eigentransfer.refinements import (
     LocalRepDescriptor,
     Segment,
+    _characters,
+    _ladder_shuffles,
     _require_generic,
     accessible_transfer_check,
     count_accessible,
@@ -419,3 +422,142 @@ def _descriptor_and_refinement(draw):
 @given(_descriptor_and_refinement())
 def test_is_accessible_matches_oracle_property(case):
     _assert_matches_oracle(*case)
+
+
+def _old_is_generic(desc):
+    """Oracle: ``is_generic`` before the lookup of segment tops, a pairwise
+    ``segments_linked`` scan after the distinctness check."""
+    params = desc.all_params()
+    if len(set(params)) != len(params):
+        return False
+    flat = [seg for block in desc.segments for seg in block]
+    for a in range(len(flat)):
+        for b in range(a + 1, len(flat)):
+            if segments_linked(flat[a], flat[b]):
+                return False
+    return True
+
+
+def _old_accessible_transfer_check(desc, cfg):
+    """Oracle: ``accessible_transfer_check`` before the direct construction: every
+    ordering is enumerated and the accessible ones are filtered out.  ``is_accessible``
+    itself is pinned to ``_old_is_accessible`` above."""
+    transferred = transferred_descriptor(desc, cfg)
+    for d in (desc, transferred):
+        if not _old_is_generic(d):
+            raise UnsupportedLinked(_LINKED)
+    for refinement in enumerate_refinements(desc):
+        if is_accessible(desc, refinement):
+            if not is_accessible(transferred, refinement_pullback(refinement, cfg)):
+                return False
+    return True
+
+
+def _ladder_shuffle_refinements(desc):
+    return list(_characters(desc.shape, [_ladder_shuffles(desc, i) for i in range(desc.shape.r)]))
+
+
+def _assert_ladder_shuffles_are_accessible_refinements(desc):
+    """The direct construction: no duplicates, ``count_accessible`` of them, and
+    exactly the enumerated refinements that ``is_accessible`` keeps."""
+    direct = _ladder_shuffle_refinements(desc)
+    assert len(set(direct)) == len(direct) == count_accessible(desc)
+    assert set(direct) == {r for r in enumerate_refinements(desc) if is_accessible(desc, r)}
+
+
+def _assert_transfer_check_matches_oracles(desc, cfg):
+    assert desc.is_generic is _old_is_generic(desc), desc
+    expected = _outcome(_old_accessible_transfer_check, desc, cfg)
+    assert _outcome(accessible_transfer_check, desc, cfg) == expected, (desc, cfg)
+    return expected
+
+
+def test_accessible_transfer_check_matches_oracle_on_generic_family():
+    """Every generic descriptor with n <= 5 and every order-preserving sigma."""
+    pairs = 0
+    for desc in _generic_descriptors(5):
+        _assert_ladder_shuffles_are_accessible_refinements(desc)
+        for sigma in block_order_preserving_permutations(desc.shape):
+            cfg = config(desc.shape.blocks, sigma=sigma)
+            assert _assert_transfer_check_matches_oracles(desc, cfg) is True
+            pairs += 1
+    assert pairs == 1643
+
+
+def test_accessible_transfer_check_matches_oracle_on_non_generic_descriptors():
+    a, g, mu = symbol("a"), symbol("g"), symbol("M")
+    q = qpow(1)
+    cases = {
+        "linked in a block": ((2,), ((Segment(g, 1), Segment(g / q, 1)),)),
+        "linked ladders": ((3,), ((Segment(g, 2), Segment(g * qpow(Fraction(-3, 2)), 1)),)),
+        "repeated": ((2,), ((Segment(a, 1), Segment(a, 1)),)),
+        "linked across blocks": ((1, 1), ((Segment(g, 1),), (Segment(g * q, 1),))),
+        "ladders linked across blocks": (
+            (2, 1), ((Segment(g, 2),), (Segment(g * qpow(Fraction(-3, 2)), 1),))
+        ),
+        # block 2 picks up M on transfer and then links with block 1
+        "linked after transfer": (
+            (1, 2), ((Segment(mu * g * qpow(Fraction(-3, 2)), 1),), (Segment(g, 2),))
+        ),
+    }
+    for name, (blocks, segments) in cases.items():
+        desc = LocalRepDescriptor(GroupShape(blocks), segments)
+        assert desc.is_generic is (name == "linked after transfer"), name
+        for sigma in block_order_preserving_permutations(desc.shape):
+            cfg = config(blocks, sigma=sigma)
+            assert _assert_transfer_check_matches_oracles(desc, cfg) == (
+                UnsupportedLinked, _LINKED
+            ), name
+
+
+def test_accessible_transfer_check_builds_instead_of_filtering(monkeypatch):
+    """No enumeration and no accessibility test on the source descriptor: only
+    the transferred side is tested, once per accessible refinement."""
+    a, b, c, g = (symbol(name) for name in "abcg")
+    desc = LocalRepDescriptor(
+        GroupShape((2, 3)), ((Segment(a, 1), Segment(b, 1)), (Segment(g, 2), Segment(c, 1)))
+    )
+    cfg = config((2, 3), sigma=(1, 3, 0, 2, 4))
+    seen = []
+    real = refinements_module.is_accessible
+    monkeypatch.setattr(refinements_module, "enumerate_refinements", None)
+    monkeypatch.setattr(
+        refinements_module, "is_accessible", lambda d, r: seen.append(d) or real(d, r)
+    )
+    assert accessible_transfer_check(desc, cfg)
+    # 2!/(1! 1!) orderings of block 1 times 3!/(2! 1!) of block 2
+    assert seen == [transferred_descriptor(desc, cfg)] * 6
+
+
+@st.composite
+def _descriptor_with_links_and_config(draw):
+    """Up to three blocks of at most three parameters; a segment is sometimes drawn
+    linked to the one before it (its ladder just below or just above), in the same
+    block or across a block boundary, sometimes only up to a power of ``M`` so that
+    the link may appear on transfer; and an order-preserving config on the shape."""
+    blocks, segments, prev = [], [], None
+    for _ in range(draw(st.integers(1, 3))):
+        block = []
+        for d in draw(st.sampled_from([(1,), (2,), (3,), (1, 1), (1, 2), (2, 1), (1, 1, 1)])):
+            if prev is not None and draw(st.integers(0, 2)) == 0:
+                sign = draw(st.sampled_from((-1, 1)))
+                twist = draw(st.sampled_from((ONE, symbol("M"), symbol("M").inverse())))
+                gamma = twist * prev.gamma * qpow(Fraction(sign * (prev.d + d), 2))
+            else:
+                gamma = draw(st.sampled_from(_GAMMAS))
+            prev = Segment(gamma, d)
+            block.append(prev)
+        blocks.append(sum(seg.d for seg in block))
+        segments.append(tuple(block))
+    desc = LocalRepDescriptor(GroupShape(tuple(blocks)), tuple(segments))
+    sigma = draw(st.sampled_from(list(block_order_preserving_permutations(desc.shape))))
+    return desc, config(desc.shape.blocks, sigma=sigma)
+
+
+@settings(max_examples=200, derandomize=True, database=None)
+@given(_descriptor_with_links_and_config())
+def test_transfer_check_and_genericity_match_oracles_with_links_property(case):
+    desc, cfg = case
+    _assert_transfer_check_matches_oracles(desc, cfg)
+    if desc.is_generic:
+        _assert_ladder_shuffles_are_accessible_refinements(desc)

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -261,3 +262,51 @@ def test_cached_torus_data_matches_closed_formulas():
                 shape.block_of(n)
             with pytest.raises(ValueError):
                 shape.block_of(-1)
+
+
+def _walk_is_antidominant(cochar):
+    """Oracle: ``is_antidominant`` before the per-shape neighbour table, one list per block."""
+    for i in range(cochar.shape.r):
+        block = [cochar.exps[p] for p in cochar.shape.block_range(i)]
+        if any(block[j] < block[j + 1] for j in range(len(block) - 1)):
+            return False
+    return True
+
+
+def _walk_classify(weight):
+    """Oracle: ``classify`` before the per-shape neighbour table, one list per block."""
+    strict = True
+    for i in range(weight.shape.r):
+        block = [weight.exps[p] for p in weight.shape.block_range(i)]
+        for j in range(len(block) - 1):
+            if block[j] < block[j + 1]:
+                return "neither"
+            if block[j] == block[j + 1]:
+                strict = False
+    return "regular" if strict else "dominant"
+
+
+def _entry_vectors(n, rng):
+    """Every vector in [-2, 2]^n for n <= 5 (every pattern of ties and descents);
+    for n = 6, 1,500 seeded draws per shape instead of 15,625, to keep the test short."""
+    if n <= 5:
+        return product(range(-2, 3), repeat=n)
+    return (tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(1500))
+
+
+def test_neighbour_table_matches_block_walks():
+    """Every shape with n <= 6, entries in [-2, 2], against the per-block walks."""
+    rng = random.Random(6)
+    verdicts = set()
+    for n in range(1, 7):
+        for blocks in _compositions(n):
+            shape = GroupShape(blocks)
+            for exps in _entry_vectors(n, rng):
+                weight = AlgebraicWeight(shape, exps)
+                verdict = weight.classify()
+                assert verdict == _walk_classify(weight), weight
+                cochar = CocharVector(shape, exps)
+                assert cochar.is_antidominant() == _walk_is_antidominant(cochar), cochar
+                verdicts.add((verdict, cochar.is_antidominant()))
+            assert shape._neighbours is shape._neighbours
+    assert verdicts == {("regular", True), ("dominant", True), ("neither", False)}

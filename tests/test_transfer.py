@@ -22,6 +22,7 @@ from eigentransfer.monomial import Monomial, ONE, symbol
 from eigentransfer.refinements import LocalRepDescriptor, Segment, enumerate_refinements
 from eigentransfer.tori import (
     AlgebraicWeight,
+    CocharVector,
     GroupShape,
     UnramifiedCharacter,
     modulus_half,
@@ -732,7 +733,11 @@ def test_cached_data_leaves_no_cyclic_garbage():
             atkin_lehner_pullback(chi, cfg, normalized=False)
             verify_transfer_compatibility(cfg)
             list(block_order_preserving_permutations(GroupShape((2, 2))))
-            del cfg, chi
+            # the per-shape neighbour table behind classify and is_antidominant
+            weight = AlgebraicWeight(GroupShape((2, 1, 2)), (1, 0, 4, 2, 2))
+            assert weight.classify() == "dominant"
+            assert CocharVector(GroupShape((2, 1, 2)), weight.exps).is_antidominant()
+            del cfg, chi, weight
         assert gc.collect() == 0
     finally:
         gc.enable()
