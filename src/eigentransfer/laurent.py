@@ -19,7 +19,7 @@ from itertools import combinations
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import BlockMismatch
-from .monomial import Monomial
+from .monomial import Monomial, Rational, _merge
 from .tori import _integers
 
 __all__ = ["LaurentPoly", "elementary_symmetric"]
@@ -37,19 +37,19 @@ class LaurentPoly:
         blocks = _integers(blocks, "blocks")
         if not blocks or any(b < 1 for b in blocks):
             raise ValueError("blocks must be a nonempty tuple of positive sizes")
-        raw: dict[_Key, Fraction] = {}
+        raw: dict[_Key, Rational] = {}
         n = sum(blocks)
         for exps, mono in (terms or {}).items():
             exps = _integers(exps, "exponents")
             if len(exps) != n:
                 raise ValueError(f"exponent vector {exps} does not have length {n}")
             key = (exps, mono._twice)
-            raw[key] = raw.get(key, Fraction(0)) + mono.coeff
+            raw[key] = raw.get(key, 0) + mono._coeff
         object.__setattr__(self, "_blocks", blocks)
         object.__setattr__(self, "_terms", {k: c for k, c in raw.items() if c})
 
     @classmethod
-    def _raw(cls, blocks: tuple[int, ...], terms: dict[_Key, Fraction]) -> "LaurentPoly":
+    def _raw(cls, blocks: tuple[int, ...], terms: dict[_Key, Rational]) -> "LaurentPoly":
         self = object.__new__(cls)
         object.__setattr__(self, "_blocks", blocks)
         object.__setattr__(self, "_terms", {k: c for k, c in terms.items() if c})
@@ -115,7 +115,7 @@ class LaurentPoly:
         self._check(other)
         terms = dict(self._terms)
         for key, coeff in other._terms.items():
-            terms[key] = terms.get(key, Fraction(0)) + coeff
+            terms[key] = terms.get(key, 0) + coeff
         return LaurentPoly._raw(self._blocks, terms)
 
     def __neg__(self) -> "LaurentPoly":
@@ -132,15 +132,11 @@ class LaurentPoly:
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         self._check(other)
-        prod: dict[_Key, Fraction] = {}
+        prod: dict[_Key, Rational] = {}
         for (e1, s1), c1 in self._terms.items():
             for (e2, s2), c2 in other._terms.items():
-                exps = tuple(a + b for a, b in zip(e1, e2))
-                sym = dict(s1)
-                for name, t in s2:
-                    sym[name] = sym.get(name, 0) + t
-                key = (exps, tuple(sorted((n, t) for n, t in sym.items() if t)))
-                prod[key] = prod.get(key, Fraction(0)) + c1 * c2
+                key = (tuple(a + b for a, b in zip(e1, e2)), _merge(s1, s2))
+                prod[key] = prod.get(key, 0) + c1 * c2
         return LaurentPoly._raw(self._blocks, prod)
 
     __rmul__ = __mul__
@@ -166,13 +162,13 @@ class LaurentPoly:
         pi = _integers(pi, "permutation entries")
         if sorted(pi) != list(range(n)):
             raise ValueError(f"{pi} is not a permutation of 0..{n - 1}")
-        out: dict[_Key, Fraction] = {}
+        out: dict[_Key, Rational] = {}
         for (exps, sym), coeff in self._terms.items():
             new = [0] * n
             for u, e in enumerate(exps):
                 new[pi[u]] = e
             key = (tuple(new), sym)
-            out[key] = out.get(key, Fraction(0)) + coeff
+            out[key] = out.get(key, 0) + coeff
         return LaurentPoly._raw(self._blocks, out)
 
     def is_block_symmetric(self) -> bool:

@@ -45,7 +45,29 @@ _FACTOR_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)(?:\^(?:(-?\d+)|\((-?\d+)/2\))
 # Coefficient tokens are integers or integer ratios only: no decimals, exponents or "_".
 _COEFF_RE = re.compile(r"[+-]?\d+(?:/\d+)?\Z", re.ASCII)
 
-_UNIT = Fraction(1)
+_UNIT = 1
+
+
+def _canon(c: Rational) -> Rational:
+    """``c`` as an ``int`` when it is integral, else the ``Fraction`` itself."""
+    return c.numerator if c.denominator == 1 else c
+
+
+def _merge(a: tuple, b: tuple) -> tuple:
+    """Sum of two doubled-exponent tuples, each sorted by name with no zero entries,
+    in the same form."""
+    if not a:
+        return b
+    if not b:
+        return a
+    if a[-1][0] < b[0][0]:  # every name of a sorts before every name of b
+        return a + b
+    merged = dict(a)
+    for name, t in b:
+        merged[name] = merged.get(name, 0) + t
+    if len(merged) == len(a) + len(b):  # no shared name: nothing adds up or cancels
+        return tuple(sorted(a + b))
+    return tuple(sorted([item for item in merged.items() if item[1]]))
 
 
 def valid_symbol(name: str) -> bool:
@@ -81,23 +103,30 @@ class Monomial:
     """Element of the group (nonzero rationals) x (free symbols with exponents in Z/2).
 
     Instances are immutable, so cached values can be shared between callers.
+    The coefficient is stored as an ``int`` when it is integral and as a
+    ``Fraction`` otherwise; :attr:`coeff` always reads it as a ``Fraction``.
     """
 
     __slots__ = ("_coeff", "_twice")
 
     def __init__(self, coeff: Rational, exponents: Mapping[str, Rational] | None = None):
-        coeff = Fraction(coeff)
+        if type(coeff) is not int:
+            coeff = _canon(coeff if type(coeff) is Fraction else Fraction(coeff))
         if coeff == 0:
             raise ValueError("monomial coefficients are nonzero")
         twice: dict[str, int] = {}
         for name, exp in (exponents or {}).items():
             if not valid_symbol(name):
                 raise ValueError(f"bad symbol name: {name!r}")
-            doubled = Fraction(exp) * 2
-            if doubled.denominator != 1:
-                raise ValueError("exponents must lie in (1/2)Z")
-            if doubled != 0:
-                twice[name] = int(doubled)
+            if type(exp) is int:
+                doubled = 2 * exp
+            else:
+                doubled = Fraction(exp) * 2
+                if doubled.denominator != 1:
+                    raise ValueError("exponents must lie in (1/2)Z")
+                doubled = int(doubled)
+            if doubled:
+                twice[name] = doubled
         _set(self, "_coeff", coeff)
         _set(self, "_twice", tuple(sorted(twice.items())))
 
@@ -111,14 +140,14 @@ class Monomial:
         return _new, (self._coeff, self._twice)
 
     @classmethod
-    def _from_twice(cls, coeff: Fraction, twice: Mapping[str, int]) -> "Monomial":
+    def _from_twice(cls, coeff: Rational, twice: Mapping[str, int]) -> "Monomial":
         if coeff == 0:
             raise ValueError("monomial coefficients are nonzero")
-        return _new(coeff, tuple(sorted((n, t) for n, t in twice.items() if t)))
+        return _new(_canon(coeff), tuple(sorted((n, t) for n, t in twice.items() if t)))
 
     @property
     def coeff(self) -> Fraction:
-        return self._coeff
+        return Fraction(self._coeff)
 
     def exponents(self) -> dict[str, Fraction]:
         """Exponent of each symbol, as exact fractions."""
@@ -139,22 +168,14 @@ class Monomial:
 
     def __mul__(self, other):
         if isinstance(other, Monomial):
-            a, b = self._coeff, other._coeff
-            coeff = b if a == 1 else a if b == 1 else a * b
-            if not other._twice:
-                twice = self._twice
-            elif not self._twice:
-                twice = other._twice
-            else:
-                merged = dict(self._twice)
-                for name, t in other._twice:
-                    merged[name] = merged.get(name, 0) + t
-                twice = tuple(sorted(item for item in merged.items() if item[1]))
-            return _new(coeff, twice)
+            coeff = self._coeff * other._coeff
+            if type(coeff) is not int:
+                coeff = _canon(coeff)
+            return _new(coeff, _merge(self._twice, other._twice))
         if isinstance(other, (int, Fraction)):
             if other == 0:
                 raise ValueError("monomial coefficients are nonzero")
-            return _new(self._coeff * Fraction(other), self._twice)
+            return _new(_canon(self._coeff * other), self._twice)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -164,7 +185,14 @@ class Monomial:
             return NotImplemented
         if n == 0:
             return ONE
-        coeff = self._coeff if self._coeff == 1 else self._coeff ** n
+        coeff = self._coeff
+        if type(coeff) is not int:
+            coeff = _canon(coeff ** n)
+        elif coeff == -1:
+            coeff = -1 if n % 2 else 1
+        elif coeff != 1:
+            # an int to a negative power would be a float; |coeff| > 1 keeps 1/coeff^-n non-integral
+            coeff = coeff ** n if n > 0 else Fraction(1, coeff ** -n)
         # a list, not a generator: tuple() of a generator over-allocates and then
         # shrinks, which leaves freed tuples piling up in the interpreter's free lists
         return _new(coeff, tuple([(name, t * n) for name, t in self._twice]))
@@ -174,7 +202,7 @@ class Monomial:
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
-            return _new(self._coeff / Fraction(other), self._twice)
+            return _new(_canon(self._coeff / Fraction(other)), self._twice)
         if not isinstance(other, Monomial):
             return NotImplemented
         return self * other.inverse()
@@ -209,7 +237,8 @@ class Monomial:
                         "but its assignment declares no square root"
                     )
                 result *= sv.sqrt ** t
-        return result
+        # any symbol factor has made it a Fraction; only a bare int coefficient is left
+        return result if type(result) is Fraction else Fraction(result)
 
     def text(self) -> str:
         """Canonical textual form, e.g. ``-3/2 * W * q^(1/2)``.
@@ -262,9 +291,9 @@ class Monomial:
         return f"Monomial[{self.text()}]"
 
 
-def _new(coeff: Fraction, twice: tuple[tuple[str, int], ...]) -> Monomial:
-    """Unvalidated constructor: ``coeff`` is a nonzero ``Fraction`` and ``twice`` is
-    sorted by name with no zero entries."""
+def _new(coeff: Rational, twice: tuple[tuple[str, int], ...]) -> Monomial:
+    """Unvalidated constructor: ``coeff`` is nonzero and canonical (see :func:`_canon`)
+    and ``twice`` is sorted by name with no zero entries."""
     self = object.__new__(Monomial)
     _set(self, "_coeff", coeff)
     _set(self, "_twice", twice)

@@ -212,7 +212,7 @@ class SphericalFactor(FrozenValue):
 
     def __init__(self, place: str, degree: int) -> None:
         if int(degree) != degree or degree < 1:
-            raise ValueError(f"degree must be a positive integer, got {degree}")
+            raise ValueError(f"degree must be a positive integer, got {degree!r}")
         _set(self, "place", place)
         _set(self, "degree", int(degree))
 
@@ -338,7 +338,7 @@ def divisibility_check(
     per-eigenvalue comparison ``mult_source <= constant · mult_target``.
     """
     if int(constant) != constant or constant < 1:
-        raise ValueError(f"the constant must be a positive integer, got {constant}")
+        raise ValueError(f"the constant must be a positive integer, got {constant!r}")
     constant = int(constant)
     source = _eigenvalue_multiplicities(space_source, factors, assign)
     target = _eigenvalue_multiplicities(space_target, factors, assign)

@@ -60,7 +60,7 @@ class Segment(FrozenValue):
         if not isinstance(gamma, Monomial):
             raise ValueError("segment twist must be a Monomial")
         if int(d) != d or d < 1:
-            raise ValueError(f"segment length must be a positive integer, got {d}")
+            raise ValueError(f"segment length must be a positive integer, got {d!r}")
         _set(self, "gamma", gamma)
         _set(self, "d", int(d))
 
@@ -111,17 +111,19 @@ class LocalRepDescriptor(FrozenValue):
     def _key(self) -> tuple:
         return (self.shape, self.segments)
 
+    @cached_property
+    def _block_params(self) -> tuple[tuple[Monomial, ...], ...]:
+        """Per block, its segment ladders in order; built once, so every caller
+        (and every ``_ladders`` key) shares the same ``Monomial`` objects."""
+        return tuple(
+            tuple(m for seg in block for m in seg.params()) for block in self.segments
+        )
+
     def block_params(self, i: int) -> tuple[Monomial, ...]:
-        out: list[Monomial] = []
-        for seg in self.segments[i]:
-            out.extend(seg.params())
-        return tuple(out)
+        return self._block_params[i]
 
     def all_params(self) -> tuple[Monomial, ...]:
-        out: list[Monomial] = []
-        for i in range(self.shape.r):
-            out.extend(self.block_params(i))
-        return tuple(out)
+        return tuple(m for block in self._block_params for m in block)
 
     @cached_property
     def is_generic(self) -> bool:
@@ -140,7 +142,8 @@ class LocalRepDescriptor(FrozenValue):
         parameter's segment and rank within that segment's ladder."""
         out = []
         for i, block in enumerate(self.segments):
-            places = {m: (s, k) for s, seg in enumerate(block) for k, m in enumerate(seg.params())}
+            ranks = [(s, k) for s, seg in enumerate(block) for k in range(seg.d)]
+            places = dict(zip(self._block_params[i], ranks))
             start = self.shape.offsets[i]
             out.append((start, start + self.shape.blocks[i], places))
         return tuple(out)

@@ -55,6 +55,7 @@ from .monomial import (
     RESIDUE_SYMBOL,
     UNIFORMIZER_SYMBOL,
     _half_power,
+    _merge,
     valid_symbol,
 )
 from .tori import (
@@ -623,9 +624,8 @@ def satake_transfer(poly: LaurentPoly, cfg: TransferConfig) -> LaurentPoly:
     mu, slot_twists = cfg.mu, cfg._slot_twist_exponents
     for (exps, sym), coeff in poly._terms.items():
         pulled = tuple(exps[p] for p in cfg.sigma)
-        twice = dict(sym)
-        twice[mu] = twice.get(mu, 0) + 2 * sum(e * t for e, t in zip(exps, slot_twists))
-        out[pulled, tuple(sorted((n, t) for n, t in twice.items() if t))] = coeff
+        shift = 2 * sum(e * t for e, t in zip(exps, slot_twists))
+        out[pulled, _merge(sym, ((mu, shift),) if shift else ())] = coeff
     return LaurentPoly._raw(cfg.source.blocks, out)
 
 

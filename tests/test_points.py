@@ -323,6 +323,10 @@ def _space(mult=1):
             lambda: divisibility_check(_space(), _space(), 0, _FACTORS, {}),
             "the constant must be a positive integer, got 0",
         ),
+        (
+            lambda: divisibility_check(_space(), _space(), "2", _FACTORS, {}),
+            "the constant must be a positive integer, got '2'",
+        ),
         (lambda: constant_C(2.5, [1]), "dimensions must be positive integers"),
         (lambda: constant_C(3, [2, 1.5]), "packet dimensions must be integers, got 1.5"),
         (lambda: constant_C(0, [2]), "dimensions must be positive integers"),

@@ -126,6 +126,22 @@ def test_descriptor_params_and_genericity():
     assert not chain.is_generic
 
 
+def test_refinements_share_the_cached_ladder_objects():
+    """Parameters are built once per descriptor, so the values handed to
+    ``is_accessible`` are the ``_ladders`` keys themselves and each lookup
+    stops at the identity test instead of comparing coefficients."""
+    desc = LocalRepDescriptor(
+        GroupShape((3, 2)),
+        ((Segment(symbol("g"), 2), Segment(symbol("c"), 1)), (Segment(symbol("h"), 2),)),
+    )
+    assert desc.block_params(0) is desc.block_params(0)
+    keys = {id(m) for _, _, places in desc._ladders for m in places}
+    assert {id(m) for i in range(2) for m in desc.block_params(i)} == keys
+    refinements = enumerate_refinements(desc)
+    assert len(refinements) == 12
+    assert all(id(v) in keys for chi in refinements for v in chi.values)
+
+
 def test_steinberg_refinements():
     g = symbol("g")
     desc = LocalRepDescriptor(GroupShape((2,)), ((Segment(g, 2),),))

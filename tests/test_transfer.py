@@ -19,7 +19,13 @@ from eigentransfer.errors import (
 )
 from eigentransfer.laurent import LaurentPoly, elementary_symmetric
 from eigentransfer.monomial import Monomial, ONE, symbol
-from eigentransfer.refinements import LocalRepDescriptor, Segment, enumerate_refinements
+from eigentransfer.refinements import (
+    LocalRepDescriptor,
+    Segment,
+    accessible_transfer_check,
+    enumerate_refinements,
+    is_accessible,
+)
 from eigentransfer.tori import (
     AlgebraicWeight,
     CocharVector,
@@ -737,7 +743,15 @@ def test_cached_data_leaves_no_cyclic_garbage():
             weight = AlgebraicWeight(GroupShape((2, 1, 2)), (1, 0, 4, 2, 2))
             assert weight.classify() == "dominant"
             assert CocharVector(GroupShape((2, 1, 2)), weight.exps).is_antidominant()
-            del cfg, chi, weight
+            # the per-descriptor parameter ladders, genericity and accessibility tables
+            desc = LocalRepDescriptor(
+                cfg.source,
+                [[Segment(symbol("a"), 2)], [Segment(symbol("b"), 1)], [Segment(symbol("c"), 2)]],
+            )
+            assert desc.all_params() == tuple(v for i in range(3) for v in desc.block_params(i))
+            assert sum(is_accessible(desc, r) for r in enumerate_refinements(desc)) == 1
+            assert accessible_transfer_check(desc, cfg)
+            del cfg, chi, weight, desc
         assert gc.collect() == 0
     finally:
         gc.enable()

@@ -35,6 +35,7 @@ TORI = "src/eigentransfer/tori.py"
 POINTS = "src/eigentransfer/points.py"
 TRANSFER = "src/eigentransfer/transfer.py"
 JSONIO = "src/eigentransfer/jsonio.py"
+MONOMIAL = "src/eigentransfer/monomial.py"
 
 # (name, file, old text, new text, pytest node ids that must fail)
 MUTANTS = [
@@ -99,6 +100,41 @@ MUTANTS = [
         "        cfg._atkin_lehner_multipliers if normalized else cfg._atkin_lehner_plain_multipliers\n"
         "    )\n",
         ["tests/test_transfer.py::test_pullback_error_order"],
+    ),
+    (
+        "disjoint exponent merge without the sort",
+        MONOMIAL,
+        "return tuple(sorted(a + b))",
+        "return a + b",
+        ["tests/test_monomial_kernel.py::test_merge_matches_dict_merge_on_each_kind_of_overlap"],
+    ),
+    (
+        "ordered-concatenation test on the first names only",
+        MONOMIAL,
+        "if a[-1][0] < b[0][0]:",
+        "if a[0][0] < b[0][0]:",
+        ["tests/test_monomial_kernel.py::test_merge_matches_dict_merge_on_each_kind_of_overlap"],
+    ),
+    (
+        "exponent merge keeping cancelled names",
+        MONOMIAL,
+        "tuple(sorted([item for item in merged.items() if item[1]]))",
+        "tuple(sorted([item for item in merged.items()]))",
+        ["tests/test_monomial_kernel.py::test_merge_matches_dict_merge_on_each_kind_of_overlap"],
+    ),
+    (
+        "power of a -1 coefficient through int ** n",
+        MONOMIAL,
+        "coeff = -1 if n % 2 else 1",
+        "coeff = coeff ** n",
+        ["tests/test_monomial_kernel.py::test_canonical_coefficients_on_unit_and_negative_powers"],
+    ),
+    (
+        "coeff returning the stored int",
+        MONOMIAL,
+        "return Fraction(self._coeff)",
+        "return self._coeff",
+        ["tests/test_monomial_kernel.py::test_canonical_coefficients_on_unit_and_negative_powers"],
     ),
 ]
 
