@@ -189,12 +189,6 @@ ERRORS = [
     (Segment, (1, 1), "segment twist must be a Monomial"),
     (Segment, (symbol("g"), 0), "segment length must be a positive integer, got 0"),
     (Segment, (symbol("g"), 1.5), "segment length must be a positive integer, got 1.5"),
-    (Segment, (symbol("g"), "2"), "segment length must be a positive integer, got '2'"),
-    (
-        Segment,
-        (symbol("g"), Fraction(3, 2)),
-        "segment length must be a positive integer, got Fraction(3, 2)",
-    ),
     (LocalRepDescriptor, (SHAPE, ((SEGMENT,),)), "descriptor needs 2 segment blocks, got 1"),
     (
         LocalRepDescriptor,
@@ -239,6 +233,12 @@ ERRORS = [
     ),
     (SphericalFactor, ("v", 0), "degree must be a positive integer, got 0"),
     (SphericalFactor, ("v", "2"), "degree must be a positive integer, got '2'"),
+    (Segment, (symbol("g"), "2"), "segment length must be a positive integer, got '2'"),
+    (
+        Segment,
+        (symbol("g"), Fraction(3, 2)),
+        "segment length must be a positive integer, got Fraction(3, 2)",
+    ),
 ]
 
 
