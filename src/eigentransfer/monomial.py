@@ -65,8 +65,6 @@ def _merge(a: tuple, b: tuple) -> tuple:
     merged = dict(a)
     for name, t in b:
         merged[name] = merged.get(name, 0) + t
-    if len(merged) == len(a) + len(b):  # no shared name: nothing adds up or cancels
-        return tuple(sorted(a + b))
     return tuple(sorted([item for item in merged.items() if item[1]]))
 
 
@@ -188,11 +186,9 @@ class Monomial:
         coeff = self._coeff
         if type(coeff) is not int:
             coeff = _canon(coeff ** n)
-        elif coeff == -1:
-            coeff = -1 if n % 2 else 1
         elif coeff != 1:
-            # an int to a negative power would be a float; |coeff| > 1 keeps 1/coeff^-n non-integral
-            coeff = coeff ** n if n > 0 else Fraction(1, coeff ** -n)
+            # an int to a negative power would be a float
+            coeff = coeff ** n if n > 0 else _canon(Fraction(1, coeff ** -n))
         # a list, not a generator: tuple() of a generator over-allocates and then
         # shrinks, which leaves freed tuples piling up in the interpreter's free lists
         return _new(coeff, tuple([(name, t * n) for name, t in self._twice]))

@@ -68,7 +68,7 @@ def test_summary_layout_medians_wins_and_order(tmp_path):
         "=== 435 passed in 38.64s ===\n"
     )
     commits = {"parent": "a" * 40, "change": "b" * 40}
-    result = bench_pairs.summarise(checkouts, commits, SEEDS, [(log, log)], "Claims a gain.")
+    result = bench_pairs.summarise(checkouts, commits, SEEDS, (log, log), "Claims a gain.")
     assert result["commits"] == commits and result["seeds"] == SEEDS
     assert result["first"] == ["parent", "change", "parent"]
     assert result["about"].endswith("Claims a gain.")
@@ -83,9 +83,9 @@ def test_summary_layout_medians_wins_and_order(tmp_path):
     assert p50["wins"] == 3 and p50["better"] == "lower"
     assert result["workloads"][WORKLOADS[0]]["setup_s"]["wins"] == 0  # ties count for neither
     assert result["workloads"][WORKLOADS[0]]["failed"] == {"parent": [0] * 3, "change": [0] * 3}
-    assert result["tier1_durations_s"]["change"] == [
-        {"test_criterion_8_homomorphism_laws": 7.5, "suite_passed": 435, "suite_s": 38.64}
-    ]
+    assert result["tier1_durations_s"]["change"] == {
+        "test_criterion_8_homomorphism_laws": 7.5, "suite_passed": 435, "suite_s": 38.64
+    }
 
 
 def test_refusals(tmp_path, capsys):
@@ -93,9 +93,9 @@ def test_refusals(tmp_path, capsys):
     commits = {"parent": "a", "change": "b"}
     _write(checkouts["change"], WORKLOADS[1], SEEDS[0], 100.0, 0, seconds=12.0)
     with pytest.raises(bench_pairs.Refused, match="different interpreters"):
-        bench_pairs.summarise(checkouts, commits, SEEDS, [], "")
+        bench_pairs.summarise(checkouts, commits, SEEDS, None, "")
     with pytest.raises(bench_pairs.Refused, match="missing record"):
-        bench_pairs.summarise(checkouts, commits, SEEDS + [14], [], "")
+        bench_pairs.summarise(checkouts, commits, SEEDS + [14], None, "")
     existing = tmp_path / "BENCH_1.json"
     existing.write_text("{}")
     argv = [str(checkouts["parent"]), str(checkouts["change"]), str(existing), "--seeds", "11"]

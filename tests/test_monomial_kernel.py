@@ -126,7 +126,7 @@ class FractionMonomial:
 
 
 _NAMES = ("a", "b", "q", "W")
-# integral (as int and as Fraction), non-integral, and the units +-1, which __pow__ special-cases
+# integral (as int and as Fraction), non-integral, and the units +-1, whose inverses are integral
 _coefficients = st.one_of(
     st.sampled_from((1, -1, Fraction(1), Fraction(-1), Fraction(4, 2))),
     st.integers(-12, 12).filter(bool),

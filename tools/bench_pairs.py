@@ -13,8 +13,7 @@ relative median difference, and ``wins``: the pairs in which the change is
 better in the metric's direction.  It also records the failed and attempted
 op counts per run, which side ran first in each pair (by record mtime), the
 environment and both commits.  ``--tier1`` adds the slowest tests and the
-suite total parsed from ``pytest --durations`` logs, one pair of logs per
-use.
+suite total parsed from one ``pytest --durations`` log per side.
 
 Refused, with exit code 2: an existing output file (records are never
 overwritten), a missing record, a traced record, or records whose
@@ -82,7 +81,11 @@ def _tier1(log: Path) -> dict:
 
 
 def summarise(
-    checkouts: dict[str, Path], commits: dict[str, str], seeds: list[int], tier1: list, note: str
+    checkouts: dict[str, Path],
+    commits: dict[str, str],
+    seeds: list[int],
+    tier1: tuple[Path, Path] | None,
+    note: str,
 ) -> dict:
     """The ``BENCH_<n>.json`` object for the records under ``checkouts[side]/bench/out``."""
     spec = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
@@ -143,9 +146,8 @@ def summarise(
     }
     if tier1:
         result["tier1_durations_s"] = {
-            "about": "pytest --durations of the Tier-1 command, one log per side and pair.",
-            "parent": [_tier1(Path(p)) for p, _ in tier1],
-            "change": [_tier1(Path(c)) for _, c in tier1],
+            "about": "pytest --durations of the Tier-1 command, one log per side.",
+            **{side: _tier1(Path(log)) for side, log in zip(SIDES, tier1)},
         }
     return result
 
@@ -158,9 +160,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("change", type=Path, help="checkout of the change")
     parser.add_argument("out", type=Path, help="BENCH_<n>.json to write; must not exist")
     parser.add_argument("--seeds", type=int, nargs="+", required=True)
-    parser.add_argument(
-        "--tier1", nargs=2, action="append", default=[], metavar=("PARENT_LOG", "CHANGE_LOG")
-    )
+    parser.add_argument("--tier1", nargs=2, metavar=("PARENT_LOG", "CHANGE_LOG"))
     parser.add_argument("--note", default="", help="text appended to the about field")
     args = parser.parse_args(argv)
     try:
