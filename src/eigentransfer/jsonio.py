@@ -1,4 +1,4 @@
-"""JSON codecs for the batch command-line interface.
+"""JSON codecs and the command table of the batch command-line interface.
 
 Schema conventions (version "1"): shapes are arrays of positive block sizes;
 permutations are one-line and 1-based; rationals are integers or strings of
@@ -8,9 +8,10 @@ characters are flat arrays of canonical monomial strings; weights and Satake
 data are arrays grouped by block.  Every decoder raises ``SchemaError`` with
 the offending location on malformed input; unknown and repeated keys are rejected.
 
-``decode_job`` checks the job envelope and ``decode_payload`` decodes a
-command's payload into the keyword arguments of its handler, so this module
-is the only one that checks the JSON job.
+``decode_job`` checks the job envelope and ``run_command`` runs one entry of
+the command table: a function that decodes every field of its payload, then
+calls the library and encodes the report body.  So this module is the only
+one that checks the JSON job or knows a command.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import json
 from fractions import Fraction
 from typing import Any, Callable, TypeVar
 
-from .errors import SchemaError
+from .errors import NotRelevant, SchemaError
 from .monomial import _COEFF_RE, Monomial, SymbolValue, valid_symbol
 from .points import (
     AtkinLehnerFactor,
@@ -27,16 +28,37 @@ from .points import (
     HeckeFactor,
     MockFormSpace,
     SphericalFactor,
+    build_transferred_space,
     constant_C,
+    diagram_check,
+    divisibility_check,
+    transfer_point,
 )
-from .refinements import LocalRepDescriptor, Segment
+from .refinements import (
+    LocalRepDescriptor,
+    Segment,
+    accessible_transfer_check,
+    count_accessible,
+    enumerate_refinements,
+    is_accessible,
+    refinement_count_inequality,
+)
 from .tori import AlgebraicWeight, GroupShape, UnramifiedCharacter
-from .transfer import DEFAULT_TWIST_SYMBOL, TransferConfig
+from .transfer import (
+    DEFAULT_TWIST_SYMBOL,
+    TransferConfig,
+    archimedean_sigma,
+    archimedean_transfer,
+    atkin_lehner_pullback,
+    refinement_pullback,
+    refinement_pullback_normalized,
+    verify_transfer_compatibility,
+)
 
 __all__ = [
     "SCHEMA_VERSION",
     "decode_job",
-    "decode_payload",
+    "run_command",
     "decode_config",
     "decode_shape",
     "decode_rational",
@@ -318,67 +340,113 @@ def _decode_constant(payload: dict) -> int:
     return constant_C(_integer(packet["dim_source"], "packet.dim_source"), dims)
 
 
-# One decoder per command.  Each checks the payload keys, then decodes its
-# fields in a fixed order, so a payload with several faults reports the first.
+# One function per command.  Each checks the payload keys and decodes every
+# field in a fixed order, so a payload with several faults reports the first;
+# only then does it call the library and encode its report body.
 
 
-def _weight_payload(payload: dict) -> dict:
+def _transfer_weight(payload: dict) -> dict:
     _check_keys(payload, ("shape", "alpha", "weight"), (), "payload")
     shape = decode_shape(payload["shape"], "shape")
     alpha = decode_rational(payload["alpha"], "alpha")
-    return {"weight": decode_weight(payload["weight"], shape, "weight"), "alpha": alpha}
+    weight = decode_weight(payload["weight"], shape, "weight")
+    result = archimedean_transfer(weight, alpha)
+    try:
+        sigma = archimedean_sigma(weight, alpha)
+        realized = True
+    except NotRelevant:
+        sigma = result.sigma
+        realized = False
+    return {
+        "weight": encode_weight(result.weight),
+        "sigma": encode_sigma(sigma),
+        "realized": realized,
+    }
 
 
-def _refinement_payload(payload: dict) -> dict:
+def _transfer_refinement(payload: dict) -> dict:
     _check_keys(payload, ("config", "character"), (), "payload")
     cfg = decode_config(payload["config"])
-    return {"cfg": cfg, "chi": decode_character(payload["character"], cfg.source)}
+    chi = decode_character(payload["character"], cfg.source)
+    return {
+        "refinement": encode_character(refinement_pullback(chi, cfg)),
+        "refinement_normalized": encode_character(refinement_pullback_normalized(chi, cfg)),
+        "atkin_lehner": encode_character(atkin_lehner_pullback(chi, cfg)),
+    }
 
 
-def _hypothesis1_payload(payload: dict) -> dict:
+def _check_hypothesis1(payload: dict) -> dict:
     _check_keys(payload, ("config",), ("drop_normalization",), "payload")
     cfg = decode_config(payload["config"])
     drop = payload.get("drop_normalization", False)
     if not isinstance(drop, bool):
         raise SchemaError("drop_normalization: expected a boolean")
-    return {"cfg": cfg, "drop": drop}
+    report = verify_transfer_compatibility(cfg, drop_normalization=drop)
+    return {
+        "verdict": report.verdict,
+        "checks": [
+            {"name": check.name, "passed": check.passed, "residuals": list(check.residuals)}
+            for check in report.checks
+        ],
+    }
 
 
-def _descriptor_payload(payload: dict) -> dict:
+def _enumerate_refinements(payload: dict) -> dict:
     _check_keys(payload, ("descriptor",), (), "payload")
-    return {"desc": decode_descriptor(payload["descriptor"])}
+    desc = decode_descriptor(payload["descriptor"])
+    refinements = enumerate_refinements(desc)
+    flags = [is_accessible(desc, refinement) for refinement in refinements]
+    return {
+        "refinements": [encode_character(refinement) for refinement in refinements],
+        "accessible": flags,
+        "counts": {
+            "total": len(refinements),
+            "accessible": sum(flags),
+            "formula": count_accessible(desc),
+        },
+    }
 
 
-def _accessible_payload(payload: dict) -> dict:
+def _check_accessible_transfer(payload: dict) -> dict:
     _check_keys(payload, ("config", "descriptor"), (), "payload")
     cfg = decode_config(payload["config"])
-    return {"cfg": cfg, "desc": decode_descriptor(payload["descriptor"])}
+    desc = decode_descriptor(payload["descriptor"])
+    transfer_ok = accessible_transfer_check(desc, cfg)
+    count_source, count_target, count_ok = refinement_count_inequality(desc, cfg)
+    return {
+        "verdict": "pass" if transfer_ok and count_ok else "fail",
+        "accessible_transfer": transfer_ok,
+        "count_source": count_source,
+        "count_target": count_target,
+        "count_inequality": count_ok,
+    }
 
 
-def _point_payload(payload: dict) -> dict:
+def _transfer_point(payload: dict) -> dict:
     _check_keys(payload, ("config", "point"), (), "payload")
     cfg = decode_config(payload["config"])
-    return {"cfg": cfg, "point": decode_point(payload["point"], cfg.source)}
+    point = decode_point(payload["point"], cfg.source)
+    return {"point": encode_point(transfer_point(point, cfg))}
 
 
-def _diagram_payload(payload: dict) -> dict:
+def _check_diagram(payload: dict) -> dict:
     _check_keys(payload, ("config", "source_points", "target_points"), (), "payload")
     cfg = decode_config(payload["config"])
     source, target = payload["source_points"], payload["target_points"]
     if not isinstance(source, list) or not isinstance(target, list):
         raise SchemaError("source_points and target_points must be arrays")
+    source = [decode_point(obj, cfg.source, f"source_points[{i}]") for i, obj in enumerate(source)]
+    target = [decode_point(obj, cfg.target, f"target_points[{i}]") for i, obj in enumerate(target)]
+    report = diagram_check(source, target, cfg)
     return {
-        "cfg": cfg,
-        "source": [
-            decode_point(obj, cfg.source, f"source_points[{i}]") for i, obj in enumerate(source)
-        ],
-        "target": [
-            decode_point(obj, cfg.target, f"target_points[{i}]") for i, obj in enumerate(target)
-        ],
+        "verdict": "pass" if report.ok else "fail",
+        "matched": report.matched,
+        "unmatched": report.unmatched,
+        "results": list(report.results),
     }
 
 
-def _interpolation_payload(payload: dict) -> dict:
+def _check_interpolation(payload: dict) -> dict:
     _check_keys(
         payload,
         ("config", "source_space", "target_space", "generators", "assignments"),
@@ -386,31 +454,41 @@ def _interpolation_payload(payload: dict) -> dict:
         "payload",
     )
     cfg = decode_config(payload["config"])
+    source_space = decode_space(payload["source_space"], cfg.source, "source_space")
+    target_space = decode_space(payload["target_space"], cfg.target, "target_space")
+    constant = _decode_constant(payload)
+    generators = [
+        decode_factors(obj, f"generators[{i}]")
+        for i, obj in enumerate(_non_empty(payload["generators"], "generators"))
+    ]
+    assignments = [
+        decode_assignment(obj, f"assignments[{i}]")
+        for i, obj in enumerate(_non_empty(payload["assignments"], "assignments"))
+    ]
+    transferred = build_transferred_space(source_space, cfg)
+    results = [
+        [
+            divisibility_check(transferred, target_space, constant, generator, assignment)
+            for assignment in assignments
+        ]
+        for generator in generators
+    ]
     return {
-        "cfg": cfg,
-        "source_space": decode_space(payload["source_space"], cfg.source, "source_space"),
-        "target_space": decode_space(payload["target_space"], cfg.target, "target_space"),
-        "constant": _decode_constant(payload),
-        "generators": [
-            decode_factors(obj, f"generators[{i}]")
-            for i, obj in enumerate(_non_empty(payload["generators"], "generators"))
-        ],
-        "assignments": [
-            decode_assignment(obj, f"assignments[{i}]")
-            for i, obj in enumerate(_non_empty(payload["assignments"], "assignments"))
-        ],
+        "verdict": "pass" if all(all(row) for row in results) else "fail",
+        "constant": constant,
+        "results": results,
     }
 
 
-_PAYLOADS = {
-    "transfer-weight": _weight_payload,
-    "transfer-refinement": _refinement_payload,
-    "check-hypothesis1": _hypothesis1_payload,
-    "enumerate-refinements": _descriptor_payload,
-    "check-accessible-transfer": _accessible_payload,
-    "transfer-point": _point_payload,
-    "check-diagram": _diagram_payload,
-    "check-interpolation": _interpolation_payload,
+_COMMANDS: dict[str, Callable[[dict], dict]] = {
+    "transfer-weight": _transfer_weight,
+    "transfer-refinement": _transfer_refinement,
+    "check-hypothesis1": _check_hypothesis1,
+    "enumerate-refinements": _enumerate_refinements,
+    "check-accessible-transfer": _check_accessible_transfer,
+    "transfer-point": _transfer_point,
+    "check-diagram": _check_diagram,
+    "check-interpolation": _check_interpolation,
 }
 
 
@@ -439,14 +517,14 @@ def decode_job(raw: bytes) -> tuple[str, dict]:
     if version != SCHEMA_VERSION:
         raise SchemaError(f"job: unsupported schema_version {version!r}")
     command = job.get("command")
-    if not isinstance(command, str) or command not in _PAYLOADS:
-        raise SchemaError(f"job: command must be one of {', '.join(sorted(_PAYLOADS))}")
+    if not isinstance(command, str) or command not in _COMMANDS:
+        raise SchemaError(f"job: command must be one of {', '.join(sorted(_COMMANDS))}")
     payload = job.get("payload")
     if not isinstance(payload, dict):
         raise SchemaError("job: missing payload object")
     return command, payload
 
 
-def decode_payload(command: str, payload: dict) -> dict[str, Any]:
-    """Decode the payload of ``command`` into the keyword arguments of its handler."""
-    return _PAYLOADS[command](payload)
+def run_command(command: str, payload: dict) -> dict:
+    """Decode the payload of ``command``, run it and return its encoded report body."""
+    return _COMMANDS[command](payload)

@@ -28,6 +28,7 @@ from .tori import (
     AlgebraicWeight,
     CocharVector,
     UnramifiedCharacter,
+    _integer,
     _integers,
     weight_as_character,
 )
@@ -211,10 +212,11 @@ class SphericalFactor(FrozenValue):
     __slots__ = _fields = ("place", "degree")
 
     def __init__(self, place: str, degree: int) -> None:
-        if int(degree) != degree or degree < 1:
+        k = _integer(degree)
+        if k is None or k < 1:
             raise ValueError(f"degree must be a positive integer, got {degree!r}")
         _set(self, "place", place)
-        _set(self, "degree", int(degree))
+        _set(self, "degree", k)
 
     def _key(self) -> tuple:
         return (self.place, self.degree)
@@ -337,12 +339,12 @@ def divisibility_check(
     Both polynomials split into linear factors by construction, so this is the
     per-eigenvalue comparison ``mult_source <= constant · mult_target``.
     """
-    if int(constant) != constant or constant < 1:
+    c = _integer(constant)
+    if c is None or c < 1:
         raise ValueError(f"the constant must be a positive integer, got {constant!r}")
-    constant = int(constant)
     source = _eigenvalue_multiplicities(space_source, factors, assign)
     target = _eigenvalue_multiplicities(space_target, factors, assign)
-    return all(mult <= constant * target.get(lam, 0) for lam, mult in source.items())
+    return all(mult <= c * target.get(lam, 0) for lam, mult in source.items())
 
 
 def constant_C(dim_source: int, dims_target: Sequence[int]) -> int:
@@ -350,9 +352,10 @@ def constant_C(dim_source: int, dims_target: Sequence[int]) -> int:
     dims = _integers(dims_target, "packet dimensions")
     if not dims:
         raise EmptyPacket("the packet of target dimensions is empty")
-    if int(dim_source) != dim_source or dim_source < 1 or any(d < 1 for d in dims):
+    source = _integer(dim_source)
+    if source is None or source < 1 or any(d < 1 for d in dims):
         raise ValueError("dimensions must be positive integers")
-    return max(-(-int(dim_source) // d) for d in dims)
+    return max(-(-source // d) for d in dims)
 
 
 def build_transferred_space(space: MockFormSpace, cfg: TransferConfig) -> MockFormSpace:

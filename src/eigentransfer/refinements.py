@@ -31,6 +31,7 @@ from .tori import (
     AlgebraicWeight,
     GroupShape,
     UnramifiedCharacter,
+    _integer,
     modulus_half,
     weight_as_character,
 )
@@ -59,10 +60,11 @@ class Segment(FrozenValue):
     def __init__(self, gamma: Monomial, d: int) -> None:
         if not isinstance(gamma, Monomial):
             raise ValueError("segment twist must be a Monomial")
-        if int(d) != d or d < 1:
+        length = _integer(d)
+        if length is None or length < 1:
             raise ValueError(f"segment length must be a positive integer, got {d!r}")
         _set(self, "gamma", gamma)
-        _set(self, "d", int(d))
+        _set(self, "d", length)
 
     def _key(self) -> tuple:
         return (self.gamma, self.d)

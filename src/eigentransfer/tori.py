@@ -33,12 +33,24 @@ __all__ = [
 ]
 
 
+def _integer(x: object) -> int | None:
+    """``int(x)`` when it equals ``x``; ``None`` when it does not or ``int`` refuses ``x``."""
+    try:
+        k = int(x)
+    except (TypeError, ValueError, OverflowError):  # None, NaN or "abc", infinity
+        return None
+    return k if k == x else None
+
+
 def _integers(values: Iterable, what: str) -> tuple[int, ...]:
-    """``values`` as a tuple of ints, refusing any entry ``x`` with ``int(x) != x``."""
+    """``values`` as a tuple of ints, refusing any entry that ``_integer`` refuses."""
     values = tuple(values)
-    ints = tuple(map(int, values))
+    try:
+        ints = tuple(map(int, values))
+    except (TypeError, ValueError, OverflowError):
+        ints = None
     if ints != values:
-        bad = next(x for x, k in zip(values, ints) if k != x)
+        bad = next(x for x in values if _integer(x) is None)
         raise ValueError(f"{what} must be integers, got {bad!r}")
     return ints
 

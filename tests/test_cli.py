@@ -372,6 +372,20 @@ def schema(job, message):
     return job, "SchemaError", message, 2
 
 
+# A config whose computation raises NonIntegralShift, for jobs that pin that
+# every field is decoded before the library runs.
+SHIFT_CONFIG = {"blocks": [1, 2], "sigma": [1, 2, 3], "alpha": 1}
+SHIFT_POINT = {"weight": [[0], [0, 0]]}
+SHIFT = "weight shift 3/2 at block 2 is not an integer (alpha = 1)"
+SHIFT_DIAGRAM = edit(DIAGRAM, config=SHIFT_CONFIG, source_points=[SHIFT_POINT])
+SHIFT_REFINEMENT = edit(REFINEMENT, config=SHIFT_CONFIG, character=["1 * c1", "1 * c2", "1 * c3"])
+SHIFT_INTERP = interpolation_job(
+    config=SHIFT_CONFIG,
+    source_space={"weight": [[0], [0, 0]], "entries": [{"point": SHIFT_POINT, "mult": 1}]},
+    target_space={"weight": [[0, 0, 0]], "entries": []},
+)
+
+
 # One row per error message of the job envelope and the command payloads:
 # (job, error type, error message, exit code).
 ERROR_ROWS = [
@@ -484,6 +498,23 @@ ERROR_ROWS = [
     schema(satake([["1 * s1"], []]), "point.satake.v[1]: expected 1 values, got 0"),
     schema(satake([["1 * s1"], "s2"]), "point.satake.v[1]: expected an array"),
     schema(satake([[5], []]), "point.satake.v[0][0]: expected a string"),
+    # decode before compute: each well-formed job fails in the library, and a
+    # malformed last field is reported instead
+    (SHIFT_DIAGRAM, "NonIntegralShift", SHIFT, 1),
+    schema(
+        edit(SHIFT_DIAGRAM, target_points=[{"weight": [[0, 0]]}]),
+        "target_points[0].weight[0]: expected 3 entries, got 2",
+    ),
+    (SHIFT_REFINEMENT, "NonIntegralShift", SHIFT, 1),
+    schema(
+        edit(SHIFT_REFINEMENT, character=["1 * c1", "1 * c2", "nope nope"]),
+        "character[2]: cannot parse monomial factor 'nope nope'",
+    ),
+    (SHIFT_INTERP, "NonIntegralShift", SHIFT, 1),
+    schema(
+        edit(SHIFT_INTERP, assignments=[{"q": {"value": -2}}]),
+        "assignments[0].q: symbol values must be positive rationals",
+    ),
 ]
 
 

@@ -12,6 +12,7 @@ from fractions import Fraction
 import pytest
 
 from eigentransfer.errors import InvalidSigma
+from eigentransfer.laurent import LaurentPoly
 from eigentransfer.monomial import ONE, SymbolValue, symbol
 from eigentransfer.points import (
     AtkinLehnerFactor,
@@ -19,6 +20,8 @@ from eigentransfer.points import (
     DiagramReport,
     MockFormSpace,
     SphericalFactor,
+    constant_C,
+    divisibility_check,
 )
 from eigentransfer.refinements import LocalRepDescriptor, Segment
 from eigentransfer.tori import AlgebraicWeight, CocharVector, GroupShape, UnramifiedCharacter
@@ -165,6 +168,8 @@ def test_cached_properties_still_cache():
 
 
 TRIVIAL_3 = UnramifiedCharacter.trivial(GroupShape((3,)))
+INF, NAN = float("inf"), float("nan")
+EMPTY_SPACE = MockFormSpace(WEIGHT, ())
 ERRORS = [
     (SymbolValue, (0,), "symbol values must be positive rationals"),
     (SymbolValue, (4, 3), "declared square root does not square to the value"),
@@ -238,6 +243,34 @@ ERRORS = [
         Segment,
         (symbol("g"), Fraction(3, 2)),
         "segment length must be a positive integer, got Fraction(3, 2)",
+    ),
+    # values that int() itself refuses (TypeError, OverflowError or its own
+    # ValueError text) get the message of the site that checks them
+    (GroupShape, ((INF,),), "group shape blocks must be integers, got inf"),
+    (GroupShape, ((None,),), "group shape blocks must be integers, got None"),
+    (GroupShape, ((NAN,),), "group shape blocks must be integers, got nan"),
+    (GroupShape, ((1, "abc"),), "group shape blocks must be integers, got 'abc'"),
+    (Segment, (symbol("g"), INF), "segment length must be a positive integer, got inf"),
+    (Segment, (symbol("g"), None), "segment length must be a positive integer, got None"),
+    (Segment, (symbol("g"), NAN), "segment length must be a positive integer, got nan"),
+    (Segment, (symbol("g"), "abc"), "segment length must be a positive integer, got 'abc'"),
+    (AtkinLehnerFactor, ("p", (INF,)), "cocharacter entries must be integers, got inf"),
+    (LaurentPoly, ((INF,),), "blocks must be integers, got inf"),
+    (SphericalFactor, ("v", None), "degree must be a positive integer, got None"),
+    (SphericalFactor, ("v", INF), "degree must be a positive integer, got inf"),
+    (constant_C, (None, [1]), "dimensions must be positive integers"),
+    (constant_C, (INF, [1]), "dimensions must be positive integers"),
+    (constant_C, (3, [None]), "packet dimensions must be integers, got None"),
+    (MockFormSpace, (WEIGHT, ((POINT, None),)), "multiplicities must be integers, got None"),
+    (
+        divisibility_check,
+        (EMPTY_SPACE, EMPTY_SPACE, INF, (), {}),
+        "the constant must be a positive integer, got inf",
+    ),
+    (
+        divisibility_check,
+        (EMPTY_SPACE, EMPTY_SPACE, NAN, (), {}),
+        "the constant must be a positive integer, got nan",
     ),
 ]
 

@@ -36,6 +36,7 @@ POINTS = "src/eigentransfer/points.py"
 TRANSFER = "src/eigentransfer/transfer.py"
 JSONIO = "src/eigentransfer/jsonio.py"
 MONOMIAL = "src/eigentransfer/monomial.py"
+CLI = "src/eigentransfer/cli.py"
 
 # (name, file, old text, new text, pytest node ids that must fail)
 MUTANTS = [
@@ -128,6 +129,36 @@ MUTANTS = [
         "return Fraction(self._coeff)",
         "return self._coeff",
         ["tests/test_monomial_kernel.py::test_canonical_coefficients_on_unit_and_negative_powers"],
+    ),
+    (
+        "check-interpolation computing before its last decode",
+        JSONIO,
+        '    source_space = decode_space(payload["source_space"], cfg.source, "source_space")\n',
+        '    source_space = decode_space(payload["source_space"], cfg.source, "source_space")\n'
+        "    build_transferred_space(source_space, cfg)\n",
+        [
+            "tests/test_cli.py::test_error_reports[job73-SchemaError-"
+            "assignments[0].q: symbol values must be positive rationals-2]"
+        ],
+    ),
+    (
+        "unreadable job file reported with exit code 1",
+        CLI,
+        'raise SchemaError(f"cannot read job file: {err}") from err',
+        'error = {"type": "SchemaError", "message": f"cannot read job file: {err}"}\n'
+        '                _emit({"schema_version": SCHEMA_VERSION, "error": error}, args.pretty)\n'
+        "                return 1",
+        ["tests/test_cli.py::test_unreadable_and_invalid_json_reports"],
+    ),
+    (
+        "_integers letting int()'s OverflowError through",
+        TORI,
+        "        ints = tuple(map(int, values))\n    except (TypeError, ValueError, OverflowError):",
+        "        ints = tuple(map(int, values))\n    except (TypeError, ValueError):",
+        [
+            "tests/test_values.py::test_constructor_errors["
+            "GroupShape-args29-group shape blocks must be integers, got inf]"
+        ],
     ),
 ]
 
