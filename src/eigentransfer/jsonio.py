@@ -394,6 +394,7 @@ def _check_hypothesis1(payload: dict) -> dict:
 def _enumerate_refinements(payload: dict) -> dict:
     _check_keys(payload, ("descriptor",), (), "payload")
     desc = decode_descriptor(payload["descriptor"])
+    formula = count_accessible(desc)  # refuses a non-generic descriptor before enumerating
     refinements = enumerate_refinements(desc)
     flags = [is_accessible(desc, refinement) for refinement in refinements]
     return {
@@ -402,7 +403,7 @@ def _enumerate_refinements(payload: dict) -> dict:
         "counts": {
             "total": len(refinements),
             "accessible": sum(flags),
-            "formula": count_accessible(desc),
+            "formula": formula,
         },
     }
 

@@ -93,19 +93,18 @@ class SymbolValue(FrozenValue):
         _set(self, "value", value)
         _set(self, "sqrt", sqrt)
 
-    def _key(self) -> tuple:
-        return (self.value, self.sqrt)
 
-
-class Monomial:
+class Monomial(FrozenValue):
     """Element of the group (nonzero rationals) x (free symbols with exponents in Z/2).
 
     Instances are immutable, so cached values can be shared between callers.
     The coefficient is stored as an ``int`` when it is integral and as a
     ``Fraction`` otherwise; :attr:`coeff` always reads it as a ``Fraction``.
+    Equality, hash, repr and pickle are its own, for speed and for the
+    ``Monomial[...]`` text; only the immutability guards come from the base.
     """
 
-    __slots__ = ("_coeff", "_twice")
+    __slots__ = _fields = ("_coeff", "_twice")
 
     def __init__(self, coeff: Rational, exponents: Mapping[str, Rational] | None = None):
         if type(coeff) is not int:
@@ -128,12 +127,6 @@ class Monomial:
         _set(self, "_coeff", coeff)
         _set(self, "_twice", tuple(sorted(twice.items())))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Monomial is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("Monomial is immutable")
-
     def __reduce__(self):
         return _new, (self._coeff, self._twice)
 
@@ -141,7 +134,7 @@ class Monomial:
     def _from_twice(cls, coeff: Rational, twice: Mapping[str, int]) -> "Monomial":
         if coeff == 0:
             raise ValueError("monomial coefficients are nonzero")
-        return _new(_canon(coeff), tuple(sorted((n, t) for n, t in twice.items() if t)))
+        return _make(_canon(coeff), tuple(sorted((n, t) for n, t in twice.items() if t)))
 
     @property
     def coeff(self) -> Fraction:
@@ -169,11 +162,11 @@ class Monomial:
             coeff = self._coeff * other._coeff
             if type(coeff) is not int:
                 coeff = _canon(coeff)
-            return _new(coeff, _merge(self._twice, other._twice))
+            return _make(coeff, _merge(self._twice, other._twice))
         if isinstance(other, (int, Fraction)):
             if other == 0:
                 raise ValueError("monomial coefficients are nonzero")
-            return _new(_canon(self._coeff * other), self._twice)
+            return _make(_canon(self._coeff * other), self._twice)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -191,14 +184,14 @@ class Monomial:
             coeff = coeff ** n if n > 0 else _canon(Fraction(1, coeff ** -n))
         # a list, not a generator: tuple() of a generator over-allocates and then
         # shrinks, which leaves freed tuples piling up in the interpreter's free lists
-        return _new(coeff, tuple([(name, t * n) for name, t in self._twice]))
+        return _make(coeff, tuple([(name, t * n) for name, t in self._twice]))
 
     def inverse(self) -> "Monomial":
         return self ** -1
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
-            return _new(_canon(self._coeff / Fraction(other)), self._twice)
+            return _make(_canon(self._coeff / Fraction(other)), self._twice)
         if not isinstance(other, Monomial):
             return NotImplemented
         return self * other.inverse()
@@ -287,7 +280,7 @@ class Monomial:
         return f"Monomial[{self.text()}]"
 
 
-def _new(coeff: Rational, twice: tuple[tuple[str, int], ...]) -> Monomial:
+def _make(coeff: Rational, twice: tuple[tuple[str, int], ...]) -> Monomial:
     """Unvalidated constructor: ``coeff`` is nonzero and canonical (see :func:`_canon`)
     and ``twice`` is sorted by name with no zero entries."""
     self = object.__new__(Monomial)
@@ -296,9 +289,14 @@ def _new(coeff: Rational, twice: tuple[tuple[str, int], ...]) -> Monomial:
     return self
 
 
+def _new(coeff: Rational, twice: tuple[tuple[str, int], ...]) -> Monomial:
+    """Pickle loader: canonicalises ``coeff``, which older pickles hold as a ``Fraction``."""
+    return _make(_canon(coeff), twice)
+
+
 def _half_power(name: str, doubled: int) -> Monomial:
     """``name^(doubled/2)`` with coefficient one, for a valid symbol ``name``."""
-    return _new(_UNIT, ((name, doubled),) if doubled else ())
+    return _make(_UNIT, ((name, doubled),) if doubled else ())
 
 
 ONE = Monomial(1)

@@ -11,9 +11,10 @@ multiplicities.  Its characteristic polynomial for a chosen product of Hecke
 generators is ``prod (1 - lambda·T)^mult`` with exact rational ``lambda``
 obtained by evaluating each point's eigenvalue under a symbol assignment (the
 weight twist is applied by multiplying in the weight character's value at the
-chosen cocharacter).  Because both sides split into linear factors, the
-divisibility ``charpoly(source) | charpoly(target)^C`` is decided exactly by
-comparing per-eigenvalue multiplicities.
+chosen cocharacter).  The divisibility criterion compares per-eigenvalue
+multiplicities, so it decides exactly whether ``prod (T - lambda)^mult`` of the
+source divides the ``C``-th power of the target's.  That product counts
+``lambda = 0``, which the reversed ``charpoly`` drops.
 """
 
 from __future__ import annotations
@@ -107,9 +108,6 @@ class ClassicalPoint(FrozenValue):
         _set(self, "up", up)
         _set(self, "satake", tuple(satake_norm))
 
-    def _key(self) -> tuple:
-        return (self.weight, self.up, self.satake)
-
     @classmethod
     def build(
         cls,
@@ -156,9 +154,6 @@ class MockFormSpace(FrozenValue):
         _set(self, "weight", weight)
         _set(self, "entries", entries)
 
-    def _key(self) -> tuple:
-        return (self.weight, self.entries)
-
 
 class AtkinLehnerFactor(FrozenValue):
     """Generator of the antidominant double-coset algebra at one place above p.
@@ -172,9 +167,6 @@ class AtkinLehnerFactor(FrozenValue):
     def __init__(self, place: str, cochar: Iterable[int]) -> None:
         _set(self, "place", place)
         _set(self, "cochar", _integers(cochar, "cocharacter entries"))
-
-    def _key(self) -> tuple:
-        return (self.place, self.cochar)
 
     def eigenvalue(self, point: ClassicalPoint, assign: Assignment) -> Fraction:
         shape = point.weight.shape
@@ -217,9 +209,6 @@ class SphericalFactor(FrozenValue):
             raise ValueError(f"degree must be a positive integer, got {degree!r}")
         _set(self, "place", place)
         _set(self, "degree", k)
-
-    def _key(self) -> tuple:
-        return (self.place, self.degree)
 
     def eigenvalue(self, point: ClassicalPoint, assign: Assignment) -> Fraction:
         params = [
@@ -268,9 +257,6 @@ class DiagramReport(FrozenValue):
 
     def __init__(self, results: tuple[bool, ...]) -> None:
         _set(self, "results", results)
-
-    def _key(self) -> tuple:
-        return (self.results,)
 
     @property
     def matched(self) -> int:
@@ -334,10 +320,12 @@ def divisibility_check(
     factors: Sequence[HeckeFactor],
     assign: Assignment,
 ) -> bool:
-    """Whether ``charpoly(source)`` divides ``charpoly(target)^constant``.
+    """Whether the source ``prod (T - lambda)^mult`` divides the target's power ``constant``.
 
-    Both polynomials split into linear factors by construction, so this is the
-    per-eigenvalue comparison ``mult_source <= constant · mult_target``.
+    Both products split into linear factors by construction, so this is the
+    per-eigenvalue comparison ``mult_source <= constant · mult_target``.  It
+    counts ``lambda = 0``, which the reversed :func:`charpoly` cannot see, so
+    on a zero eigenvalue it can disagree with divisibility of ``charpoly``.
     """
     c = _integer(constant)
     if c is None or c < 1:

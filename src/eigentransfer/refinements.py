@@ -66,9 +66,6 @@ class Segment(FrozenValue):
         _set(self, "gamma", gamma)
         _set(self, "d", length)
 
-    def _key(self) -> tuple:
-        return (self.gamma, self.d)
-
     def params(self) -> tuple[Monomial, ...]:
         """The parameter ladder, descending: ``gamma·q^((d-1)/2) .. gamma·q^(-(d-1)/2)``."""
         return tuple(
@@ -109,9 +106,6 @@ class LocalRepDescriptor(FrozenValue):
                 )
         _set(self, "shape", shape)
         _set(self, "segments", segments)
-
-    def _key(self) -> tuple:
-        return (self.shape, self.segments)
 
     @cached_property
     def _block_params(self) -> tuple[tuple[Monomial, ...], ...]:

@@ -66,9 +66,6 @@ class GroupShape(FrozenValue):
             raise ValueError("a group shape needs at least one block, all of positive size")
         _set(self, "blocks", blocks)
 
-    def _key(self) -> tuple:
-        return (self.blocks,)
-
     @property
     def n(self) -> int:
         return sum(self.blocks)
@@ -143,9 +140,6 @@ class CocharVector(FrozenValue):
         _set(self, "shape", shape)
         _set(self, "exps", exps)
 
-    def _key(self) -> tuple:
-        return (self.shape, self.exps)
-
     @classmethod
     def zero(cls, shape: GroupShape) -> "CocharVector":
         return cls(shape, (0,) * shape.n)
@@ -184,9 +178,6 @@ class UnramifiedCharacter(FrozenValue):
             raise ValueError("character values must be Monomial instances")
         _set(self, "shape", shape)
         _set(self, "values", values)
-
-    def _key(self) -> tuple:
-        return (self.shape, self.values)
 
     @classmethod
     def _new(cls, shape: GroupShape, values: tuple[Monomial, ...]) -> "UnramifiedCharacter":
@@ -236,9 +227,6 @@ class AlgebraicWeight(FrozenValue):
             raise ValueError(f"weight needs {shape.n} entries, got {len(exps)}")
         _set(self, "shape", shape)
         _set(self, "exps", exps)
-
-    def _key(self) -> tuple:
-        return (self.shape, self.exps)
 
     def classify(self) -> str:
         """``"regular"`` (strictly decreasing per block), ``"dominant"`` (weakly), or ``"neither"``."""

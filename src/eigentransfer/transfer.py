@@ -212,9 +212,6 @@ class TransferConfig(FrozenValue):
         _set(self, "alpha", Fraction(two_alpha, 2))
         _set(self, "mu", mu)
 
-    def _key(self) -> tuple:
-        return (self.source, self.sigma, self.alpha, self.mu)
-
     @property
     def n(self) -> int:
         return self.source.n
@@ -385,9 +382,6 @@ class CheckResult(FrozenValue):
         _set(self, "passed", passed)
         _set(self, "residuals", residuals)
 
-    def _key(self) -> tuple:
-        return (self.name, self.passed, self.residuals)
-
 
 class TransferReport(FrozenValue):
     """Outcome of the compatibility verifier; passes iff every check has no residual."""
@@ -396,9 +390,6 @@ class TransferReport(FrozenValue):
 
     def __init__(self, checks: tuple[CheckResult, ...]) -> None:
         _set(self, "checks", checks)
-
-    def _key(self) -> tuple:
-        return (self.checks,)
 
     @property
     def passed(self) -> bool:
@@ -495,9 +486,6 @@ class ArchimedeanTransfer(FrozenValue):
     def __init__(self, weight: AlgebraicWeight, sigma: tuple[int, ...]) -> None:
         _set(self, "weight", weight)
         _set(self, "sigma", sigma)
-
-    def _key(self) -> tuple:
-        return (self.weight, self.sigma)
 
 
 def archimedean_transfer(weight: AlgebraicWeight, alpha) -> ArchimedeanTransfer:

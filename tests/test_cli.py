@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from eigentransfer import jsonio
 from eigentransfer.cli import main
 
 
@@ -718,3 +719,19 @@ def test_cli_import_skips_dataclasses_and_inspect():
         [sys.executable, "-c", code], capture_output=True, text=True, env=child_env()
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
+def test_non_generic_descriptor_is_refused_before_enumerating(monkeypatch, tmp_path, capsys):
+    """A repeated parameter is refused by the accessible count, before any ordering is built."""
+
+    def enumerate_refinements(desc):
+        raise AssertionError("enumerated the orderings of a descriptor it then refuses")
+
+    monkeypatch.setattr(jsonio, "enumerate_refinements", enumerate_refinements)
+    segments = [{"gamma": f"1 * g{i}", "d": 1} for i in range(7)] + [{"gamma": "1 * g0", "d": 1}]
+    message = (
+        "descriptor has repeated or linked segment parameters; accessibility "
+        "is only decided for generic descriptors"
+    )
+    job = edit(DESCRIPTOR, descriptor={"blocks": [segments]})
+    check_error_report(tmp_path, capsys, job, "UnsupportedLinked", message, 2)

@@ -14,6 +14,7 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
+from eigentransfer import monomial
 from eigentransfer.errors import MissingSymbol, NonSquareAssignment
 from eigentransfer.laurent import LaurentPoly
 from eigentransfer.monomial import Monomial, SymbolValue, _merge
@@ -209,6 +210,29 @@ def test_canonical_coefficients_on_unit_and_negative_powers():
     assert type((Monomial(Fraction(1, 2)) * Monomial(2))._coeff) is int
     assert type(Monomial(Fraction(1, 2)).inverse()._coeff) is int
     assert type(Monomial(True)._coeff) is int
+
+
+class _FractionPickle:
+    """Reduces as ``Monomial`` did when it stored every coefficient as a ``Fraction``."""
+
+    def __init__(self, ref):
+        self.ref = ref
+
+    def __reduce__(self):
+        return monomial._new, (self.ref._coeff, self.ref._twice)
+
+
+def test_pickle_with_a_fraction_coefficient_loads_canonical():
+    cases = ((3, {"q": Fraction(1, 2)}), (Fraction(-4, 2), {}), (Fraction(1, 2), {"W": 1}))
+    for c, exponents in cases:
+        ref = FractionMonomial(c, exponents)
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            raw = pickle.dumps(_FractionPickle(ref), protocol)
+            assert b"Fraction" in raw
+            m = pickle.loads(raw)
+            _agree(m, ref)
+            assert m == Monomial(c, exponents)
+            assert type(m._coeff) is (int if ref.coeff.denominator == 1 else Fraction)
 
 
 def _dict_merge(a, b):

@@ -256,6 +256,19 @@ def test_divisibility_check():
         divisibility_check(both, both, 0, factors, {})
 
 
+def test_zero_eigenvalue_counts_in_the_check_but_not_in_charpoly():
+    """The check divides prod (T - lambda)^mult; the reversed charpoly drops lambda = 0."""
+    weight = AlgebraicWeight(GroupShape((2,)), (0, 0))
+    factors = (SphericalFactor("v", 1),)
+    source_point = ClassicalPoint.build(weight, satake={"v": ((Monomial(1), Monomial(-1)),)})
+    target_point = ClassicalPoint.build(weight, satake={"v": ((Monomial(2), Monomial(1)),)})
+    source = MockFormSpace(weight, ((source_point, 1),))
+    target = MockFormSpace(weight, ((target_point, 1),))
+    assert charpoly(source, factors, {}) == (1, 0)
+    assert charpoly(target, factors, {}) == (1, -3)
+    assert not divisibility_check(source, target, 1, factors, {})
+
+
 def test_constant_C():
     assert constant_C(2, [2, 3]) == 1
     assert constant_C(3, [2]) == 2

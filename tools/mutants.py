@@ -160,6 +160,29 @@ MUTANTS = [
             "GroupShape-args29-group shape blocks must be integers, got inf]"
         ],
     ),
+    (
+        "two names swapped in a record's _fields",
+        REFINEMENTS,
+        '__slots__ = _fields = ("gamma", "d")',
+        '__slots__ = _fields = ("d", "gamma")',
+        ["tests/test_values.py"],
+    ),
+    (
+        "pickle loader not canonicalising the coefficient",
+        MONOMIAL,
+        "    return _make(_canon(coeff), twice)",
+        "    return _make(coeff, twice)",
+        ["tests/test_monomial_kernel.py::test_pickle_with_a_fraction_coefficient_loads_canonical"],
+    ),
+    (
+        "enumerate-refinements enumerating before it counts",
+        JSONIO,
+        "    formula = count_accessible(desc)  # refuses a non-generic descriptor before enumerating\n"
+        "    refinements = enumerate_refinements(desc)\n",
+        "    refinements = enumerate_refinements(desc)\n"
+        "    formula = count_accessible(desc)  # refuses a non-generic descriptor before enumerating\n",
+        ["tests/test_cli.py::test_non_generic_descriptor_is_refused_before_enumerating"],
+    ),
 ]
 
 
