@@ -7,6 +7,10 @@ ASCII digits ``n`` or ``n/d`` with an optional sign, such as ``"1/2"``
 characters are flat arrays of canonical monomial strings; weights and Satake
 data are arrays grouped by block.  Every decoder raises ``SchemaError`` with
 the offending location on malformed input; unknown and repeated keys are rejected.
+Each rule is stated once: ``_record`` checks a keyed object (its type, its
+missing and its unknown keys), ``_each`` decodes the entries of an array and
+is the only place that names an entry's location ``where[index]``, and the
+rational grammar belongs to ``monomial``, shared with ``Monomial.parse``.
 
 ``decode_job`` checks the job envelope and ``run_command`` runs one entry of
 the command table: a function that decodes every field of its payload, then
@@ -18,10 +22,10 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Any, Callable, TypeVar
+from typing import Any, Callable, Container, TypeVar
 
 from .errors import NotRelevant, SchemaError
-from .monomial import _COEFF_RE, Monomial, SymbolValue, valid_symbol
+from .monomial import Monomial, SymbolValue, _rational, valid_symbol
 from .points import (
     AtkinLehnerFactor,
     ClassicalPoint,
@@ -113,32 +117,41 @@ def _located(where: str, make: Callable[..., _T], *args: Any) -> _T:
         raise SchemaError(f"{where}: {err}") from err
 
 
+def _record(
+    obj: Any, where: str, required: tuple[str, ...], optional: Container[str] = ()
+) -> dict:
+    """An object with every key of ``required`` and no key outside ``required`` and ``optional``."""
+    record = _object(obj, where)
+    for key in required:
+        if key not in record:
+            raise SchemaError(f"{where}: missing key {key!r}")
+    for key in record:
+        if key not in required and key not in optional:
+            raise SchemaError(f"{where}: unknown key {key!r}")
+    return record
+
+
+def _each(obj: Any, where: str, decode: _Decode[_T]) -> list[_T]:
+    """An array, each entry decoded in order by ``decode(entry, where[index])``."""
+    return [decode(entry, f"{where}[{i}]") for i, entry in enumerate(_array(obj, where))]
+
+
 def _sized(obj: Any, count: int, noun: str, where: str, decode: _Decode[_T]) -> list[_T]:
-    """An array of exactly ``count`` entries, each decoded by ``decode(entry, where[index])``."""
+    """An array of exactly ``count`` entries, each decoded as by :func:`_each`."""
     entries = _array(obj, where)
     if len(entries) != count:
         raise SchemaError(f"{where}: expected {count} {noun}, got {len(entries)}")
-    return [decode(entry, f"{where}[{i}]") for i, entry in enumerate(entries)]
+    return _each(entries, where, decode)
 
 
 def _by_block(
     obj: Any, shape: GroupShape, noun: str, where: str, decode: _Decode[_T]
 ) -> list[list[_T]]:
     """One array per block of ``shape``, each holding the block's size of decoded entries."""
-    groups = _sized(obj, shape.r, "blocks", where, lambda group, _: group)
-    return [
-        _sized(group, size, noun, f"{where}[{i}]", decode)
-        for i, (group, size) in enumerate(zip(groups, shape.blocks))
-    ]
-
-
-def _check_keys(obj: dict, required: tuple[str, ...], optional: tuple[str, ...], where: str) -> None:
-    for key in required:
-        if key not in obj:
-            raise SchemaError(f"{where}: missing key {key!r}")
-    for key in obj:
-        if key not in required and key not in optional:
-            raise SchemaError(f"{where}: unknown key {key!r}")
+    sizes = iter(shape.blocks)  # taken in block order, after the count of blocks is checked
+    return _sized(
+        obj, shape.r, "blocks", where, lambda blk, at: _sized(blk, next(sizes), noun, at, decode)
+    )
 
 
 def decode_rational(obj: Any, where: str) -> Fraction:
@@ -147,24 +160,24 @@ def decode_rational(obj: Any, where: str) -> Fraction:
     if isinstance(obj, int):
         return Fraction(obj)
     if isinstance(obj, str):
-        if _COEFF_RE.match(obj):
-            try:
-                return Fraction(obj)
-            except ZeroDivisionError:
-                pass
-        raise SchemaError(f"{where}: not a rational: {obj!r}")
+        try:
+            value = _rational(obj)
+        except ZeroDivisionError:  # spelled "n/0"
+            value = None
+        if value is None:
+            raise SchemaError(f"{where}: not a rational: {obj!r}")
+        return value
     raise SchemaError(
         f"{where}: expected an integer or a rational string (floats are not accepted)"
     )
 
 
 def decode_shape(obj: Any, where: str = "blocks") -> GroupShape:
-    blocks = [_integer(b, f"{where}[{i}]") for i, b in enumerate(_array(obj, where))]
-    return _located(where, GroupShape, tuple(blocks))
+    return _located(where, GroupShape, tuple(_each(obj, where, _integer)))
 
 
 def _decode_sigma(obj: Any, n: int, where: str) -> tuple[int, ...]:
-    entries = [_integer(s, f"{where}[{i}]") for i, s in enumerate(_array(obj, where))]
+    entries = _each(obj, where, _integer)  # every entry is checked before the length
     if len(entries) != n:
         raise SchemaError(f"{where}: expected {n} entries, got {len(entries)}")
     if any(s < 1 or s > n for s in entries):
@@ -177,8 +190,7 @@ def encode_sigma(sigma: tuple[int, ...]) -> list[int]:
 
 
 def decode_config(obj: Any, where: str = "config") -> TransferConfig:
-    cfg = _object(obj, where)
-    _check_keys(cfg, ("blocks", "sigma", "alpha"), ("mu",), where)
+    cfg = _record(obj, where, ("blocks", "sigma", "alpha"), ("mu",))
     shape = decode_shape(cfg["blocks"], f"{where}.blocks")
     sigma = _decode_sigma(cfg["sigma"], shape.n, f"{where}.sigma")
     alpha = decode_rational(cfg["alpha"], f"{where}.alpha")
@@ -210,46 +222,35 @@ def encode_character(chi: UnramifiedCharacter) -> list[str]:
 
 
 def decode_assignment(obj: Any, where: str = "assignment") -> dict[str, SymbolValue]:
-    table = _object(obj, where)
     out: dict[str, SymbolValue] = {}
-    for name, raw in table.items():
+    for name, raw in _object(obj, where).items():
         if not valid_symbol(name):
             raise SchemaError(f"{where}: invalid symbol name {name!r}")
-        entry = _object(raw, f"{where}.{name}")
-        _check_keys(entry, ("value",), ("sqrt",), f"{where}.{name}")
-        value = decode_rational(entry["value"], f"{where}.{name}.value")
-        sqrt = (
-            decode_rational(entry["sqrt"], f"{where}.{name}.sqrt")
-            if "sqrt" in entry
-            else None
-        )
-        out[name] = _located(f"{where}.{name}", SymbolValue, value, sqrt)
+        at = f"{where}.{name}"
+        entry = _record(raw, at, ("value",), ("sqrt",))
+        value = decode_rational(entry["value"], f"{at}.value")
+        sqrt = decode_rational(entry["sqrt"], f"{at}.sqrt") if "sqrt" in entry else None
+        out[name] = _located(at, SymbolValue, value, sqrt)
     return out
 
 
+def _decode_segment(obj: Any, where: str) -> Segment:
+    entry = _record(obj, where, ("gamma", "d"))
+    gamma = _decode_monomial(entry["gamma"], f"{where}.gamma")
+    return _located(where, Segment, gamma, _integer(entry["d"], f"{where}.d"))
+
+
 def decode_descriptor(obj: Any, where: str = "descriptor") -> LocalRepDescriptor:
-    desc = _object(obj, where)
-    _check_keys(desc, ("blocks",), (), where)
-    blocks = _array(desc["blocks"], f"{where}.blocks")
-    segments: list[tuple[Segment, ...]] = []
-    sizes: list[int] = []
-    for i, block in enumerate(blocks):
-        segs = []
-        for j, seg in enumerate(_array(block, f"{where}.blocks[{i}]")):
-            entry = _object(seg, f"{where}.blocks[{i}][{j}]")
-            _check_keys(entry, ("gamma", "d"), (), f"{where}.blocks[{i}][{j}]")
-            gamma = _decode_monomial(entry["gamma"], f"{where}.blocks[{i}][{j}].gamma")
-            d = _integer(entry["d"], f"{where}.blocks[{i}][{j}].d")
-            segs.append(_located(f"{where}.blocks[{i}][{j}]", Segment, gamma, d))
-        segments.append(tuple(segs))
-        sizes.append(sum(seg.d for seg in segs))
-    shape = _located(where, GroupShape, tuple(sizes))
+    desc = _record(obj, where, ("blocks",))
+    segments = _each(
+        desc["blocks"], f"{where}.blocks", lambda blk, at: tuple(_each(blk, at, _decode_segment))
+    )
+    shape = _located(where, GroupShape, tuple(sum(seg.d for seg in segs) for segs in segments))
     return _located(where, LocalRepDescriptor, shape, tuple(segments))
 
 
 def decode_point(obj: Any, shape: GroupShape, where: str = "point") -> ClassicalPoint:
-    entry = _object(obj, where)
-    _check_keys(entry, ("weight",), ("up", "satake"), where)
+    entry = _record(obj, where, ("weight",), ("up", "satake"))
     weight = decode_weight(entry["weight"], shape, f"{where}.weight")
     up = {}
     for place, values in _object(entry.get("up", {}), f"{where}.up").items():
@@ -273,47 +274,37 @@ def encode_point(point: ClassicalPoint) -> dict:
 
 
 def decode_space(obj: Any, shape: GroupShape, where: str = "space") -> MockFormSpace:
-    entry = _object(obj, where)
-    _check_keys(entry, ("weight", "entries"), (), where)
+    entry = _record(obj, where, ("weight", "entries"))
     weight = decode_weight(entry["weight"], shape, f"{where}.weight")
-    entries = []
-    for i, item in enumerate(_array(entry["entries"], f"{where}.entries")):
-        item_obj = _object(item, f"{where}.entries[{i}]")
-        _check_keys(item_obj, ("point", "mult"), (), f"{where}.entries[{i}]")
-        point = decode_point(item_obj["point"], shape, f"{where}.entries[{i}].point")
-        mult = _integer(item_obj["mult"], f"{where}.entries[{i}].mult")
-        entries.append((point, mult))
+
+    def decode_entry(obj: Any, where: str) -> tuple[ClassicalPoint, int]:
+        item = _record(obj, where, ("point", "mult"))
+        point = decode_point(item["point"], shape, f"{where}.point")
+        return point, _integer(item["mult"], f"{where}.mult")
+
+    entries = _each(entry["entries"], f"{where}.entries", decode_entry)
     return _located(where, MockFormSpace, weight, tuple(entries))
 
 
+def _decode_factor(obj: Any, where: str) -> HeckeFactor:
+    # only the type first (any other key may follow), then the keys of that type
+    kind = _string(_record(obj, where, ("type",), obj)["type"], f"{where}.type")
+    if kind == "atkin-lehner":
+        entry = _record(obj, where, ("type", "place", "cochar"))
+        place = _string(entry["place"], f"{where}.place")
+        return AtkinLehnerFactor(place, _each(entry["cochar"], f"{where}.cochar", _integer))
+    if kind == "spherical":
+        entry = _record(obj, where, ("type", "place", "degree"))
+        place = _string(entry["place"], f"{where}.place")
+        degree = _integer(entry["degree"], f"{where}.degree")
+        return _located(where, SphericalFactor, place, degree)
+    raise SchemaError(f"{where}.type: expected 'atkin-lehner' or 'spherical', got {kind!r}")
+
+
 def decode_factors(obj: Any, where: str = "generator") -> tuple[HeckeFactor, ...]:
-    factors: list[HeckeFactor] = []
-    entries = _array(obj, where)
-    if not entries:
+    if not _array(obj, where):
         raise SchemaError(f"{where}: a generator product needs at least one factor")
-    for i, item in enumerate(entries):
-        entry = _object(item, f"{where}[{i}]")
-        kind = _string(entry.get("type"), f"{where}[{i}].type") if "type" in entry else None
-        if kind is None:
-            raise SchemaError(f"{where}[{i}]: missing key 'type'")
-        if kind == "atkin-lehner":
-            _check_keys(entry, ("type", "place", "cochar"), (), f"{where}[{i}]")
-            place = _string(entry["place"], f"{where}[{i}].place")
-            cochar = tuple(
-                _integer(e, f"{where}[{i}].cochar[{j}]")
-                for j, e in enumerate(_array(entry["cochar"], f"{where}[{i}].cochar"))
-            )
-            factors.append(AtkinLehnerFactor(place, cochar))
-        elif kind == "spherical":
-            _check_keys(entry, ("type", "place", "degree"), (), f"{where}[{i}]")
-            place = _string(entry["place"], f"{where}[{i}].place")
-            degree = _integer(entry["degree"], f"{where}[{i}].degree")
-            factors.append(_located(f"{where}[{i}]", SphericalFactor, place, degree))
-        else:
-            raise SchemaError(
-                f"{where}[{i}].type: expected 'atkin-lehner' or 'spherical', got {kind!r}"
-            )
-    return tuple(factors)
+    return tuple(_each(obj, where, _decode_factor))
 
 
 def _non_empty(obj: Any, where: str) -> list:
@@ -331,12 +322,8 @@ def _decode_constant(payload: dict) -> int:
         if isinstance(constant, bool) or not isinstance(constant, int) or constant < 1:
             raise SchemaError("constant: expected a positive integer")
         return constant
-    packet = _object(payload["packet"], "packet")
-    _check_keys(packet, ("dim_source", "dims_target"), (), "packet")
-    dims = [
-        _integer(d, f"packet.dims_target[{i}]")
-        for i, d in enumerate(_array(packet["dims_target"], "packet.dims_target"))
-    ]
+    packet = _record(payload["packet"], "packet", ("dim_source", "dims_target"))
+    dims = _each(packet["dims_target"], "packet.dims_target", _integer)
     return constant_C(_integer(packet["dim_source"], "packet.dim_source"), dims)
 
 
@@ -346,7 +333,7 @@ def _decode_constant(payload: dict) -> int:
 
 
 def _transfer_weight(payload: dict) -> dict:
-    _check_keys(payload, ("shape", "alpha", "weight"), (), "payload")
+    _record(payload, "payload", ("shape", "alpha", "weight"))
     shape = decode_shape(payload["shape"], "shape")
     alpha = decode_rational(payload["alpha"], "alpha")
     weight = decode_weight(payload["weight"], shape, "weight")
@@ -365,7 +352,7 @@ def _transfer_weight(payload: dict) -> dict:
 
 
 def _transfer_refinement(payload: dict) -> dict:
-    _check_keys(payload, ("config", "character"), (), "payload")
+    _record(payload, "payload", ("config", "character"))
     cfg = decode_config(payload["config"])
     chi = decode_character(payload["character"], cfg.source)
     return {
@@ -376,7 +363,7 @@ def _transfer_refinement(payload: dict) -> dict:
 
 
 def _check_hypothesis1(payload: dict) -> dict:
-    _check_keys(payload, ("config",), ("drop_normalization",), "payload")
+    _record(payload, "payload", ("config",), ("drop_normalization",))
     cfg = decode_config(payload["config"])
     drop = payload.get("drop_normalization", False)
     if not isinstance(drop, bool):
@@ -392,7 +379,7 @@ def _check_hypothesis1(payload: dict) -> dict:
 
 
 def _enumerate_refinements(payload: dict) -> dict:
-    _check_keys(payload, ("descriptor",), (), "payload")
+    _record(payload, "payload", ("descriptor",))
     desc = decode_descriptor(payload["descriptor"])
     formula = count_accessible(desc)  # refuses a non-generic descriptor before enumerating
     refinements = enumerate_refinements(desc)
@@ -409,7 +396,7 @@ def _enumerate_refinements(payload: dict) -> dict:
 
 
 def _check_accessible_transfer(payload: dict) -> dict:
-    _check_keys(payload, ("config", "descriptor"), (), "payload")
+    _record(payload, "payload", ("config", "descriptor"))
     cfg = decode_config(payload["config"])
     desc = decode_descriptor(payload["descriptor"])
     transfer_ok = accessible_transfer_check(desc, cfg)
@@ -424,20 +411,20 @@ def _check_accessible_transfer(payload: dict) -> dict:
 
 
 def _transfer_point(payload: dict) -> dict:
-    _check_keys(payload, ("config", "point"), (), "payload")
+    _record(payload, "payload", ("config", "point"))
     cfg = decode_config(payload["config"])
     point = decode_point(payload["point"], cfg.source)
     return {"point": encode_point(transfer_point(point, cfg))}
 
 
 def _check_diagram(payload: dict) -> dict:
-    _check_keys(payload, ("config", "source_points", "target_points"), (), "payload")
+    _record(payload, "payload", ("config", "source_points", "target_points"))
     cfg = decode_config(payload["config"])
     source, target = payload["source_points"], payload["target_points"]
     if not isinstance(source, list) or not isinstance(target, list):
         raise SchemaError("source_points and target_points must be arrays")
-    source = [decode_point(obj, cfg.source, f"source_points[{i}]") for i, obj in enumerate(source)]
-    target = [decode_point(obj, cfg.target, f"target_points[{i}]") for i, obj in enumerate(target)]
+    source = _each(source, "source_points", lambda obj, at: decode_point(obj, cfg.source, at))
+    target = _each(target, "target_points", lambda obj, at: decode_point(obj, cfg.target, at))
     report = diagram_check(source, target, cfg)
     return {
         "verdict": "pass" if report.ok else "fail",
@@ -448,24 +435,30 @@ def _check_diagram(payload: dict) -> dict:
 
 
 def _check_interpolation(payload: dict) -> dict:
-    _check_keys(
+    _record(
         payload,
+        "payload",
         ("config", "source_space", "target_space", "generators", "assignments"),
         ("constant", "packet"),
-        "payload",
     )
     cfg = decode_config(payload["config"])
     source_space = decode_space(payload["source_space"], cfg.source, "source_space")
     target_space = decode_space(payload["target_space"], cfg.target, "target_space")
     constant = _decode_constant(payload)
-    generators = [
-        decode_factors(obj, f"generators[{i}]")
-        for i, obj in enumerate(_non_empty(payload["generators"], "generators"))
-    ]
-    assignments = [
-        decode_assignment(obj, f"assignments[{i}]")
-        for i, obj in enumerate(_non_empty(payload["assignments"], "assignments"))
-    ]
+    points = [point for space in (source_space, target_space) for point, _ in space.entries]
+
+    def decode_generator(obj: Any, where: str) -> tuple[HeckeFactor, ...]:
+        # every factor must act on the target shape and on each point of both spaces
+        factors = decode_factors(obj, where)
+        _each(list(factors), where, lambda f, at: _located(at, f._check, cfg.target, points))
+        return factors
+
+    generators = _each(
+        _non_empty(payload["generators"], "generators"), "generators", decode_generator
+    )
+    assignments = _each(
+        _non_empty(payload["assignments"], "assignments"), "assignments", decode_assignment
+    )
     transferred = build_transferred_space(source_space, cfg)
     results = [
         [
@@ -513,7 +506,7 @@ def decode_job(raw: bytes) -> tuple[str, dict]:
         raise SchemaError("invalid JSON: nested too deeply") from None
     if not isinstance(job, dict):
         raise SchemaError("job: expected a JSON object")
-    _check_keys(job, (), ("schema_version", "command", "payload"), "job")
+    _record(job, "job", (), ("schema_version", "command", "payload"))
     version = job.get("schema_version", SCHEMA_VERSION)
     if version != SCHEMA_VERSION:
         raise SchemaError(f"job: unsupported schema_version {version!r}")

@@ -68,6 +68,12 @@ def _merge(a: tuple, b: tuple) -> tuple:
     return tuple(sorted([item for item in merged.items() if item[1]]))
 
 
+def _rational(text: str) -> Optional[Fraction]:
+    """The rational that ``text`` spells in the coefficient grammar, else ``None``; a zero
+    denominator raises ``ZeroDivisionError``.  The JSON decoder reads rationals with it too."""
+    return Fraction(text) if _COEFF_RE.match(text) else None
+
+
 def valid_symbol(name: str) -> bool:
     """True if ``name`` is usable as a symbol (identifier-like, parseable)."""
     return isinstance(name, str) and bool(_NAME_RE.match(name))
@@ -257,11 +263,12 @@ class Monomial(FrozenValue):
             token = token.strip()
             if not token:
                 raise ValueError(f"cannot parse monomial {text!r}")
-            if _COEFF_RE.match(token):
-                try:
-                    coeff *= Fraction(token)
-                except ZeroDivisionError:
-                    raise ValueError(f"zero denominator in coefficient {token!r}") from None
+            try:
+                value = _rational(token)
+            except ZeroDivisionError:
+                raise ValueError(f"zero denominator in coefficient {token!r}") from None
+            if value is not None:
+                coeff *= value
                 continue
             m = _FACTOR_RE.match(token)
             if not m:

@@ -28,6 +28,7 @@ from .monomial import Monomial, SymbolValue
 from .tori import (
     AlgebraicWeight,
     CocharVector,
+    GroupShape,
     UnramifiedCharacter,
     _integer,
     _integers,
@@ -168,13 +169,23 @@ class AtkinLehnerFactor(FrozenValue):
         _set(self, "place", place)
         _set(self, "cochar", _integers(cochar, "cocharacter entries"))
 
-    def eigenvalue(self, point: ClassicalPoint, assign: Assignment) -> Fraction:
-        shape = point.weight.shape
+    def _vector(self, shape: GroupShape) -> CocharVector:
         vector = CocharVector(shape, self.cochar)
         if not vector.is_antidominant():
             raise ValueError(
                 f"cocharacter {self.cochar} is not weakly decreasing within blocks"
             )
+        return vector
+
+    def _check(self, shape: GroupShape, points: Iterable[ClassicalPoint]) -> None:
+        """Raise the ``ValueError`` that :meth:`eigenvalue` raises on a point of ``shape``,
+        or on one of ``points`` that lacks this factor's place."""
+        self._vector(shape)
+        for point in points:
+            point.up_at(self.place)
+
+    def eigenvalue(self, point: ClassicalPoint, assign: Assignment) -> Fraction:
+        vector = self._vector(point.weight.shape)
         chi = point.up_at(self.place)
         twisted = chi.eval(vector) * weight_as_character(point.weight).eval(vector)
         return twisted.evaluate(assign)
@@ -210,16 +221,18 @@ class SphericalFactor(FrozenValue):
         _set(self, "place", place)
         _set(self, "degree", k)
 
+    def _check(self, shape: GroupShape, points: Iterable[ClassicalPoint]) -> None:
+        """Raise the ``ValueError`` that :meth:`eigenvalue` raises on a point of ``shape``,
+        or on one of ``points`` that lacks this factor's place."""
+        if self.degree > shape.n:
+            raise ValueError(f"degree {self.degree} exceeds the {shape.n} Satake parameters")
+        for point in points:
+            point.satake_at(self.place)
+
     def eigenvalue(self, point: ClassicalPoint, assign: Assignment) -> Fraction:
-        params = [
-            value.evaluate(assign)
-            for block in point.satake_at(self.place)
-            for value in block
-        ]
-        if self.degree > len(params):
-            raise ValueError(
-                f"degree {self.degree} exceeds the {len(params)} Satake parameters"
-            )
+        blocks = point.satake_at(self.place)
+        self._check(point.weight.shape, ())
+        params = [value.evaluate(assign) for block in blocks for value in block]
         return _elementary_symmetric(params, self.degree)
 
 

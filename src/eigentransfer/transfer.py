@@ -498,6 +498,11 @@ def archimedean_transfer(weight: AlgebraicWeight, alpha) -> ArchimedeanTransfer:
     ``NotRelevant``; non-integral outputs raise ``NonIntegralShift``.  The
     work is done on the doubled parameters ``2m``, which are integers.
     """
+    return _archimedean_transfer(weight, alpha)[0]
+
+
+def _archimedean_transfer(weight: AlgebraicWeight, alpha) -> tuple[ArchimedeanTransfer, int]:
+    """:func:`archimedean_transfer` and ``2·alpha``, parsed once and after the weight check."""
     shape = weight.shape
     if weight.classify() == "neither":
         raise ValueError("archimedean transfer needs a dominant weight")
@@ -523,7 +528,7 @@ def archimedean_transfer(weight: AlgebraicWeight, alpha) -> ArchimedeanTransfer:
             )
         out.append(doubled // 2)
     target = GroupShape((n,))
-    return ArchimedeanTransfer(AlgebraicWeight(target, out), invert_permutation(order))
+    return ArchimedeanTransfer(AlgebraicWeight(target, out), invert_permutation(order)), two_alpha
 
 
 def _first_realizing_sigma(
@@ -578,9 +583,9 @@ def archimedean_sigma(weight: AlgebraicWeight, alpha) -> tuple[int, ...]:
     error of :func:`archimedean_transfer`; the shifts come from the shared
     helper, with no ``TransferConfig`` built.
     """
-    art = archimedean_transfer(weight, alpha)
+    art, two_alpha = _archimedean_transfer(weight, alpha)
     shape = weight.shape
-    shifts = _weight_shifts(shape, _doubled_alpha(alpha))
+    shifts = _weight_shifts(shape, two_alpha)
     need = [t - s for t, s in zip(art.weight.exps, shifts)]
     k = weight.exps
     if all(k[u] == need[p] for u, p in enumerate(art.sigma)):

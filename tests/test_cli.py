@@ -377,14 +377,27 @@ def schema(job, message):
 # every field is decoded before the library runs.
 SHIFT_CONFIG = {"blocks": [1, 2], "sigma": [1, 2, 3], "alpha": 1}
 SHIFT_POINT = {"weight": [[0], [0, 0]]}
+POINT_000 = {"weight": [[0, 0, 0]]}
 SHIFT = "weight shift 3/2 at block 2 is not an integer (alpha = 1)"
 SHIFT_DIAGRAM = edit(DIAGRAM, config=SHIFT_CONFIG, source_points=[SHIFT_POINT])
 SHIFT_REFINEMENT = edit(REFINEMENT, config=SHIFT_CONFIG, character=["1 * c1", "1 * c2", "1 * c3"])
 SHIFT_INTERP = interpolation_job(
     config=SHIFT_CONFIG,
-    source_space={"weight": [[0], [0, 0]], "entries": [{"point": SHIFT_POINT, "mult": 1}]},
+    source_space={
+        "weight": [[0], [0, 0]],
+        "entries": [{"point": {**SHIFT_POINT, "up": {"p": ["1", "1", "1"]}}, "mult": 1}],
+    },
     target_space={"weight": [[0, 0, 0]], "entries": []},
+    generators=[[{"type": "atkin-lehner", "place": "p", "cochar": [1, 0, 0]}]],
 )
+
+
+def atkin_lehner(place, cochar):
+    return {"type": "atkin-lehner", "place": place, "cochar": cochar}
+
+
+def spherical(place, degree):
+    return {"type": "spherical", "place": place, "degree": degree}
 
 
 # One row per error message of the job envelope and the command payloads:
@@ -515,6 +528,43 @@ ERROR_ROWS = [
     schema(
         edit(SHIFT_INTERP, assignments=[{"q": {"value": -2}}]),
         "assignments[0].q: symbol values must be positive rationals",
+    ),
+    # each generator is decoded against the target shape and the places of every point
+    schema(
+        edit(SHIFT_INTERP, generators=[[atkin_lehner("p", [1, 0])]]),
+        "generators[0][0]: cocharacter needs 3 entries, got 2",
+    ),
+    schema(
+        edit(SHIFT_INTERP, generators=[[atkin_lehner("p", [0, 1, 0])]]),
+        "generators[0][0]: cocharacter (0, 1, 0) is not weakly decreasing within blocks",
+    ),
+    schema(
+        edit(SHIFT_INTERP, generators=[[atkin_lehner("zz", [1, 0, 0])]]),
+        "generators[0][0]: point has no eigenvalue system at place 'zz'",
+    ),
+    schema(
+        edit(
+            SHIFT_INTERP,
+            target_space={"weight": [[0, 0, 0]], "entries": [{"point": POINT_000, "mult": 1}]},
+        ),
+        "generators[0][0]: point has no eigenvalue system at place 'p'",
+    ),
+    schema(
+        edit(SHIFT_INTERP, generators=[[atkin_lehner("p", [1, 0, 0])], [spherical("v", 4)]]),
+        "generators[1][0]: degree 4 exceeds the 3 Satake parameters",
+    ),
+    schema(
+        edit(SHIFT_INTERP, generators=[[atkin_lehner("p", [1, 0, 0]), spherical("v", 3)]]),
+        "generators[0][1]: point has no Satake data at place 'v'",
+    ),
+    schema(
+        edit(
+            INTERP,
+            source_space={"weight": [[0]], "entries": []},
+            target_space={"weight": [[0]], "entries": []},
+            generators=[[atkin_lehner("p", [1, 0])]],
+        ),
+        "generators[0][0]: cocharacter needs 1 entries, got 2",
     ),
 ]
 

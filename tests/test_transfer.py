@@ -494,6 +494,21 @@ def test_archimedean_sigma_realizes():
     assert weight_pullback(kappa, cfg) == archimedean_transfer(kappa, HALF).weight
 
 
+def test_archimedean_sigma_parses_alpha_once(monkeypatch):
+    """A string alpha is parsed once, and a non-dominant weight is refused before a bad alpha."""
+    parse, calls = transfer_module._doubled_alpha, []
+    monkeypatch.setattr(
+        transfer_module, "_doubled_alpha", lambda alpha: calls.append(alpha) or parse(alpha)
+    )
+    kappa = AlgebraicWeight(GroupShape((1, 1)), (0, 5))
+    assert archimedean_sigma(kappa, "1/2") == (1, 0)
+    assert calls == ["1/2"]
+    with pytest.raises(ValueError, match="^archimedean transfer needs a dominant weight$"):
+        archimedean_sigma(AlgebraicWeight(GroupShape((2,)), (0, 3)), "1/3")
+    with pytest.raises(ValueError, match="^alpha must be a half-integer, got 1/3$"):
+        archimedean_sigma(kappa, "1/3")
+
+
 def test_archimedean_sigma_unrealizable():
     # the sorted target weight cannot be written as shift + permuted source
     # weight for any permutation at all, order-preserving or not

@@ -183,6 +183,36 @@ MUTANTS = [
         "    formula = count_accessible(desc)  # refuses a non-generic descriptor before enumerating\n",
         ["tests/test_cli.py::test_non_generic_descriptor_is_refused_before_enumerating"],
     ),
+    (
+        "array entry location off by one",
+        JSONIO,
+        'return [decode(entry, f"{where}[{i}]") for i, entry in enumerate(_array(obj, where))]',
+        'return [decode(entry, f"{where}[{i + 1}]") for i, entry in enumerate(_array(obj, where))]',
+        ["tests/test_jsonio.py::test_decode_error_messages"],
+    ),
+    (
+        "keyed object without its unknown-key check",
+        JSONIO,
+        "    for key in record:\n"
+        "        if key not in required and key not in optional:\n"
+        '            raise SchemaError(f"{where}: unknown key {key!r}")\n',
+        "",
+        ["tests/test_jsonio.py::test_decode_error_messages"],
+    ),
+    (
+        "check-interpolation not fitting generators to the shape and the points",
+        JSONIO,
+        "        _each(list(factors), where, lambda f, at: _located(at, f._check, cfg.target, points))\n",
+        "",
+        [
+            "tests/test_cli.py::test_error_reports[job74-SchemaError-"
+            "generators[0][0]: cocharacter needs 3 entries, got 2-2]",
+            "tests/test_cli.py::test_error_reports[job76-SchemaError-"
+            "generators[0][0]: point has no eigenvalue system at place 'zz'-2]",
+            "tests/test_cli.py::test_error_reports[job78-SchemaError-"
+            "generators[1][0]: degree 4 exceeds the 3 Satake parameters-2]",
+        ],
+    ),
 ]
 
 
