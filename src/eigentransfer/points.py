@@ -295,6 +295,14 @@ def diagram_check(
     return DiagramReport(results)
 
 
+def _check_factors(factors: Sequence[HeckeFactor], *spaces: MockFormSpace) -> None:
+    """Raise the ``ValueError`` that a factor's ``eigenvalue`` would raise on the
+    shape of each space, so that an empty space does not hide a malformed factor."""
+    for space in spaces:
+        for factor in factors:
+            factor._check(space.weight.shape, ())
+
+
 def _poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
     out = [Fraction(0)] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
@@ -308,6 +316,7 @@ def charpoly(
     space: MockFormSpace, factors: Sequence[HeckeFactor], assign: Assignment
 ) -> tuple[Fraction, ...]:
     """Coefficients of ``prod (1 - lambda·T)^mult`` in ascending powers of ``T``."""
+    _check_factors(factors, space)
     poly = [Fraction(1)]
     for point, mult in space.entries:
         lam = point_eigenvalue(point, factors, assign)
@@ -343,6 +352,7 @@ def divisibility_check(
     c = _integer(constant)
     if c is None or c < 1:
         raise ValueError(f"the constant must be a positive integer, got {constant!r}")
+    _check_factors(factors, space_source, space_target)
     source = _eigenvalue_multiplicities(space_source, factors, assign)
     target = _eigenvalue_multiplicities(space_target, factors, assign)
     return all(mult <= c * target.get(lam, 0) for lam, mult in source.items())

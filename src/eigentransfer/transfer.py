@@ -31,7 +31,12 @@ block-order-preserving permutation and the tuple ``T`` is cached per config.
 symbols, that these maps fit together: the combined map factors as
 (refinement part) x (weight part) on all dominant generator cocharacters, the
 two routes through the modulus normalisation agree, and the weight shifts are
-integers.
+integers.  The factorization is checked on slot ratios: the ``n`` values of
+``lhs * rhs^-1``, in which the generic symbols cancel to small ``q``/``W``/``M``
+monomials, are formed once, and a generator ``t`` reads ``prod ratio[p]^t[p]``.
+Evaluation at a cocharacter is a homomorphism and the arithmetic is exact, so
+this equals ``lhs(t) * rhs(t)^-1`` term for term without multiplying the two
+wide generic products at every generator.
 """
 
 from __future__ import annotations
@@ -429,6 +434,11 @@ def verify_transfer_compatibility(
 
     ``drop_normalization=True`` replaces the eigenvalue-system transfer by its
     unnormalized variant; for more than one source block this must fail.
+
+    The factorization residual at ``t`` is the slot-ratio character
+    ``lhs * rhs^-1`` evaluated at ``t``.  Since ``chi -> chi(t)`` is a
+    homomorphism, that is exactly ``lhs(t) * rhs(t)^-1``, so the residual
+    texts are those of evaluating both sides at each generator.
     """
     checks: list[CheckResult] = []
     try:
@@ -446,9 +456,10 @@ def verify_transfer_compatibility(
     if shifts_ok:
         lhs_char = atkin_lehner_pullback(chi * zeta, cfg, normalized=not drop_normalization)
         rhs_char = refinement_pullback_normalized(chi, cfg) * weight_character_pullback(zeta, cfg)
+        ratios = lhs_char * rhs_char.inverse()  # the generic symbols cancel slot by slot
         residuals = []
         for gen in dominant_generators(cfg.target):
-            ratio = lhs_char.eval(gen) * rhs_char.eval(gen).inverse()
+            ratio = ratios.eval(gen)
             if not ratio.is_one():
                 residuals.append(f"t={gen.exps}: {ratio.text()}")
         checks.append(

@@ -269,6 +269,19 @@ def test_zero_eigenvalue_counts_in_the_check_but_not_in_charpoly():
     assert not divisibility_check(source, target, 1, factors, {})
 
 
+def test_factors_that_cannot_act_are_refused_on_empty_spaces():
+    """An empty space has no point whose eigenvalue would check the factor, so
+    both functions check every factor against the space's shape first."""
+    empty = MockFormSpace(scalar_point(2).weight, ())
+    with pytest.raises(ValueError, match=r"^cocharacter needs 1 entries, got 2$"):
+        divisibility_check(empty, empty, 1, [AtkinLehnerFactor("p", (1, 0))], {})
+    with pytest.raises(ValueError, match=r"^degree 5 exceeds the 1 Satake parameters$"):
+        charpoly(empty, [SphericalFactor("v", 5)], {})
+    # the constant is still checked first
+    with pytest.raises(ValueError, match="the constant must be a positive integer"):
+        divisibility_check(empty, empty, 0, [AtkinLehnerFactor("p", (1, 0))], {})
+
+
 def test_constant_C():
     assert constant_C(2, [2, 3]) == 1
     assert constant_C(3, [2]) == 2

@@ -36,7 +36,9 @@ from eigentransfer.tori import (
 )
 from eigentransfer.transfer import (
     ArchimedeanTransfer,
+    CheckResult,
     TransferConfig,
+    TransferReport,
     _first_realizing_sigma,
     archimedean_sigma,
     archimedean_transfer,
@@ -426,10 +428,74 @@ def test_verify_negative_control():
     by_name = {c.name: c for c in report.checks}
     failing = by_name["atkin-lehner-factorization"]
     assert not failing.passed
-    assert failing.residuals[0] == "t=(1, 0): 1 * q^(-1/2)"
+    # the full residual tuple: on t=(1, 1) and on the negated full block
+    # t=(-1, -1) the two half-modulus ratios cancel, so neither is listed
+    assert failing.residuals == ("t=(1, 0): 1 * q^(-1/2)",)
     # with a single source block the normalisations coincide, so dropping
     # them changes nothing
     assert verify_transfer_compatibility(config((3,)), drop_normalization=True).passed
+
+
+def _per_generator_oracle(cfg, drop_normalization=False):
+    """The verifier as it was before the slot ratios: both wide generic characters
+    evaluated at every target generator, one of them inverted."""
+    checks = []
+    try:
+        weight_shift(cfg)
+        shifts_ok = True
+        checks.append(CheckResult("shift-integrality", True))
+    except NonIntegralShift as err:
+        shifts_ok = False
+        checks.append(CheckResult("shift-integrality", False, (str(err),)))
+    chi = transfer_module._generic_character(cfg.source, "x", {cfg.mu})
+    zeta = transfer_module._generic_character(cfg.source, "z", {cfg.mu})
+    if shifts_ok:
+        lhs_char = atkin_lehner_pullback(chi * zeta, cfg, normalized=not drop_normalization)
+        rhs_char = refinement_pullback_normalized(chi, cfg) * weight_character_pullback(zeta, cfg)
+        residuals = []
+        for gen in dominant_generators(cfg.target):
+            ratio = lhs_char.eval(gen) * rhs_char.eval(gen).inverse()
+            if not ratio.is_one():
+                residuals.append(f"t={gen.exps}: {ratio.text()}")
+        checks.append(CheckResult("atkin-lehner-factorization", not residuals, tuple(residuals)))
+    else:
+        skipped = ("skipped: weight shifts are not integral",)
+        checks.append(CheckResult("atkin-lehner-factorization", False, skipped))
+    lhs = refinement_pullback_normalized(chi * modulus_half(cfg.source, -1), cfg)
+    rhs = refinement_pullback(chi, cfg) * modulus_half(cfg.target, -1)
+    residuals = tuple(
+        f"e_{p + 1}: {(lhs.values[p] * rhs.values[p].inverse()).text()}"
+        for p in range(cfg.n)
+        if lhs.values[p] != rhs.values[p]
+    )
+    checks.append(CheckResult("modulus-duality", not residuals, residuals))
+    return TransferReport(tuple(checks))
+
+
+def test_verify_matches_per_generator_oracle():
+    """Slot ratios against evaluating both characters at each generator: every
+    config with n <= 4, every n = 5 shape, integral and skipped shifts, a mu
+    that collides with a generic symbol."""
+    alphas = [Fraction(a, 2) for a in (-3, -1, 0, 1, 2, 3, 5)]
+    configs = [
+        config(blocks, sigma=sigma, alpha=alpha)
+        for n in range(1, 5)
+        for blocks in _compositions(n)
+        for sigma in block_order_preserving_permutations(GroupShape(blocks))
+        for alpha in alphas
+    ]
+    configs += [config(blocks, alpha=alpha) for blocks in _compositions(5) for alpha in alphas]
+    configs += [config((2, 1, 2), sigma=(0, 3, 1, 2, 4), mu="x1")]
+    verdicts = set()
+    for cfg in configs:
+        for drop in (False, True):
+            report = verify_transfer_compatibility(cfg, drop_normalization=drop)
+            assert report == _per_generator_oracle(cfg, drop), (cfg, drop)
+            verdicts.add((drop, report.checks[1].residuals[:1]))
+    # both branches ran: passes, failures with residuals and skipped checks
+    assert (False, ()) in verdicts
+    assert (True, ("t=(1, 0): 1 * q^(-1/2)",)) in verdicts
+    assert (False, ("skipped: weight shifts are not integral",)) in verdicts
 
 
 def test_archimedean_transfer_anchors():

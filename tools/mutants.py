@@ -213,6 +213,41 @@ MUTANTS = [
             "generators[1][0]: degree 4 exceeds the 3 Satake parameters-2]",
         ],
     ),
+    (
+        "Atkin-Lehner slot ratios without the inverse",
+        TRANSFER,
+        "ratios = lhs_char * rhs_char.inverse()",
+        "ratios = lhs_char * rhs_char",
+        ["tests/test_transfer.py::test_verify_matches_per_generator_oracle"],
+    ),
+    (
+        "Atkin-Lehner slot ratios the wrong way round",
+        TRANSFER,
+        "ratios = lhs_char * rhs_char.inverse()",
+        "ratios = rhs_char * lhs_char.inverse()",
+        ["tests/test_transfer.py::test_verify_negative_control"],
+    ),
+    (
+        "character eval dropping the exponent, so a negated generator reads the uninverted product",
+        TORI,
+        "out = out * v ** e",
+        "out = out * v",
+        ["tests/test_tori.py::test_character_eval"],
+    ),
+    (
+        "charpoly not checking its factors against the space's shape",
+        POINTS,
+        "    _check_factors(factors, space)\n",
+        "",
+        ["tests/test_points.py::test_factors_that_cannot_act_are_refused_on_empty_spaces"],
+    ),
+    (
+        "divisibility_check not checking its factors against the spaces' shapes",
+        POINTS,
+        "    _check_factors(factors, space_source, space_target)\n",
+        "",
+        ["tests/test_points.py::test_factors_that_cannot_act_are_refused_on_empty_spaces"],
+    ),
 ]
 
 
