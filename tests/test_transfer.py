@@ -492,7 +492,7 @@ def test_verify_matches_per_generator_oracle():
             report = verify_transfer_compatibility(cfg, drop_normalization=drop)
             assert report == _per_generator_oracle(cfg, drop), (cfg, drop)
             verdicts.add((drop, report.checks[1].residuals[:1]))
-    # both branches ran: passes, failures with residuals and skipped checks
+    # every branch ran: passes, failures with residuals and skipped checks
     assert (False, ()) in verdicts
     assert (True, ("t=(1, 0): 1 * q^(-1/2)",)) in verdicts
     assert (False, ("skipped: weight shifts are not integral",)) in verdicts
