@@ -74,6 +74,17 @@ def _rational(text: str) -> Optional[Fraction]:
     return Fraction(text) if _COEFF_RE.match(text) else None
 
 
+def _exact(value) -> Rational:
+    """``value`` if it is an ``int`` or a ``Fraction``, the rational a coefficient-grammar
+    string spells, else ``ValueError``: a float or a decimal string is never read as a rational."""
+    if isinstance(value, (int, Fraction)):
+        return value
+    exact = _rational(value) if isinstance(value, str) else None
+    if exact is None:
+        raise ValueError(f"rationals are ints, Fractions or 'a/b' text, got {value!r}")
+    return exact
+
+
 def valid_symbol(name: str) -> bool:
     """True if ``name`` is usable as a symbol (identifier-like, parseable)."""
     return isinstance(name, str) and bool(_NAME_RE.match(name))
@@ -89,11 +100,11 @@ class SymbolValue(FrozenValue):
     __slots__ = _fields = ("value", "sqrt")
 
     def __init__(self, value: Rational, sqrt: Optional[Rational] = None) -> None:
-        value = Fraction(value)
+        value = Fraction(_exact(value))
         if value <= 0:
             raise ValueError("symbol values must be positive rationals")
         if sqrt is not None:
-            sqrt = Fraction(sqrt)
+            sqrt = Fraction(_exact(sqrt))
             if sqrt * sqrt != value:
                 raise ValueError("declared square root does not square to the value")
         _set(self, "value", value)
@@ -114,6 +125,7 @@ class Monomial(FrozenValue):
 
     def __init__(self, coeff: Rational, exponents: Mapping[str, Rational] | None = None):
         if type(coeff) is not int:
+            coeff = _exact(coeff)
             coeff = _canon(coeff if type(coeff) is Fraction else Fraction(coeff))
         if coeff == 0:
             raise ValueError("monomial coefficients are nonzero")
@@ -217,23 +229,30 @@ class Monomial(FrozenValue):
         :class:`NonSquareAssignment` when a half-integer exponent meets an
         assignment without a declared square root.
         """
-        result = self._coeff
+        coeff = self._coeff
+        num, den = coeff.numerator, coeff.denominator
+        # integer numerator and denominator, reduced once at the end
         for name, t in self._twice:
             try:
                 sv = assignment[name]
             except KeyError:
                 raise MissingSymbol(f"no value assigned to symbol {name!r}") from None
             if t % 2 == 0:
-                result *= sv.value ** (t // 2)
+                base, e = sv.value, t // 2
             else:
-                if sv.sqrt is None:
+                base, e = sv.sqrt, t
+                if base is None:
                     raise NonSquareAssignment(
                         f"symbol {name!r} occurs with a half-integer exponent "
                         "but its assignment declares no square root"
                     )
-                result *= sv.sqrt ** t
-        # any symbol factor has made it a Fraction; only a bare int coefficient is left
-        return result if type(result) is Fraction else Fraction(result)
+            n, d = base.numerator, base.denominator
+            if e < 0:
+                n, d, e = d, n, -e
+            num *= n ** e
+            den *= d ** e
+        # a declared root may be negative: Fraction moves the sign to the numerator
+        return Fraction(num, den)
 
     def text(self) -> str:
         """Canonical textual form, e.g. ``-3/2 * W * q^(1/2)``.

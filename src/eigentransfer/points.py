@@ -9,22 +9,27 @@ eigenvalue-system, and the Satake-parameter maps.
 A mock form space is a formal sum of classical points of one weight with
 multiplicities.  Its characteristic polynomial for a chosen product of Hecke
 generators is ``prod (1 - lambda·T)^mult`` with exact rational ``lambda``
-obtained by evaluating each point's eigenvalue under a symbol assignment (the
-weight twist is applied by multiplying in the weight character's value at the
-chosen cocharacter).  The divisibility criterion compares per-eigenvalue
-multiplicities, so it decides exactly whether ``prod (T - lambda)^mult`` of the
-source divides the ``C``-th power of the target's.  That product counts
-``lambda = 0``, which the reversed ``charpoly`` drops.
+obtained by evaluating each point's eigenvalue under a symbol assignment.
+Evaluation runs on integers and reduces once: a monomial's value is one
+numerator over one denominator, a spherical eigenvalue ``e_d`` is taken over
+the common denominator of the evaluated Satake parameters, and the weight
+twist of an Atkin-Lehner eigenvalue at the cocharacter ``v`` is the single
+uniformizer power ``W^(k·v)``.  The divisibility criterion compares
+per-eigenvalue multiplicities, so it decides exactly whether
+``prod (T - lambda)^mult`` of the source divides the ``C``-th power of the
+target's.  That product counts ``lambda = 0``, which the reversed
+``charpoly`` drops.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Mapping, Sequence
 
 from ._frozen import FrozenValue, _set
 from .errors import EmptyPacket, SizeMismatch
-from .monomial import Monomial, SymbolValue
+from .monomial import UNIFORMIZER_SYMBOL, Monomial, SymbolValue, _half_power
 from .tori import (
     AlgebraicWeight,
     CocharVector,
@@ -32,7 +37,6 @@ from .tori import (
     UnramifiedCharacter,
     _integer,
     _integers,
-    weight_as_character,
 )
 from .transfer import (
     TransferConfig,
@@ -187,28 +191,34 @@ class AtkinLehnerFactor(FrozenValue):
     def eigenvalue(self, point: ClassicalPoint, assign: Assignment) -> Fraction:
         vector = self._vector(point.weight.shape)
         chi = point.up_at(self.place)
-        twisted = chi.eval(vector) * weight_as_character(point.weight).eval(vector)
+        # the weight character's value at v is W^(k·v), so one W power stands for it
+        pairing = sum(k * v for k, v in zip(point.weight.exps, vector.exps))
+        twisted = chi.eval(vector) * _half_power(UNIFORMIZER_SYMBOL, 2 * pairing)
         return twisted.evaluate(assign)
 
 
 def _elementary_symmetric(values: Sequence[Fraction], degree: int) -> Fraction:
     """``e_degree`` of ``values`` by the recurrence ``e[k] += e[k-1]·v``, one value at a time.
 
-    ``O(len(values)·degree)`` exact multiplications; 0 when ``degree`` exceeds
-    the number of values.
+    The values are put over their common denominator ``D``, the recurrence runs
+    on the integer numerators, and ``e_degree`` is their result over
+    ``D^degree``, reduced once.  ``O(len(values)·degree)`` integer
+    multiplications; 0 when ``degree`` exceeds the number of values.
     """
-    e = [Fraction(1)] + [Fraction(0)] * degree
+    D = lcm(*[v.denominator for v in values])
+    e = [1] + [0] * degree
     for count, v in enumerate(values, 1):
+        a = v.numerator * (D // v.denominator)
         for k in range(min(count, degree), 0, -1):
-            e[k] += e[k - 1] * v
-    return e[degree]
+            e[k] += e[k - 1] * a
+    return Fraction(e[degree], D ** degree)
 
 
 class SphericalFactor(FrozenValue):
     """Unramified Hecke generator at a tracked place: elementary symmetric of given degree.
 
     The eigenvalue on a point is ``e_degree`` of its evaluated Satake
-    parameters, computed by a recurrence in ``O(n·degree)`` rational
+    parameters, computed by a recurrence in ``O(n·degree)`` integer
     multiplications rather than as a sum over the ``C(n, degree)`` subsets.
     """
 

@@ -3,6 +3,7 @@
 import copy
 import pickle
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -199,6 +200,40 @@ def test_symbol_value_validation():
         SymbolValue(-4, 2)
     with pytest.raises(ValueError):
         SymbolValue(9, 2)
+
+
+_INEXACT = (0.1, 2.0, "0.1", "1e-1", " 3", "1_000", Decimal("0.1"), [1])
+
+
+@pytest.mark.parametrize("value", _INEXACT, ids=repr)
+def test_inexact_rationals_are_refused(value):
+    """A float or a decimal string used to be read as the binary fraction it
+    rounds to: ``SymbolValue(0.1).value`` was 3602879701896397/36028797018963968."""
+    message = f"rationals are ints, Fractions or 'a/b' text, got {value!r}"
+    for build in (
+        lambda: SymbolValue(value),
+        lambda: SymbolValue(4, value),
+        lambda: Monomial(value),
+        lambda: Monomial(value, {"q": 1}),
+    ):
+        with pytest.raises(ValueError) as err:
+            build()
+        assert type(err.value) is ValueError and str(err.value) == message
+
+
+def test_exact_rationals_are_accepted():
+    assert SymbolValue("9/4", "-3/2") == SymbolValue(Fraction(9, 4), Fraction(-3, 2))
+    assert SymbolValue(True).value == 1 and type(SymbolValue(True).value) is Fraction
+    assert Monomial("-3/6") == Monomial(Fraction(-1, 2))
+    assert Monomial("+4", {"q": 1}) == Monomial(4, {"q": 1})
+    assert type(Monomial("6/3")._coeff) is int
+    # the positivity and root checks still come after the value is read
+    with pytest.raises(ValueError, match="symbol values must be positive rationals"):
+        SymbolValue("-1/2", 0.5)
+    with pytest.raises(ValueError, match="monomial coefficients are nonzero"):
+        Monomial("0/5")
+    with pytest.raises(ZeroDivisionError):
+        Monomial("1/0")
 
 
 def test_text_canonical_form():

@@ -339,3 +339,96 @@ def test_laurent_arithmetic_matches_fraction_terms(x, y, pi):
     _same_poly(px + py, _reference_add(rx, ry))
     _same_poly(px - px, {})
     _same_poly(px.permute_variables(pi), _reference_permute(rx, pi))
+
+
+def _fraction_evaluate(m, assignment):
+    """``Monomial.evaluate`` as it was: one ``Fraction`` step per symbol."""
+    result = m._coeff
+    for name, t in m._twice:
+        try:
+            sv = assignment[name]
+        except KeyError:
+            raise MissingSymbol(f"no value assigned to symbol {name!r}") from None
+        if t % 2 == 0:
+            result *= sv.value ** (t // 2)
+        else:
+            if sv.sqrt is None:
+                raise NonSquareAssignment(
+                    f"symbol {name!r} occurs with a half-integer exponent "
+                    "but its assignment declares no square root"
+                )
+            result *= sv.sqrt ** t
+    return result if type(result) is Fraction else Fraction(result)
+
+
+def _outcome(evaluate, m, assignment):
+    """The value, checked to be a ``Fraction``, or the type and text of the error."""
+    try:
+        value = evaluate(m, assignment)
+    except (MissingSymbol, NonSquareAssignment) as err:
+        return type(err), str(err)
+    assert type(value) is Fraction
+    return value
+
+
+_monomials = st.one_of(_pairs.map(lambda pair: pair[0]), st.builds(Monomial, _coefficients))
+# declared roots of both signs: a negative root makes odd powers negative
+_signed_roots = st.builds(Fraction, st.sampled_from((-5, -3, -2, -1, 1, 2, 3, 5)), st.integers(1, 5))
+_rooted = _signed_roots.map(lambda r: SymbolValue(r * r, r))
+
+
+@settings(max_examples=200, derandomize=True, database=None)
+@given(_monomials, st.lists(_rooted, min_size=len(_NAMES), max_size=len(_NAMES)))
+def test_evaluate_matches_fraction_steps(m, values):
+    assignment = dict(zip(_NAMES, values))
+    assert _outcome(Monomial.evaluate, m, assignment) == _fraction_evaluate(m, assignment)
+
+
+# each symbol is unassigned, assigned without a root, or assigned with a root
+_partial = st.fixed_dictionaries(
+    {
+        name: st.one_of(
+            st.none(),
+            st.builds(SymbolValue, st.builds(Fraction, st.integers(1, 9), st.integers(1, 9))),
+            _rooted,
+        )
+        for name in _NAMES
+    }
+).map(lambda d: {name: sv for name, sv in d.items() if sv is not None})
+
+
+@settings(max_examples=200, derandomize=True, database=None)
+@given(_monomials, _partial)
+def test_evaluate_errors_match_fraction_steps(m, assignment):
+    assert _outcome(Monomial.evaluate, m, assignment) == _outcome(_fraction_evaluate, m, assignment)
+
+
+def test_evaluate_raises_at_the_first_bad_symbol_in_sorted_order():
+    m = Monomial(3, {"q": -1, "b": Fraction(1, 2), "a": Fraction(-3, 2), "W": 2})
+    rooted = {name: SymbolValue(4, -2) for name in ("W", "a", "b", "q")}
+    cases = [
+        ({n: sv for n, sv in rooted.items() if n != "q"}, MissingSymbol, "q"),
+        ({n: sv for n, sv in rooted.items() if n not in ("b", "q")}, MissingSymbol, "b"),
+        ({**rooted, "b": SymbolValue(4), "q": SymbolValue(4)}, NonSquareAssignment, "b"),
+        ({**rooted, "a": SymbolValue(4), "b": SymbolValue(4)}, NonSquareAssignment, "a"),
+        ({n: sv for n, sv in rooted.items() if n != "b"} | {"a": SymbolValue(4)},
+         NonSquareAssignment, "a"),
+    ]
+    for assignment, error, name in cases:
+        kind, text = _outcome(Monomial.evaluate, m, assignment)
+        assert (kind, text) == _outcome(_fraction_evaluate, m, assignment)
+        assert kind is error and repr(name) in text
+
+
+def test_evaluate_with_negative_roots_and_negative_exponents():
+    m = Monomial(Fraction(-3, 5), {"q": -1, "b": Fraction(1, 2), "a": Fraction(-3, 2), "W": 2})
+    assignment = {
+        "W": SymbolValue(Fraction(4, 9), Fraction(2, 3)),
+        "a": SymbolValue(4, -2),
+        "b": SymbolValue(Fraction(1, 4), Fraction(-1, 2)),
+        "q": SymbolValue(Fraction(9, 7)),
+    }
+    # -3/5 * (4/9)^2 * (-2)^-3 * (-1/2)^1 * (9/7)^-1
+    value = m.evaluate(assignment)
+    assert type(value) is Fraction and value == Fraction(-7, 1215)
+    assert value == _fraction_evaluate(m, assignment)

@@ -1,7 +1,8 @@
 """Tests for classical points, Hecke factors, and the divisibility criterion."""
 
+import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,7 +23,13 @@ from eigentransfer.points import (
     point_eigenvalue,
     transfer_point,
 )
-from eigentransfer.tori import AlgebraicWeight, GroupShape, UnramifiedCharacter
+from eigentransfer.tori import (
+    AlgebraicWeight,
+    CocharVector,
+    GroupShape,
+    UnramifiedCharacter,
+    weight_as_character,
+)
 from eigentransfer.transfer import TransferConfig
 
 HALF = Fraction(1, 2)
@@ -120,6 +127,52 @@ def test_atkin_lehner_factor_eigenvalue():
         AtkinLehnerFactor("p", (0, 1)).eigenvalue(point, assign)
     with pytest.raises(ValueError):
         AtkinLehnerFactor("p", (1,)).eigenvalue(point, assign)
+
+
+def _compositions(n):
+    if n == 0:
+        yield ()
+    for first in range(1, n + 1):
+        for rest in _compositions(n - first):
+            yield (first,) + rest
+
+
+def _weight_character_eigenvalue(factor, point, assign):
+    """Oracle: the weight twist as the weight character's value at the cocharacter."""
+    vector = CocharVector(point.weight.shape, factor.cochar)
+    chi = point.up_at(factor.place)
+    return (chi.eval(vector) * weight_as_character(point.weight).eval(vector)).evaluate(assign)
+
+
+def test_atkin_lehner_eigenvalue_matches_weight_character_oracle():
+    rng = random.Random(15)
+    orthogonal = 0
+    for n in range(1, 5):
+        for blocks in _compositions(n):
+            shape = GroupShape(blocks)
+            antidominant = [
+                v for v in product(range(-2, 3), repeat=n) if CocharVector(shape, v).is_antidominant()
+            ]
+            for _ in range(4):
+                weight = AlgebraicWeight(shape, [rng.randint(-2, 2) for _ in range(n)])
+                values = tuple(
+                    Monomial(
+                        Fraction(rng.choice((-3, -1, 1, 2)), rng.randint(1, 3)),
+                        {"c": rng.randint(-2, 2), "W": Fraction(rng.randint(-3, 3), 2)},
+                    )
+                    for _ in range(n)
+                )
+                point = ClassicalPoint.build(weight, up={"p": UnramifiedCharacter(shape, values)})
+                w, c = Fraction(rng.choice((-3, -2, 2, 3)), rng.randint(1, 3)), rng.randint(2, 5)
+                assign = {"W": SymbolValue(w * w, w), "c": SymbolValue(Fraction(c, 7))}
+                for v in [(0,) * n] + rng.sample(antidominant, min(8, len(antidominant))):
+                    factor = AtkinLehnerFactor("p", v)
+                    value = factor.eigenvalue(point, assign)
+                    assert type(value) is Fraction
+                    assert value == _weight_character_eigenvalue(factor, point, assign), (blocks, v)
+                    orthogonal += any(v) and sum(k * e for k, e in zip(weight.exps, v)) == 0
+    # nonzero cocharacters whose weight pairing is 0 are among the cases, not only v = 0
+    assert orthogonal >= 10
 
 
 def test_spherical_factor_eigenvalue():

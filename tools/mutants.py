@@ -248,6 +248,41 @@ MUTANTS = [
         "",
         ["tests/test_points.py::test_factors_that_cannot_act_are_refused_on_empty_spaces"],
     ),
+    (
+        "e_d numerators not scaled to the common denominator",
+        POINTS,
+        "a = v.numerator * (D // v.denominator)",
+        "a = v.numerator * D",
+        ["tests/test_points.py::test_elementary_symmetric_matches_subset_sum"],
+    ),
+    (
+        "odd exponent evaluated on the value instead of the declared root",
+        MONOMIAL,
+        "base, e = sv.sqrt, t",
+        "base, e = sv.value, t",
+        ["tests/test_monomial_kernel.py::test_evaluate_with_negative_roots_and_negative_exponents"],
+    ),
+    (
+        "negative exponent evaluated without swapping numerator and denominator",
+        MONOMIAL,
+        "n, d, e = d, n, -e",
+        "e = -e",
+        ["tests/test_monomial_kernel.py::test_evaluate_with_negative_roots_and_negative_exponents"],
+    ),
+    (
+        "Atkin-Lehner weight twist with the exponent negated",
+        POINTS,
+        "_half_power(UNIFORMIZER_SYMBOL, 2 * pairing)",
+        "_half_power(UNIFORMIZER_SYMBOL, -2 * pairing)",
+        ["tests/test_points.py::test_atkin_lehner_eigenvalue_matches_weight_character_oracle"],
+    ),
+    (
+        "a float read as the binary fraction it rounds to",
+        MONOMIAL,
+        "if isinstance(value, (int, Fraction)):",
+        "if isinstance(value, (int, float, Fraction)):",
+        ["tests/test_monomial.py::test_inexact_rationals_are_refused"],
+    ),
 ]
 
 
