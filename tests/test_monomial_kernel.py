@@ -406,15 +406,16 @@ def test_evaluate_errors_match_fraction_steps(m, assignment):
 def test_evaluate_raises_at_the_first_bad_symbol_in_sorted_order():
     m = Monomial(3, {"q": -1, "b": Fraction(1, 2), "a": Fraction(-3, 2), "W": 2})
     rooted = {name: SymbolValue(4, -2) for name in ("W", "a", "b", "q")}
+    rootless = SymbolValue(4)
     cases = [
-        ({n: sv for n, sv in rooted.items() if n != "q"}, MissingSymbol, "q"),
-        ({n: sv for n, sv in rooted.items() if n not in ("b", "q")}, MissingSymbol, "b"),
-        ({**rooted, "b": SymbolValue(4), "q": SymbolValue(4)}, NonSquareAssignment, "b"),
-        ({**rooted, "a": SymbolValue(4), "b": SymbolValue(4)}, NonSquareAssignment, "a"),
-        ({n: sv for n, sv in rooted.items() if n != "b"} | {"a": SymbolValue(4)},
-         NonSquareAssignment, "a"),
+        ({**rooted, "q": None}, MissingSymbol, "q"),
+        ({**rooted, "b": None, "q": None}, MissingSymbol, "b"),
+        ({**rooted, "b": rootless, "q": rootless}, NonSquareAssignment, "b"),
+        ({**rooted, "a": rootless, "b": rootless}, NonSquareAssignment, "a"),
+        ({**rooted, "a": rootless, "b": None}, NonSquareAssignment, "a"),
     ]
     for assignment, error, name in cases:
+        assignment = {n: sv for n, sv in assignment.items() if sv is not None}
         kind, text = _outcome(Monomial.evaluate, m, assignment)
         assert (kind, text) == _outcome(_fraction_evaluate, m, assignment)
         assert kind is error and repr(name) in text
