@@ -295,8 +295,6 @@ class Monomial(FrozenValue):
             name, whole, half = m.groups()
             t = 2 * int(whole) if whole is not None else int(half) if half is not None else 2
             twice[name] = twice.get(name, 0) + t
-        if coeff == 0:
-            raise ValueError("monomial coefficients are nonzero")
         return cls._from_twice(coeff, twice)
 
     def __str__(self) -> str:

@@ -120,12 +120,7 @@ class ClassicalPoint(FrozenValue):
         up: Mapping[str, UnramifiedCharacter] | None = None,
         satake: Mapping[str, Sequence[Sequence[Monomial]]] | None = None,
     ) -> "ClassicalPoint":
-        up_items = tuple((place, chi) for place, chi in (up or {}).items())
-        satake_items = tuple(
-            (place, tuple(tuple(block) for block in blocks))
-            for place, blocks in (satake or {}).items()
-        )
-        return cls(weight, up_items, satake_items)
+        return cls(weight, (up or {}).items(), (satake or {}).items())
 
     def up_at(self, place: str) -> UnramifiedCharacter:
         for tag, chi in self.up:

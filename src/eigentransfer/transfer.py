@@ -33,17 +33,18 @@ symbols, that these maps fit together: the combined map factors as
 two routes through the modulus normalisation agree, and the weight shifts are
 integers.  The factorization is checked on slot ratios: the ``n`` values of
 ``lhs * rhs^-1``, in which the generic symbols cancel to small ``q``/``W``/``M``
-monomials, are formed once, and a generator ``t`` reads ``prod ratio[p]^t[p]``.
-Evaluation at a cocharacter is a homomorphism and the arithmetic is exact, so
-this equals ``lhs(t) * rhs(t)^-1`` term for term without multiplying the two
-wide generic products at every generator.
+monomials, are formed once.  A character takes ``prod ratio[p]^t[p]`` at ``t``,
+so on ``GL_n`` the generator with ``j`` leading ones reads the product of the
+first ``j`` ratios and ``(-1,..,-1)`` the inverse of all ``n``.  Evaluation is a
+homomorphism and the arithmetic is exact, so this is ``lhs(t) * rhs(t)^-1``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
+from itertools import accumulate, combinations
+from operator import mul
 from typing import Iterable, Iterator, Sequence
 
 from ._frozen import FrozenValue, _set
@@ -415,6 +416,17 @@ def _generic_character(shape: GroupShape, prefix: str, avoid: set[str]) -> Unram
     return UnramifiedCharacter._new(shape, tuple(values))
 
 
+def _factorization_residuals(ratios: tuple[Monomial, ...]) -> tuple[str, ...]:
+    """The non-trivial values of the slot-ratio character at the generators of ``GL_n``,
+    in :func:`dominant_generators` order: the ``n`` prefix products, then the
+    inverse of the full product at the negated full vector."""
+    n = len(ratios)
+    prefixes = list(accumulate(ratios, mul))
+    gens = [(1,) * j + (0,) * (n - j) for j in range(1, n + 1)] + [(-1,) * n]
+    values = prefixes + [prefixes[-1].inverse()]
+    return tuple(f"t={t}: {v.text()}" for t, v in zip(gens, values) if not v.is_one())
+
+
 def verify_transfer_compatibility(
     cfg: TransferConfig, drop_normalization: bool = False
 ) -> TransferReport:
@@ -436,7 +448,8 @@ def verify_transfer_compatibility(
     unnormalized variant; for more than one source block this must fail.
 
     The factorization residual at ``t`` is the slot-ratio character
-    ``lhs * rhs^-1`` evaluated at ``t``.  Since ``chi -> chi(t)`` is a
+    ``lhs * rhs^-1`` evaluated at ``t``, read as a prefix product of the ratios
+    (inverted at the negated full vector).  Since ``chi -> chi(t)`` is a
     homomorphism, that is exactly ``lhs(t) * rhs(t)^-1``, so the residual
     texts are those of evaluating both sides at each generator.
     """
@@ -457,14 +470,8 @@ def verify_transfer_compatibility(
         lhs_char = atkin_lehner_pullback(chi * zeta, cfg, normalized=not drop_normalization)
         rhs_char = refinement_pullback_normalized(chi, cfg) * weight_character_pullback(zeta, cfg)
         ratios = lhs_char * rhs_char.inverse()  # the generic symbols cancel slot by slot
-        residuals = []
-        for gen in dominant_generators(cfg.target):
-            ratio = ratios.eval(gen)
-            if not ratio.is_one():
-                residuals.append(f"t={gen.exps}: {ratio.text()}")
-        checks.append(
-            CheckResult("atkin-lehner-factorization", not residuals, tuple(residuals))
-        )
+        residuals = _factorization_residuals(ratios.values)
+        checks.append(CheckResult("atkin-lehner-factorization", not residuals, residuals))
     else:
         checks.append(
             CheckResult(

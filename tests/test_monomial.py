@@ -267,6 +267,9 @@ def test_parse_rejects_garbage():
     for bad in ["", "   ", "q^", "q^(1/3)", "2x", "x + y", "0", "* q", "q *", "x^^2", "x^(1/2"]:
         with pytest.raises(ValueError):
             Monomial.parse(bad)
+    for zero in ["0 * q", "2 * 0/3 * q"]:
+        with pytest.raises(ValueError, match="monomial coefficients are nonzero"):
+            Monomial.parse(zero)
 
 
 def test_text_parse_round_trip_random():

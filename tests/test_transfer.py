@@ -39,6 +39,7 @@ from eigentransfer.transfer import (
     CheckResult,
     TransferConfig,
     TransferReport,
+    _factorization_residuals,
     _first_realizing_sigma,
     archimedean_sigma,
     archimedean_transfer,
@@ -497,6 +498,56 @@ def test_verify_matches_per_generator_oracle():
     assert (True, ("t=(1, 0): 1 * q^(-1/2)",)) in verdicts
     assert (False, ("skipped: weight shifts are not integral",)) in verdicts
 
+
+
+def _generator_oracle(ratios):
+    """The residual texts of evaluating the slot-ratio character at each generator."""
+    chi = UnramifiedCharacter(GroupShape((len(ratios),)), ratios)
+    values = ((gen, chi.eval(gen)) for gen in dominant_generators(chi.shape))
+    return tuple(f"t={gen.exps}: {value.text()}" for gen, value in values if not value.is_one())
+
+
+def test_factorization_residuals_read_prefix_products():
+    root_q = Monomial(1, {"q": HALF})
+    ratios = (root_q, root_q.inverse(), Monomial(-2, {"W": 1}))
+    assert _factorization_residuals(ratios) == (
+        "t=(1, 0, 0): 1 * q^(1/2)",
+        "t=(1, 1, 1): -2 * W",
+        "t=(-1, -1, -1): -1/2 * W^-1",
+    )
+    # a full product of 1, as every config's: no residual at the negated full vector
+    assert _factorization_residuals((root_q, root_q.inverse())) == ("t=(1, 0): 1 * q^(1/2)",)
+    assert _factorization_residuals((ONE,)) == ()
+
+
+_slot_ratios = st.one_of(
+    st.just(ONE),
+    st.builds(
+        lambda num, den, exps: Monomial(
+            Fraction(num, den), {name: Fraction(e, 2) for name, e in zip("qWM", exps)}
+        ),
+        st.integers(-4, 4).filter(bool),
+        st.integers(1, 4),
+        st.lists(st.integers(-3, 3), min_size=3, max_size=3),
+    ),
+)
+
+
+@settings(max_examples=400, derandomize=True, database=None)
+@given(st.data())
+def test_factorization_residuals_match_generator_oracle(data):
+    """Prefix products against ``eval`` at each generator: n = 1..6, small
+    ``q``/``W``/``M`` monomials with coefficients of both signs, with the full
+    product left free (no config reaches a residual at the negated full vector)
+    or closed to 1 by the last ratio."""
+    n = data.draw(st.integers(1, 6))
+    ratios = data.draw(st.lists(_slot_ratios, min_size=n, max_size=n))
+    if data.draw(st.booleans()):
+        head = ONE
+        for ratio in ratios[:-1]:
+            head = head * ratio
+        ratios[-1] = head.inverse()
+    assert _factorization_residuals(tuple(ratios)) == _generator_oracle(ratios)
 
 def test_archimedean_transfer_anchors():
     shape = GroupShape((1, 1))

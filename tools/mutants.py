@@ -283,6 +283,27 @@ MUTANTS = [
         "if isinstance(value, (int, float, Fraction)):",
         ["tests/test_monomial.py::test_inexact_rationals_are_refused"],
     ),
+    (
+        "Atkin-Lehner prefix residual labelled one generator early",
+        TRANSFER,
+        "for j in range(1, n + 1)]",
+        "for j in range(n)]",
+        ["tests/test_transfer.py::test_factorization_residuals_read_prefix_products"],
+    ),
+    (
+        "Atkin-Lehner residual at the negated full generator dropped",
+        TRANSFER,
+        "values = prefixes + [prefixes[-1].inverse()]",
+        "values = prefixes",
+        ["tests/test_transfer.py::test_factorization_residuals_read_prefix_products"],
+    ),
+    (
+        "Atkin-Lehner negated full generator read as the full product, not its inverse",
+        TRANSFER,
+        "values = prefixes + [prefixes[-1].inverse()]",
+        "values = prefixes + [prefixes[-1]]",
+        ["tests/test_transfer.py::test_factorization_residuals_read_prefix_products"],
+    ),
 ]
 
 
