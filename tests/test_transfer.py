@@ -4,7 +4,7 @@ import gc
 import random
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations, product
-from math import factorial
+from math import factorial, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -499,7 +499,6 @@ def test_verify_matches_per_generator_oracle():
     assert (False, ("skipped: weight shifts are not integral",)) in verdicts
 
 
-
 def _generator_oracle(ratios):
     """The residual texts of evaluating the slot-ratio character at each generator."""
     chi = UnramifiedCharacter(GroupShape((len(ratios),)), ratios)
@@ -543,11 +542,9 @@ def test_factorization_residuals_match_generator_oracle(data):
     n = data.draw(st.integers(1, 6))
     ratios = data.draw(st.lists(_slot_ratios, min_size=n, max_size=n))
     if data.draw(st.booleans()):
-        head = ONE
-        for ratio in ratios[:-1]:
-            head = head * ratio
-        ratios[-1] = head.inverse()
+        ratios[-1] = prod(ratios[:-1], start=ONE).inverse()
     assert _factorization_residuals(tuple(ratios)) == _generator_oracle(ratios)
+
 
 def test_archimedean_transfer_anchors():
     shape = GroupShape((1, 1))
