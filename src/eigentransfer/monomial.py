@@ -55,17 +55,52 @@ def _canon(c: Rational) -> Rational:
 
 def _merge(a: tuple, b: tuple) -> tuple:
     """Sum of two doubled-exponent tuples, each sorted by name with no zero entries,
-    in the same form."""
+    in the same form.
+
+    When every name of one side sorts before every name of the other, the result is
+    the two tuples concatenated in that order.  Otherwise one linear pass walks both
+    tuples in name order, adds the doubled exponents of a shared name and drops it
+    when they cancel, then appends the tail of the side that has not run out.
+    """
     if not a:
         return b
     if not b:
         return a
     if a[-1][0] < b[0][0]:  # every name of a sorts before every name of b
         return a + b
-    merged = dict(a)
-    for name, t in b:
-        merged[name] = merged.get(name, 0) + t
-    return tuple(sorted([item for item in merged.items() if item[1]]))
+    if b[-1][0] < a[0][0]:  # every name of b sorts before every name of a
+        return b + a
+    out = []
+    i = j = 0
+    la, lb = len(a), len(b)
+    x, y = a[0], b[0]
+    while True:
+        if x[0] < y[0]:
+            out.append(x)
+            i += 1
+            if i == la:
+                break
+            x = a[i]
+        elif y[0] < x[0]:
+            out.append(y)
+            j += 1
+            if j == lb:
+                break
+            y = b[j]
+        else:
+            t = x[1] + y[1]
+            if t:
+                out.append((x[0], t))
+            i += 1
+            j += 1
+            if i == la or j == lb:
+                break
+            x, y = a[i], b[j]
+    if i < la:
+        out += a[i:]
+    elif j < lb:
+        out += b[j:]
+    return tuple(out)
 
 
 def _rational(text: str) -> Optional[Fraction]:
@@ -180,7 +215,10 @@ class Monomial(FrozenValue):
             coeff = self._coeff * other._coeff
             if type(coeff) is not int:
                 coeff = _canon(coeff)
-            return _make(coeff, _merge(self._twice, other._twice))
+            result = _new_object(Monomial)
+            _set_coeff(result, coeff)
+            _set_twice(result, _merge(self._twice, other._twice))
+            return result
         if isinstance(other, (int, Fraction)):
             if other == 0:
                 raise ValueError("monomial coefficients are nonzero")
@@ -251,6 +289,8 @@ class Monomial(FrozenValue):
                 n, d, e = d, n, -e
             num *= n ** e
             den *= d ** e
+        if den == 1:  # an integral value skips the gcd of the general path
+            return Fraction(num)
         # a declared root may be negative: Fraction moves the sign to the numerator
         return Fraction(num, den)
 
@@ -307,9 +347,9 @@ class Monomial(FrozenValue):
 def _make(coeff: Rational, twice: tuple[tuple[str, int], ...]) -> Monomial:
     """Unvalidated constructor: ``coeff`` is nonzero and canonical (see :func:`_canon`)
     and ``twice`` is sorted by name with no zero entries."""
-    self = object.__new__(Monomial)
-    _set(self, "_coeff", coeff)
-    _set(self, "_twice", twice)
+    self = _new_object(Monomial)
+    _set_coeff(self, coeff)
+    _set_twice(self, twice)
     return self
 
 
@@ -322,6 +362,11 @@ def _half_power(name: str, doubled: int) -> Monomial:
     """``name^(doubled/2)`` with coefficient one, for a valid symbol ``name``."""
     return _make(_UNIT, ((name, doubled),) if doubled else ())
 
+
+# the slots' own setters, bound once: cheaper than ``object.__setattr__`` by name
+_new_object = object.__new__
+_set_coeff = Monomial._coeff.__set__
+_set_twice = Monomial._twice.__set__
 
 ONE = Monomial(1)
 

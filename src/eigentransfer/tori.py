@@ -182,9 +182,9 @@ class UnramifiedCharacter(FrozenValue):
     @classmethod
     def _new(cls, shape: GroupShape, values: tuple[Monomial, ...]) -> "UnramifiedCharacter":
         """Unvalidated constructor: ``values`` is a tuple of ``shape.n`` Monomials."""
-        chi = object.__new__(cls)
-        _set(chi, "shape", shape)
-        _set(chi, "values", values)
+        chi = _new_object(cls)
+        _set_shape(chi, shape)
+        _set_values(chi, values)
         return chi
 
     @classmethod
@@ -214,6 +214,12 @@ class UnramifiedCharacter(FrozenValue):
             if e:
                 out = out * v ** e
         return out
+
+
+# the slots' own setters, bound once, for ``UnramifiedCharacter._new``
+_new_object = object.__new__
+_set_shape = UnramifiedCharacter.shape.__set__
+_set_values = UnramifiedCharacter.values.__set__
 
 
 class AlgebraicWeight(FrozenValue):

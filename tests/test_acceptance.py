@@ -13,7 +13,7 @@ from math import factorial
 
 from eigentransfer.errors import NotRelevant
 from eigentransfer.laurent import LaurentPoly, elementary_symmetric
-from eigentransfer.monomial import Monomial, ONE, SymbolValue, symbol
+from eigentransfer.monomial import Monomial, ONE, SymbolValue, _make, symbol
 from eigentransfer.points import (
     AtkinLehnerFactor,
     ClassicalPoint,
@@ -509,7 +509,8 @@ def test_criterion_7_interpolation_divisibility():
 # criterion 8: homomorphism laws
 
 
-def _random_character(rng, shape):
+def _validated_random_character(rng, shape):
+    """Criterion 8's input character, built through the validating constructors."""
     values = []
     for _ in range(shape.n):
         coeff = Fraction(rng.randint(1, 9))
@@ -525,6 +526,35 @@ def _random_character(rng, shape):
             )
         )
     return UnramifiedCharacter(shape, tuple(values))
+
+
+def _random_character(rng, shape):
+    """The same character from the same draws, built from canonical parts: an ``int``
+    coefficient and the doubled exponents of ``u`` and ``v`` in name order, zeros dropped."""
+    values = []
+    for _ in range(shape.n):
+        coeff = rng.randint(1, 9)
+        if rng.random() < 0.5:
+            coeff = -coeff
+        twice = (("u", rng.randint(-4, 4)), ("v", 2 * rng.randint(-3, 3)))
+        values.append(_make(coeff, tuple([item for item in twice if item[1]])))
+    return UnramifiedCharacter._new(shape, tuple(values))
+
+
+def test_criterion_8_inputs_match_validating_constructor():
+    # one seed across every criterion-8 shape, in criterion 8's order
+    fast, validated = random.Random(8), random.Random(8)
+    for n in range(1, 5):
+        for blocks in compositions(n):
+            shape = GroupShape(blocks)
+            for _ in range(500):
+                chi = _random_character(fast, shape)
+                ref = _validated_random_character(validated, shape)
+                assert chi == ref
+                assert [(type(v._coeff), v._twice) for v in chi.values] == [
+                    (type(v._coeff), v._twice) for v in ref.values
+                ]
+    assert fast.getstate() == validated.getstate()
 
 
 def test_criterion_8_homomorphism_laws():

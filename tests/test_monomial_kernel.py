@@ -252,6 +252,13 @@ def test_merge_matches_dict_merge_on_each_kind_of_overlap():
         ((("M", 2), ("q", -1)), (("q", 3),)),  # overlapping
         ((("M", 2), ("q", -1)), (("q", 1),)),  # cancelling
         ((("M", 2),), (("M", -2),)),  # cancelling to nothing
+        # one case per branch of the linear pass
+        ((("q", 1),), (("M", 2), ("W", 1))),  # b wholly before a
+        ((("M", 2), ("W", 1)), (("M", 1), ("q", 2))),  # a runs out first
+        ((("M", 1), ("q", 2)), (("M", 2), ("W", 1))),  # b runs out first
+        ((("M", 2), ("W", 1), ("q", 3)), (("W", -1),)),  # cancelling in the middle
+        ((("M", 2), ("q", 3)), (("W", 1), ("q", -3))),  # cancelling at the end
+        ((("M", 2), ("W", 1), ("q", -1)), (("M", -2), ("W", -1), ("q", 1))),  # all cancel
     ]
     for a, b in cases:
         assert _merge(a, b) == _dict_merge(a, b)
@@ -269,6 +276,23 @@ def test_merge_matches_dict_merge(a, b, cancel):
     if cancel:  # b takes back part of a
         b = tuple(sorted({**dict(b), **{n: -t for n, t in a[::2]}}.items()))
     assert _merge(a, b) == _dict_merge(a, b)
+
+
+def _well_formed(m):
+    """The form ``_make`` trusts: names strictly increasing, no zero doubled exponent."""
+    names = [name for name, _ in m._twice]
+    return all(a < b for a, b in zip(names, names[1:])) and all(t for _, t in m._twice)
+
+
+@settings(max_examples=150, derandomize=True, database=None)
+@given(st.lists(_pairs.map(lambda pair: pair[0]), min_size=1, max_size=5), _powers)
+def test_products_powers_and_inverses_keep_twice_well_formed(factors, n):
+    product = factors[0]
+    for m in factors:
+        assert _well_formed(m ** n) and _well_formed(m.inverse())
+        for result in (product * m, m * product, product / m):
+            assert _well_formed(result), result._twice
+        product = product * m
 
 
 def _reference_terms(terms):
@@ -433,3 +457,25 @@ def test_evaluate_with_negative_roots_and_negative_exponents():
     value = m.evaluate(assignment)
     assert type(value) is Fraction and value == Fraction(-7, 1215)
     assert value == _fraction_evaluate(m, assignment)
+
+
+def test_integral_evaluate_matches_fraction_reference():
+    # symbol-free int and Fraction coefficients, then integral values reached through symbols
+    cases = [(c, {}, {}) for c in (1, -1, 3, -12, Fraction(4, 2), Fraction(-7, 3), Fraction(1, 9))]
+    cases += [
+        (3, {"q": 2, "a": Fraction(1, 2)}, {"q": SymbolValue(2), "a": SymbolValue(16, 4)}),
+        (Fraction(1, 4), {"q": 1}, {"q": SymbolValue(4)}),
+        (
+            Fraction(-5, 9),
+            {"q": 1, "W": Fraction(-1, 2)},
+            {"q": SymbolValue(3), "W": SymbolValue(Fraction(1, 9), Fraction(-1, 3))},
+        ),
+        # a negative root at a negative exponent leaves a denominator of -1
+        (3, {"a": Fraction(-1, 2)}, {"a": SymbolValue(Fraction(1, 4), Fraction(-1, 2))}),
+    ]
+    for coeff, exponents, assignment in cases:
+        value = Monomial(coeff, exponents).evaluate(assignment)
+        ref = FractionMonomial(coeff, exponents).evaluate(assignment)
+        assert type(value) is Fraction and value == ref, (coeff, exponents)
+        assert (value.numerator, value.denominator) == (ref.numerator, ref.denominator)
+    assert Monomial(3, {"a": Fraction(-1, 2)}).evaluate(cases[-1][2]) == -6

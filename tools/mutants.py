@@ -112,8 +112,22 @@ MUTANTS = [
     (
         "exponent merge keeping cancelled names",
         MONOMIAL,
-        "tuple(sorted([item for item in merged.items() if item[1]]))",
-        "tuple(sorted([item for item in merged.items()]))",
+        "            if t:\n                out.append((x[0], t))\n",
+        "            out.append((x[0], t))\n",
+        ["tests/test_monomial_kernel.py::test_merge_matches_dict_merge_on_each_kind_of_overlap"],
+    ),
+    (
+        "mirror concatenation in the wrong order",
+        MONOMIAL,
+        "        return b + a\n",
+        "        return a + b\n",
+        ["tests/test_monomial_kernel.py::test_merge_matches_dict_merge_on_each_kind_of_overlap"],
+    ),
+    (
+        "exponent merge taking the leftover tail from the wrong tuple",
+        MONOMIAL,
+        "out += b[j:]",
+        "out += a[j:]",
         ["tests/test_monomial_kernel.py::test_merge_matches_dict_merge_on_each_kind_of_overlap"],
     ),
     (
