@@ -2,7 +2,8 @@
 
 Every check is exact rational or symbolic arithmetic; nothing is compared up
 to tolerance.  Each test prints a single ``[PASS]``/``[FAIL]`` line naming the
-criterion it covers.
+criterion it covers; the one test without such a line pins criterion 8's input
+generator to the validating constructors.
 """
 
 import random
