@@ -7,8 +7,9 @@ writes the report.  Reports echo the SHA-256 of the raw input bytes and are
 emitted with sorted keys, so identical jobs produce byte-identical reports.
 The exit status follows the report: 1 when its ``"verdict"`` is ``"fail"`` or
 its error is a verdict on a well-formed job (weight collisions and
-non-integral shifts), 2 for any other error, which refuses the input, and 0
-otherwise.
+non-integral shifts), 2 for any other library error, which refuses the input,
+3 for an unexpected exception (an ``InternalError`` report naming the
+exception, never a traceback), and 0 otherwise.
 """
 
 from __future__ import annotations
@@ -64,6 +65,10 @@ def main(argv: list[str] | None = None) -> int:
         kind = type(err).__name__ if isinstance(err, TransferError) else "SchemaError"
         report["error"] = {"type": kind, "message": str(err)}
         code = 1 if isinstance(err, _VERDICT_ERRORS) else 2
+    except Exception as err:
+        # a crash is neither a verdict nor a refusal of the input
+        report["error"] = {"type": "InternalError", "message": f"{type(err).__name__}: {err}"}
+        code = 3
     _emit(report, args.pretty)
     return code
 

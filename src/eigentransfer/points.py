@@ -18,7 +18,9 @@ uniformizer power ``W^(k·v)``.  The divisibility criterion compares
 per-eigenvalue multiplicities, so it decides exactly whether
 ``prod (T - lambda)^mult`` of the source divides the ``C``-th power of the
 target's.  That product counts ``lambda = 0``, which the reversed
-``charpoly`` drops.
+``charpoly`` drops.  A check computes one eigenvalue per point object: a
+target space that holds the source's own points, as a transferred space
+matched against itself does, reuses their eigenvalues.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from typing import Iterable, Mapping, Sequence
 
 from ._frozen import FrozenValue, _set
 from .errors import EmptyPacket, SizeMismatch
-from .monomial import UNIFORMIZER_SYMBOL, Monomial, SymbolValue, _half_power
+from .monomial import UNIFORMIZER_SYMBOL, Monomial, SymbolValue, _canon, _make
 from .tori import (
     AlgebraicWeight,
     CocharVector,
@@ -184,12 +186,23 @@ class AtkinLehnerFactor(FrozenValue):
             point.up_at(self.place)
 
     def eigenvalue(self, point: ClassicalPoint, assign: Assignment) -> Fraction:
+        """``chi(v)·W^(k·v)`` evaluated, built in one pass over the slots: the
+        coefficients multiply and the doubled exponents add up in one dict, so one
+        monomial is made, the one that ``chi.eval(v)`` times the weight character's
+        value ``W^(k·v)`` gives."""
         vector = self._vector(point.weight.shape)
         chi = point.up_at(self.place)
-        # the weight character's value at v is W^(k·v), so one W power stands for it
-        pairing = sum(k * v for k, v in zip(point.weight.exps, vector.exps))
-        twisted = chi.eval(vector) * _half_power(UNIFORMIZER_SYMBOL, 2 * pairing)
-        return twisted.evaluate(assign)
+        coeff, twice, pairing = 1, {}, 0
+        for value, k, e in zip(chi.values, point.weight.exps, vector.exps):
+            if e:
+                c = value._coeff
+                coeff *= c ** e if e > 0 else Fraction(1, c) ** -e
+                for name, t in value._twice:
+                    twice[name] = twice.get(name, 0) + t * e
+                pairing += k * e
+        twice[UNIFORMIZER_SYMBOL] = twice.get(UNIFORMIZER_SYMBOL, 0) + 2 * pairing
+        exps = tuple(sorted(item for item in twice.items() if item[1]))
+        return _make(_canon(coeff), exps).evaluate(assign)
 
 
 def _elementary_symmetric(values: Sequence[Fraction], degree: int) -> Fraction:
@@ -331,11 +344,18 @@ def charpoly(
 
 
 def _eigenvalue_multiplicities(
-    space: MockFormSpace, factors: Sequence[HeckeFactor], assign: Assignment
+    space: MockFormSpace,
+    factors: Sequence[HeckeFactor],
+    assign: Assignment,
+    seen: dict[int, Fraction],
 ) -> dict[Fraction, int]:
+    """Multiplicity of each eigenvalue; ``seen`` holds the eigenvalue of each point
+    object already evaluated, keyed by ``id``, and gains the new ones."""
     out: dict[Fraction, int] = {}
     for point, mult in space.entries:
-        lam = point_eigenvalue(point, factors, assign)
+        lam = seen.get(id(point))
+        if lam is None:
+            lam = seen[id(point)] = point_eigenvalue(point, factors, assign)
         out[lam] = out.get(lam, 0) + mult
     return out
 
@@ -358,8 +378,11 @@ def divisibility_check(
     if c is None or c < 1:
         raise ValueError(f"the constant must be a positive integer, got {constant!r}")
     _check_factors(factors, space_source, space_target)
-    source = _eigenvalue_multiplicities(space_source, factors, assign)
-    target = _eigenvalue_multiplicities(space_target, factors, assign)
+    # a target that holds the source's own point objects reuses their eigenvalues;
+    # both spaces keep their points alive for the whole call, so no id is reused
+    seen: dict[int, Fraction] = {}
+    source = _eigenvalue_multiplicities(space_source, factors, assign, seen)
+    target = _eigenvalue_multiplicities(space_target, factors, assign, seen)
     return all(mult <= c * target.get(lam, 0) for lam, mult in source.items())
 
 

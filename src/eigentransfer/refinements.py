@@ -15,6 +15,12 @@ parameters (identified by value) appear in their internal descending order.
 The accessible refinements of a block are thus the shuffles of its segment
 ladders, and their count is the product over blocks of multinomial
 coefficients.  Non-generic descriptors are refused rather than guessed at.
+
+Genericity is decided on integers, by a sweep over the ladders: each segment
+is the run of doubled ``q`` exponents ``lo..hi`` (step 2) over gamma's
+``q``-free part, and after sorting by that part, the parity of ``lo`` and
+``lo`` itself, two neighbouring ladders share a parameter when ``lo <= hi`` and
+link when ``lo == hi + 2``.  No parameter is built or hashed for it.
 """
 
 from __future__ import annotations
@@ -80,6 +86,19 @@ class Segment(FrozenValue):
         return self.gamma * _half_power(RESIDUE_SYMBOL, -(self.d - 1))
 
 
+def _ladder(seg: Segment) -> tuple[tuple, int, int]:
+    """``(key, lo, hi)`` of a segment's ladder of doubled ``q`` exponents, keyed by
+    gamma's ``q``-free part and the parity of ``lo``."""
+    gamma, g = seg.gamma, 0
+    rest = gamma._twice
+    for k, (name, t) in enumerate(rest):
+        if name == RESIDUE_SYMBOL:
+            g, rest = t, rest[:k] + rest[k + 1 :]
+            break
+    lo = g - seg.d + 1
+    return (gamma._coeff, rest, lo % 2), lo, g + seg.d - 1
+
+
 def segments_linked(a: Segment, b: Segment) -> bool:
     """True when the two parameter ladders concatenate into one longer ladder."""
     step = _half_power(RESIDUE_SYMBOL, -2)
@@ -123,14 +142,21 @@ class LocalRepDescriptor(FrozenValue):
 
     @cached_property
     def is_generic(self) -> bool:
-        """Distinct parameters throughout and no two segments linked."""
-        params = self.all_params()
-        if len(set(params)) != len(params):
-            return False
-        # b links to a when b's bottom times q^-1 is a's top; never a itself (d = 0)
-        flat = [seg for block in self.segments for seg in block]
-        tops = {seg.top() for seg in flat}
-        return not any(seg.bottom() * _half_power(RESIDUE_SYMBOL, -2) in tops for seg in flat)
+        """Distinct parameters throughout and no two segments linked, by a ladder sweep.
+
+        A segment's parameters are ``gamma·q^(k/2)`` for ``k`` from ``lo = g - d + 1``
+        to ``hi = g + d - 1`` in steps of 2, ``g`` being gamma's doubled ``q``
+        exponent.  Two segments can share a parameter or link only when they agree
+        in gamma's ``q``-free part and in the parity of ``lo``.  Sorted by that key
+        and then by ``lo``, the descriptor is non-generic exactly when a ladder
+        starts at or below the previous one's ``hi + 2``: ``lo <= hi`` is a shared
+        parameter and ``lo == hi + 2`` a link.
+        """
+        ladders = sorted(_ladder(seg) for block in self.segments for seg in block)
+        for (key, _, hi), (next_key, lo, _) in zip(ladders, ladders[1:]):
+            if key == next_key and lo <= hi + 2:
+                return False
+        return True
 
     @cached_property
     def _ladders(self) -> tuple[tuple[int, int, dict[Monomial, tuple[int, int]]], ...]:

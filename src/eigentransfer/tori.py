@@ -234,6 +234,14 @@ class AlgebraicWeight(FrozenValue):
         _set(self, "shape", shape)
         _set(self, "exps", exps)
 
+    @classmethod
+    def _new(cls, shape: GroupShape, exps: tuple[int, ...]) -> "AlgebraicWeight":
+        """Unvalidated constructor: ``exps`` is a tuple of ``shape.n`` ints."""
+        weight = _new_object(cls)
+        _set(weight, "shape", shape)
+        _set(weight, "exps", exps)
+        return weight
+
     def classify(self) -> str:
         """``"regular"`` (strictly decreasing per block), ``"dominant"`` (weakly), or ``"neither"``."""
         exps, strict = self.exps, True

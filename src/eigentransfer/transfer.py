@@ -60,7 +60,9 @@ from .monomial import (
     Monomial,
     RESIDUE_SYMBOL,
     UNIFORMIZER_SYMBOL,
+    _exact,
     _half_power,
+    _make,
     _merge,
     valid_symbol,
 )
@@ -101,8 +103,11 @@ DEFAULT_TWIST_SYMBOL = "M"
 
 
 def _doubled_alpha(alpha: Fraction | int | str) -> int:
-    """``2·alpha`` as an int, refusing any ``alpha`` outside ``(1/2)Z``."""
-    alpha = alpha if isinstance(alpha, Fraction) else Fraction(alpha)
+    """``2·alpha`` as an int, refusing any ``alpha`` outside ``(1/2)Z``; an ``alpha``
+    that is not an ``int`` or a ``Fraction`` is read by the exactness rule of
+    :func:`~eigentransfer.monomial._exact`, so floats and decimal text are refused."""
+    if not isinstance(alpha, (int, Fraction)):
+        alpha = _exact(alpha)
     if alpha.denominator not in (1, 2):
         raise ValueError(f"alpha must be a half-integer, got {alpha}")
     return 2 * alpha.numerator // alpha.denominator
@@ -242,20 +247,35 @@ class TransferConfig(FrozenValue):
         """The twist exponent at each target slot ``p``, from the block of ``sigma^-1(p)``."""
         return tuple(self.twist_exponent(self.source.block_of(u)[0]) for u in self.sigma_inverse)
 
+    def _multipliers(self, normalized: bool, weighted: bool) -> tuple[Monomial, ...]:
+        """Per target slot ``p``, with ``u = sigma^-1(p)`` at block ``i``, entry ``j``:
+        ``M^t`` times, when ``normalized``, the source half-modulus at ``u`` and the
+        inverse target half-modulus at ``p``, which together are ``q^((2(j-p)+n-n_i)/2)``,
+        times, when ``weighted``, ``W^shift[p]``.  Each is made once from its doubled
+        exponents.  The shifts are read first, so a non-integral one raises first."""
+        shifts = self._shifts if weighted else None
+        n, blocks, mu = self.n, self.source.blocks, self.mu
+        positions = self.source._positions
+        out = []
+        for p, (u, t) in enumerate(zip(self.sigma_inverse, self._slot_twist_exponents)):
+            twice = [(mu, 2 * t)]
+            if normalized:
+                i, j = positions[u]
+                twice.append((RESIDUE_SYMBOL, 2 * (j - p) + n - blocks[i]))
+            if weighted:
+                twice.append((UNIFORMIZER_SYMBOL, 2 * shifts[p]))
+            out.append(_make(1, tuple(sorted(e for e in twice if e[1]))))
+        return tuple(out)
+
     @cached_property
     def _slot_twists(self) -> tuple[Monomial, ...]:
         """The twist monomial at each target slot ``p``: the plain refinement multipliers."""
-        return tuple(_half_power(self.mu, 2 * t) for t in self._slot_twist_exponents)
+        return self._multipliers(normalized=False, weighted=False)
 
     @cached_property
     def _normalized_multipliers(self) -> tuple[Monomial, ...]:
         """Slot twist x source half-modulus at ``sigma^-1(p)`` x inverse target half-modulus at ``p``."""
-        half_source = modulus_half(self.source, 1).values
-        inv_half_target = modulus_half(self.target, -1).values
-        return tuple(
-            twist * half_source[u] * inv_half_target[p]
-            for p, (twist, u) in enumerate(zip(self._slot_twists, self.sigma_inverse))
-        )
+        return self._multipliers(normalized=True, weighted=False)
 
     @cached_property
     def _shifts(self) -> tuple[int, ...]:
@@ -273,11 +293,11 @@ class TransferConfig(FrozenValue):
 
     @cached_property
     def _atkin_lehner_multipliers(self) -> tuple[Monomial, ...]:
-        return tuple(w * t for w, t in zip(self._shift_monomials, self._normalized_multipliers))
+        return self._multipliers(normalized=True, weighted=True)
 
     @cached_property
     def _atkin_lehner_plain_multipliers(self) -> tuple[Monomial, ...]:
-        return tuple(w * t for w, t in zip(self._shift_monomials, self._slot_twists))
+        return self._multipliers(normalized=False, weighted=True)
 
 
 def _require_source(data, cfg: TransferConfig) -> None:
@@ -532,9 +552,10 @@ def _archimedean_transfer(weight: AlgebraicWeight, alpha) -> tuple[ArchimedeanTr
         base = m - 1 + two_alpha * ((n - m) % 2)
         ms.extend(2 * exps[offset + j] + base - 2 * j for j in range(m))
     if len(set(ms)) != n:
+        # the text of Fraction(d, 2), without building one
         raise NotRelevant(
             "archimedean parameters collide: "
-            + ", ".join(str(Fraction(d, 2)) for d in sorted(ms))
+            + ", ".join(str(d // 2) if d % 2 == 0 else f"{d}/2" for d in sorted(ms))
         )
     order = sorted(range(n), key=ms.__getitem__, reverse=True)
     out = []
@@ -545,8 +566,8 @@ def _archimedean_transfer(weight: AlgebraicWeight, alpha) -> tuple[ArchimedeanTr
                 f"transferred weight entry {Fraction(doubled, 2)} is not an integer"
             )
         out.append(doubled // 2)
-    target = GroupShape((n,))
-    return ArchimedeanTransfer(AlgebraicWeight(target, out), invert_permutation(order)), two_alpha
+    target = AlgebraicWeight._new(GroupShape((n,)), tuple(out))
+    return ArchimedeanTransfer(target, invert_permutation(order)), two_alpha
 
 
 def _first_realizing_sigma(

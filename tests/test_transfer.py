@@ -162,13 +162,19 @@ def test_config_validation():
 
 
 def test_half_integer_alpha_rule_is_shared():
-    """The config and the archimedean recipe refuse the same alphas with the same text."""
+    """The config and the archimedean recipe refuse the same alphas with the same text.
+    A float is not read as the binary fraction it rounds to: it is refused by the
+    exactness rule of the rest of the library boundary."""
     kappa = AlgebraicWeight(GroupShape((1, 1)), (2, 0))
-    for alpha, text in ((Fraction(1, 3), "1/3"), ("5/4", "5/4"), (0.25, "1/4")):
-        message = f"alpha must be a half-integer, got {text}"
+    for alpha, message in (
+        (Fraction(1, 3), "alpha must be a half-integer, got 1/3"),
+        ("5/4", "alpha must be a half-integer, got 5/4"),
+        (0.25, "rationals are ints, Fractions or 'a/b' text, got 0.25"),
+    ):
         for build in (
             lambda: config((1, 1), alpha=alpha),
             lambda: archimedean_transfer(kappa, alpha),
+            lambda: archimedean_sigma(kappa, alpha),
         ):
             with pytest.raises(ValueError) as err:
                 build()
