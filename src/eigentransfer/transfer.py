@@ -5,7 +5,8 @@ The source group is a product of general linear groups with block sizes
 Both share a diagonal torus of rank ``n``, so every map here is plain exact
 arithmetic on length-``n`` tuples.  The four character maps are affine: the
 value at target slot ``p`` is ``T[p] * chi[sigma^-1(p)]``, where ``sigma`` is a
-block-order-preserving permutation and the tuple ``T`` is cached per config.
+block-order-preserving permutation and the tuple ``T`` is cached per config,
+each entry made once from its integer ``M``, ``q`` and ``W`` exponents.
 
 * ``refinement_pullback``: ``T`` is the unramified twist ``M`` on blocks whose
   complementary size ``n - n_i`` is odd (the twist symbol is trivial on even blocks).

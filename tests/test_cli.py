@@ -632,6 +632,34 @@ def test_unreadable_and_invalid_json_reports(tmp_path, capsys):
         }
 
 
+@pytest.mark.parametrize(
+    "error, message",
+    [(RuntimeError("boom"), "RuntimeError: boom"), (MemoryError(), "MemoryError: ")],
+    ids=["RuntimeError", "MemoryError"],
+)
+def test_unexpected_exception_is_an_internal_error(monkeypatch, tmp_path, capsys, error, message):
+    """A crash inside the library is neither a failed verdict (exit 1) nor a refused
+    input (exit 2): one ``InternalError`` report naming the exception, exit 3, and
+    nothing on stderr."""
+
+    def crash(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(jsonio, "verify_transfer_compatibility", crash)
+    job = hyp1_job([1, 1], [1, 2], "1/2")
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(job))
+    code = main(["--job", str(path)])
+    out, err = capsys.readouterr()
+    assert (code, err, out.count("\n")) == (3, "", 1)
+    assert json.loads(out) == {
+        "schema_version": "1",
+        "input_sha256": sha256(json.dumps(job).encode()),
+        "command": "check-hypothesis1",
+        "error": {"type": "InternalError", "message": message},
+    }
+
+
 POOL = json.loads((Path(__file__).resolve().parents[1] / "bench" / "jobs.json").read_text())
 
 

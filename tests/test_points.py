@@ -7,7 +7,8 @@ from itertools import combinations, product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from eigentransfer.errors import EmptyPacket, SizeMismatch
+import eigentransfer.points as points_module
+from eigentransfer.errors import EmptyPacket, MissingSymbol, NonSquareAssignment, SizeMismatch
 from eigentransfer.monomial import Monomial, SymbolValue, symbol
 from eigentransfer.points import (
     AtkinLehnerFactor,
@@ -175,6 +176,78 @@ def test_atkin_lehner_eigenvalue_matches_weight_character_oracle():
     assert orthogonal >= 10
 
 
+def _eigenvalue_outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (MissingSymbol, NonSquareAssignment) as err:
+        return type(err), str(err)
+
+
+def test_atkin_lehner_one_pass_matches_eval_oracle():
+    """The one-pass eigenvalue against ``chi.eval(v)`` times the weight character's
+    value, evaluated: ``Fraction`` coefficients, negative cocharacter entries, half
+    exponents, and assignments that lack a symbol or its root, with the same error
+    type and text."""
+    rng = random.Random(18)
+    names = ("W", "a", "q", "z")
+    outcomes = {Fraction: 0, MissingSymbol: 0, NonSquareAssignment: 0}
+    for _ in range(1500):
+        blocks = rng.choice([blocks for n in range(1, 4) for blocks in _compositions(n)])
+        shape = GroupShape(blocks)
+        n = shape.n
+        values = []
+        for _ in range(n):
+            chosen = rng.sample(names, rng.randint(0, 3))
+            exps = {name: Fraction(rng.randint(-3, 3), 2) for name in chosen}
+            coeff = Fraction(rng.choice((-3, -1, 1, 2, 5)), rng.randint(1, 4))
+            values.append(Monomial(coeff, exps))
+        weight = AlgebraicWeight(shape, [rng.randint(-2, 2) for _ in range(n)])
+        point = ClassicalPoint.build(weight, up={"p": UnramifiedCharacter(shape, values)})
+        cochar = [rng.randint(-2, 2) for _ in range(n)]
+        for i in range(shape.r):
+            block = shape.block_range(i)
+            cochar[block.start : block.stop] = sorted(cochar[block.start : block.stop])[::-1]
+        factor = AtkinLehnerFactor("p", cochar)
+        assign = {}
+        for name in names:
+            r = Fraction(rng.choice((-3, -2, 2, 3)), rng.randint(1, 3))
+            kind = rng.choice(("root", "root", "root", "plain", "missing"))
+            if kind == "root":
+                assign[name] = SymbolValue(r * r, r)
+            elif kind == "plain":
+                assign[name] = SymbolValue(abs(r))
+        got = _eigenvalue_outcome(factor.eigenvalue, point, assign)
+        assert got == _eigenvalue_outcome(_weight_character_eigenvalue, factor, point, assign), (
+            values, cochar, assign
+        )
+        outcomes[type(got) if type(got) is Fraction else got[0]] += 1
+    assert all(count >= 50 for count in outcomes.values()), outcomes
+
+
+def test_atkin_lehner_half_exponents_cancelling_across_slots_need_no_root():
+    shape = GroupShape((2,))
+    weight = AlgebraicWeight(shape, (1, -1))
+    half = Monomial(Fraction(2, 3), {"q": HALF, "a": 1})
+    point = ClassicalPoint.build(
+        weight, up={"p": UnramifiedCharacter(shape, (half, half.inverse() * symbol("q")))}
+    )
+    plain = {"q": SymbolValue(5), "a": SymbolValue(Fraction(1, 2)), "W": SymbolValue(3)}
+    # the weight pairs to 0 with each of these, so only q^(1/2) twice remains per unit
+    for cochar, expected in (((1, 1), 5), ((2, 2), 25), ((-1, -1), Fraction(1, 5))):
+        factor = AtkinLehnerFactor("p", cochar)
+        value = factor.eigenvalue(point, plain)
+        assert value == expected == _weight_character_eigenvalue(factor, point, plain)
+    # an odd total exponent still needs the root, with the oracle's error text
+    factor = AtkinLehnerFactor("p", (1, 0))
+    expected = _eigenvalue_outcome(_weight_character_eigenvalue, factor, point, plain)
+    assert expected[0] is NonSquareAssignment
+    assert _eigenvalue_outcome(factor.eigenvalue, point, plain) == expected
+    del plain["a"]
+    expected = _eigenvalue_outcome(_weight_character_eigenvalue, factor, point, plain)
+    assert expected == (MissingSymbol, "no value assigned to symbol 'a'")
+    assert _eigenvalue_outcome(factor.eigenvalue, point, plain) == expected
+
+
 def test_spherical_factor_eigenvalue():
     shape = GroupShape((2,))
     weight = AlgebraicWeight(shape, (0, 0))
@@ -320,6 +393,97 @@ def test_zero_eigenvalue_counts_in_the_check_but_not_in_charpoly():
     assert charpoly(source, factors, {}) == (1, 0)
     assert charpoly(target, factors, {}) == (1, -3)
     assert not divisibility_check(source, target, 1, factors, {})
+
+
+def _unshared_divisibility(source, target, constant, factors, assign):
+    """Oracle: ``divisibility_check`` before the shared eigenvalue dict, each pass
+    evaluating every entry of its space."""
+
+    def multiplicities(space):
+        out = {}
+        for point, mult in space.entries:
+            lam = point_eigenvalue(point, factors, assign)
+            out[lam] = out.get(lam, 0) + mult
+        return out
+
+    source, target = multiplicities(source), multiplicities(target)
+    return all(mult <= constant * target.get(lam, 0) for lam, mult in source.items())
+
+
+def _count_eigenvalues(monkeypatch):
+    """Record the point of every ``point_eigenvalue`` call that ``divisibility_check`` makes."""
+    calls = []
+    real = points_module.point_eigenvalue
+    monkeypatch.setattr(
+        points_module, "point_eigenvalue", lambda p, f, a: calls.append(p) or real(p, f, a)
+    )
+    return calls
+
+
+def test_divisibility_check_computes_one_eigenvalue_per_point_object(monkeypatch):
+    p2, p5, p7 = scalar_point(2), scalar_point(5), scalar_point(7)
+    twin = scalar_point(2)  # equal to p2, but a distinct object
+    assert twin == p2 and twin is not p2
+    source = MockFormSpace(p2.weight, ((p2, 1), (p5, 2), (twin, 1)))
+    target = MockFormSpace(p2.weight, ((p5, 1), (p2, 1), (p7, 1), (twin, 3)))
+    calls = _count_eigenvalues(monkeypatch)
+    assert divisibility_check(source, target, 2, _FACTORS, {})
+    # the source pass evaluates its three objects; the target pass only p7
+    assert [id(point) for point in calls] == [id(p2), id(p5), id(twin), id(p7)]
+    calls.clear()
+    assert not divisibility_check(source, target, 1, _FACTORS, {})
+    assert len(calls) == 4
+    # a transferred space checked against itself evaluates each point once
+    moved = build_transferred_space(source, config((1,)))
+    calls.clear()
+    assert divisibility_check(moved, moved, 1, _FACTORS, {})
+    assert len(calls) == 3
+
+
+def test_divisibility_check_matches_unshared_passes_on_seeded_spaces(monkeypatch):
+    """Seeded spaces on shape (2, 2) whose targets reuse source points, hold equal
+    but distinct copies and new points; spherical degree 1 or 2 often gives the
+    eigenvalue 0.  Same verdicts as the unshared passes, one evaluation per object."""
+    rng = random.Random(1801)
+    shape = GroupShape((2, 2))
+    weight = AlgebraicWeight(shape, (1, 0, 2, -1))
+    q = SymbolValue(4, 2)
+    pool = (1, -1, 2, -2, Fraction(1, 2))
+
+    def point():
+        up = [Monomial(rng.choice(pool), {"q": Fraction(rng.randint(-2, 2), 2)}) for _ in range(4)]
+        satake = [[Monomial(rng.choice(pool)) for _ in range(2)] for _ in range(2)]
+        chi = UnramifiedCharacter(shape, up)
+        return ClassicalPoint.build(weight, up={"p": chi}, satake={"v": satake})
+
+    def copy(p):
+        return ClassicalPoint.build(p.weight, dict(p.up), dict(p.satake))
+
+    verdicts, zeros = set(), 0
+    calls = _count_eigenvalues(monkeypatch)
+    for _ in range(300):
+        points = [point() for _ in range(rng.randint(1, 4))]
+        source = MockFormSpace(weight, tuple((p, rng.randint(1, 3)) for p in points))
+        reused = [rng.choice((p, copy(p))) for p in rng.sample(points, rng.randint(0, len(points)))]
+        extra = [point() for _ in range(rng.randint(0, 2))]
+        target = MockFormSpace(weight, tuple((p, rng.randint(1, 3)) for p in reused + extra))
+        factors = rng.choice(
+            (
+                (SphericalFactor("v", rng.randint(1, 2)),),
+                (AtkinLehnerFactor("p", (1, 0, 1, 1)), SphericalFactor("v", 1)),
+                (AtkinLehnerFactor("p", (2, 1, 0, -1)),),
+            )
+        )
+        assign = {"q": q, "W": SymbolValue(Fraction(3, 2))}
+        constant = rng.randint(1, 2)
+        zeros += any(point_eigenvalue(p, factors, assign) == 0 for p in points)
+        expected = _unshared_divisibility(source, target, constant, factors, assign)
+        calls.clear()
+        assert divisibility_check(source, target, constant, factors, assign) is expected
+        objects = {id(p) for space in (source, target) for p, _ in space.entries}
+        assert len(calls) == len(objects)
+        verdicts.add(expected)
+    assert verdicts == {True, False} and zeros >= 20
 
 
 def test_factors_that_cannot_act_are_refused_on_empty_spaces():

@@ -577,3 +577,98 @@ def test_transfer_check_and_genericity_match_oracles_with_links_property(case):
     _assert_transfer_check_matches_oracles(desc, cfg)
     if desc.is_generic:
         _assert_ladder_shuffles_are_accessible_refinements(desc)
+
+
+def _desc(blocks_of_segments):
+    """A descriptor from per-block ``(gamma, d)`` lists; block sizes follow the lengths."""
+    segments = tuple(tuple(Segment(g, d) for g, d in block) for block in blocks_of_segments)
+    return LocalRepDescriptor(GroupShape(tuple(sum(s.d for s in b) for b in segments)), segments)
+
+
+def test_ladder_sweep_genericity_matches_oracle_on_explicit_cases():
+    """The ladder sweep against ``_old_is_generic`` on ladders that overlap, touch or
+    sit one apart, where gammas carry their own whole or half ``q`` exponents."""
+    g, h, mu = symbol("g"), symbol("h"), symbol("M")
+    third = Fraction(1, 3) * g
+    cases = {
+        # whole and half q exponents inside gamma
+        "own whole exponent, other parity class": ([[(g * qpow(1), 2), (g, 1)]], True),
+        "own whole exponent, overlapping": ([[(g * qpow(1), 3), (g, 1)]], False),
+        "own half exponent, touching": ([[(g * qpow(HALF), 2), (g * qpow(-1), 1)]], False),
+        "own half exponent, touching below": ([[(g * qpow(-1), 1), (g * qpow(HALF), 2)]], False),
+        "one apart in the same class": ([[(g * qpow(2), 1), (g * qpow(-1), 2)]], True),
+        "one apart in the other class": ([[(g * qpow(HALF), 1), (g, 1)]], True),
+        "nested ladders, other class": ([[(g, 3), (g, 2)]], True),
+        "nested ladders, same class": ([[(g, 3), (g, 1)]], False),
+        "long ladders touching": ([[(g * qpow(3), 3), (g * qpow(Fraction(-1, 2)), 4)]], False),
+        "long ladders two apart": ([[(g * qpow(Fraction(7, 2)), 3), (g / qpow(HALF), 4)]], True),
+        "equal segments": ([[(g * qpow(HALF), 2), (g * qpow(HALF), 2)]], False),
+        # Fraction coefficients are part of the q-free key
+        "Fraction coefficients touching": ([[(third, 1), (third * qpow(1), 1)]], False),
+        "Fraction coefficients differing": ([[(third, 1), (HALF * g * qpow(1), 1)]], True),
+        "Fraction and int coefficient equal": ([[(Fraction(4, 2) * g, 1)], [(2 * g, 1)]], False),
+        # other symbols keep ladders apart, whatever their q exponents
+        "other symbols": ([[(g * h, 2), (g * qpow(Fraction(3, 2)), 1)]], True),
+        "same symbols, other exponent": ([[(g * h, 1), (g * h * h, 1)]], True),
+        "q only, touching": ([[(qpow(Fraction(-3, 2)), 1), (ONE, 2)]], False),
+        "q only, other class": ([[(qpow(-1), 1), (ONE, 2)]], True),
+        # equal q-free parts in different blocks
+        "across blocks, touching": ([[(g * h, 2)], [(g * h * qpow(Fraction(-3, 2)), 1)]], False),
+        "across blocks, overlapping": ([[(g, 2)], [(g * qpow(Fraction(-1, 2)), 1)]], False),
+        "across blocks, apart": ([[(g, 2)], [(g * qpow(Fraction(5, 2)), 1)]], True),
+        "three ladders, the last two touching": (
+            [[(g * qpow(-3), 1), (g, 1)], [(g * qpow(Fraction(3, 2)), 2)]], False
+        ),
+        "three ladders, all apart": (
+            [[(g * qpow(-3), 1), (g, 1)], [(g * qpow(Fraction(5, 2)), 2)]], True
+        ),
+        "twisted and untwisted": ([[(mu * g, 1)], [(g, 1)]], True),
+    }
+    for name, (blocks, expected) in cases.items():
+        desc = _desc(blocks)
+        assert desc.is_generic is expected, name
+        assert _old_is_generic(desc) is expected, name
+
+
+def test_ladder_sweep_genericity_on_transferred_descriptors():
+    """``M`` twists on transfer can create a collision or a link, or leave the ladders apart."""
+    g, mu = symbol("g"), symbol("M")
+    # on shape (1, 2) the second block picks up M: n - n_2 = 1 is odd, n - n_1 = 2 even
+    cases = {
+        "collision created": ([[(mu * g * qpow(HALF), 1)], [(g, 2)]], True, False),
+        "link created": ([[(mu * g * qpow(Fraction(3, 2)), 1)], [(g, 2)]], True, False),
+        "apart after the twist": ([[(mu * g * qpow(Fraction(5, 2)), 1)], [(g, 2)]], True, True),
+        "other parity after the twist": ([[(mu * g, 1)], [(g, 2)]], True, True),
+        "collision avoided by the twist": ([[(g * qpow(HALF), 1)], [(g, 2)]], False, True),
+        "inverse twist stays apart": ([[(mu.inverse() * g * qpow(HALF), 1)], [(g, 2)]], True, True),
+    }
+    for name, (blocks, before, after) in cases.items():
+        desc = _desc(blocks)
+        for sigma in block_order_preserving_permutations(desc.shape):
+            moved = transferred_descriptor(desc, config(desc.shape.blocks, sigma=sigma))
+            assert (desc.is_generic, moved.is_generic) == (before, after), name
+            assert (_old_is_generic(desc), _old_is_generic(moved)) == (before, after), name
+
+
+def test_ladder_sweep_genericity_matches_oracle_exhaustively():
+    """Every pair of segments over 28 gammas (coefficient 1 or 1/2, with or without a
+    symbol, doubled ``q`` exponent -3..3) and lengths 1..3, in one block and in two;
+    and every triple of pure ``q`` powers with lengths 1..2 in one block."""
+    gammas = [
+        Monomial(c, {**sym, "q": Fraction(t, 2)})
+        for c in (1, HALF)
+        for sym in ({}, {"g": 1})
+        for t in range(-3, 4)
+    ]
+    segs = [(gamma, d) for gamma in gammas for d in (1, 2, 3)]
+    verdicts = set()
+    for a, b in product(segs, repeat=2):
+        for blocks in ([[a, b]], [[a], [b]]):
+            desc = _desc(blocks)
+            verdicts.add(desc.is_generic)
+            assert desc.is_generic is _old_is_generic(desc), blocks
+    assert verdicts == {True, False}
+    pure = [(qpow(Fraction(t, 2)), d) for t in range(-3, 4) for d in (1, 2)]
+    for triple in product(pure, repeat=3):
+        desc = _desc([list(triple)])
+        assert desc.is_generic is _old_is_generic(desc), triple

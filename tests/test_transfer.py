@@ -580,6 +580,24 @@ def test_archimedean_transfer_errors():
         archimedean_transfer(AlgebraicWeight(shape, (2, 0)), 1)
 
 
+def test_collision_text_spells_wholes_and_halves():
+    """A collision message spells each parameter as ``str(Fraction(d, 2))`` does for its
+    doubled value ``d``: a whole number when ``d`` is even, ``d/2`` when it is odd."""
+    cases = [
+        ((1, 1), (0, 0), HALF, "1/2, 1/2"),
+        ((1, 1), (0, 0), 1, "1, 1"),
+        ((1, 1), (-3, -3), HALF, "-5/2, -5/2"),
+        ((1, 1), (-3, -3), 1, "-2, -2"),
+        ((1, 1, 2), (0, 0, 0, 0), 1, "-1/2, 1/2, 1, 1"),
+        ((1, 1, 2), (0, 0, 0, 0), -1, "-1, -1, -1/2, 1/2"),
+    ]
+    for blocks, exps, alpha, text in cases:
+        kappa = AlgebraicWeight(GroupShape(blocks), exps)
+        expected = (NotRelevant, f"archimedean parameters collide: {text}")
+        assert _outcome(_fraction_archimedean_transfer, kappa, alpha) == expected
+        assert _outcome(archimedean_transfer, kappa, alpha) == expected
+
+
 def test_archimedean_transfer_is_dominant():
     rng = random.Random(41)
     for blocks in [(1, 1), (2, 1), (1, 3), (2, 2)]:
@@ -809,8 +827,13 @@ def _seed_refinement(chi, cfg, normalized):
 
 
 def test_cached_config_data_matches_seed_formulas():
-    """Every config with n <= 5, integral and non-integral shifts: cached data against formulas."""
+    """Every config with n <= 5, integral and non-integral shifts: cached data against
+    formulas.  The twist symbol sorts before ``W`` (``M``), between ``W`` and ``q``
+    (``mu``) and after ``q`` (``z``), since the multipliers are built pre-sorted; the
+    last two run with one alpha of integral shifts and one of non-integral shifts."""
     alphas = [Fraction(a, 2) for a in (-3, -1, 1, 3)] + [Fraction(0), Fraction(1)]
+    twists = [(alpha, "M") for alpha in alphas]
+    twists += [(alpha, mu) for mu in ("mu", "z") for alpha in (HALF, Fraction(1))]
     for n in range(1, 6):
         for blocks in _compositions(n):
             shape = GroupShape(blocks)
@@ -818,41 +841,40 @@ def test_cached_config_data_matches_seed_formulas():
                 shape,
                 tuple(Monomial(u + 2, {f"x{u}": 1, "q": Fraction(u - 2, 2)}) for u in range(n)),
             )
-            for sigma in block_order_preserving_permutations(shape):
-                for alpha in alphas:
-                    cfg = TransferConfig(source=shape, sigma=sigma, alpha=alpha)
-                    for i, m in enumerate(blocks):
-                        assert cfg.twist_monomial(i) == Monomial(1, {"M": (n - m) % 2})
-                    plain = tuple(_seed_refinement(chi, cfg, False))
-                    normed = tuple(_seed_refinement(chi, cfg, True))
-                    shifts = _seed_shifts(blocks, alpha)
+            for sigma, (alpha, mu) in product(block_order_preserving_permutations(shape), twists):
+                cfg = TransferConfig(source=shape, sigma=sigma, alpha=alpha, mu=mu)
+                for i, m in enumerate(blocks):
+                    assert cfg.twist_monomial(i) == Monomial(1, {mu: (n - m) % 2})
+                plain = tuple(_seed_refinement(chi, cfg, False))
+                normed = tuple(_seed_refinement(chi, cfg, True))
+                shifts = _seed_shifts(blocks, alpha)
+                for _ in range(2):
+                    assert refinement_pullback(chi, cfg).values == plain
+                    assert refinement_pullback_normalized(chi, cfg).values == normed
+                if isinstance(shifts, str):
                     for _ in range(2):
-                        assert refinement_pullback(chi, cfg).values == plain
-                        assert refinement_pullback_normalized(chi, cfg).values == normed
-                    if isinstance(shifts, str):
-                        for _ in range(2):
-                            for fn, *args in (
-                                (weight_shift, cfg),
-                                (weight_character_pullback, chi, cfg),
-                                (atkin_lehner_pullback, chi, cfg, True),
-                                (atkin_lehner_pullback, chi, cfg, False),
-                            ):
-                                with pytest.raises(NonIntegralShift) as err:
-                                    fn(*args)
-                                assert str(err.value) == shifts
-                        continue
-                    w = [Monomial(1, {"W": s}) for s in shifts]
-                    for _ in range(2):
-                        assert weight_shift(cfg) == shifts
-                        assert weight_character_pullback(chi, cfg).values == tuple(
-                            w[p] * chi.values[sigma.index(p)] for p in range(n)
-                        )
-                        assert atkin_lehner_pullback(chi, cfg).values == tuple(
-                            w[p] * normed[p] for p in range(n)
-                        )
-                        assert atkin_lehner_pullback(chi, cfg, normalized=False).values == tuple(
-                            w[p] * plain[p] for p in range(n)
-                        )
+                        for fn, *args in (
+                            (weight_shift, cfg),
+                            (weight_character_pullback, chi, cfg),
+                            (atkin_lehner_pullback, chi, cfg, True),
+                            (atkin_lehner_pullback, chi, cfg, False),
+                        ):
+                            with pytest.raises(NonIntegralShift) as err:
+                                fn(*args)
+                            assert str(err.value) == shifts
+                    continue
+                w = [Monomial(1, {"W": s}) for s in shifts]
+                for _ in range(2):
+                    assert weight_shift(cfg) == shifts
+                    assert weight_character_pullback(chi, cfg).values == tuple(
+                        w[p] * chi.values[sigma.index(p)] for p in range(n)
+                    )
+                    assert atkin_lehner_pullback(chi, cfg).values == tuple(
+                        w[p] * normed[p] for p in range(n)
+                    )
+                    assert atkin_lehner_pullback(chi, cfg, normalized=False).values == tuple(
+                        w[p] * plain[p] for p in range(n)
+                    )
 
 
 def test_cached_data_leaves_no_cyclic_garbage():

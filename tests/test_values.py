@@ -30,6 +30,8 @@ from eigentransfer.transfer import (
     CheckResult,
     TransferConfig,
     TransferReport,
+    archimedean_sigma,
+    archimedean_transfer,
 )
 
 HALF = Fraction(1, 2)
@@ -170,6 +172,7 @@ def test_cached_properties_still_cache():
 TRIVIAL_3 = UnramifiedCharacter.trivial(GroupShape((3,)))
 INF, NAN = float("inf"), float("nan")
 EMPTY_SPACE = MockFormSpace(WEIGHT, ())
+INEXACT = "rationals are ints, Fractions or 'a/b' text, got "
 ERRORS = [
     (SymbolValue, (0,), "symbol values must be positive rationals"),
     (SymbolValue, (4, 3), "declared square root does not square to the value"),
@@ -272,6 +275,15 @@ ERRORS = [
         (EMPTY_SPACE, EMPTY_SPACE, NAN, (), {}),
         "the constant must be a positive integer, got nan",
     ),
+    # alpha follows the exactness rule of the rest of the boundary: no floats and no
+    # decimal text, which used to be read as the rationals they spell or round to
+    (TransferConfig, (SHAPE, (0, 1, 2), 0.5), f"{INEXACT}0.5"),
+    (TransferConfig, (SHAPE, (0, 1, 2), "0.5"), f"{INEXACT}'0.5'"),
+    (TransferConfig, (SHAPE, (0, 1, 2), "1e0"), f"{INEXACT}'1e0'"),
+    (archimedean_transfer, (WEIGHT, 0.5), f"{INEXACT}0.5"),
+    (archimedean_transfer, (WEIGHT, "1e0"), f"{INEXACT}'1e0'"),
+    (archimedean_sigma, (WEIGHT, "0.5"), f"{INEXACT}'0.5'"),
+    (archimedean_sigma, (WEIGHT, 1.0), f"{INEXACT}1.0"),
 ]
 
 

@@ -48,11 +48,11 @@ MUTANTS = [
         ["tests/test_refinements.py::test_steinberg_refinements"],
     ),
     (
-        "link lookup on the bottom instead of bottom times q^-1",
+        "ladder sweep missing links: only a shared parameter counts",
         REFINEMENTS,
-        "seg.bottom() * _half_power(RESIDUE_SYMBOL, -2) in tops",
-        "seg.bottom() in tops",
-        ["tests/test_refinements.py::test_descriptor_params_and_genericity"],
+        "lo <= hi + 2",
+        "lo <= hi",
+        ["tests/test_refinements.py::test_ladder_sweep_genericity_matches_oracle_on_explicit_cases"],
     ),
     (
         "ladder shuffles read through sigma instead of sigma^-1",
@@ -286,9 +286,51 @@ MUTANTS = [
     (
         "Atkin-Lehner weight twist with the exponent negated",
         POINTS,
-        "_half_power(UNIFORMIZER_SYMBOL, 2 * pairing)",
-        "_half_power(UNIFORMIZER_SYMBOL, -2 * pairing)",
+        "twice.get(UNIFORMIZER_SYMBOL, 0) + 2 * pairing",
+        "twice.get(UNIFORMIZER_SYMBOL, 0) - 2 * pairing",
         ["tests/test_points.py::test_atkin_lehner_eigenvalue_matches_weight_character_oracle"],
+    ),
+    (
+        "Atkin-Lehner exponent pass dropping the cocharacter entry",
+        POINTS,
+        "twice[name] = twice.get(name, 0) + t * e",
+        "twice[name] = twice.get(name, 0) + t",
+        ["tests/test_points.py::test_atkin_lehner_one_pass_matches_eval_oracle"],
+    ),
+    (
+        "divisibility check never consulting the shared eigenvalues",
+        POINTS,
+        "lam = seen.get(id(point))",
+        "lam = None",
+        ["tests/test_points.py::test_divisibility_check_computes_one_eigenvalue_per_point_object"],
+    ),
+    (
+        "Atkin-Lehner multipliers reading j - p as j + p",
+        TRANSFER,
+        "2 * (j - p)",
+        "2 * (j + p)",
+        ["tests/test_transfer.py::test_cached_config_data_matches_seed_formulas"],
+    ),
+    (
+        "collision texts of odd and even doubled parameters swapped",
+        TRANSFER,
+        'str(d // 2) if d % 2 == 0 else f"{d}/2"',
+        'f"{d}/2" if d % 2 == 0 else str(d // 2)',
+        ["tests/test_transfer.py::test_collision_text_spells_wholes_and_halves"],
+    ),
+    (
+        "alpha read by Fraction() instead of the exactness rule",
+        TRANSFER,
+        "        alpha = _exact(alpha)\n",
+        "        alpha = Fraction(alpha)\n",
+        ["tests/test_transfer.py::test_half_integer_alpha_rule_is_shared"],
+    ),
+    (
+        "an unexpected exception reported with the exit code of a failed verdict",
+        CLI,
+        "code = 3",
+        "code = 1",
+        ["tests/test_cli.py::test_unexpected_exception_is_an_internal_error"],
     ),
     (
         "a float read as the binary fraction it rounds to",
