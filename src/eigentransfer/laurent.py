@@ -9,7 +9,8 @@ whenever they are single monomials.
 
 Block symmetry means invariance under every permutation of variables inside
 each block; it is checked on adjacent transpositions, which generate the full
-symmetric group of each block.
+symmetric group of each block, by looking up each term's swapped partner in
+the term table.
 """
 
 from __future__ import annotations
@@ -172,15 +173,25 @@ class LaurentPoly:
         return LaurentPoly._raw(self._blocks, out)
 
     def is_block_symmetric(self) -> bool:
-        """Invariance under all permutations of variables within each block."""
+        """Invariance under all permutations of variables within each block.
+
+        Checked on each block's adjacent transpositions, which generate its
+        symmetric group.  A transposition fixes the polynomial exactly when each
+        term's partner (the two exponents swapped, the same symbol part) is a
+        term with the same coefficient, so each partner is looked up in the term
+        table and no permuted polynomial is built.
+        """
+        swaps: list[int] = []
         offset = 0
         for size in self._blocks:
-            for j in range(size - 1):
-                swap = list(range(self.n))
-                swap[offset + j], swap[offset + j + 1] = swap[offset + j + 1], swap[offset + j]
-                if self.permute_variables(swap) != self:
-                    return False
+            swaps.extend(range(offset, offset + size - 1))
             offset += size
+        terms = self._terms
+        for (exps, sym), coeff in terms.items():
+            for p in swaps:
+                a, b = exps[p], exps[p + 1]
+                if a != b and terms.get((exps[:p] + (b, a) + exps[p + 2 :], sym)) != coeff:
+                    return False
         return True
 
     def __str__(self) -> str:

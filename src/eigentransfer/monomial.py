@@ -170,6 +170,8 @@ class Monomial(FrozenValue):
                 raise ValueError(f"bad symbol name: {name!r}")
             if type(exp) is int:
                 doubled = 2 * exp
+            elif type(exp) is Fraction and exp.denominator <= 2:
+                doubled = 2 * exp.numerator // exp.denominator  # exact: 1 or 2 divides 2
             else:
                 doubled = Fraction(exp) * 2
                 if doubled.denominator != 1:

@@ -47,7 +47,6 @@ from .transfer import block_order_preserving_permutations
 __all__ = [
     "Segment",
     "LocalRepDescriptor",
-    "segments_linked",
     "enumerate_refinements",
     "is_accessible",
     "count_accessible",
@@ -97,12 +96,6 @@ def _ladder(seg: Segment) -> tuple[tuple, int, int]:
             break
     lo = g - seg.d + 1
     return (gamma._coeff, rest, lo % 2), lo, g + seg.d - 1
-
-
-def segments_linked(a: Segment, b: Segment) -> bool:
-    """True when the two parameter ladders concatenate into one longer ladder."""
-    step = _half_power(RESIDUE_SYMBOL, -2)
-    return a.bottom() * step == b.top() or b.bottom() * step == a.top()
 
 
 class LocalRepDescriptor(FrozenValue):

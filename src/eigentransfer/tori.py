@@ -207,13 +207,18 @@ class UnramifiedCharacter(FrozenValue):
         return UnramifiedCharacter._new(self.shape, tuple(v.inverse() for v in self.values))
 
     def eval(self, cochar: CocharVector) -> Monomial:
-        """Value on an arbitrary cocharacter, by multiplicativity."""
+        """Value on an arbitrary cocharacter, by multiplicativity.
+
+        The product starts from the first factor with a nonzero exponent, and an
+        exponent of 1 takes the value itself; ``ONE`` is the value at zero.
+        """
         _check_shape(self, cochar)
-        out = ONE
+        out = None
         for v, e in zip(self.values, cochar.exps):
             if e:
-                out = out * v ** e
-        return out
+                factor = v if e == 1 else v ** e
+                out = factor if out is None else out * factor
+        return ONE if out is None else out
 
 
 # the slots' own setters, bound once, for ``UnramifiedCharacter._new``

@@ -38,6 +38,8 @@ monomials, are formed once.  A character takes ``prod ratio[p]^t[p]`` at ``t``,
 so on ``GL_n`` the generator with ``j`` leading ones reads the product of the
 first ``j`` ratios and ``(-1,..,-1)`` the inverse of all ``n``.  Evaluation is a
 homomorphism and the arithmetic is exact, so this is ``lhs(t) * rhs(t)^-1``.
+Everything but ``lhs`` is the same with and without ``drop_normalization``,
+so it is built once per config and kept on it.
 """
 
 from __future__ import annotations
@@ -300,6 +302,44 @@ class TransferConfig(FrozenValue):
     def _atkin_lehner_plain_multipliers(self) -> tuple[Monomial, ...]:
         return self._multipliers(normalized=False, weighted=True)
 
+    @cached_property
+    def _verifier_half(
+        self,
+    ) -> tuple[CheckResult, tuple[UnramifiedCharacter, UnramifiedCharacter] | None, CheckResult]:
+        """The part of :func:`verify_transfer_compatibility` that ``drop_normalization``
+        does not change: the shift-integrality check, the factorization inputs and
+        the modulus-duality check.
+
+        The factorization inputs are ``chi * zeta`` for the generic characters
+        ``chi`` and ``zeta``, and the inverse of the right side
+        ``refinement_pullback_normalized(chi) * weight_character_pullback(zeta)``;
+        they are ``None`` when a weight shift is not integral.
+        """
+        try:
+            weight_shift(self)
+            shift_check = CheckResult("shift-integrality", True)
+        except NonIntegralShift as err:
+            shift_check = CheckResult("shift-integrality", False, (str(err),))
+
+        avoid = {self.mu}
+        chi = _generic_character(self.source, "x", avoid)
+        zeta = _generic_character(self.source, "z", avoid)
+
+        sides = None
+        if shift_check.passed:
+            rhs_char = refinement_pullback_normalized(chi, self)
+            rhs_char = rhs_char * weight_character_pullback(zeta, self)
+            sides = (chi * zeta, rhs_char.inverse())
+
+        lhs = refinement_pullback_normalized(chi * modulus_half(self.source, -1), self)
+        rhs = refinement_pullback(chi, self) * modulus_half(self.target, -1)
+        residuals = tuple(
+            f"e_{p + 1}: {(lhs.values[p] * rhs.values[p].inverse()).text()}"
+            for p in range(self.n)
+            if lhs.values[p] != rhs.values[p]
+        )
+        return shift_check, sides, CheckResult("modulus-duality", not residuals, residuals)
+
 
 def _require_source(data, cfg: TransferConfig) -> None:
     if data.shape != cfg.source:
@@ -473,44 +513,24 @@ def verify_transfer_compatibility(
     (inverted at the negated full vector).  Since ``chi -> chi(t)`` is a
     homomorphism, that is exactly ``lhs(t) * rhs(t)^-1``, so the residual
     texts are those of evaluating both sides at each generator.
+
+    Only ``lhs`` depends on ``drop_normalization``.  The rest is built once per
+    config and kept on it: the shift-integrality and modulus-duality checks,
+    ``chi * zeta`` and ``rhs^-1`` (see ``TransferConfig._verifier_half``).  A
+    call runs one pullback of ``chi * zeta``, one product with ``rhs^-1`` and
+    the prefix products.
     """
-    checks: list[CheckResult] = []
-    try:
-        weight_shift(cfg)
-        shifts_ok = True
-        checks.append(CheckResult("shift-integrality", True))
-    except NonIntegralShift as err:
-        shifts_ok = False
-        checks.append(CheckResult("shift-integrality", False, (str(err),)))
-
-    avoid = {cfg.mu}
-    chi = _generic_character(cfg.source, "x", avoid)
-    zeta = _generic_character(cfg.source, "z", avoid)
-
-    if shifts_ok:
-        lhs_char = atkin_lehner_pullback(chi * zeta, cfg, normalized=not drop_normalization)
-        rhs_char = refinement_pullback_normalized(chi, cfg) * weight_character_pullback(zeta, cfg)
-        ratios = lhs_char * rhs_char.inverse()  # the generic symbols cancel slot by slot
-        residuals = _factorization_residuals(ratios.values)
-        checks.append(CheckResult("atkin-lehner-factorization", not residuals, residuals))
+    shift_check, sides, duality_check = cfg._verifier_half
+    if sides is None:
+        skipped = ("skipped: weight shifts are not integral",)
+        factorization = CheckResult("atkin-lehner-factorization", False, skipped)
     else:
-        checks.append(
-            CheckResult(
-                "atkin-lehner-factorization",
-                False,
-                ("skipped: weight shifts are not integral",),
-            )
-        )
-
-    lhs = refinement_pullback_normalized(chi * modulus_half(cfg.source, -1), cfg)
-    rhs = refinement_pullback(chi, cfg) * modulus_half(cfg.target, -1)
-    residuals = tuple(
-        f"e_{p + 1}: {(lhs.values[p] * rhs.values[p].inverse()).text()}"
-        for p in range(cfg.n)
-        if lhs.values[p] != rhs.values[p]
-    )
-    checks.append(CheckResult("modulus-duality", not residuals, residuals))
-    return TransferReport(tuple(checks))
+        product, rhs_inverse = sides
+        lhs_char = atkin_lehner_pullback(product, cfg, normalized=not drop_normalization)
+        ratios = lhs_char * rhs_inverse  # the generic symbols cancel slot by slot
+        residuals = _factorization_residuals(ratios.values)
+        factorization = CheckResult("atkin-lehner-factorization", not residuals, residuals)
+    return TransferReport((shift_check, factorization, duality_check))
 
 
 class ArchimedeanTransfer(FrozenValue):

@@ -2,13 +2,16 @@
 
 import random
 from fractions import Fraction
+from itertools import permutations, product
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from eigentransfer.errors import BlockMismatch
+from eigentransfer.errors import BlockMismatch, NotSymmetric
 from eigentransfer.laurent import LaurentPoly, elementary_symmetric
 from eigentransfer.monomial import Monomial, symbol
+from eigentransfer.transfer import TransferConfig, satake_transfer
 
 
 def var(blocks, index, power=1):
@@ -173,6 +176,124 @@ def test_block_symmetry_preserved_by_ring_ops():
         assert p.is_block_symmetric()
         assert (p + q).is_block_symmetric()
         assert (p * q).is_block_symmetric()
+
+
+def _permuting_is_block_symmetric(p):
+    """Oracle: ``is_block_symmetric`` as it was before the term-table lookup, one
+    permuted polynomial per adjacent transposition inside a block."""
+    offset = 0
+    for size in p.blocks:
+        for j in range(size - 1):
+            swap = list(range(p.n))
+            swap[offset + j], swap[offset + j + 1] = swap[offset + j + 1], swap[offset + j]
+            if p.permute_variables(swap) != p:
+                return False
+        offset += size
+    return True
+
+
+def _assert_symmetry_matches_oracle(p):
+    expected = _permuting_is_block_symmetric(p)
+    assert p.is_block_symmetric() is expected, p
+    if len(p.blocks) == 1:  # satake_transfer refuses exactly the asymmetric inputs
+        cfg = TransferConfig((p.n,), range(p.n), Fraction(1, 2))
+        if expected:
+            satake_transfer(p, cfg)
+        else:
+            with pytest.raises(NotSymmetric):
+                satake_transfer(p, cfg)
+    return expected
+
+
+_SYMBOL_PARTS = ((), (("a", 1),), (("a", 2),), (("b", -1),), (("a", 1), ("b", 2)))
+_A, _B = _SYMBOL_PARTS[1], _SYMBOL_PARTS[3]
+
+
+def _block_orbit(blocks, exps):
+    """Every exponent vector made from ``exps`` by permuting entries inside blocks."""
+    parts, offset = [], 0
+    for size in blocks:
+        parts.append(set(permutations(exps[offset : offset + size])))
+        offset += size
+    return {sum(choice, ()) for choice in product(*parts)}
+
+
+def _symmetrized(blocks, orbits):
+    """The block-symmetric polynomial with coefficient ``c`` on the whole orbit of
+    each ``(exps, symbol part, c)``."""
+    terms = {}
+    for exps, sym, coeff in orbits:
+        for e in _block_orbit(blocks, exps):
+            terms[e, sym] = coeff
+    return terms
+
+
+@st.composite
+def _perturbed_symmetric_polys(draw):
+    """A block-symmetric polynomial with symbol parts on up to five variables in up
+    to three blocks, left as it is or with one term dropped, one coefficient
+    changed, one term's symbol part changed, or one term added."""
+    blocks = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=3)))
+    while sum(blocks) > 5:
+        blocks = blocks[:-1]
+    n = sum(blocks)
+    orbits = draw(
+        st.lists(
+            st.tuples(
+                st.tuples(*[st.integers(-1, 2)] * n),
+                st.sampled_from(_SYMBOL_PARTS),
+                st.sampled_from((1, -2, Fraction(1, 3))),
+            ),
+            max_size=3,
+        )
+    )
+    terms = _symmetrized(blocks, orbits)
+    kind = draw(st.sampled_from(("none", "drop", "coefficient", "symbol part", "extra")))
+    if kind == "extra" or not terms:
+        exps = draw(st.tuples(*[st.integers(-1, 2)] * n))
+        terms[exps, draw(st.sampled_from(_SYMBOL_PARTS))] = 5
+    elif kind != "none":
+        exps, sym = key = draw(st.sampled_from(sorted(terms)))
+        if kind == "drop":
+            del terms[key]
+        elif kind == "coefficient":
+            terms[key] *= 2
+        else:
+            other = draw(st.sampled_from([part for part in _SYMBOL_PARTS if part != sym]))
+            terms[exps, other] = terms.pop(key)
+    return LaurentPoly._raw(blocks, terms)
+
+
+@settings(max_examples=400, derandomize=True, database=None)
+@given(_perturbed_symmetric_polys())
+def test_block_symmetry_matches_permuting_oracle(p):
+    _assert_symmetry_matches_oracle(p)
+
+
+def test_block_symmetry_lookup_cases():
+    """One case per way the term-table lookup could go wrong, each against the oracle."""
+    blocks = (3, 2)
+    symmetric = _symmetrized(blocks, [((1, 0, 0, 2, 0), _A, 2), ((0, 0, 0, 1, 1), _B, -1)])
+    cases = {"symmetric": (dict(symmetric), True)}
+    dropped = dict(symmetric)
+    del dropped[(0, 1, 0, 2, 0), _A]
+    cases["one term dropped"] = (dropped, False)
+    changed = dict(symmetric)
+    changed[(0, 0, 1, 0, 2), _A] = 3
+    cases["one coefficient changed"] = (changed, False)
+    # x0 + x1 is fixed by the swap of x0 and x1 and moved only by the block's last pair
+    first_two = {((1, 0, 0, 0, 0), ()): 1, ((0, 1, 0, 0, 0), ()): 1}
+    cases["asymmetric in the last pair only"] = (first_two, False)
+    cases["asymmetric in the second block only"] = ({((0, 0, 0, 1, 0), ()): 1}, False)
+    for name, (terms, expected) in cases.items():
+        assert _assert_symmetry_matches_oracle(LaurentPoly._raw(blocks, terms)) is expected, name
+    # a * x0 + b * x1: the swap partner of each term has the right exponents and
+    # coefficient but the other symbol part
+    crossed = LaurentPoly._raw((2,), {((1, 0), _A): 1, ((0, 1), _B): 1})
+    assert _assert_symmetry_matches_oracle(crossed) is False
+    assert _assert_symmetry_matches_oracle(
+        LaurentPoly._raw((2,), {((1, 0), _A): 1, ((0, 1), _A): 1, ((1, 0), _B): 1, ((0, 1), _B): 1})
+    )
 
 
 def test_elementary_symmetric():

@@ -69,6 +69,33 @@ def test_construction_rejects_bad_input():
         Monomial(1, {"": 1})
 
 
+def _general_doubled(exp):
+    """Oracle: the doubling of a non-``int`` exponent before ``Fraction`` exponents of
+    denominator 1 or 2 were doubled on integers."""
+    doubled = Fraction(exp) * 2
+    if doubled.denominator != 1:
+        raise ValueError("exponents must lie in (1/2)Z")
+    return int(doubled)
+
+
+@pytest.mark.parametrize("den", (1, 2, 3, 4))
+def test_fraction_exponents_match_the_general_path(den):
+    """Signed ``Fraction`` exponents with denominator ``den``: the same doubled tuple,
+    or the same ``ValueError``, as the general path."""
+    for num in range(-9, 10):
+        exp = Fraction(num, den)
+        try:
+            doubled = _general_doubled(exp)
+        except ValueError as err:
+            with pytest.raises(ValueError) as got:
+                Monomial(3, {"b": 1, "a": exp})
+            assert str(got.value) == str(err) == "exponents must lie in (1/2)Z"
+            continue
+        expected = tuple(sorted(((("a", doubled),) if doubled else ()) + (("b", 2),)))
+        assert Monomial(3, {"b": 1, "a": exp})._twice == expected, exp
+        assert Monomial(3, {"a": exp})._twice == expected[:-1], exp
+
+
 def test_one_and_symbol_helpers():
     assert ONE.is_one()
     assert ONE.coeff == 1

@@ -150,6 +150,40 @@ def test_character_eval():
         chi.eval(CocharVector.zero(GroupShape((3,))))
 
 
+def _product_from_one(chi, cochar):
+    """Oracle: ``UnramifiedCharacter.eval`` as it was, a product started from ``ONE``
+    with every factor raised to its exponent."""
+    out = ONE
+    for v, e in zip(chi.values, cochar.exps):
+        if e:
+            out = out * v ** e
+    return out
+
+
+def test_character_eval_matches_product_from_one():
+    """Every cocharacter with entries in [-2, 2], the zero one included, on values
+    with ``Fraction`` and integer coefficients, half-integer exponents and ``ONE``."""
+    shape = GroupShape((2, 1))
+    characters = [
+        (Monomial(Fraction(-3, 2), {"a": Fraction(1, 2)}), Monomial(Fraction(2, 5)), ONE),
+        (
+            Monomial(7, {"q": -1, "W": Fraction(3, 2)}),
+            Monomial(-1),
+            Monomial(Fraction(1, 4), {"q": 2}),
+        ),
+        (ONE, ONE, ONE),
+    ]
+    for values in characters:
+        chi = UnramifiedCharacter(shape, values)
+        for exps in product(range(-2, 3), repeat=3):
+            value = chi.eval(CocharVector(shape, exps))
+            expected = _product_from_one(chi, CocharVector(shape, exps))
+            assert type(value) is Monomial
+            assert (value, type(value._coeff)) == (expected, type(expected._coeff)), (values, exps)
+            if not any(exps):
+                assert value == ONE
+
+
 def test_character_eval_is_bilinear():
     rng = random.Random(11)
     shape = GroupShape((2, 2))

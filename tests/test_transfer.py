@@ -505,6 +505,67 @@ def test_verify_matches_per_generator_oracle():
     assert (False, ("skipped: weight shifts are not integral",)) in verdicts
 
 
+def _rebuilt_verifier(cfg, drop_normalization=False):
+    """The prefix-product verifier as it was before its drop-independent half was
+    kept on the config: every part is rebuilt on each call."""
+    checks = []
+    try:
+        weight_shift(cfg)
+        shifts_ok = True
+        checks.append(CheckResult("shift-integrality", True))
+    except NonIntegralShift as err:
+        shifts_ok = False
+        checks.append(CheckResult("shift-integrality", False, (str(err),)))
+    chi = transfer_module._generic_character(cfg.source, "x", {cfg.mu})
+    zeta = transfer_module._generic_character(cfg.source, "z", {cfg.mu})
+    if shifts_ok:
+        lhs_char = atkin_lehner_pullback(chi * zeta, cfg, normalized=not drop_normalization)
+        rhs_char = refinement_pullback_normalized(chi, cfg) * weight_character_pullback(zeta, cfg)
+        residuals = _factorization_residuals((lhs_char * rhs_char.inverse()).values)
+        checks.append(CheckResult("atkin-lehner-factorization", not residuals, residuals))
+    else:
+        skipped = ("skipped: weight shifts are not integral",)
+        checks.append(CheckResult("atkin-lehner-factorization", False, skipped))
+    lhs = refinement_pullback_normalized(chi * modulus_half(cfg.source, -1), cfg)
+    rhs = refinement_pullback(chi, cfg) * modulus_half(cfg.target, -1)
+    residuals = tuple(
+        f"e_{p + 1}: {(lhs.values[p] * rhs.values[p].inverse()).text()}"
+        for p in range(cfg.n)
+        if lhs.values[p] != rhs.values[p]
+    )
+    checks.append(CheckResult("modulus-duality", not residuals, residuals))
+    return TransferReport(tuple(checks))
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_verify_matches_rebuilt_verifier(n):
+    """The verifier, whose drop-independent half is built once per config, against
+    the copy that rebuilds it: every config with this n and every sigma; alphas of
+    integral shifts and alphas 0 and 1, whose shifts are not integral for some
+    shapes (the "skipped" branch); the twist ``M`` and ``x1``, which collides with a
+    generic symbol.  Each config is checked in both call orders, each order on a
+    fresh object, so the second call of each reads the half the first one built."""
+    alphas = (HALF, -HALF, Fraction(3, 2), 0, 1, Fraction(5, 2))
+    verdicts = set()
+    for blocks in _compositions(n):
+        for sigma in block_order_preserving_permutations(GroupShape(blocks)):
+            for alpha, mu in product(alphas, ("M", "x1")):
+                oracle_cfg = config(blocks, sigma, alpha, mu=mu)
+                expected = {
+                    drop: repr(_rebuilt_verifier(oracle_cfg, drop)) for drop in (False, True)
+                }
+                for order in ((False, True), (True, False)):
+                    cfg = config(blocks, sigma, alpha, mu=mu)
+                    for drop in order:
+                        report = verify_transfer_compatibility(cfg, drop_normalization=drop)
+                        assert repr(report) == expected[drop], (cfg, order, drop)
+                        verdicts.add((drop, report.checks[1].residuals[:1]))
+    assert (False, ()) in verdicts
+    if n > 1:
+        assert (False, ("skipped: weight shifts are not integral",)) in verdicts
+        assert any(drop and res and res[0].startswith("t=") for drop, res in verdicts)
+
+
 def _generator_oracle(ratios):
     """The residual texts of evaluating the slot-ratio character at each generator."""
     chi = UnramifiedCharacter(GroupShape((len(ratios),)), ratios)
@@ -895,6 +956,7 @@ def test_cached_data_leaves_no_cyclic_garbage():
                 pullback(chi, cfg)
             atkin_lehner_pullback(chi, cfg, normalized=False)
             verify_transfer_compatibility(cfg)
+            verify_transfer_compatibility(cfg, drop_normalization=True)
             list(block_order_preserving_permutations(GroupShape((2, 2))))
             # the per-shape neighbour table behind classify and is_antidominant
             weight = AlgebraicWeight(GroupShape((2, 1, 2)), (1, 0, 4, 2, 2))

@@ -36,6 +36,7 @@ POINTS = "src/eigentransfer/points.py"
 TRANSFER = "src/eigentransfer/transfer.py"
 JSONIO = "src/eigentransfer/jsonio.py"
 MONOMIAL = "src/eigentransfer/monomial.py"
+LAURENT = "src/eigentransfer/laurent.py"
 CLI = "src/eigentransfer/cli.py"
 
 # (name, file, old text, new text, pytest node ids that must fail)
@@ -230,22 +231,22 @@ MUTANTS = [
     (
         "Atkin-Lehner slot ratios without the inverse",
         TRANSFER,
-        "ratios = lhs_char * rhs_char.inverse()",
-        "ratios = lhs_char * rhs_char",
+        "sides = (chi * zeta, rhs_char.inverse())",
+        "sides = (chi * zeta, rhs_char)",
         ["tests/test_transfer.py::test_verify_matches_per_generator_oracle"],
     ),
     (
         "Atkin-Lehner slot ratios the wrong way round",
         TRANSFER,
-        "ratios = lhs_char * rhs_char.inverse()",
-        "ratios = rhs_char * lhs_char.inverse()",
+        "ratios = lhs_char * rhs_inverse",
+        "ratios = lhs_char.inverse() * rhs_inverse.inverse()",
         ["tests/test_transfer.py::test_verify_negative_control"],
     ),
     (
         "character eval dropping the exponent, so a negated generator reads the uninverted product",
         TORI,
-        "out = out * v ** e",
-        "out = out * v",
+        "factor = v if e == 1 else v ** e",
+        "factor = v",
         ["tests/test_tori.py::test_character_eval"],
     ),
     (
@@ -359,6 +360,35 @@ MUTANTS = [
         "values = prefixes + [prefixes[-1].inverse()]",
         "values = prefixes + [prefixes[-1]]",
         ["tests/test_transfer.py::test_factorization_residuals_read_prefix_products"],
+    ),
+    (
+        "the drop call reusing the normalized factorization kept on the config",
+        TRANSFER,
+        "lhs_char = atkin_lehner_pullback(product, cfg, normalized=not drop_normalization)",
+        'lhs_char = cfg.__dict__.setdefault("_lhs", atkin_lehner_pullback('
+        "product, cfg, normalized=not drop_normalization))",
+        ["tests/test_transfer.py::test_verify_matches_rebuilt_verifier[2]"],
+    ),
+    (
+        "block symmetry skipping each block's last adjacent pair",
+        LAURENT,
+        "swaps.extend(range(offset, offset + size - 1))",
+        "swaps.extend(range(offset, offset + size - 2))",
+        ["tests/test_laurent.py::test_block_symmetry_lookup_cases"],
+    ),
+    (
+        "block symmetry looking up the swap partner without its symbol part",
+        LAURENT,
+        "terms.get((exps[:p] + (b, a) + exps[p + 2 :], sym))",
+        "next((c for (e, _), c in terms.items() if e == exps[:p] + (b, a) + exps[p + 2 :]), None)",
+        ["tests/test_laurent.py::test_block_symmetry_lookup_cases"],
+    ),
+    (
+        "Fraction exponents doubled on integers whatever their denominator",
+        MONOMIAL,
+        "elif type(exp) is Fraction and exp.denominator <= 2:",
+        "elif type(exp) is Fraction:",
+        ["tests/test_monomial.py::test_fraction_exponents_match_the_general_path[3]"],
     ),
 ]
 
