@@ -269,9 +269,18 @@ class Monomial(FrozenValue):
         :class:`NonSquareAssignment` when a half-integer exponent meets an
         assignment without a declared square root.
         """
+        num, den = self._pair(assignment)
+        if den == 1:  # an integral value skips the gcd of the general path
+            return Fraction(num)
+        # a declared root may be negative: Fraction moves the sign to the numerator
+        return Fraction(num, den)
+
+    def _pair(self, assignment: Mapping[str, SymbolValue]) -> tuple[int, int]:
+        """The value of :meth:`evaluate` as an unreduced integer pair ``(num, den)``,
+        with the same errors.  ``den`` is nonzero but may be negative, when a negative
+        declared root meets a negative odd exponent."""
         coeff = self._coeff
         num, den = coeff.numerator, coeff.denominator
-        # integer numerator and denominator, reduced once at the end
         for name, t in self._twice:
             try:
                 sv = assignment[name]
@@ -291,10 +300,7 @@ class Monomial(FrozenValue):
                 n, d, e = d, n, -e
             num *= n ** e
             den *= d ** e
-        if den == 1:  # an integral value skips the gcd of the general path
-            return Fraction(num)
-        # a declared root may be negative: Fraction moves the sign to the numerator
-        return Fraction(num, den)
+        return num, den
 
     def text(self) -> str:
         """Canonical textual form, e.g. ``-3/2 * W * q^(1/2)``.

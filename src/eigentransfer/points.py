@@ -11,8 +11,9 @@ multiplicities.  Its characteristic polynomial for a chosen product of Hecke
 generators is ``prod (1 - lambda·T)^mult`` with exact rational ``lambda``
 obtained by evaluating each point's eigenvalue under a symbol assignment.
 Evaluation runs on integers and reduces once: a monomial's value is one
-numerator over one denominator, a spherical eigenvalue ``e_d`` is taken over
-the common denominator of the evaluated Satake parameters, and the weight
+numerator over one denominator, and a spherical eigenvalue ``e_d`` is taken
+on the Satake parameters' unreduced ``(num, den)`` pairs over their common
+denominator, with no ``Fraction`` built per parameter; the weight
 twist of an Atkin-Lehner eigenvalue at the cocharacter ``v`` is the single
 uniformizer power ``W^(k·v)``.  The divisibility criterion compares
 per-eigenvalue multiplicities, so it decides exactly whether
@@ -205,18 +206,20 @@ class AtkinLehnerFactor(FrozenValue):
         return _make(_canon(coeff), exps).evaluate(assign)
 
 
-def _elementary_symmetric(values: Sequence[Fraction], degree: int) -> Fraction:
-    """``e_degree`` of ``values`` by the recurrence ``e[k] += e[k-1]·v``, one value at a time.
+def _elementary_symmetric(pairs: Sequence[tuple[int, int]], degree: int) -> Fraction:
+    """``e_degree`` of the values ``num/den`` of ``pairs`` by the recurrence
+    ``e[k] += e[k-1]·v``, one value at a time.
 
-    The values are put over their common denominator ``D``, the recurrence runs
-    on the integer numerators, and ``e_degree`` is their result over
-    ``D^degree``, reduced once.  ``O(len(values)·degree)`` integer
+    The pairs need not be reduced and a denominator may be negative.  The values
+    are put over the common denominator ``D``, the recurrence runs on the integer
+    numerators ``num·(D/den)``, and ``e_degree`` is their result over
+    ``D^degree``, reduced once.  ``O(len(pairs)·degree)`` integer
     multiplications; 0 when ``degree`` exceeds the number of values.
     """
-    D = lcm(*[v.denominator for v in values])
+    D = lcm(*[d for _, d in pairs])
     e = [1] + [0] * degree
-    for count, v in enumerate(values, 1):
-        a = v.numerator * (D // v.denominator)
+    for count, (n, d) in enumerate(pairs, 1):
+        a = n * (D // d)
         for k in range(min(count, degree), 0, -1):
             e[k] += e[k - 1] * a
     return Fraction(e[degree], D ** degree)
@@ -250,8 +253,8 @@ class SphericalFactor(FrozenValue):
     def eigenvalue(self, point: ClassicalPoint, assign: Assignment) -> Fraction:
         blocks = point.satake_at(self.place)
         self._check(point.weight.shape, ())
-        params = [value.evaluate(assign) for block in blocks for value in block]
-        return _elementary_symmetric(params, self.degree)
+        pairs = [value._pair(assign) for block in blocks for value in block]
+        return _elementary_symmetric(pairs, self.degree)
 
 
 HeckeFactor = AtkinLehnerFactor | SphericalFactor

@@ -21,6 +21,17 @@ is the run of doubled ``q`` exponents ``lo..hi`` (step 2) over gamma's
 ``q``-free part, and after sorting by that part, the parity of ``lo`` and
 ``lo`` itself, two neighbouring ladders share a parameter when ``lo <= hi`` and
 link when ``lo == hi + 2``.  No parameter is built or hashed for it.
+
+The transfer checks build no transferred descriptor and no parameter.  A
+twist multiplies gamma by a power of the twist symbol and never touches ``q``,
+so the transferred sweep reuses each source ladder with the block's twist
+entry merged into its ``q``-free part.  On a generic descriptor every
+parameter is labelled by its (segment, rank), and a twisted parameter keeps
+its source label, so a refinement moves to the target as its labels read in
+target order through ``sigma^-1``.  Segments of different blocks never share
+a label, so each block's accessible orderings are checked on their own: the
+work is the sum over blocks, not the product.  The target count is the
+closed form ``n! / prod(d!)`` over all segments.
 """
 
 from __future__ import annotations
@@ -32,7 +43,7 @@ from typing import Iterable, Iterator
 
 from ._frozen import FrozenValue, _set
 from .errors import ShapeMismatch, SizeMismatch, UnsupportedLinked
-from .monomial import Monomial, RESIDUE_SYMBOL, _half_power
+from .monomial import Monomial, RESIDUE_SYMBOL, _half_power, _merge
 from .tori import (
     AlgebraicWeight,
     GroupShape,
@@ -41,8 +52,7 @@ from .tori import (
     modulus_half,
     weight_as_character,
 )
-from .transfer import TransferConfig, invert_permutation, refinement_pullback
-from .transfer import block_order_preserving_permutations
+from .transfer import TransferConfig, block_order_preserving_permutations, invert_permutation
 
 __all__ = [
     "Segment",
@@ -98,6 +108,15 @@ def _ladder(seg: Segment) -> tuple[tuple, int, int]:
     return (gamma._coeff, rest, lo % 2), lo, g + seg.d - 1
 
 
+def _sweep(ladders: Iterable[tuple[tuple, int, int]]) -> bool:
+    """True when no two of the ``(key, lo, hi)`` ladders share a parameter or link."""
+    ladders = sorted(ladders)
+    for (key, _, hi), (next_key, lo, _) in zip(ladders, ladders[1:]):
+        if key == next_key and lo <= hi + 2:
+            return False
+    return True
+
+
 class LocalRepDescriptor(FrozenValue):
     """Per-block segment lists; segment lengths must sum to each block size."""
 
@@ -145,11 +164,7 @@ class LocalRepDescriptor(FrozenValue):
         starts at or below the previous one's ``hi + 2``: ``lo <= hi`` is a shared
         parameter and ``lo == hi + 2`` a link.
         """
-        ladders = sorted(_ladder(seg) for block in self.segments for seg in block)
-        for (key, _, hi), (next_key, lo, _) in zip(ladders, ladders[1:]):
-            if key == next_key and lo <= hi + 2:
-                return False
-        return True
+        return _sweep(_ladder(seg) for block in self.segments for seg in block)
 
     @cached_property
     def _ladders(self) -> tuple[tuple[int, int, dict[Monomial, tuple[int, int]]], ...]:
@@ -164,12 +179,15 @@ class LocalRepDescriptor(FrozenValue):
         return tuple(out)
 
 
+_NOT_GENERIC = (
+    "descriptor has repeated or linked segment parameters; accessibility "
+    "is only decided for generic descriptors"
+)
+
+
 def _require_generic(desc: LocalRepDescriptor) -> None:
     if not desc.is_generic:
-        raise UnsupportedLinked(
-            "descriptor has repeated or linked segment parameters; accessibility "
-            "is only decided for generic descriptors"
-        )
+        raise UnsupportedLinked(_NOT_GENERIC)
 
 
 def _characters(shape: GroupShape, per_block: list) -> Iterator[UnramifiedCharacter]:
@@ -188,14 +206,6 @@ def enumerate_refinements(desc: LocalRepDescriptor) -> tuple[UnramifiedCharacter
         for i in range(desc.shape.r)
     ]
     return tuple(_characters(desc.shape, per_block))
-
-
-def _ladder_shuffles(desc: LocalRepDescriptor, i: int) -> list[tuple[Monomial, ...]]:
-    """Block ``i``'s accessible orderings: for each order-preserving ``sigma`` of the
-    segment lengths, slot ``p`` gets ladder entry ``sigma^-1(p)``."""
-    ladder = desc.block_params(i)
-    sigmas = block_order_preserving_permutations(GroupShape(seg.d for seg in desc.segments[i]))
-    return [tuple(ladder[u] for u in invert_permutation(sigma)) for sigma in sigmas]
 
 
 def is_accessible(desc: LocalRepDescriptor, refinement: UnramifiedCharacter) -> bool:
@@ -217,32 +227,48 @@ def is_accessible(desc: LocalRepDescriptor, refinement: UnramifiedCharacter) -> 
                 f"refinement values in block {i + 1} are not an ordering of the "
                 f"descriptor parameters"
             )
-        next_rank = [0] * len(desc.segments[i])
-        for s, rank in found:
-            if rank != next_rank[s]:
-                return False
-            next_rank[s] = rank + 1
+        if not _in_ladder_order(found, len(desc.segments[i])):
+            return False
     return True
+
+
+def _in_ladder_order(labels: Iterable[tuple[int, int]], segments: int) -> bool:
+    """Whether each segment's ranks come out as 0, 1, 2, ... in the ``(segment, rank)`` labels."""
+    next_rank = [0] * segments
+    for s, rank in labels:
+        if rank != next_rank[s]:
+            return False
+        next_rank[s] = rank + 1
+    return True
+
+
+def _multinomial(n: int, lengths: Iterable[int]) -> int:
+    """``n! / prod(d!)``: the interleavings of ladders of the given lengths, summing to ``n``."""
+    count = factorial(n)
+    for d in lengths:
+        count //= factorial(d)
+    return count
 
 
 def count_accessible(desc: LocalRepDescriptor) -> int:
     """Product over blocks of ``n_i! / prod(d!)``: interleavings keeping each ladder ordered."""
     _require_generic(desc)
     total = 1
-    for i, block in enumerate(desc.segments):
-        count = factorial(desc.shape.blocks[i])
-        for seg in block:
-            count //= factorial(seg.d)
-        total *= count
+    for size, block in zip(desc.shape.blocks, desc.segments):
+        total *= _multinomial(size, (seg.d for seg in block))
     return total
 
 
-def transferred_descriptor(desc: LocalRepDescriptor, cfg: TransferConfig) -> LocalRepDescriptor:
-    """All segments gathered into one block, each twist multiplied by its ``M`` power."""
+def _require_source(desc: LocalRepDescriptor, cfg: TransferConfig) -> None:
     if desc.shape != cfg.source:
         raise SizeMismatch(
             f"descriptor on {desc.shape} does not match config source {cfg.source}"
         )
+
+
+def transferred_descriptor(desc: LocalRepDescriptor, cfg: TransferConfig) -> LocalRepDescriptor:
+    """All segments gathered into one block, each twist multiplied by its ``M`` power."""
+    _require_source(desc, cfg)
     segments = tuple(
         Segment(cfg.twist_monomial(i) * seg.gamma, seg.d)
         for i, block in enumerate(desc.segments)
@@ -251,24 +277,62 @@ def transferred_descriptor(desc: LocalRepDescriptor, cfg: TransferConfig) -> Loc
     return LocalRepDescriptor(cfg.target, (segments,))
 
 
-def accessible_transfer_check(desc: LocalRepDescriptor, cfg: TransferConfig) -> bool:
-    """Whether every accessible refinement stays accessible after transfer."""
-    transferred = transferred_descriptor(desc, cfg)
+def _require_transfer_generic(desc: LocalRepDescriptor, cfg: TransferConfig) -> None:
+    """Refuse, in this order, a descriptor off the config's source, a non-generic
+    one, and one whose transferred descriptor is not generic.
+
+    The transferred genericity is the ladder sweep on the source ladders, the
+    ``q``-free part of each ladder in a twisted block merged with the entry
+    ``(mu, 2)``; ``lo`` and ``hi`` stay, since the twist has no ``q`` part.
+    """
+    _require_source(desc, cfg)
     _require_generic(desc)
-    _require_generic(transferred)
-    accessible = _characters(desc.shape, [_ladder_shuffles(desc, i) for i in range(desc.shape.r)])
-    return all(is_accessible(transferred, refinement_pullback(r, cfg)) for r in accessible)
+    mu, ladders = cfg.mu, []
+    for i, block in enumerate(desc.segments):
+        twist = ((mu, 2),) if cfg.twist_exponent(i) else ()
+        for seg in block:
+            (coeff, rest, parity), lo, hi = _ladder(seg)
+            ladders.append(((coeff, _merge(rest, twist), parity), lo, hi))
+    if not _sweep(ladders):
+        raise UnsupportedLinked(_NOT_GENERIC)
+
+
+def accessible_transfer_check(desc: LocalRepDescriptor, cfg: TransferConfig) -> bool:
+    """Whether every accessible refinement stays accessible after transfer.
+
+    Each accessible ordering of a block labels its slots by (segment, rank): for
+    each order-preserving ``sigma`` of the segment lengths, slot ``p`` holds ladder
+    entry ``sigma^-1(p)``.  The transferred refinement reads the labels in target
+    order through ``cfg.sigma_inverse`` and is accessible when each segment's ranks
+    come out as 0, 1, 2, ....  Blocks share no label, so each block's orderings are
+    checked alone: the sum of the block counts, never their product or ``n!``.
+    """
+    _require_transfer_generic(desc, cfg)
+    positions = desc.shape._positions
+    orders = [[] for _ in desc.segments]  # each block's slots, in target order
+    for u in cfg.sigma_inverse:
+        i, j = positions[u]
+        orders[i].append(j)
+    for block, order in zip(desc.segments, orders):
+        ranks = [(s, k) for s, seg in enumerate(block) for k in range(seg.d)]
+        for sigma in block_order_preserving_permutations(GroupShape(seg.d for seg in block)):
+            labels = [ranks[e] for e in invert_permutation(sigma)]
+            if not _in_ladder_order([labels[j] for j in order], len(block)):
+                return False
+    return True
 
 
 def refinement_count_inequality(
     desc: LocalRepDescriptor, cfg: TransferConfig
 ) -> tuple[int, int, bool]:
-    """Accessible counts before and after transfer, and the verdict ``source <= target``."""
-    transferred = transferred_descriptor(desc, cfg)
-    _require_generic(desc)
-    _require_generic(transferred)
+    """Accessible counts before and after transfer, and the verdict ``source <= target``.
+
+    The target count is the closed form ``n! / prod(d!)`` over all segments: the
+    transferred descriptor is one block holding every segment.
+    """
+    _require_transfer_generic(desc, cfg)
     count_source = count_accessible(desc)
-    count_target = count_accessible(transferred)
+    count_target = _multinomial(cfg.n, (seg.d for block in desc.segments for seg in block))
     return count_source, count_target, count_source <= count_target
 
 

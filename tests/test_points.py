@@ -273,17 +273,18 @@ def _subset_sum(values, degree):
     return total
 
 
-# small numerators and denominators make zeros, sign changes and repeats common
-_params = st.lists(
-    st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3)), min_size=1, max_size=8
+# small unreduced pairs make zeros, negative denominators, sign changes and repeats common
+_pairs = st.lists(
+    st.tuples(st.integers(-4, 4), st.integers(-4, 4).filter(bool)), min_size=1, max_size=8
 )
 
 
 @settings(max_examples=150, derandomize=True, database=None)
-@given(_params)
-def test_elementary_symmetric_matches_subset_sum(values):
-    for degree in range(1, len(values) + 2):
-        assert _elementary_symmetric(values, degree) == _subset_sum(values, degree)
+@given(_pairs)
+def test_elementary_symmetric_matches_subset_sum(pairs):
+    values = [Fraction(n, d) for n, d in pairs]
+    for degree in range(1, len(pairs) + 2):
+        assert _elementary_symmetric(pairs, degree) == _subset_sum(values, degree)
     # Satake parameters are nonzero monomials, so a point carries the nonzero values only
     params = [v for v in values if v]
     if not params:
@@ -298,6 +299,73 @@ def test_elementary_symmetric_matches_subset_sum(values):
     with pytest.raises(ValueError) as err:
         SphericalFactor("v", n + 1).eigenvalue(point, {})
     assert str(err.value) == f"degree {n + 1} exceeds the {n} Satake parameters"
+
+
+def test_elementary_symmetric_cases():
+    """Negative and unreduced denominators, zeros and repeats, written out."""
+    cases = [
+        ([(1, -2), (1, 2)], 1, Fraction(0)),
+        ([(1, -2), (1, 2)], 2, Fraction(-1, 4)),
+        ([(2, -4), (-3, -6), (0, -5)], 2, Fraction(-1, 4)),
+        ([(0, 7), (0, -1), (5, 1)], 2, Fraction(0)),
+        ([(3, -3)] * 4, 2, Fraction(6)),
+        ([(3, -3)] * 4, 3, Fraction(-4)),
+        ([(-1, -3), (4, -6), (1, 1)], 3, Fraction(-2, 9)),
+        ([(1, 1)], 2, Fraction(0)),
+    ]
+    for pairs, degree, expected in cases:
+        assert _elementary_symmetric(pairs, degree) == expected, (pairs, degree)
+
+
+def test_elementary_symmetric_matches_sympy_generating_polynomial():
+    """``e_d`` is the ``x^d`` coefficient of ``prod (1 + v·x)``, expanded by sympy."""
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    rng = random.Random(2002)
+    for _ in range(60):
+        pairs = [
+            (rng.randint(-9, 9), rng.choice((-7, -4, -2, -1, 1, 2, 3, 6)))
+            for _ in range(rng.randint(1, 9))
+        ]
+        poly = sympy.Poly(sympy.prod([1 + sympy.Rational(n, d) * x for n, d in pairs]), x)
+        for degree in range(1, len(pairs) + 2):
+            value = _elementary_symmetric(pairs, degree)
+            expected = poly.coeff_monomial(x**degree)
+            assert sympy.Rational(value.numerator, value.denominator) == expected, (pairs, degree)
+
+
+def test_spherical_eigenvalue_matches_e_d_of_evaluated_parameters():
+    """Satake parameters with half exponents of symbols whose declared roots are
+    negative, so that the unreduced pairs carry negative denominators: the
+    eigenvalue is ``e_d`` of the ``Monomial.evaluate`` values."""
+    rng = random.Random(2003)
+    assign = {
+        "q": SymbolValue(4, -2),
+        "a": SymbolValue(Fraction(9, 4), Fraction(-3, 2)),
+        "b": SymbolValue(Fraction(1, 9), Fraction(1, 3)),
+    }
+    negative_den = 0
+    for _ in range(150):
+        n = rng.randint(1, 6)
+        params = tuple(
+            Monomial(
+                rng.choice((1, -1, 2, Fraction(-3, 5))),
+                {name: Fraction(rng.randint(-3, 3), 2) for name in rng.sample("qab", rng.randint(0, 3))},
+            )
+            for _ in range(n)
+        )
+        values = [m.evaluate(assign) for m in params]
+        for m, v in zip(params, values):
+            num, den = m._pair(assign)
+            assert Fraction(num, den) == v
+            negative_den += den < 0
+        point = ClassicalPoint.build(
+            AlgebraicWeight(GroupShape((n,)), (0,) * n), satake={"v": (params,)}
+        )
+        for degree in range(1, n + 1):
+            expected = _subset_sum(values, degree)
+            assert SphericalFactor("v", degree).eigenvalue(point, assign) == expected
+    assert negative_den >= 50
 
 
 def test_point_eigenvalue_is_product():

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import eigentransfer.monomial as monomial_module
 import eigentransfer.refinements as refinements_module
 from eigentransfer.errors import ShapeMismatch, SizeMismatch, UnsupportedLinked
 from eigentransfer.jsonio import decode_descriptor
@@ -16,7 +17,6 @@ from eigentransfer.refinements import (
     LocalRepDescriptor,
     Segment,
     _characters,
-    _ladder_shuffles,
     _require_generic,
     accessible_transfer_check,
     count_accessible,
@@ -37,6 +37,7 @@ from eigentransfer.transfer import (
     TransferConfig,
     atkin_lehner_pullback,
     block_order_preserving_permutations,
+    invert_permutation,
     refinement_pullback,
     weight_pullback,
 )
@@ -48,11 +49,11 @@ def qpow(e):
     return Monomial(1, {"q": e})
 
 
-def config(blocks, sigma=None, alpha=HALF):
+def config(blocks, sigma=None, alpha=HALF, mu="M"):
     shape = GroupShape(tuple(blocks))
     if sigma is None:
         sigma = tuple(range(shape.n))
-    return TransferConfig(source=shape, sigma=tuple(sigma), alpha=alpha)
+    return TransferConfig(source=shape, sigma=tuple(sigma), alpha=alpha, mu=mu)
 
 
 def test_segment_params():
@@ -476,6 +477,16 @@ def _old_accessible_transfer_check(desc, cfg):
     return True
 
 
+def _ladder_shuffles(desc, i):
+    """Block ``i``'s accessible orderings as ``Monomial`` tuples, the construction
+    ``accessible_transfer_check`` used before it worked on labels: for each
+    order-preserving ``sigma`` of the segment lengths, slot ``p`` gets ladder entry
+    ``sigma^-1(p)``."""
+    ladder = desc.block_params(i)
+    sigmas = block_order_preserving_permutations(GroupShape(seg.d for seg in desc.segments[i]))
+    return [tuple(ladder[u] for u in invert_permutation(sigma)) for sigma in sigmas]
+
+
 def _ladder_shuffle_refinements(desc):
     return list(_characters(desc.shape, [_ladder_shuffles(desc, i) for i in range(desc.shape.r)]))
 
@@ -534,47 +545,130 @@ def test_accessible_transfer_check_matches_oracle_on_non_generic_descriptors():
 
 
 def test_accessible_transfer_check_builds_instead_of_filtering(monkeypatch):
-    """No enumeration and no accessibility test on the source descriptor: only
-    the transferred side is tested, once per accessible refinement."""
+    """No enumeration, no accessibility test, no transferred descriptor and no
+    ``Monomial``: only each block's own orderings are examined, 2 + 3 of them,
+    never their product or all 5! orderings."""
     a, b, c, g = (symbol(name) for name in "abcg")
     desc = LocalRepDescriptor(
         GroupShape((2, 3)), ((Segment(a, 1), Segment(b, 1)), (Segment(g, 2), Segment(c, 1)))
     )
     cfg = config((2, 3), sigma=(1, 3, 0, 2, 4))
-    seen = []
-    real = refinements_module.is_accessible
-    monkeypatch.setattr(refinements_module, "enumerate_refinements", None)
-    monkeypatch.setattr(
-        refinements_module, "is_accessible", lambda d, r: seen.append(d) or real(d, r)
-    )
+    yields = []
+    real = refinements_module.block_order_preserving_permutations
+
+    def counted(shape):
+        for sigma in real(shape):
+            yields.append(shape.blocks)
+            yield sigma
+
+    built = []
+    new_object = monomial_module._new_object
+    for name in ("enumerate_refinements", "is_accessible", "transferred_descriptor"):
+        monkeypatch.setattr(refinements_module, name, None)
+    monkeypatch.setattr(refinements_module, "block_order_preserving_permutations", counted)
+    monkeypatch.setattr(monomial_module, "_new_object", lambda cls: built.append(cls) or new_object(cls))
     assert accessible_transfer_check(desc, cfg)
-    # 2!/(1! 1!) orderings of block 1 times 3!/(2! 1!) of block 2
-    assert seen == [transferred_descriptor(desc, cfg)] * 6
+    # 2!/(1! 1!) orderings of block 1 plus 3!/(2! 1!) of block 2
+    assert yields == [(1, 1)] * 2 + [(2, 1)] * 3
+    assert refinement_count_inequality(desc, cfg) == (6, 60, True)
+    assert built == []
+
+
+def _old_refinement_count_inequality(desc, cfg):
+    """Oracle: ``refinement_count_inequality`` before the closed form, counting on a
+    built transferred descriptor."""
+    transferred = transferred_descriptor(desc, cfg)
+    _require_generic(desc)
+    _require_generic(transferred)
+    count_source, count_target = count_accessible(desc), count_accessible(transferred)
+    return count_source, count_target, count_source <= count_target
+
+
+def _assert_counts_match_oracle(desc, cfg):
+    expected = _outcome(_old_refinement_count_inequality, desc, cfg)
+    assert _outcome(refinement_count_inequality, desc, cfg) == expected, (desc, cfg)
+    return expected
+
+
+def test_refinement_count_inequality_matches_built_descriptor_counts():
+    """The closed-form target count against ``count_accessible`` of the built
+    transferred descriptor, with the same refusals in the same order."""
+    targets = set()
+    for desc in _generic_descriptors(5):
+        for sigma in block_order_preserving_permutations(desc.shape):
+            source, target, ok = _assert_counts_match_oracle(desc, config(desc.shape.blocks, sigma))
+            targets.add(target)
+            assert ok
+    # the distinct n!/prod(d!) over the segment lengths summing to n <= 5
+    assert targets == {1, 2, 3, 4, 5, 6, 10, 12, 20, 24, 30, 60, 120}
+    a, g, mu = symbol("a"), symbol("g"), symbol("M")
+    linked = LocalRepDescriptor(GroupShape((2,)), ((Segment(g, 1), Segment(g / qpow(1), 1)),))
+    linked_on_transfer = _desc([[(mu * g * qpow(Fraction(-3, 2)), 1)], [(g, 2)]])
+    repeated_on_transfer = _desc([[(mu * a, 1)], [(a, 1), (g, 1)]])
+    cases = [
+        (linked, config((2,)), (UnsupportedLinked, _LINKED)),
+        # a wrong shape is refused before genericity
+        (linked, config((1, 1)), (SizeMismatch, "descriptor on (2) does not match config source (1,1)")),
+        (linked_on_transfer, config((1, 2)), (UnsupportedLinked, _LINKED)),
+        (repeated_on_transfer, config((1, 2), sigma=(1, 0, 2)), (UnsupportedLinked, _LINKED)),
+    ]
+    for desc, cfg, expected in cases:
+        assert _assert_counts_match_oracle(desc, cfg) == expected
+        assert _outcome(accessible_transfer_check, desc, cfg) == expected
+
+
+# twist names sorting before the gamma symbols and q, between them and after them
+_TWIST_NAMES = ("A", "M", "a0", "s9", "z")
+
+
+def _assert_transferred_genericity_matches_built(desc, cfg):
+    """The transfer check and the counts, with their refusals, against the old check,
+    the old counts and the built transferred descriptor's ``is_generic``."""
+    outcome = _assert_transfer_check_matches_oracles(desc, cfg)
+    _assert_counts_match_oracle(desc, cfg)
+    if desc.is_generic:
+        assert (outcome is True) is transferred_descriptor(desc, cfg).is_generic, (desc, cfg)
+    return outcome
+
+
+@pytest.mark.parametrize("mu", _TWIST_NAMES)
+def test_twist_placement_on_generic_family(mu):
+    """The twist entry merged into each ladder key wherever ``mu`` sorts among the
+    ``s<k>`` gamma symbols and ``q``, over the 1,643 generic pairs."""
+    pairs = 0
+    for desc in _generic_descriptors(5):
+        for sigma in block_order_preserving_permutations(desc.shape):
+            cfg = config(desc.shape.blocks, sigma, mu=mu)
+            assert _assert_transferred_genericity_matches_built(desc, cfg) is True
+            pairs += 1
+    assert pairs == 1643
 
 
 @st.composite
-def _descriptor_with_links_and_config(draw):
+def _descriptor_with_links_and_config(draw, mu="M", gammas=tuple(_GAMMAS)):
     """Up to three blocks of at most three parameters; a segment is sometimes drawn
     linked to the one before it (its ladder just below or just above), in the same
-    block or across a block boundary, sometimes only up to a power of ``M`` so that
-    the link may appear on transfer; and an order-preserving config on the shape."""
+    block or across a block boundary, sometimes only up to a power of the twist
+    symbol ``mu`` so that the link may appear on transfer; and an order-preserving
+    config on the shape with that twist symbol."""
+    twist_symbol = symbol(mu)
     blocks, segments, prev = [], [], None
     for _ in range(draw(st.integers(1, 3))):
         block = []
         for d in draw(st.sampled_from([(1,), (2,), (3,), (1, 1), (1, 2), (2, 1), (1, 1, 1)])):
             if prev is not None and draw(st.integers(0, 2)) == 0:
                 sign = draw(st.sampled_from((-1, 1)))
-                twist = draw(st.sampled_from((ONE, symbol("M"), symbol("M").inverse())))
+                twist = draw(st.sampled_from((ONE, twist_symbol, twist_symbol.inverse())))
                 gamma = twist * prev.gamma * qpow(Fraction(sign * (prev.d + d), 2))
             else:
-                gamma = draw(st.sampled_from(_GAMMAS))
+                gamma = draw(st.sampled_from(gammas))
             prev = Segment(gamma, d)
             block.append(prev)
         blocks.append(sum(seg.d for seg in block))
         segments.append(tuple(block))
     desc = LocalRepDescriptor(GroupShape(tuple(blocks)), tuple(segments))
     sigma = draw(st.sampled_from(list(block_order_preserving_permutations(desc.shape))))
-    return desc, config(desc.shape.blocks, sigma=sigma)
+    return desc, config(desc.shape.blocks, sigma=sigma, mu=mu)
 
 
 @settings(max_examples=200, derandomize=True, database=None)
@@ -584,6 +678,39 @@ def test_transfer_check_and_genericity_match_oracles_with_links_property(case):
     _assert_transfer_check_matches_oracles(desc, cfg)
     if desc.is_generic:
         _assert_ladder_shuffles_are_accessible_refinements(desc)
+
+
+# gammas of two symbols, so that a twist name can also sort between them
+_WIDE_GAMMAS = tuple(_GAMMAS) + (
+    symbol("a") * symbol("t"),
+    symbol("B") * symbol("r") * qpow(HALF),
+    symbol("a0") * symbol("s9").inverse(),
+    symbol("M") * symbol("z") * qpow(-1),
+)
+
+
+@pytest.mark.parametrize("mu", _TWIST_NAMES)
+@settings(max_examples=120, derandomize=True, database=None)
+@given(data=st.data())
+def test_twist_placement_with_links_property(mu, data):
+    """Linked, repeated and twisted ladders with each twist name: the transfer check,
+    the counts and the transferred genericity match the built descriptor and the old
+    check, also where a gamma's own ``mu^-1`` cancels against the twist."""
+    desc, cfg = data.draw(_descriptor_with_links_and_config(mu, _WIDE_GAMMAS))
+    _assert_transferred_genericity_matches_built(desc, cfg)
+
+
+def test_twist_cancelling_a_gamma_symbol_reaches_the_untwisted_ladder():
+    """A gamma holding ``mu^-1`` loses the symbol on transfer, and then links with an
+    untwisted ladder of the same ``q``-free part; without the twist it would not."""
+    g = symbol("g")
+    for mu in _TWIST_NAMES:
+        m = symbol(mu)
+        # on shape (1, 2) block 2 picks up the twist and block 1 does not
+        desc = _desc([[(g * qpow(Fraction(3, 2)), 1)], [(m.inverse() * g, 2)]])
+        cfg = config((1, 2), mu=mu)
+        assert desc.is_generic and not transferred_descriptor(desc, cfg).is_generic
+        assert _assert_transferred_genericity_matches_built(desc, cfg) == (UnsupportedLinked, _LINKED)
 
 
 def _desc(blocks_of_segments):

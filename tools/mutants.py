@@ -56,11 +56,38 @@ MUTANTS = [
         ["tests/test_refinements.py::test_ladder_sweep_genericity_matches_oracle_on_explicit_cases"],
     ),
     (
-        "ladder shuffles read through sigma instead of sigma^-1",
+        "ladder shuffle labels read through sigma instead of sigma^-1",
         REFINEMENTS,
-        "tuple(ladder[u] for u in invert_permutation(sigma))",
-        "tuple(ladder[u] for u in sigma)",
+        "labels = [ranks[e] for e in invert_permutation(sigma)]",
+        "labels = [ranks[e] for e in sigma]",
         ["tests/test_refinements.py::test_accessible_transfer_check_builds_instead_of_filtering"],
+    ),
+    (
+        "transferred ladder sweep dropping the twist entry",
+        REFINEMENTS,
+        "ladders.append(((coeff, _merge(rest, twist), parity), lo, hi))",
+        "ladders.append(((coeff, rest, parity), lo, hi))",
+        [
+            "tests/test_refinements.py::"
+            "test_twist_cancelling_a_gamma_symbol_reaches_the_untwisted_ladder"
+        ],
+    ),
+    (
+        "transferred labels read through sigma instead of sigma^-1",
+        REFINEMENTS,
+        "for u in cfg.sigma_inverse:",
+        "for u in cfg.sigma:",
+        ["tests/test_refinements.py::test_accessible_transfer_check_builds_instead_of_filtering"],
+    ),
+    (
+        "target count over the block sizes instead of the segment lengths",
+        REFINEMENTS,
+        "_multinomial(cfg.n, (seg.d for block in desc.segments for seg in block))",
+        "_multinomial(cfg.n, desc.shape.blocks)",
+        [
+            "tests/test_refinements.py::"
+            "test_refinement_count_inequality_matches_built_descriptor_counts"
+        ],
     ),
     (
         "classify with >= for strict",
@@ -266,9 +293,16 @@ MUTANTS = [
     (
         "e_d numerators not scaled to the common denominator",
         POINTS,
-        "a = v.numerator * (D // v.denominator)",
-        "a = v.numerator * D",
+        "a = n * (D // d)",
+        "a = n * D",
         ["tests/test_points.py::test_elementary_symmetric_matches_subset_sum"],
+    ),
+    (
+        "e_d scaling dropping the sign of a negative denominator",
+        POINTS,
+        "a = n * (D // d)",
+        "a = n * (D // abs(d))",
+        ["tests/test_points.py::test_elementary_symmetric_cases"],
     ),
     (
         "odd exponent evaluated on the value instead of the declared root",
