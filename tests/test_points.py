@@ -350,7 +350,10 @@ def test_spherical_eigenvalue_matches_e_d_of_evaluated_parameters():
         params = tuple(
             Monomial(
                 rng.choice((1, -1, 2, Fraction(-3, 5))),
-                {name: Fraction(rng.randint(-3, 3), 2) for name in rng.sample("qab", rng.randint(0, 3))},
+                {
+                    name: Fraction(rng.randint(-3, 3), 2)
+                    for name in rng.sample("qab", rng.randint(0, 3))
+                },
             )
             for _ in range(n)
         )
