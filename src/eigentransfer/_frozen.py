@@ -12,11 +12,9 @@ any assignment or deletion.  Subclasses that cache derived data with
 
 The key is compiled to plain attribute reads, the way ``dataclasses`` builds
 its methods, so it costs what a hand-written ``_key`` did, and ``_fields`` is
-the only statement of a record's field order.  Few calls reach it anyway.
-Counted over 8 s runs of the benchmark (Python 3.11, its checks included),
-``symbolic-verify`` made 85 record comparisons per op, every one an identity
-(``self is other``) that never reads the key, and hashed no record;
-``combinatorial-search`` made 5.1 identity and 1.8 other comparisons per op.
+the only statement of a record's field order.  Few calls reach it anyway: on
+the benchmark's workloads nearly every record comparison is an identity
+(``self is other``), which never reads the key.
 
 The two hot unvalidated constructors, ``monomial._make`` (with the product
 branch of ``Monomial.__mul__``) and ``tori.UnramifiedCharacter._new``, skip

@@ -24,7 +24,7 @@ import json
 from fractions import Fraction
 from typing import Any, Callable, Container, TypeVar
 
-from .errors import NotRelevant, SchemaError
+from .errors import SchemaError
 from .monomial import Monomial, SymbolValue, _rational, valid_symbol
 from .points import (
     AtkinLehnerFactor,
@@ -51,8 +51,8 @@ from .tori import AlgebraicWeight, GroupShape, UnramifiedCharacter
 from .transfer import (
     DEFAULT_TWIST_SYMBOL,
     TransferConfig,
-    archimedean_sigma,
-    archimedean_transfer,
+    _archimedean_transfer,
+    _realizing_sigma,
     atkin_lehner_pullback,
     refinement_pullback,
     refinement_pullback_normalized,
@@ -337,17 +337,12 @@ def _transfer_weight(payload: dict) -> dict:
     shape = decode_shape(payload["shape"], "shape")
     alpha = decode_rational(payload["alpha"], "alpha")
     weight = decode_weight(payload["weight"], shape, "weight")
-    result = archimedean_transfer(weight, alpha)
-    try:
-        sigma = archimedean_sigma(weight, alpha)
-        realized = True
-    except NotRelevant:
-        sigma = result.sigma
-        realized = False
+    result, two_alpha = _archimedean_transfer(weight, alpha)
+    sigma = _realizing_sigma(weight, result, two_alpha)
     return {
         "weight": encode_weight(result.weight),
-        "sigma": encode_sigma(sigma),
-        "realized": realized,
+        "sigma": encode_sigma(result.sigma if sigma is None else sigma),
+        "realized": sigma is not None,
     }
 
 

@@ -20,7 +20,7 @@ from itertools import combinations
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import BlockMismatch
-from .monomial import Monomial, Rational, _merge
+from .monomial import Monomial, Rational, _merge, _new
 from .tori import _integers
 
 __all__ = ["LaurentPoly", "elementary_symmetric"]
@@ -94,16 +94,12 @@ class LaurentPoly:
     def terms(self) -> Iterator[tuple[tuple[int, ...], Monomial]]:
         """Deterministic iteration over (exponent vector, monomial coefficient) terms."""
         for (exps, sym), coeff in sorted(self._terms.items()):
-            yield exps, Monomial._from_twice(coeff, dict(sym))
+            yield exps, _new(coeff, sym)
 
     def coefficients(self, exps: Sequence[int]) -> tuple[Monomial, ...]:
         """All monomial summands sitting on one variable exponent vector."""
         exps = _integers(exps, "exponents")
-        found = [
-            Monomial._from_twice(c, dict(sym))
-            for (e, sym), c in sorted(self._terms.items())
-            if e == exps
-        ]
+        found = [_new(c, sym) for (e, sym), c in sorted(self._terms.items()) if e == exps]
         return tuple(found)
 
     def _check(self, other: "LaurentPoly") -> None:

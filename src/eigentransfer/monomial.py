@@ -14,6 +14,16 @@ not defined here; sums live in :mod:`eigentransfer.laurent`.
 Reserved names: ``q`` is the residue field cardinality of the local base field
 and ``W`` is the uniformizer (weight characters are ``W``-powers).  Transfer
 configurations additionally bind a twist symbol, ``M`` by default.
+
+A value is stored as its coefficient (an ``int`` when integral) and a tuple of
+``(name, doubled exponent)`` pairs, sorted by name with no zero entry.  This
+module owns that format.  Other modules reach it through a small private
+vocabulary: :func:`_merge` and :func:`_times` on tuples, :func:`_half_power`,
+:meth:`Monomial._from_twice` (which also takes a power product of monomials),
+:meth:`Monomial._split` and :meth:`Monomial._pair`.  :mod:`eigentransfer.laurent`
+is the one other module that holds the tuples, since its term key is one: it
+reads a coefficient's pair in its constructor, multiplies keys with
+:func:`_merge` and rebuilds coefficients with :func:`_new`.
 """
 
 from __future__ import annotations
@@ -103,6 +113,11 @@ def _merge(a: tuple, b: tuple) -> tuple:
     return tuple(out)
 
 
+def _times(twice: tuple, name: str, doubled: int) -> tuple:
+    """The doubled-exponent tuple ``twice`` times ``name^(doubled/2)``, in the same form."""
+    return _merge(twice, ((name, doubled),)) if doubled else twice
+
+
 def _rational(text: str) -> Optional[Fraction]:
     """The rational that ``text`` spells in the coefficient grammar, else ``None``; a zero
     denominator raises ``ZeroDivisionError``.  The JSON decoder reads rationals with it too."""
@@ -186,10 +201,23 @@ class Monomial(FrozenValue):
         return _new, (self._coeff, self._twice)
 
     @classmethod
-    def _from_twice(cls, coeff: Rational, twice: Mapping[str, int]) -> "Monomial":
+    def _from_twice(cls, coeff: Rational, twice: dict[str, int], values=(), exps=()) -> "Monomial":
+        """``coeff`` times each ``name^(t/2)`` of ``twice``, times ``values[i]^exps[i]``.
+
+        The powers go into ``coeff`` and ``twice`` (which is updated in place) in one
+        pass, so one monomial is made however many values there are."""
+        if values:  # the loop's set-up is a measurable part of a plain call
+            for value, e in zip(values, exps):
+                if e:
+                    c = value._coeff
+                    coeff *= c ** e if e > 0 else Fraction(1, c) ** -e
+                    for name, t in value._twice:
+                        twice[name] = twice.get(name, 0) + t * e
         if coeff == 0:
             raise ValueError("monomial coefficients are nonzero")
-        return _make(_canon(coeff), tuple(sorted((n, t) for n, t in twice.items() if t)))
+        if type(coeff) is not int:
+            coeff = _canon(coeff)
+        return _make(coeff, tuple(sorted([item for item in twice.items() if item[1]])))
 
     @property
     def coeff(self) -> Fraction:
@@ -201,10 +229,16 @@ class Monomial(FrozenValue):
 
     def doubled_exponent(self, name: str) -> int:
         """Twice the exponent of ``name`` (0 when absent)."""
-        for n, t in self._twice:
+        return self._split(name)[2]
+
+    def _split(self, name: str) -> tuple[Rational, tuple, int]:
+        """``(coefficient, rest, t)``: the stored coefficient, the doubled exponents
+        without ``name``, and twice the exponent of ``name`` (0 when absent)."""
+        twice = self._twice
+        for k, (n, t) in enumerate(twice):
             if n == name:
-                return t
-        return 0
+                return self._coeff, twice[:k] + twice[k + 1 :], t
+        return self._coeff, twice, 0
 
     def symbols(self) -> tuple[str, ...]:
         return tuple(n for n, _ in self._twice)
@@ -362,7 +396,9 @@ def _make(coeff: Rational, twice: tuple[tuple[str, int], ...]) -> Monomial:
 
 
 def _new(coeff: Rational, twice: tuple[tuple[str, int], ...]) -> Monomial:
-    """Pickle loader: canonicalises ``coeff``, which older pickles hold as a ``Fraction``."""
+    """The monomial of a nonzero ``coeff`` and a well-formed ``twice``, with ``coeff``
+    canonicalised: the pickle loader (older pickles hold a ``Fraction``) and the way
+    :mod:`eigentransfer.laurent` turns a term back into a coefficient."""
     return _make(_canon(coeff), twice)
 
 

@@ -28,11 +28,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+from operator import mul
 from typing import Iterable, Mapping, Sequence
 
 from ._frozen import FrozenValue, _set
 from .errors import EmptyPacket, SizeMismatch
-from .monomial import UNIFORMIZER_SYMBOL, Monomial, SymbolValue, _canon, _make
+from .monomial import UNIFORMIZER_SYMBOL, Monomial, SymbolValue
 from .tori import (
     AlgebraicWeight,
     CocharVector,
@@ -188,22 +189,14 @@ class AtkinLehnerFactor(FrozenValue):
 
     def eigenvalue(self, point: ClassicalPoint, assign: Assignment) -> Fraction:
         """``chi(v)·W^(k·v)`` evaluated, built in one pass over the slots: the
-        coefficients multiply and the doubled exponents add up in one dict, so one
-        monomial is made, the one that ``chi.eval(v)`` times the weight character's
-        value ``W^(k·v)`` gives."""
+        power product of ``chi``'s values starts from ``W^(k·v)``, so one monomial
+        is made, the one that ``chi.eval(v)`` times the weight character's value
+        ``W^(k·v)`` gives."""
         vector = self._vector(point.weight.shape)
         chi = point.up_at(self.place)
-        coeff, twice, pairing = 1, {}, 0
-        for value, k, e in zip(chi.values, point.weight.exps, vector.exps):
-            if e:
-                c = value._coeff
-                coeff *= c ** e if e > 0 else Fraction(1, c) ** -e
-                for name, t in value._twice:
-                    twice[name] = twice.get(name, 0) + t * e
-                pairing += k * e
-        twice[UNIFORMIZER_SYMBOL] = twice.get(UNIFORMIZER_SYMBOL, 0) + 2 * pairing
-        exps = tuple(sorted(item for item in twice.items() if item[1]))
-        return _make(_canon(coeff), exps).evaluate(assign)
+        pairing = sum(map(mul, point.weight.exps, vector.exps))
+        value = Monomial._from_twice(1, {UNIFORMIZER_SYMBOL: 2 * pairing}, chi.values, vector.exps)
+        return value.evaluate(assign)
 
 
 def _elementary_symmetric(pairs: Sequence[tuple[int, int]], degree: int) -> Fraction:

@@ -43,7 +43,7 @@ from typing import Iterable, Iterator
 
 from ._frozen import FrozenValue, _set
 from .errors import ShapeMismatch, SizeMismatch, UnsupportedLinked
-from .monomial import Monomial, RESIDUE_SYMBOL, _half_power, _merge
+from .monomial import Monomial, RESIDUE_SYMBOL, _half_power, _times
 from .tori import (
     AlgebraicWeight,
     GroupShape,
@@ -98,14 +98,9 @@ class Segment(FrozenValue):
 def _ladder(seg: Segment) -> tuple[tuple, int, int]:
     """``(key, lo, hi)`` of a segment's ladder of doubled ``q`` exponents, keyed by
     gamma's ``q``-free part and the parity of ``lo``."""
-    gamma, g = seg.gamma, 0
-    rest = gamma._twice
-    for k, (name, t) in enumerate(rest):
-        if name == RESIDUE_SYMBOL:
-            g, rest = t, rest[:k] + rest[k + 1 :]
-            break
+    coeff, rest, g = seg.gamma._split(RESIDUE_SYMBOL)
     lo = g - seg.d + 1
-    return (gamma._coeff, rest, lo % 2), lo, g + seg.d - 1
+    return (coeff, rest, lo % 2), lo, g + seg.d - 1
 
 
 def _sweep(ladders: Iterable[tuple[tuple, int, int]]) -> bool:
@@ -289,10 +284,10 @@ def _require_transfer_generic(desc: LocalRepDescriptor, cfg: TransferConfig) -> 
     _require_generic(desc)
     mu, ladders = cfg.mu, []
     for i, block in enumerate(desc.segments):
-        twist = ((mu, 2),) if cfg.twist_exponent(i) else ()
+        twist = 2 * cfg.twist_exponent(i)
         for seg in block:
             (coeff, rest, parity), lo, hi = _ladder(seg)
-            ladders.append(((coeff, _merge(rest, twist), parity), lo, hi))
+            ladders.append(((coeff, _times(rest, mu, twist), parity), lo, hi))
     if not _sweep(ladders):
         raise UnsupportedLinked(_NOT_GENERIC)
 

@@ -65,8 +65,7 @@ from .monomial import (
     UNIFORMIZER_SYMBOL,
     _exact,
     _half_power,
-    _make,
-    _merge,
+    _times,
     valid_symbol,
 )
 from .tori import (
@@ -261,13 +260,13 @@ class TransferConfig(FrozenValue):
         positions = self.source._positions
         out = []
         for p, (u, t) in enumerate(zip(self.sigma_inverse, self._slot_twist_exponents)):
-            twice = [(mu, 2 * t)]
+            twice = {mu: 2 * t}
             if normalized:
                 i, j = positions[u]
-                twice.append((RESIDUE_SYMBOL, 2 * (j - p) + n - blocks[i]))
+                twice[RESIDUE_SYMBOL] = 2 * (j - p) + n - blocks[i]
             if weighted:
-                twice.append((UNIFORMIZER_SYMBOL, 2 * shifts[p]))
-            out.append(_make(1, tuple(sorted(e for e in twice if e[1]))))
+                twice[UNIFORMIZER_SYMBOL] = 2 * shifts[p]
+            out.append(Monomial._from_twice(1, twice))
         return tuple(out)
 
     @cached_property
@@ -644,6 +643,21 @@ def archimedean_sigma(weight: AlgebraicWeight, alpha) -> tuple[int, ...]:
     helper, with no ``TransferConfig`` built.
     """
     art, two_alpha = _archimedean_transfer(weight, alpha)
+    sigma = _realizing_sigma(weight, art, two_alpha)
+    if sigma is None:
+        raise NotRelevant(
+            f"no block-order-preserving permutation realizes the transferred weight "
+            f"{art.weight.exps} from {weight.exps}"
+        )
+    return sigma
+
+
+def _realizing_sigma(
+    weight: AlgebraicWeight, art: ArchimedeanTransfer, two_alpha: int
+) -> tuple[int, ...] | None:
+    """The permutation :func:`archimedean_sigma` returns for the recipe's result ``art``
+    on ``weight`` and ``2·alpha``, or ``None`` when none realizes; a non-integral
+    shift raises ``NonIntegralShift``."""
     shape = weight.shape
     shifts = _weight_shifts(shape, two_alpha)
     need = [t - s for t, s in zip(art.weight.exps, shifts)]
@@ -651,13 +665,8 @@ def archimedean_sigma(weight: AlgebraicWeight, alpha) -> tuple[int, ...]:
     if all(k[u] == need[p] for u, p in enumerate(art.sigma)):
         return art.sigma
     if sorted(need) == sorted(k):
-        sigma = _first_realizing_sigma(shape, k, need)
-        if sigma is not None:
-            return sigma
-    raise NotRelevant(
-        f"no block-order-preserving permutation realizes the transferred weight "
-        f"{art.weight.exps} from {weight.exps}"
-    )
+        return _first_realizing_sigma(shape, k, need)
+    return None
 
 
 def satake_transfer(poly: LaurentPoly, cfg: TransferConfig) -> LaurentPoly:
@@ -678,7 +687,7 @@ def satake_transfer(poly: LaurentPoly, cfg: TransferConfig) -> LaurentPoly:
     for (exps, sym), coeff in poly._terms.items():
         pulled = tuple(exps[p] for p in cfg.sigma)
         shift = 2 * sum(e * t for e, t in zip(exps, slot_twists))
-        out[pulled, _merge(sym, ((mu, shift),) if shift else ())] = coeff
+        out[pulled, _times(sym, mu, shift)] = coeff
     return LaurentPoly._raw(cfg.source.blocks, out)
 
 

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from eigentransfer import jsonio
+from eigentransfer import jsonio, transfer
 from eigentransfer.cli import main
 
 
@@ -105,6 +105,31 @@ def test_transfer_weight_unrealized(tmp_path, capsys):
     assert report["weight"] == [[3, 1, 1]]
     assert report["realized"] is False
     assert report["sigma"] == [3, 1, 2]
+
+
+@pytest.mark.parametrize(
+    "payload, code",
+    [
+        ({"shape": [1, 1], "alpha": "1/2", "weight": [[0], [5]]}, 0),  # realized
+        ({"shape": [1, 2], "alpha": "1/2", "weight": [[0], [3, 1]]}, 0),  # unrealized
+        ({"shape": [1, 1], "alpha": "1/2", "weight": [[0], [0]]}, 1),  # collision
+    ],
+)
+def test_transfer_weight_runs_the_recipe_once(monkeypatch, tmp_path, capsys, payload, code):
+    """One job runs the archimedean recipe once, whether or not a sigma realizes it."""
+    calls = []
+    real = transfer._archimedean_transfer
+
+    def counted(weight, alpha):
+        calls.append(weight)
+        return real(weight, alpha)
+
+    monkeypatch.setattr(transfer, "_archimedean_transfer", counted)
+    # jsonio binds the recipe itself; without that binding the count fails, not the patch
+    monkeypatch.setattr(jsonio, "_archimedean_transfer", counted, raising=False)
+    job = {"schema_version": "1", "command": "transfer-weight", "payload": payload}
+    assert run_job(tmp_path, capsys, job)[0] == code
+    assert len(calls) == 1
 
 
 def test_transfer_refinement(tmp_path, capsys):

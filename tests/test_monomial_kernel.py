@@ -479,3 +479,35 @@ def test_integral_evaluate_matches_fraction_reference():
         assert type(value) is Fraction and value == ref, (coeff, exponents)
         assert (value.numerator, value.denominator) == (ref.numerator, ref.denominator)
     assert Monomial(3, {"a": Fraction(-1, 2)}).evaluate(cases[-1][2]) == -6
+
+
+@settings(max_examples=150, derandomize=True, database=None)
+@given(_twice_tuples, st.sampled_from(("M", "W", "a", "q", "z")), st.integers(-3, 3))
+def test_times_matches_dict_merge(a, name, doubled):
+    """``_times`` adds one doubled exponent, dropping the entry when it cancels."""
+    assert monomial._times(a, name, doubled) == _dict_merge(a, [(name, doubled)])
+    assert monomial._half_power(name, doubled)._twice == _dict_merge((), [(name, doubled)])
+
+
+@settings(max_examples=150, derandomize=True, database=None)
+@given(_pairs, st.sampled_from(_NAMES + ("absent",)))
+def test_split_matches_dict_reference(x, name):
+    m, ref = x
+    coeff, rest, t = m._split(name)
+    others = dict(ref._twice)
+    assert t == others.pop(name, 0) == m.doubled_exponent(name)
+    assert rest == tuple(sorted(others.items()))
+    assert coeff is m._coeff
+
+
+@settings(max_examples=150, derandomize=True, database=None)
+@given(st.lists(_pairs, max_size=4), st.lists(_powers, min_size=4, max_size=4), _powers)
+def test_from_twice_power_product_matches_fraction_reference(pairs, exps, w):
+    """One pass over the values gives the product of their powers, times the seed."""
+    exps = exps[: len(pairs)]
+    ref = FractionMonomial(3, {"W": Fraction(w, 2)})
+    for (_, r), e in zip(pairs, exps):
+        ref = ref * r ** e
+    m = Monomial._from_twice(3, {"W": w}, [m for m, _ in pairs], exps)
+    _agree(m, ref)
+    assert _well_formed(m)

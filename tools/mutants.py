@@ -65,7 +65,7 @@ MUTANTS = [
     (
         "transferred ladder sweep dropping the twist entry",
         REFINEMENTS,
-        "ladders.append(((coeff, _merge(rest, twist), parity), lo, hi))",
+        "ladders.append(((coeff, _times(rest, mu, twist), parity), lo, hi))",
         "ladders.append(((coeff, rest, parity), lo, hi))",
         [
             "tests/test_refinements.py::"
@@ -321,13 +321,13 @@ MUTANTS = [
     (
         "Atkin-Lehner weight twist with the exponent negated",
         POINTS,
-        "twice.get(UNIFORMIZER_SYMBOL, 0) + 2 * pairing",
-        "twice.get(UNIFORMIZER_SYMBOL, 0) - 2 * pairing",
+        "{UNIFORMIZER_SYMBOL: 2 * pairing}",
+        "{UNIFORMIZER_SYMBOL: -2 * pairing}",
         ["tests/test_points.py::test_atkin_lehner_eigenvalue_matches_weight_character_oracle"],
     ),
     (
         "Atkin-Lehner exponent pass dropping the cocharacter entry",
-        POINTS,
+        MONOMIAL,
         "twice[name] = twice.get(name, 0) + t * e",
         "twice[name] = twice.get(name, 0) + t",
         ["tests/test_points.py::test_atkin_lehner_one_pass_matches_eval_oracle"],
@@ -423,6 +423,27 @@ MUTANTS = [
         "elif type(exp) is Fraction and exp.denominator <= 2:",
         "elif type(exp) is Fraction:",
         ["tests/test_monomial.py::test_fraction_exponents_match_the_general_path[3]"],
+    ),
+    (
+        "one power times a tuple with its exponent negated",
+        MONOMIAL,
+        "return _merge(twice, ((name, doubled),)) if doubled else twice",
+        "return _merge(twice, ((name, -doubled),)) if doubled else twice",
+        ["tests/test_monomial_kernel.py::test_times_matches_dict_merge"],
+    ),
+    (
+        "split keeping the split-off entry in the rest",
+        MONOMIAL,
+        "return self._coeff, twice[:k] + twice[k + 1 :], t",
+        "return self._coeff, twice, t",
+        ["tests/test_refinements.py::test_ladder_sweep_genericity_matches_oracle_on_explicit_cases"],
+    ),
+    (
+        "realizing sigma never searched past the sorting permutation",
+        TRANSFER,
+        "return _first_realizing_sigma(shape, k, need)",
+        "return None",
+        ["tests/test_transfer.py::test_archimedean_sigma_search_matches_walk_oracle"],
     ),
 ]
 
