@@ -187,8 +187,8 @@ class Monomial(FrozenValue):
                 doubled = 2 * exp
             elif type(exp) is Fraction and exp.denominator <= 2:
                 doubled = 2 * exp.numerator // exp.denominator  # exact: 1 or 2 divides 2
-            else:
-                doubled = Fraction(exp) * 2
+            else:  # read by the exactness rule: a float, a Decimal or decimal text is refused
+                doubled = _exact(exp) * 2
                 if doubled.denominator != 1:
                     raise ValueError("exponents must lie in (1/2)Z")
                 doubled = int(doubled)
@@ -229,7 +229,10 @@ class Monomial(FrozenValue):
 
     def doubled_exponent(self, name: str) -> int:
         """Twice the exponent of ``name`` (0 when absent)."""
-        return self._split(name)[2]
+        for n, t in self._twice:
+            if n == name:
+                return t
+        return 0
 
     def _split(self, name: str) -> tuple[Rational, tuple, int]:
         """``(coefficient, rest, t)``: the stored coefficient, the doubled exponents

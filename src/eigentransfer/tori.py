@@ -92,13 +92,19 @@ class GroupShape(FrozenValue):
         return tuple((p, p + 1) for i in range(self.r) for p in self.block_range(i)[:-1])
 
     @cached_property
+    def _modulus_half_doubled(self) -> tuple[int, ...]:
+        """Twice the ``q`` exponent of the half modulus at each flat position: at
+        0-based entry ``j`` of a block of size ``m``, ``-(m + 1 - 2(j + 1))``."""
+        return tuple(-(self.blocks[i] + 1 - 2 * (j + 1)) for i, j in self._positions)
+
+    @cached_property
     def _modulus_half_values(self) -> tuple[tuple[Monomial, ...], tuple[Monomial, ...]]:
         """Values of the half modulus and of its inverse, shared by :func:`modulus_half`.
 
         Only values are cached: a cached character would point back at the
         shape, and the cycle would leave every shape to the cyclic collector.
         """
-        doubled = [-(self.blocks[i] + 1 - 2 * (j + 1)) for i, j in self._positions]
+        doubled = self._modulus_half_doubled
         return tuple(
             tuple(_half_power(RESIDUE_SYMBOL, sign * d) for d in doubled) for sign in (1, -1)
         )

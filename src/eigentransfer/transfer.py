@@ -6,7 +6,8 @@ Both share a diagonal torus of rank ``n``, so every map here is plain exact
 arithmetic on length-``n`` tuples.  The four character maps are affine: the
 value at target slot ``p`` is ``T[p] * chi[sigma^-1(p)]``, where ``sigma`` is a
 block-order-preserving permutation and the tuple ``T`` is cached per config,
-each entry made once from its integer ``M``, ``q`` and ``W`` exponents.
+each entry made once from its integer ``M``, ``q`` and ``W`` exponents in the
+config's slot rows.
 
 * ``refinement_pullback``: ``T`` is the unramified twist ``M`` on blocks whose
   complementary size ``n - n_i`` is odd (the twist symbol is trivial on even blocks).
@@ -32,14 +33,17 @@ each entry made once from its integer ``M``, ``q`` and ``W`` exponents.
 symbols, that these maps fit together: the combined map factors as
 (refinement part) x (weight part) on all dominant generator cocharacters, the
 two routes through the modulus normalisation agree, and the weight shifts are
-integers.  The factorization is checked on slot ratios: the ``n`` values of
-``lhs * rhs^-1``, in which the generic symbols cancel to small ``q``/``W``/``M``
-monomials, are formed once.  A character takes ``prod ratio[p]^t[p]`` at ``t``,
-so on ``GL_n`` the generator with ``j`` leading ones reads the product of the
-first ``j`` ratios and ``(-1,..,-1)`` the inverse of all ``n``.  Evaluation is a
-homomorphism and the arithmetic is exact, so this is ``lhs(t) * rhs(t)^-1``.
-Everything but ``lhs`` is the same with and without ``drop_normalization``,
-so it is built once per config and kept on it.
+integers.  It runs on the same integer rows as the multipliers, one per target
+slot, holding ``sigma^-1(p)`` and the doubled ``M``, ``q`` and ``W`` exponents:
+each side's value at a slot is a row of doubled exponents with the generic
+symbols kept by name, and the two sides are compared row by row.  Only a
+failing check builds monomials: the slot ratios ``lhs * rhs^-1``, from which
+the residual at a generator is read.  A character takes ``prod ratio[p]^t[p]``
+at ``t``, so on ``GL_n`` the generator with ``j`` leading ones reads the
+product of the first ``j`` ratios and ``(-1,..,-1)`` the inverse of all ``n``.
+Evaluation is a homomorphism and the arithmetic is exact, so this is
+``lhs(t) * rhs(t)^-1``.  Everything but ``lhs`` is the same with and without
+``drop_normalization``, so it is built once per config and kept on it.
 """
 
 from __future__ import annotations
@@ -61,6 +65,7 @@ from .errors import (
 from .laurent import LaurentPoly
 from .monomial import (
     Monomial,
+    ONE,
     RESIDUE_SYMBOL,
     UNIFORMIZER_SYMBOL,
     _exact,
@@ -74,7 +79,6 @@ from .tori import (
     GroupShape,
     UnramifiedCharacter,
     _integers,
-    modulus_half,
 )
 
 __all__ = [
@@ -245,27 +249,44 @@ class TransferConfig(FrozenValue):
         return _half_power(self.mu, 2 * self.twist_exponent(i))
 
     @cached_property
-    def _slot_twist_exponents(self) -> tuple[int, ...]:
-        """The twist exponent at each target slot ``p``, from the block of ``sigma^-1(p)``."""
-        return tuple(self.twist_exponent(self.source.block_of(u)[0]) for u in self.sigma_inverse)
+    def _slot_rows(self) -> tuple[tuple[int, int, int, int | None], ...]:
+        """The integers behind every multiplier and the verifier, one row per target slot.
+
+        For slot ``p``, with ``u = sigma^-1(p)`` at block ``i``, entry ``j``, the row
+        is ``(u, 2t, 2(j-p)+n-n_i, 2·shift[p])``: the doubled twist exponent of block
+        ``i``, the doubled ``q`` exponent of the source half-modulus at ``u`` times the
+        inverse target half-modulus at ``p``, and the doubled weight shift.  The last
+        is ``None`` when the shifts are not integers; every reader of it checks the
+        shifts first.
+        """
+        n, blocks, positions = self.n, self.source.blocks, self.source._positions
+        try:
+            shifts = [2 * s for s in self._shifts]
+        except NonIntegralShift:
+            shifts = [None] * n
+        rows = []
+        for p, u in enumerate(self.sigma_inverse):
+            i, j = positions[u]
+            twist = 2 * self.twist_exponent(i)
+            rows.append((u, twist, 2 * (j - p) + n - blocks[i], shifts[p]))
+        return tuple(rows)
 
     def _multipliers(self, normalized: bool, weighted: bool) -> tuple[Monomial, ...]:
-        """Per target slot ``p``, with ``u = sigma^-1(p)`` at block ``i``, entry ``j``:
-        ``M^t`` times, when ``normalized``, the source half-modulus at ``u`` and the
-        inverse target half-modulus at ``p``, which together are ``q^((2(j-p)+n-n_i)/2)``,
-        times, when ``weighted``, ``W^shift[p]``.  Each is made once from its doubled
-        exponents.  The shifts are read first, so a non-integral one raises first."""
-        shifts = self._shifts if weighted else None
-        n, blocks, mu = self.n, self.source.blocks, self.mu
-        positions = self.source._positions
+        """Per target slot ``p``: ``M^t`` times, when ``normalized``, the source
+        half-modulus at ``sigma^-1(p)`` and the inverse target half-modulus at ``p``,
+        times, when ``weighted``, ``W^shift[p]``, each made once from the doubled
+        exponents of :attr:`_slot_rows`.  The shifts are read first, so a non-integral
+        one raises first."""
+        if weighted:
+            weight_shift(self)
+        mu = self.mu
         out = []
-        for p, (u, t) in enumerate(zip(self.sigma_inverse, self._slot_twist_exponents)):
-            twice = {mu: 2 * t}
+        for _, twist, q, w in self._slot_rows:
+            twice = {mu: twist}
             if normalized:
-                i, j = positions[u]
-                twice[RESIDUE_SYMBOL] = 2 * (j - p) + n - blocks[i]
+                twice[RESIDUE_SYMBOL] = q
             if weighted:
-                twice[UNIFORMIZER_SYMBOL] = 2 * shifts[p]
+                twice[UNIFORMIZER_SYMBOL] = w
             out.append(Monomial._from_twice(1, twice))
         return tuple(out)
 
@@ -302,17 +323,16 @@ class TransferConfig(FrozenValue):
         return self._multipliers(normalized=False, weighted=True)
 
     @cached_property
-    def _verifier_half(
-        self,
-    ) -> tuple[CheckResult, tuple[UnramifiedCharacter, UnramifiedCharacter] | None, CheckResult]:
+    def _verifier_half(self) -> tuple[CheckResult, tuple[tuple, tuple] | None, CheckResult]:
         """The part of :func:`verify_transfer_compatibility` that ``drop_normalization``
-        does not change: the shift-integrality check, the factorization inputs and
-        the modulus-duality check.
+        does not change: the shift-integrality check, the factorization rows and the
+        modulus-duality check, all read from :attr:`_slot_rows`.
 
-        The factorization inputs are ``chi * zeta`` for the generic characters
-        ``chi`` and ``zeta``, and the inverse of the right side
-        ``refinement_pullback_normalized(chi) * weight_character_pullback(zeta)``;
-        they are ``None`` when a weight shift is not integral.
+        A side's row at a slot is its value there as ``(symbol, doubled exponent)``
+        pairs, generic symbols included.  The factorization rows are ``chi * zeta`` by
+        source position, for the generic characters ``chi`` and ``zeta``, and the
+        right side ``refinement_pullback_normalized(chi) * weight_character_pullback(zeta)``
+        by target slot; they are ``None`` when a weight shift is not integral.
         """
         try:
             weight_shift(self)
@@ -321,23 +341,31 @@ class TransferConfig(FrozenValue):
             shift_check = CheckResult("shift-integrality", False, (str(err),))
 
         avoid = {self.mu}
-        chi = _generic_character(self.source, "x", avoid)
-        zeta = _generic_character(self.source, "z", avoid)
+        x = _generic_names(self.n, "x", avoid)
+        z = _generic_names(self.n, "z", avoid)
+        mu, rows = self.mu, self._slot_rows
 
         sides = None
         if shift_check.passed:
-            rhs_char = refinement_pullback_normalized(chi, self)
-            rhs_char = rhs_char * weight_character_pullback(zeta, self)
-            sides = (chi * zeta, rhs_char.inverse())
+            product = tuple(((xu, 2), (zu, 2)) for xu, zu in zip(x, z))
+            # laid out like the left side's rows: the generic entries, then M, q and W
+            rhs = tuple(
+                ((x[u], 2), (z[u], 2), (mu, twist), (RESIDUE_SYMBOL, q), (UNIFORMIZER_SYMBOL, w))
+                for u, twist, q, w in rows
+            )
+            sides = (product, rhs)
 
-        lhs = refinement_pullback_normalized(chi * modulus_half(self.source, -1), self)
-        rhs = refinement_pullback(chi, self) * modulus_half(self.target, -1)
-        residuals = tuple(
-            f"e_{p + 1}: {(lhs.values[p] * rhs.values[p].inverse()).text()}"
-            for p in range(self.n)
-            if lhs.values[p] != rhs.values[p]
-        )
-        return shift_check, sides, CheckResult("modulus-duality", not residuals, residuals)
+        # the normalized transfer of chi * delta_source^(-1/2) against the plain
+        # transfer of chi times delta_target^(-1/2)
+        source_half = self.source._modulus_half_doubled
+        target_half = self.target._modulus_half_doubled
+        residuals = []
+        for p, (u, twist, q, _) in enumerate(rows):
+            left = ((x[u], 2), (mu, twist), (RESIDUE_SYMBOL, q - source_half[u]))
+            right = ((x[u], 2), (mu, twist), (RESIDUE_SYMBOL, -target_half[p]))
+            if left != right:
+                residuals.append(f"e_{p + 1}: {_ratio(left, right).text()}")
+        return shift_check, sides, CheckResult("modulus-duality", not residuals, tuple(residuals))
 
 
 def _require_source(data, cfg: TransferConfig) -> None:
@@ -466,14 +494,33 @@ class TransferReport(FrozenValue):
         return "pass" if self.passed else "fail"
 
 
-def _generic_character(shape: GroupShape, prefix: str, avoid: set[str]) -> UnramifiedCharacter:
-    values = []
-    for u in range(shape.n):
+def _generic_names(n: int, prefix: str, avoid: set[str]) -> tuple[str, ...]:
+    """``prefix1 .. prefixn``, each suffixed with ``_`` until it is neither in ``avoid``
+    nor a reserved symbol."""
+    names = []
+    for u in range(n):
         name = f"{prefix}{u + 1}"
         while name in avoid or name in (RESIDUE_SYMBOL, UNIFORMIZER_SYMBOL):
             name += "_"
-        values.append(_half_power(name, 2))
-    return UnramifiedCharacter._new(shape, tuple(values))
+        names.append(name)
+    return tuple(names)
+
+
+def _generic_character(shape: GroupShape, prefix: str, avoid: set[str]) -> UnramifiedCharacter:
+    """The character with value ``name^1`` at each position, named by :func:`_generic_names`."""
+    names = _generic_names(shape.n, prefix, avoid)
+    return UnramifiedCharacter._new(shape, tuple(_half_power(name, 2) for name in names))
+
+
+def _ratio(left: tuple, right: tuple) -> Monomial:
+    """``left * right^-1`` for two rows of ``(symbol, doubled exponent)`` pairs.  Every
+    entry of both rows is summed by name, so generic symbols that differ stay."""
+    twice: dict[str, int] = {}
+    for name, t in left:
+        twice[name] = twice.get(name, 0) + t
+    for name, t in right:
+        twice[name] = twice.get(name, 0) - t
+    return Monomial._from_twice(1, twice)
 
 
 def _factorization_residuals(ratios: tuple[Monomial, ...]) -> tuple[str, ...]:
@@ -507,27 +554,39 @@ def verify_transfer_compatibility(
     ``drop_normalization=True`` replaces the eigenvalue-system transfer by its
     unnormalized variant; for more than one source block this must fail.
 
-    The factorization residual at ``t`` is the slot-ratio character
-    ``lhs * rhs^-1`` evaluated at ``t``, read as a prefix product of the ratios
-    (inverted at the negated full vector).  Since ``chi -> chi(t)`` is a
-    homomorphism, that is exactly ``lhs(t) * rhs(t)^-1``, so the residual
-    texts are those of evaluating both sides at each generator.
+    The checks run on the config's integer slot rows, not on characters.  A
+    side's value at a target slot is a row of ``(symbol, doubled exponent)``
+    pairs: the generic symbols ``x_u`` and ``z_u`` by name, then ``M``, ``q``
+    and ``W``.  The rows of ``lhs`` and ``rhs`` are compared slot by slot, the
+    generic entries included, and the check passes when all agree, with no
+    monomial built.  Otherwise the ratio ``lhs * rhs^-1`` of each disagreeing
+    slot is made from the two rows (an agreeing slot reads ``ONE``), and the
+    residual at ``t`` is the slot-ratio character evaluated at ``t``, read as a
+    prefix product of the ratios (inverted at the negated full vector).  Since
+    ``chi -> chi(t)`` is a homomorphism, that is exactly ``lhs(t) * rhs(t)^-1``,
+    so the residual texts are those of evaluating both sides at each generator.
 
     Only ``lhs`` depends on ``drop_normalization``.  The rest is built once per
-    config and kept on it: the shift-integrality and modulus-duality checks,
-    ``chi * zeta`` and ``rhs^-1`` (see ``TransferConfig._verifier_half``).  A
-    call runs one pullback of ``chi * zeta``, one product with ``rhs^-1`` and
-    the prefix products.
+    config and kept on it: the shift-integrality and modulus-duality checks and
+    the rows of ``chi * zeta`` and of ``rhs`` (see ``TransferConfig._verifier_half``).
+    A call builds the ``n`` rows of ``lhs`` and compares them.
     """
     shift_check, sides, duality_check = cfg._verifier_half
     if sides is None:
         skipped = ("skipped: weight shifts are not integral",)
         factorization = CheckResult("atkin-lehner-factorization", False, skipped)
     else:
-        product, rhs_inverse = sides
-        lhs_char = atkin_lehner_pullback(product, cfg, normalized=not drop_normalization)
-        ratios = lhs_char * rhs_inverse  # the generic symbols cancel slot by slot
-        residuals = _factorization_residuals(ratios.values)
+        product, rhs = sides
+        mu, keep_q = cfg.mu, not drop_normalization
+        # the Atkin-Lehner pullback of chi * zeta: its value at u times the multiplier at p
+        lhs = tuple(
+            product[u] + ((mu, twist), (RESIDUE_SYMBOL, q * keep_q), (UNIFORMIZER_SYMBOL, w))
+            for u, twist, q, w in cfg._slot_rows
+        )
+        residuals = ()
+        if lhs != rhs:
+            ratios = tuple(ONE if a == b else _ratio(a, b) for a, b in zip(lhs, rhs))
+            residuals = _factorization_residuals(ratios)
         factorization = CheckResult("atkin-lehner-factorization", not residuals, residuals)
     return TransferReport((shift_check, factorization, duality_check))
 
@@ -638,9 +697,11 @@ def archimedean_sigma(weight: AlgebraicWeight, alpha) -> tuple[int, ...]:
     backtracks).
     Raises ``NotRelevant`` when no permutation realizes (which does happen for
     some mixed shapes); a multiset mismatch between ``need`` and ``k`` settles
-    that at once.  Non-integral shifts raise ``NonIntegralShift``, after any
-    error of :func:`archimedean_transfer`; the shifts come from the shared
-    helper, with no ``TransferConfig`` built.
+    that at once.  Every error of :func:`archimedean_transfer` comes first.
+    The shifts come from the shared helper, with no ``TransferConfig`` built,
+    and are always integers here: the recipe's doubled output at a slot of
+    block ``i`` has the parity of block ``i``'s doubled shift, so a
+    non-integral shift has already made the recipe raise ``NonIntegralShift``.
     """
     art, two_alpha = _archimedean_transfer(weight, alpha)
     sigma = _realizing_sigma(weight, art, two_alpha)
@@ -656,8 +717,9 @@ def _realizing_sigma(
     weight: AlgebraicWeight, art: ArchimedeanTransfer, two_alpha: int
 ) -> tuple[int, ...] | None:
     """The permutation :func:`archimedean_sigma` returns for the recipe's result ``art``
-    on ``weight`` and ``2·alpha``, or ``None`` when none realizes; a non-integral
-    shift raises ``NonIntegralShift``."""
+    on ``weight`` and ``2·alpha``, or ``None`` when none realizes.  The shifts it reads
+    are integers whenever the recipe returned (see :func:`archimedean_sigma`), so it
+    raises nothing."""
     shape = weight.shape
     shifts = _weight_shifts(shape, two_alpha)
     need = [t - s for t, s in zip(art.weight.exps, shifts)]
@@ -683,10 +745,10 @@ def satake_transfer(poly: LaurentPoly, cfg: TransferConfig) -> LaurentPoly:
         raise NotSymmetric("input polynomial is not symmetric in the target variables")
     # keyed like LaurentPoly's own terms, so coefficients sharing an exponent vector all survive
     out = {}
-    mu, slot_twists = cfg.mu, cfg._slot_twist_exponents
+    mu, doubled_twists = cfg.mu, [row[1] for row in cfg._slot_rows]
     for (exps, sym), coeff in poly._terms.items():
         pulled = tuple(exps[p] for p in cfg.sigma)
-        shift = 2 * sum(e * t for e, t in zip(exps, slot_twists))
+        shift = sum(e * t for e, t in zip(exps, doubled_twists))
         out[pulled, _times(sym, mu, shift)] = coeff
     return LaurentPoly._raw(cfg.source.blocks, out)
 

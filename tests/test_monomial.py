@@ -248,6 +248,28 @@ def test_inexact_rationals_are_refused(value):
         assert type(err.value) is ValueError and str(err.value) == message
 
 
+@pytest.mark.parametrize(
+    "value", _INEXACT + (1.5, Decimal("1.5"), "1.5", float(2**53) + 1), ids=repr
+)
+def test_inexact_exponents_are_refused(value):
+    """Exponents follow the exactness rule of coefficients.  ``1.5``,
+    ``Decimal("1.5")`` and ``"1.5"`` used to be read as ``q^(3/2)``, and
+    ``float(2**53) + 1``, which rounds to ``2**53``, as ``q^9007199254740992``."""
+    message = f"rationals are ints, Fractions or 'a/b' text, got {value!r}"
+    for build in (lambda: Monomial(1, {"q": value}), lambda: symbol("q", value)):
+        with pytest.raises(ValueError) as err:
+            build()
+        assert type(err.value) is ValueError and str(err.value) == message
+
+
+def test_exact_exponents_are_accepted():
+    assert Monomial(1, {"q": "3/2"})._twice == (("q", 3),)
+    assert Monomial(1, {"q": "-4/2", "x": True})._twice == (("q", -4), ("x", 2))
+    assert symbol("q", "0").is_one()
+    with pytest.raises(ValueError, match=r"exponents must lie in \(1/2\)Z"):
+        Monomial(1, {"q": "1/3"})
+
+
 def test_exact_rationals_are_accepted():
     assert SymbolValue("9/4", "-3/2") == SymbolValue(Fraction(9, 4), Fraction(-3, 2))
     assert SymbolValue(True).value == 1 and type(SymbolValue(True).value) is Fraction

@@ -566,6 +566,64 @@ def test_verify_matches_rebuilt_verifier(n):
         assert any(drop and res and res[0].startswith("t=") for drop, res in verdicts)
 
 
+@st.composite
+def _verifier_inputs(draw):
+    """A config with n <= 7: random blocks, a block-order-preserving sigma (a random
+    permutation sorted on each block), an alpha in (1/2)Z, integral or not, and a
+    twist name that may collide with a generic symbol or its renamed form."""
+    n = draw(st.integers(1, 7))
+    cuts = sorted(draw(st.sets(st.integers(1, n - 1))) if n > 1 else ())
+    bounds = [0, *cuts, n]
+    blocks = tuple(b - a for a, b in zip(bounds, bounds[1:]))
+    images = draw(st.permutations(range(n)))
+    sigma = tuple(p for a, b in zip(bounds, bounds[1:]) for p in sorted(images[a:b]))
+    alpha = Fraction(draw(st.integers(-7, 7)), 2)
+    mu = draw(
+        st.sampled_from(("M", "x1", "z3", "x2_", "z1_", "x7"))
+        | st.from_regex(r"[xzM][1-8]_?", fullmatch=True)
+    )
+    return blocks, sigma, alpha, mu
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(_verifier_inputs())
+def test_row_verifier_matches_rebuilt_verifier_property(inputs):
+    """The verifier on integer slot rows against the copy that builds both sides from
+    ``Monomial`` characters through the public pullbacks, on a fresh config in each
+    call order."""
+    blocks, sigma, alpha, mu = inputs
+    oracle_cfg = config(blocks, sigma, alpha, mu=mu)
+    expected = {drop: repr(_rebuilt_verifier(oracle_cfg, drop)) for drop in (False, True)}
+    for order in ((False, True), (True, False)):
+        cfg = config(blocks, sigma, alpha, mu=mu)
+        for drop in order:
+            report = verify_transfer_compatibility(cfg, drop_normalization=drop)
+            assert repr(report) == expected[drop], (cfg, order, drop)
+
+
+def test_verifier_rows_carry_the_generic_symbols():
+    """The factorization rows keep ``x_u`` and ``z_u`` by name and compare them: they
+    are not assumed to cancel.  A config whose kept half was built for another sigma
+    of its shape fails with the generic symbols in its residuals, in the texts that
+    the ``Monomial`` sides of the two configs give."""
+    blocks = (2, 1, 2)
+    first, *others = block_order_preserving_permutations(GroupShape(blocks))
+    for sigma in others:
+        kept = config(blocks, first, mu="x1")
+        cfg = config(blocks, sigma, mu="x1")
+        cfg.__dict__["_verifier_half"] = kept._verifier_half
+        chi = transfer_module._generic_character(cfg.source, "x", {"x1"})
+        zeta = transfer_module._generic_character(cfg.source, "z", {"x1"})
+        rhs = refinement_pullback_normalized(chi, kept) * weight_character_pullback(zeta, kept)
+        for drop in (False, True):
+            lhs = atkin_lehner_pullback(chi * zeta, cfg, normalized=not drop)
+            expected = _factorization_residuals((lhs * rhs.inverse()).values)
+            factorization = verify_transfer_compatibility(cfg, drop).checks[1]
+            assert factorization.residuals == expected, (sigma, drop)
+            assert not factorization.passed
+            assert any("z" in text for text in expected)
+
+
 def _generator_oracle(ratios):
     """The residual texts of evaluating the slot-ratio character at each generator."""
     chi = UnramifiedCharacter(GroupShape((len(ratios),)), ratios)
@@ -722,6 +780,38 @@ def test_archimedean_sigma_unrealizable():
         inv = invert_permutation(tau)
         image = tuple(shifts[p] + kappa.exps[inv[p]] for p in range(3))
         assert image != art.weight.exps
+
+
+def test_recipe_refuses_exactly_the_non_integral_shifts():
+    """The recipe's doubled output at a slot of block ``i`` has the parity of block
+    ``i``'s doubled weight shift.  So when no parameters collide, the recipe raises
+    ``NonIntegralShift`` exactly when some shift is not an integer, and the shifts
+    that ``archimedean_sigma`` reads after a returned recipe never raise: every
+    dominant weight with entries -2..2 on every shape with n <= 4, under alphas 0,
+    1/2, 1 and 3/2."""
+    seen = set()
+    for n in range(1, 5):
+        for blocks in _compositions(n):
+            shape = GroupShape(blocks)
+            for exps in product(range(-2, 3), repeat=n):
+                weight = AlgebraicWeight(shape, exps)
+                if not weight.is_dominant():
+                    continue
+                for alpha in (0, HALF, 1, Fraction(3, 2)):
+                    integral = weight_map_check(config(blocks, alpha=alpha))
+                    try:
+                        art, two_alpha = transfer_module._archimedean_transfer(weight, alpha)
+                    except NotRelevant:
+                        continue
+                    except NonIntegralShift:
+                        assert not integral, (blocks, exps, alpha)
+                        seen.add("refused")
+                        continue
+                    assert integral, (blocks, exps, alpha)
+                    # reads the shifts, which are integers here: no NonIntegralShift
+                    transfer_module._realizing_sigma(weight, art, two_alpha)
+                    seen.add("returned")
+    assert seen == {"refused", "returned"}
 
 
 def test_satake_transfer_anchors():

@@ -258,16 +258,41 @@ MUTANTS = [
     (
         "Atkin-Lehner slot ratios without the inverse",
         TRANSFER,
-        "sides = (chi * zeta, rhs_char.inverse())",
-        "sides = (chi * zeta, rhs_char)",
+        "twice[name] = twice.get(name, 0) - t",
+        "twice[name] = twice.get(name, 0) + t",
         ["tests/test_transfer.py::test_verify_matches_per_generator_oracle"],
     ),
     (
         "Atkin-Lehner slot ratios the wrong way round",
         TRANSFER,
-        "ratios = lhs_char * rhs_inverse",
-        "ratios = lhs_char.inverse() * rhs_inverse.inverse()",
+        "ratios = tuple(ONE if a == b else _ratio(a, b) for a, b in zip(lhs, rhs))",
+        "ratios = tuple(ONE if a == b else _ratio(b, a) for a, b in zip(lhs, rhs))",
         ["tests/test_transfer.py::test_verify_negative_control"],
+    ),
+    (
+        "slot ratios skipping the generic entries, as if they cancelled",
+        TRANSFER,
+        "    for name, t in left:\n"
+        "        twice[name] = twice.get(name, 0) + t\n"
+        "    for name, t in right:\n",
+        "    for name, t in left[2:]:\n"
+        "        twice[name] = twice.get(name, 0) + t\n"
+        "    for name, t in right[2:]:\n",
+        ["tests/test_transfer.py::test_verifier_rows_carry_the_generic_symbols"],
+    ),
+    (
+        "Atkin-Lehner row without its W entry",
+        TRANSFER,
+        "(RESIDUE_SYMBOL, q * keep_q), (UNIFORMIZER_SYMBOL, w))",
+        "(RESIDUE_SYMBOL, q * keep_q))",
+        ["tests/test_transfer.py::test_verify_matches_per_generator_oracle"],
+    ),
+    (
+        "duality row reading the source half-modulus at p instead of u",
+        TRANSFER,
+        "q - source_half[u]",
+        "q - source_half[p]",
+        ["tests/test_transfer.py::test_verify_matches_rebuilt_verifier[3]"],
     ),
     (
         "character eval dropping the exponent, so a negated generator reads the uninverted product",
@@ -398,9 +423,9 @@ MUTANTS = [
     (
         "the drop call reusing the normalized factorization kept on the config",
         TRANSFER,
-        "lhs_char = atkin_lehner_pullback(product, cfg, normalized=not drop_normalization)",
-        'lhs_char = cfg.__dict__.setdefault("_lhs", atkin_lehner_pullback('
-        "product, cfg, normalized=not drop_normalization))",
+        "            for u, twist, q, w in cfg._slot_rows\n        )\n",
+        "            for u, twist, q, w in cfg._slot_rows\n        )\n"
+        '        lhs = cfg.__dict__.setdefault("_lhs", lhs)\n',
         ["tests/test_transfer.py::test_verify_matches_rebuilt_verifier[2]"],
     ),
     (
@@ -437,6 +462,13 @@ MUTANTS = [
         "return self._coeff, twice[:k] + twice[k + 1 :], t",
         "return self._coeff, twice, t",
         ["tests/test_refinements.py::test_ladder_sweep_genericity_matches_oracle_on_explicit_cases"],
+    ),
+    (
+        "exponent read by Fraction() instead of the exactness rule",
+        MONOMIAL,
+        "doubled = _exact(exp) * 2",
+        "doubled = Fraction(exp) * 2",
+        ["tests/test_monomial.py::test_inexact_exponents_are_refused[1.5]"],
     ),
     (
         "realizing sigma never searched past the sorting permutation",
