@@ -793,21 +793,22 @@ def test_recipe_refuses_exactly_the_non_integral_shifts():
     for n in range(1, 5):
         for blocks in _compositions(n):
             shape = GroupShape(blocks)
+            alphas = (0, HALF, 1, Fraction(3, 2))
+            integral = {alpha: weight_map_check(config(blocks, alpha=alpha)) for alpha in alphas}
             for exps in product(range(-2, 3), repeat=n):
                 weight = AlgebraicWeight(shape, exps)
                 if not weight.is_dominant():
                     continue
-                for alpha in (0, HALF, 1, Fraction(3, 2)):
-                    integral = weight_map_check(config(blocks, alpha=alpha))
+                for alpha in alphas:
                     try:
                         art, two_alpha = transfer_module._archimedean_transfer(weight, alpha)
                     except NotRelevant:
                         continue
                     except NonIntegralShift:
-                        assert not integral, (blocks, exps, alpha)
+                        assert not integral[alpha], (blocks, exps, alpha)
                         seen.add("refused")
                         continue
-                    assert integral, (blocks, exps, alpha)
+                    assert integral[alpha], (blocks, exps, alpha)
                     # reads the shifts, which are integers here: no NonIntegralShift
                     transfer_module._realizing_sigma(weight, art, two_alpha)
                     seen.add("returned")
