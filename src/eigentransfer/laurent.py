@@ -20,8 +20,7 @@ from itertools import combinations
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import BlockMismatch
-from .monomial import Monomial, Rational, _merge, _new
-from .tori import _integers
+from .monomial import Monomial, Rational, _integers, _merge, _new
 
 __all__ = ["LaurentPoly", "elementary_symmetric"]
 
@@ -83,6 +82,8 @@ class LaurentPoly:
     def variable(cls, blocks: Sequence[int], index: int, power: int = 1) -> "LaurentPoly":
         """The single variable ``x_index`` (flat indexing), possibly to a Laurent power."""
         n = sum(_integers(blocks, "blocks"))
+        _integers((index,), "variable indices")
+        _integers((power,), "exponents")  # before the exponent vector is hashed
         if not 0 <= index < n:
             raise ValueError(f"variable index {index} out of range for {n} variables")
         exps = tuple(power if p == index else 0 for p in range(n))
@@ -139,7 +140,7 @@ class LaurentPoly:
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> "LaurentPoly":
-        if not isinstance(k, int) or k < 0:
+        if _integers((k,), "powers")[0] < 0:
             raise ValueError("only nonnegative integer powers of polynomials")
         out = LaurentPoly.one(self._blocks)
         for _ in range(k):
@@ -210,6 +211,7 @@ class LaurentPoly:
 def elementary_symmetric(blocks: Sequence[int], degree: int) -> LaurentPoly:
     """The elementary symmetric polynomial of the given degree in all variables."""
     n = sum(_integers(blocks, "blocks"))
+    _integers((degree,), "degrees")
     if not 0 <= degree <= n:
         raise ValueError(f"degree {degree} out of range for {n} variables")
     terms: dict[tuple[int, ...], Monomial] = {}

@@ -24,13 +24,19 @@ vocabulary: :func:`_merge` and :func:`_times` on tuples, :func:`_half_power`,
 is the one other module that holds the tuples, since its term key is one: it
 reads a coefficient's pair in its constructor, multiplies keys with
 :func:`_merge` and rebuilds coefficients with :func:`_new`.
+
+This module also owns the exactness rule of the library boundary.  An integer
+is an ``int`` of exact type: a ``bool``, an integral float and ``Fraction(4, 2)``
+are refused.  A rational is such an ``int``, a ``Fraction`` or text in the
+coefficient grammar (``"-3/2"``).  Every other module checks its numbers with
+:func:`_integers`, :func:`_positive` and :func:`_exact`.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Mapping, Optional, Union
+from typing import Iterable, Mapping, Optional, Union
 
 from ._frozen import FrozenValue, _set
 from .errors import MissingSymbol, NonSquareAssignment
@@ -126,13 +132,31 @@ def _rational(text: str) -> Optional[Fraction]:
 
 def _exact(value) -> Rational:
     """``value`` if it is an ``int`` or a ``Fraction``, the rational a coefficient-grammar
-    string spells, else ``ValueError``: a float or a decimal string is never read as a rational."""
-    if isinstance(value, (int, Fraction)):
+    string spells, else ``ValueError``: a float, a ``bool`` or a decimal string is never
+    read as a rational."""
+    if type(value) is int or isinstance(value, Fraction):
         return value
     exact = _rational(value) if isinstance(value, str) else None
     if exact is None:
         raise ValueError(f"rationals are ints, Fractions or 'a/b' text, got {value!r}")
     return exact
+
+
+def _integers(values: Iterable, what: str) -> tuple[int, ...]:
+    """``values`` as a tuple, each entry an ``int`` of exact type, else ``ValueError``:
+    a ``bool``, an integral float or ``Fraction(4, 2)`` is not an integer."""
+    values = tuple(values)
+    for x in values:
+        if type(x) is not int:
+            raise ValueError(f"{what} must be integers, got {x!r}")
+    return values
+
+
+def _positive(value, what: str) -> int:
+    """``value`` if it is an ``int`` of exact type and at least 1, else ``ValueError``."""
+    if type(value) is not int or value < 1:
+        raise ValueError(f"{what} must be a positive integer, got {value!r}")
+    return value
 
 
 def valid_symbol(name: str) -> bool:
@@ -187,11 +211,11 @@ class Monomial(FrozenValue):
                 doubled = 2 * exp
             elif type(exp) is Fraction and exp.denominator <= 2:
                 doubled = 2 * exp.numerator // exp.denominator  # exact: 1 or 2 divides 2
-            else:  # read by the exactness rule: a float, a Decimal or decimal text is refused
+            else:  # by the exactness rule: a float, a bool, a Decimal or decimal text is refused
                 doubled = _exact(exp) * 2
                 if doubled.denominator != 1:
                     raise ValueError("exponents must lie in (1/2)Z")
-                doubled = int(doubled)
+                doubled = doubled.numerator
             if doubled:
                 twice[name] = doubled
         _set(self, "_coeff", coeff)
@@ -258,7 +282,7 @@ class Monomial(FrozenValue):
             _set_coeff(result, coeff)
             _set_twice(result, _merge(self._twice, other._twice))
             return result
-        if isinstance(other, (int, Fraction)):
+        if type(other) is int or isinstance(other, Fraction):  # a bool is not a scalar
             if other == 0:
                 raise ValueError("monomial coefficients are nonzero")
             return _make(_canon(self._coeff * other), self._twice)
@@ -267,7 +291,7 @@ class Monomial(FrozenValue):
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "Monomial":
-        if not isinstance(n, int):
+        if type(n) is not int:  # the exactness rule: a bool is not an exponent
             return NotImplemented
         if n == 0:
             return ONE
@@ -285,7 +309,7 @@ class Monomial(FrozenValue):
         return self ** -1
 
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if type(other) is int or isinstance(other, Fraction):  # a bool is not a scalar
             return _make(_canon(self._coeff / Fraction(other)), self._twice)
         if not isinstance(other, Monomial):
             return NotImplemented

@@ -33,15 +33,8 @@ from typing import Iterable, Mapping, Sequence
 
 from ._frozen import FrozenValue, _set
 from .errors import EmptyPacket, SizeMismatch
-from .monomial import UNIFORMIZER_SYMBOL, Monomial, SymbolValue
-from .tori import (
-    AlgebraicWeight,
-    CocharVector,
-    GroupShape,
-    UnramifiedCharacter,
-    _integer,
-    _integers,
-)
+from .monomial import UNIFORMIZER_SYMBOL, Monomial, SymbolValue, _integers, _positive
+from .tori import AlgebraicWeight, CocharVector, GroupShape, UnramifiedCharacter
 from .transfer import (
     TransferConfig,
     atkin_lehner_pullback,
@@ -229,11 +222,8 @@ class SphericalFactor(FrozenValue):
     __slots__ = _fields = ("place", "degree")
 
     def __init__(self, place: str, degree: int) -> None:
-        k = _integer(degree)
-        if k is None or k < 1:
-            raise ValueError(f"degree must be a positive integer, got {degree!r}")
         _set(self, "place", place)
-        _set(self, "degree", k)
+        _set(self, "degree", _positive(degree, "degree"))
 
     def _check(self, shape: GroupShape, points: Iterable[ClassicalPoint]) -> None:
         """Raise the ``ValueError`` that :meth:`eigenvalue` raises on a point of ``shape``,
@@ -370,9 +360,7 @@ def divisibility_check(
     counts ``lambda = 0``, which the reversed :func:`charpoly` cannot see, so
     on a zero eigenvalue it can disagree with divisibility of ``charpoly``.
     """
-    c = _integer(constant)
-    if c is None or c < 1:
-        raise ValueError(f"the constant must be a positive integer, got {constant!r}")
+    c = _positive(constant, "the constant")
     _check_factors(factors, space_source, space_target)
     # a target that holds the source's own point objects reuses their eigenvalues;
     # both spaces keep their points alive for the whole call, so no id is reused
@@ -387,8 +375,11 @@ def constant_C(dim_source: int, dims_target: Sequence[int]) -> int:
     dims = _integers(dims_target, "packet dimensions")
     if not dims:
         raise EmptyPacket("the packet of target dimensions is empty")
-    source = _integer(dim_source)
-    if source is None or source < 1 or any(d < 1 for d in dims):
+    try:
+        source = _positive(dim_source, "dimensions")
+    except ValueError:
+        source = 0  # refused below, with the one message for both arguments
+    if source < 1 or any(d < 1 for d in dims):
         raise ValueError("dimensions must be positive integers")
     return max(-(-source // d) for d in dims)
 

@@ -43,12 +43,11 @@ from typing import Iterable, Iterator
 
 from ._frozen import FrozenValue, _set
 from .errors import ShapeMismatch, SizeMismatch, UnsupportedLinked
-from .monomial import Monomial, RESIDUE_SYMBOL, _half_power, _times
+from .monomial import Monomial, RESIDUE_SYMBOL, _half_power, _positive, _times
 from .tori import (
     AlgebraicWeight,
     GroupShape,
     UnramifiedCharacter,
-    _integer,
     modulus_half,
     weight_as_character,
 )
@@ -75,11 +74,8 @@ class Segment(FrozenValue):
     def __init__(self, gamma: Monomial, d: int) -> None:
         if not isinstance(gamma, Monomial):
             raise ValueError("segment twist must be a Monomial")
-        length = _integer(d)
-        if length is None or length < 1:
-            raise ValueError(f"segment length must be a positive integer, got {d!r}")
         _set(self, "gamma", gamma)
-        _set(self, "d", length)
+        _set(self, "d", _positive(d, "segment length"))
 
     def params(self) -> tuple[Monomial, ...]:
         """The parameter ladder, descending: ``gamma·q^((d-1)/2) .. gamma·q^(-(d-1)/2)``."""
@@ -301,6 +297,10 @@ def accessible_transfer_check(desc: LocalRepDescriptor, cfg: TransferConfig) -> 
     order through ``cfg.sigma_inverse`` and is accessible when each segment's ranks
     come out as 0, 1, 2, ....  Blocks share no label, so each block's orderings are
     checked alone: the sum of the block counts, never their product or ``n!``.
+
+    Once the genericity checks pass this cannot return ``False``: ``TransferConfig``
+    refuses a ``sigma`` that is not increasing on each block, so a block's slots keep
+    their order in the target.  The walk stays, since it is the check reported.
     """
     _require_transfer_generic(desc, cfg)
     positions = desc.shape._positions
@@ -323,7 +323,9 @@ def refinement_count_inequality(
     """Accessible counts before and after transfer, and the verdict ``source <= target``.
 
     The target count is the closed form ``n! / prod(d!)`` over all segments: the
-    transferred descriptor is one block holding every segment.
+    transferred descriptor is one block holding every segment.  So once the
+    genericity checks pass ``count_target == count_source · n! / prod(n_i!)``, and
+    the verdict cannot be ``False``.
     """
     _require_transfer_generic(desc, cfg)
     count_source = count_accessible(desc)

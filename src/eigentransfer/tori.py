@@ -21,7 +21,7 @@ from typing import Iterable
 
 from ._frozen import FrozenValue, _set
 from .errors import ShapeMismatch
-from .monomial import Monomial, ONE, RESIDUE_SYMBOL, UNIFORMIZER_SYMBOL, _half_power
+from .monomial import Monomial, ONE, RESIDUE_SYMBOL, UNIFORMIZER_SYMBOL, _half_power, _integers
 
 __all__ = [
     "GroupShape",
@@ -31,28 +31,6 @@ __all__ = [
     "modulus_half",
     "weight_as_character",
 ]
-
-
-def _integer(x: object) -> int | None:
-    """``int(x)`` when it equals ``x``; ``None`` when it does not or ``int`` refuses ``x``."""
-    try:
-        k = int(x)
-    except (TypeError, ValueError, OverflowError):  # None, NaN or "abc", infinity
-        return None
-    return k if k == x else None
-
-
-def _integers(values: Iterable, what: str) -> tuple[int, ...]:
-    """``values`` as a tuple of ints, refusing any entry that ``_integer`` refuses."""
-    values = tuple(values)
-    try:
-        ints = tuple(map(int, values))
-    except (TypeError, ValueError, OverflowError):
-        ints = None
-    if ints != values:
-        bad = next(x for x in values if _integer(x) is None)
-        raise ValueError(f"{what} must be integers, got {bad!r}")
-    return ints
 
 
 class GroupShape(FrozenValue):
@@ -111,6 +89,7 @@ class GroupShape(FrozenValue):
 
     def block_of(self, p: int) -> tuple[int, int]:
         """Block index and 0-based position within the block of flat position ``p``."""
+        _integers((p,), "positions")
         positions = self._positions
         if not 0 <= p < len(positions):
             raise ValueError(f"position {p} out of range")
@@ -118,6 +97,7 @@ class GroupShape(FrozenValue):
 
     def flat(self, i: int, j: int) -> int:
         """Flat position of the 0-based ``j``-th entry of block ``i``."""
+        _integers((i, j), "positions")
         if not 0 <= i < self.r or not 0 <= j < self.blocks[i]:
             raise ValueError(f"no position ({i}, {j}) in shape {self.blocks}")
         return self.offsets[i] + j
@@ -152,6 +132,7 @@ class CocharVector(FrozenValue):
 
     @classmethod
     def basis(cls, shape: GroupShape, p: int) -> "CocharVector":
+        _integers((p,), "positions")
         if not 0 <= p < shape.n:
             raise ValueError(f"position {p} out of range")
         return cls(shape, tuple(1 if u == p else 0 for u in range(shape.n)))
@@ -268,6 +249,7 @@ class AlgebraicWeight(FrozenValue):
 
 def modulus_half(shape: GroupShape, sign: int) -> UnramifiedCharacter:
     """The half power (``sign=+1``) or inverse half power (``sign=-1``) of the Borel modulus."""
+    _integers((sign,), "signs")
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     return UnramifiedCharacter._new(shape, shape._modulus_half_values[0 if sign == 1 else 1])

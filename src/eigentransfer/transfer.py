@@ -70,16 +70,11 @@ from .monomial import (
     UNIFORMIZER_SYMBOL,
     _exact,
     _half_power,
+    _integers,
     _times,
     valid_symbol,
 )
-from .tori import (
-    AlgebraicWeight,
-    CocharVector,
-    GroupShape,
-    UnramifiedCharacter,
-    _integers,
-)
+from .tori import AlgebraicWeight, CocharVector, GroupShape, UnramifiedCharacter
 
 __all__ = [
     "DEFAULT_TWIST_SYMBOL",
@@ -109,11 +104,10 @@ DEFAULT_TWIST_SYMBOL = "M"
 
 
 def _doubled_alpha(alpha: Fraction | int | str) -> int:
-    """``2·alpha`` as an int, refusing any ``alpha`` outside ``(1/2)Z``; an ``alpha``
-    that is not an ``int`` or a ``Fraction`` is read by the exactness rule of
-    :func:`~eigentransfer.monomial._exact`, so floats and decimal text are refused."""
-    if not isinstance(alpha, (int, Fraction)):
-        alpha = _exact(alpha)
+    """``2·alpha`` as an int, refusing any ``alpha`` outside ``(1/2)Z``; ``alpha`` is read
+    by the exactness rule of :func:`~eigentransfer.monomial._exact`, so floats, bools and
+    decimal text are refused."""
+    alpha = _exact(alpha)
     if alpha.denominator not in (1, 2):
         raise ValueError(f"alpha must be a half-integer, got {alpha}")
     return 2 * alpha.numerator // alpha.denominator
@@ -504,12 +498,6 @@ def _generic_names(n: int, prefix: str, avoid: set[str]) -> tuple[str, ...]:
             name += "_"
         names.append(name)
     return tuple(names)
-
-
-def _generic_character(shape: GroupShape, prefix: str, avoid: set[str]) -> UnramifiedCharacter:
-    """The character with value ``name^1`` at each position, named by :func:`_generic_names`."""
-    names = _generic_names(shape.n, prefix, avoid)
-    return UnramifiedCharacter._new(shape, tuple(_half_power(name, 2) for name in names))
 
 
 def _ratio(left: tuple, right: tuple) -> Monomial:

@@ -349,6 +349,12 @@ def test_str():
             "permutation entries must be integers, got 1.2",
         ),
         (lambda: LaurentPoly((2, 0)), "blocks must be a nonempty tuple of positive sizes"),
+        # scalar arguments follow the same rule: these raised TypeError or were accepted
+        (lambda: elementary_symmetric((3,), 1.5), "degrees must be integers, got 1.5"),
+        (lambda: elementary_symmetric((3,), True), "degrees must be integers, got True"),
+        (lambda: LaurentPoly.variable((2,), "0"), "variable indices must be integers, got '0'"),
+        (lambda: LaurentPoly.variable((2,), 1.0), "variable indices must be integers, got 1.0"),
+        (lambda: var((2,), 0) ** True, "powers must be integers, got True"),
     ],
 )
 def test_non_integral_values_are_refused(build, message):
@@ -359,9 +365,26 @@ def test_non_integral_values_are_refused(build, message):
     assert str(err.value) == message
 
 
-def test_integral_values_of_other_types_are_accepted():
-    p = LaurentPoly((2.0,), {(1.0, Fraction(0)): Monomial(3)})
-    assert p.blocks == (2,) and all(type(b) is int for b in p.blocks)
-    assert p == 3 * var((2,), 0)
-    assert p.coefficients((1.0, 0)) == (Monomial(3),)
-    assert p.permute_variables((1.0, 0)) == 3 * var((2,), 1)
+def test_integral_values_of_other_types_are_refused():
+    """An integral float, a ``bool`` or an integral ``Fraction`` is not an integer; each
+    used to be accepted and stored as the ``int`` it equals."""
+    p = 3 * var((2,), 0)
+    for build, message in (
+        (lambda: LaurentPoly((2.0,), {(1, 0): Monomial(3)}), "blocks must be integers, got 2.0"),
+        (lambda: LaurentPoly((True, 1)), "blocks must be integers, got True"),
+        (
+            lambda: LaurentPoly((2,), {(1, Fraction(0)): Monomial(3)}),
+            "exponents must be integers, got Fraction(0, 1)",
+        ),
+        (lambda: p.coefficients((1.0, 0)), "exponents must be integers, got 1.0"),
+        (lambda: p.permute_variables((1.0, 0)), "permutation entries must be integers, got 1.0"),
+        (lambda: p.permute_variables((True, 0)), "permutation entries must be integers, got True"),
+    ):
+        with pytest.raises(ValueError) as err:
+            build()
+        assert type(err.value) is ValueError
+        assert str(err.value) == message
+    # the same values as ints are read as before
+    assert LaurentPoly((2,), {(1, 0): Monomial(3)}) == p
+    assert p.coefficients((1, 0)) == (Monomial(3),)
+    assert p.permute_variables((1, 0)) == 3 * var((2,), 1)

@@ -264,7 +264,9 @@ def test_inexact_exponents_are_refused(value):
 
 def test_exact_exponents_are_accepted():
     assert Monomial(1, {"q": "3/2"})._twice == (("q", 3),)
-    assert Monomial(1, {"q": "-4/2", "x": True})._twice == (("q", -4), ("x", 2))
+    assert Monomial(1, {"q": "-4/2", "x": 1})._twice == (("q", -4), ("x", 2))
+    with pytest.raises(ValueError, match="rationals are ints, Fractions or 'a/b' text, got True"):
+        Monomial(1, {"q": "-4/2", "x": True})
     assert symbol("q", "0").is_one()
     with pytest.raises(ValueError, match=r"exponents must lie in \(1/2\)Z"):
         Monomial(1, {"q": "1/3"})
@@ -272,7 +274,9 @@ def test_exact_exponents_are_accepted():
 
 def test_exact_rationals_are_accepted():
     assert SymbolValue("9/4", "-3/2") == SymbolValue(Fraction(9, 4), Fraction(-3, 2))
-    assert SymbolValue(True).value == 1 and type(SymbolValue(True).value) is Fraction
+    assert SymbolValue(1).value == 1 and type(SymbolValue(1).value) is Fraction
+    with pytest.raises(ValueError, match="rationals are ints, Fractions or 'a/b' text, got True"):
+        SymbolValue(True)
     assert Monomial("-3/6") == Monomial(Fraction(-1, 2))
     assert Monomial("+4", {"q": 1}) == Monomial(4, {"q": 1})
     assert type(Monomial("6/3")._coeff) is int

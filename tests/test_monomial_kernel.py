@@ -12,6 +12,7 @@ import pickle
 import re
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from eigentransfer import monomial
@@ -209,7 +210,8 @@ def test_canonical_coefficients_on_unit_and_negative_powers():
     assert type(Monomial(Fraction(6, 3))._coeff) is int
     assert type((Monomial(Fraction(1, 2)) * Monomial(2))._coeff) is int
     assert type(Monomial(Fraction(1, 2)).inverse()._coeff) is int
-    assert type(Monomial(True)._coeff) is int
+    with pytest.raises(ValueError, match="rationals are ints, Fractions or 'a/b' text, got True"):
+        Monomial(True)
 
 
 class _FractionPickle:

@@ -1,4 +1,4 @@
-"""The doubled-exponent format has one owner.
+"""The doubled-exponent format and the exactness rule each have one owner.
 
 A monomial value is stored as a canonical coefficient and a sorted tuple of
 ``(name, doubled exponent)`` pairs.  ``monomial`` builds, sorts, filters and
@@ -6,6 +6,10 @@ splits those tuples; ``laurent``, whose term key is such a tuple, is the one
 other module that reads a value's stored parts.  Every other module goes
 through ``monomial``'s private operations, and none of them builds a value
 through the unvalidated constructor or the coefficient canonicaliser.
+
+``monomial`` also states the exactness rule of the library boundary, in
+``_integers``, ``_positive`` and ``_exact``; no other module defines them or
+converts a number with the builtin ``int``.
 """
 
 import ast
@@ -16,6 +20,7 @@ import eigentransfer
 PACKAGE = Path(eigentransfer.__file__).parent
 STORED_PARTS = {"_twice", "_coeff"}
 UNVALIDATED = {"_make", "_canon"}
+RULE = {"_integers", "_positive", "_exact"}
 
 
 def _trees():
@@ -44,3 +49,21 @@ def test_only_monomial_uses_the_unvalidated_constructor():
         or (isinstance(node, ast.Attribute) and node.attr in UNVALIDATED)
     )
     assert users == []
+
+
+def test_only_monomial_states_the_exactness_rule():
+    definitions = sorted(
+        (name, node.name)
+        for name, tree in _trees()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name in RULE
+    )
+    assert definitions == [("monomial.py", helper) for helper in sorted(RULE)]
+    int_calls = sorted(
+        (name, node.lineno)
+        for name, tree in _trees()
+        if name != "monomial.py"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "int"
+    )
+    assert int_calls == []

@@ -656,11 +656,45 @@ def test_non_integral_values_are_refused(build, message):
     assert str(err.value) == message
 
 
-def test_integral_values_of_other_types_are_accepted():
-    cochar = AtkinLehnerFactor("p", (2.0, Fraction(1))).cochar
-    assert cochar == (2, 1) and all(type(e) is int for e in cochar)
-    ((_, mult),) = _space(2.0).entries
-    assert mult == 2 and type(mult) is int
-    assert divisibility_check(_space(2), _space(1), 2.0, _FACTORS, {})
-    assert not divisibility_check(_space(2), _space(1), Fraction(1), _FACTORS, {})
-    assert constant_C(Fraction(4), [2.0, 3]) == 2
+def test_integral_values_of_other_types_are_refused():
+    """An integral float, a ``bool`` or an integral ``Fraction`` is not an integer; each
+    used to be accepted and stored as the ``int`` it equals."""
+    for build, message in (
+        (
+            lambda: AtkinLehnerFactor("p", (2.0, Fraction(1))),
+            "cocharacter entries must be integers, got 2.0",
+        ),
+        (
+            lambda: AtkinLehnerFactor("p", (2, Fraction(1))),
+            "cocharacter entries must be integers, got Fraction(1, 1)",
+        ),
+        (lambda: _space(2.0), "multiplicities must be integers, got 2.0"),
+        (lambda: _space(True), "multiplicities must be integers, got True"),
+        (
+            lambda: divisibility_check(_space(2), _space(1), 2.0, _FACTORS, {}),
+            "the constant must be a positive integer, got 2.0",
+        ),
+        (
+            lambda: divisibility_check(_space(2), _space(1), Fraction(1), _FACTORS, {}),
+            "the constant must be a positive integer, got Fraction(1, 1)",
+        ),
+        (
+            lambda: divisibility_check(_space(2), _space(1), True, _FACTORS, {}),
+            "the constant must be a positive integer, got True",
+        ),
+        (lambda: SphericalFactor("v", True), "degree must be a positive integer, got True"),
+        (lambda: constant_C(Fraction(4), [2, 3]), "dimensions must be positive integers"),
+        (lambda: constant_C(True, [1]), "dimensions must be positive integers"),
+        (lambda: constant_C(4, [2.0, 3]), "packet dimensions must be integers, got 2.0"),
+    ):
+        with pytest.raises(ValueError) as err:
+            build()
+        assert type(err.value) is ValueError
+        assert str(err.value) == message
+    # the same values as ints are read as before
+    assert AtkinLehnerFactor("p", (2, 1)).cochar == (2, 1)
+    ((_, mult),) = _space(2).entries
+    assert mult == 2
+    assert divisibility_check(_space(2), _space(1), 2, _FACTORS, {})
+    assert not divisibility_check(_space(2), _space(1), 1, _FACTORS, {})
+    assert constant_C(4, [2, 3]) == 2

@@ -3,6 +3,7 @@
 import json
 from fractions import Fraction
 from itertools import product
+from math import factorial, prod
 from pathlib import Path
 
 import pytest
@@ -514,6 +515,14 @@ def test_accessible_transfer_check_matches_oracle_on_generic_family():
         for sigma in block_order_preserving_permutations(desc.shape):
             cfg = config(desc.shape.blocks, sigma=sigma)
             assert _assert_transfer_check_matches_oracles(desc, cfg) is True
+            # neither verdict can fail: the target count is the source count times
+            # the number of order-preserving sigmas, n! / prod(n_i!)
+            count_source, count_target, count_ok = refinement_count_inequality(desc, cfg)
+            blocks = desc.shape.blocks
+            assert count_target == count_source * factorial(sum(blocks)) // prod(
+                factorial(b) for b in blocks
+            )
+            assert count_ok is True
             pairs += 1
     assert pairs == 1643
 

@@ -87,6 +87,12 @@ def test_cochar_vector():
             lambda: AlgebraicWeight(GroupShape((1, 1)), (2, "0")),
             "weight entries must be integers, got '0'",
         ),
+        # scalar arguments follow the same rule: these raised TypeError or were accepted
+        (lambda: CocharVector.basis(GroupShape((2,)), "1"), "positions must be integers, got '1'"),
+        (lambda: CocharVector.basis(GroupShape((2,)), 1.0), "positions must be integers, got 1.0"),
+        (lambda: GroupShape((2,)).block_of(1.0), "positions must be integers, got 1.0"),
+        (lambda: GroupShape((2,)).flat(0, 1.0), "positions must be integers, got 1.0"),
+        (lambda: modulus_half(GroupShape((2,)), True), "signs must be integers, got True"),
     ],
 )
 def test_non_integral_entries_are_refused(build, message):
@@ -97,12 +103,37 @@ def test_non_integral_entries_are_refused(build, message):
     assert str(err.value) == message
 
 
-def test_integral_entries_of_other_types_are_accepted():
-    assert GroupShape((2.0, Fraction(3))).blocks == (2, 3)
-    assert CocharVector(GroupShape((2,)), (Fraction(4, 2), True)).exps == (2, 1)
-    weight = AlgebraicWeight(GroupShape((1, 1)), (2.0, -0.0))
-    assert weight.exps == (2, 0)
-    assert all(type(e) is int for e in weight.exps)
+def test_integral_entries_of_other_types_are_refused():
+    """An integral float, a ``bool`` or an integral ``Fraction`` is not an integer; each
+    used to be accepted and stored as the ``int`` it equals."""
+    for build, message in (
+        (lambda: GroupShape((2.0, 3)), "group shape blocks must be integers, got 2.0"),
+        (
+            lambda: GroupShape((2, Fraction(3))),
+            "group shape blocks must be integers, got Fraction(3, 1)",
+        ),
+        (lambda: GroupShape((True, 1)), "group shape blocks must be integers, got True"),
+        (
+            lambda: CocharVector(GroupShape((2,)), (Fraction(4, 2), 1)),
+            "cocharacter entries must be integers, got Fraction(2, 1)",
+        ),
+        (
+            lambda: CocharVector(GroupShape((2,)), (2, True)),
+            "cocharacter entries must be integers, got True",
+        ),
+        (
+            lambda: AlgebraicWeight(GroupShape((1, 1)), (2, -0.0)),
+            "weight entries must be integers, got -0.0",
+        ),
+    ):
+        with pytest.raises(ValueError) as err:
+            build()
+        assert type(err.value) is ValueError
+        assert str(err.value) == message
+    # the same values as ints are read as before
+    assert GroupShape((2, 3)).blocks == (2, 3)
+    assert CocharVector(GroupShape((2,)), (2, 1)).exps == (2, 1)
+    assert AlgebraicWeight(GroupShape((1, 1)), (2, 0)).exps == (2, 0)
 
 
 def test_cochar_antidominance():

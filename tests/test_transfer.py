@@ -73,6 +73,13 @@ def char(shape, *texts):
     return UnramifiedCharacter(GroupShape(shape), tuple(Monomial.parse(t) for t in texts))
 
 
+def _generic_character(shape, prefix, avoid):
+    """The oracles' generic character: value ``name^1`` at each position, with the
+    names the verifier gives its generic symbols."""
+    names = transfer_module._generic_names(shape.n, prefix, avoid)
+    return UnramifiedCharacter(shape, tuple(symbol(name) for name in names))
+
+
 def test_invert_permutation():
     assert invert_permutation((0, 1, 2)) == (0, 1, 2)
     assert invert_permutation((2, 0, 1)) == (1, 2, 0)
@@ -191,13 +198,19 @@ def test_non_integral_sigma_entries_are_refused():
     with pytest.raises(ValueError) as err:
         TransferConfig((1, 1), (1, "0"), "1/2")
     assert str(err.value) == "sigma entries must be integers, got '0'"
-    assert TransferConfig((1, 1), (1.0, 0), "1/2").sigma == (1, 0)
+    for sigma in ((1.0, 0), (True, 0)):
+        with pytest.raises(ValueError) as err:
+            TransferConfig((1, 1), sigma, "1/2")
+        assert str(err.value) == f"sigma entries must be integers, got {sigma[0]!r}"
+    assert TransferConfig((1, 1), (1, 0), "1/2").sigma == (1, 0)
     chi = char((2,), "a", "b")
     with pytest.raises(ValueError) as err:
         iota_sigma_pullback(chi, (1.5, 0))
     assert type(err.value) is ValueError
     assert str(err.value) == "permutation entries must be integers, got 1.5"
-    assert iota_sigma_pullback(chi, (1.0, 0)) == iota_sigma_pullback(chi, (1, 0))
+    with pytest.raises(ValueError) as err:
+        iota_sigma_pullback(chi, (1.0, 0))
+    assert str(err.value) == "permutation entries must be integers, got 1.0"
 
 
 def test_twist_exponent():
@@ -454,8 +467,8 @@ def _per_generator_oracle(cfg, drop_normalization=False):
     except NonIntegralShift as err:
         shifts_ok = False
         checks.append(CheckResult("shift-integrality", False, (str(err),)))
-    chi = transfer_module._generic_character(cfg.source, "x", {cfg.mu})
-    zeta = transfer_module._generic_character(cfg.source, "z", {cfg.mu})
+    chi = _generic_character(cfg.source, "x", {cfg.mu})
+    zeta = _generic_character(cfg.source, "z", {cfg.mu})
     if shifts_ok:
         lhs_char = atkin_lehner_pullback(chi * zeta, cfg, normalized=not drop_normalization)
         rhs_char = refinement_pullback_normalized(chi, cfg) * weight_character_pullback(zeta, cfg)
@@ -516,8 +529,8 @@ def _rebuilt_verifier(cfg, drop_normalization=False):
     except NonIntegralShift as err:
         shifts_ok = False
         checks.append(CheckResult("shift-integrality", False, (str(err),)))
-    chi = transfer_module._generic_character(cfg.source, "x", {cfg.mu})
-    zeta = transfer_module._generic_character(cfg.source, "z", {cfg.mu})
+    chi = _generic_character(cfg.source, "x", {cfg.mu})
+    zeta = _generic_character(cfg.source, "z", {cfg.mu})
     if shifts_ok:
         lhs_char = atkin_lehner_pullback(chi * zeta, cfg, normalized=not drop_normalization)
         rhs_char = refinement_pullback_normalized(chi, cfg) * weight_character_pullback(zeta, cfg)
@@ -612,8 +625,8 @@ def test_verifier_rows_carry_the_generic_symbols():
         kept = config(blocks, first, mu="x1")
         cfg = config(blocks, sigma, mu="x1")
         cfg.__dict__["_verifier_half"] = kept._verifier_half
-        chi = transfer_module._generic_character(cfg.source, "x", {"x1"})
-        zeta = transfer_module._generic_character(cfg.source, "z", {"x1"})
+        chi = _generic_character(cfg.source, "x", {"x1"})
+        zeta = _generic_character(cfg.source, "z", {"x1"})
         rhs = refinement_pullback_normalized(chi, kept) * weight_character_pullback(zeta, kept)
         for drop in (False, True):
             lhs = atkin_lehner_pullback(chi * zeta, cfg, normalized=not drop)
@@ -1303,7 +1316,7 @@ def test_library_built_characters_pass_validation():
             check(chi * chi.inverse())
             check(chi.inverse())
             check(weight_as_character(AlgebraicWeight(shape, tuple(range(n, 0, -1)))))
-            check(transfer_module._generic_character(shape, "x", {"x1"}))
+            check(_generic_character(shape, "x", {"x1"}))
             for plan in (
                 [[(f"g{i}", b)] for i, b in enumerate(blocks)],  # one Steinberg segment per block
                 [[(f"g{i}_{j}", 1) for j in range(b)] for i, b in enumerate(blocks)],

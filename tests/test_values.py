@@ -299,16 +299,25 @@ def test_constructors_normalise_fields():
     assert SymbolValue(4, 2) == SymbolValue(Fraction(4), Fraction(2))
     assert type(SymbolValue(4).value) is Fraction and SymbolValue(4).sqrt is None
     assert GroupShape([1, 2]).blocks == (1, 2)
-    assert CocharVector(SHAPE, [True, 0, -1]).exps == (1, 0, -1)
+    assert CocharVector(SHAPE, [1, 0, -1]).exps == (1, 0, -1)
     assert UnramifiedCharacter(SHAPE, [ONE] * 3).values == (ONE,) * 3
     cfg = TransferConfig([1, 2], [2, 0, 1], "1/2")
     assert (cfg.source, cfg.sigma, cfg.alpha, cfg.mu) == (SHAPE, (2, 0, 1), HALF, "M")
-    assert Segment(symbol("g"), 2.0).d == 2 and type(Segment(symbol("g"), 2.0).d) is int
+    assert Segment(symbol("g"), 2).d == 2
     assert LocalRepDescriptor(SHAPE, [[Segment(symbol("a"), 1)], [SEGMENT]]).segments == (
         (Segment(symbol("a"), 1),),
         (SEGMENT,),
     )
     assert AtkinLehnerFactor("p", [1, 0]).cochar == (1, 0)
-    assert SphericalFactor("v", 2.0).degree == 2
+    assert SphericalFactor("v", 2).degree == 2
     assert POINT.satake == (("v", ((symbol("s"),), (symbol("t"), symbol("u")))),)
-    assert MockFormSpace(WEIGHT, [(POINT, 2.0)]).entries == ((POINT, 2),)
+    assert MockFormSpace(WEIGHT, [[POINT, 2]]).entries == ((POINT, 2),)
+    # a value is kept as given, never converted: an integral float or a bool is refused
+    for build in (
+        lambda: CocharVector(SHAPE, [True, 0, -1]),
+        lambda: Segment(symbol("g"), 2.0),
+        lambda: SphericalFactor("v", 2.0),
+        lambda: MockFormSpace(WEIGHT, [(POINT, 2.0)]),
+    ):
+        with pytest.raises(ValueError):
+            build()

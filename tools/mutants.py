@@ -194,9 +194,9 @@ MUTANTS = [
     ),
     (
         "_integers letting int()'s OverflowError through",
-        TORI,
-        "        ints = tuple(map(int, values))\n    except (TypeError, ValueError, OverflowError):",
-        "        ints = tuple(map(int, values))\n    except (TypeError, ValueError):",
+        MONOMIAL,
+        "    values = tuple(values)\n    for x in values:",
+        "    values = tuple(values)\n    tuple(map(int, values))\n    for x in values:",
         [
             "tests/test_values.py::test_constructor_errors["
             "GroupShape-args29-group shape blocks must be integers, got inf]"
@@ -381,8 +381,8 @@ MUTANTS = [
     (
         "alpha read by Fraction() instead of the exactness rule",
         TRANSFER,
-        "        alpha = _exact(alpha)\n",
-        "        alpha = Fraction(alpha)\n",
+        "    alpha = _exact(alpha)\n",
+        "    alpha = Fraction(alpha)\n",
         ["tests/test_transfer.py::test_half_integer_alpha_rule_is_shared"],
     ),
     (
@@ -395,8 +395,8 @@ MUTANTS = [
     (
         "a float read as the binary fraction it rounds to",
         MONOMIAL,
-        "if isinstance(value, (int, Fraction)):",
-        "if isinstance(value, (int, float, Fraction)):",
+        "if type(value) is int or isinstance(value, Fraction):",
+        "if type(value) is int or isinstance(value, (float, Fraction)):",
         ["tests/test_monomial.py::test_inexact_rationals_are_refused"],
     ),
     (
@@ -476,6 +476,27 @@ MUTANTS = [
         "return _first_realizing_sigma(shape, k, need)",
         "return None",
         ["tests/test_transfer.py::test_archimedean_sigma_search_matches_walk_oracle"],
+    ),
+    (
+        "the integer rule accepting a bool",
+        MONOMIAL,
+        "        if type(x) is not int:\n",
+        "        if not isinstance(x, int):\n",
+        ["tests/test_tori.py::test_integral_entries_of_other_types_are_refused"],
+    ),
+    (
+        "_positive accepting 0",
+        MONOMIAL,
+        "if type(value) is not int or value < 1:",
+        "if type(value) is not int or value < 0:",
+        ["tests/test_values.py::test_constructor_errors"],
+    ),
+    (
+        "_exact accepting a bool",
+        MONOMIAL,
+        "if type(value) is int or isinstance(value, Fraction):",
+        "if isinstance(value, int) or isinstance(value, Fraction):",
+        ["tests/test_monomial.py::test_exact_rationals_are_accepted"],
     ),
 ]
 
