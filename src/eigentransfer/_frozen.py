@@ -2,19 +2,15 @@
 
 A subclass names its fields in ``_fields`` and assigns them once in its own
 ``__init__`` through ``_set``.  When the subclass is defined, the base
-compiles its ``_key``: a method that returns the tuple of those fields in
-``_fields`` order, a one-field class included.  From that key the base
-supplies what ``@dataclass(frozen=True)`` used to: equality (same class and
-equal keys), ``hash`` of the key, the ``Name(field=value, ...)`` repr, copy
-and pickle (which rebuild through ``__init__``), and ``AttributeError`` on
-any assignment or deletion.  Subclasses that cache derived data with
-``cached_property`` keep a ``__dict__``; the others declare ``__slots__``.
-
-The key is compiled to plain attribute reads, the way ``dataclasses`` builds
-its methods, so it costs what a hand-written ``_key`` did, and ``_fields`` is
-the only statement of a record's field order.  Few calls reach it anyway: on
-the benchmark's workloads nearly every record comparison is an identity
-(``self is other``), which never reads the key.
+compiles its ``_key``: a method of plain attribute reads, the way
+``dataclasses`` builds its methods, that returns the tuple of those fields in
+``_fields`` order, a one-field class included; ``_fields`` is the only
+statement of a record's field order.  From that key the base supplies equality
+(same class and equal keys), ``hash`` of the key, the ``Name(field=value, ...)``
+repr, copy and pickle (which rebuild through ``__init__``), and
+``AttributeError`` on any assignment or deletion.  Subclasses that cache
+derived data with ``cached_property`` keep a ``__dict__``; the others declare
+``__slots__``.
 
 The two hot unvalidated constructors, ``monomial._make`` (with the product
 branch of ``Monomial.__mul__``) and ``tori.UnramifiedCharacter._new``, skip

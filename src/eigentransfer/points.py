@@ -10,18 +10,8 @@ A mock form space is a formal sum of classical points of one weight with
 multiplicities.  Its characteristic polynomial for a chosen product of Hecke
 generators is ``prod (1 - lambda·T)^mult`` with exact rational ``lambda``
 obtained by evaluating each point's eigenvalue under a symbol assignment.
-Evaluation runs on integers and reduces once: a monomial's value is one
-numerator over one denominator, and a spherical eigenvalue ``e_d`` is taken
-on the Satake parameters' unreduced ``(num, den)`` pairs over their common
-denominator, with no ``Fraction`` built per parameter; the weight
-twist of an Atkin-Lehner eigenvalue at the cocharacter ``v`` is the single
-uniformizer power ``W^(k·v)``.  The divisibility criterion compares
-per-eigenvalue multiplicities, so it decides exactly whether
-``prod (T - lambda)^mult`` of the source divides the ``C``-th power of the
-target's.  That product counts ``lambda = 0``, which the reversed
-``charpoly`` drops.  A check computes one eigenvalue per point object: a
-target space that holds the source's own points, as a transferred space
-matched against itself does, reuses their eigenvalues.
+The divisibility criterion compares the source's ``prod (T - lambda)^mult``
+with the ``C``-th power of the target's, eigenvalue by eigenvalue.
 """
 
 from __future__ import annotations

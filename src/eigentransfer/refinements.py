@@ -11,27 +11,15 @@ A refinement is an ordering of the full parameter multiset, one block at a
 time, recorded as an unramified character of the diagonal torus.  For generic
 descriptors (pairwise distinct parameters, no two segments concatenating into
 a longer ladder) a refinement is accessible exactly when each segment's
-parameters (identified by value) appear in their internal descending order.
-The accessible refinements of a block are thus the shuffles of its segment
-ladders, and their count is the product over blocks of multinomial
-coefficients.  Non-generic descriptors are refused rather than guessed at.
+parameters appear in their internal descending order.  The accessible
+refinements of a block are thus the shuffles of its segment ladders, and their
+count is the product over blocks of multinomial coefficients.  Non-generic
+descriptors are refused rather than guessed at.
 
-Genericity is decided on integers, by a sweep over the ladders: each segment
-is the run of doubled ``q`` exponents ``lo..hi`` (step 2) over gamma's
-``q``-free part, and after sorting by that part, the parity of ``lo`` and
-``lo`` itself, two neighbouring ladders share a parameter when ``lo <= hi`` and
-link when ``lo == hi + 2``.  No parameter is built or hashed for it.
-
-The transfer checks build no transferred descriptor and no parameter.  A
-twist multiplies gamma by a power of the twist symbol and never touches ``q``,
-so the transferred sweep reuses each source ladder with the block's twist
-entry merged into its ``q``-free part.  On a generic descriptor every
-parameter is labelled by its (segment, rank), and a twisted parameter keeps
-its source label, so a refinement moves to the target as its labels read in
-target order through ``sigma^-1``.  Segments of different blocks never share
-a label, so each block's accessible orderings are checked on their own: the
-work is the sum over blocks, not the product.  The target count is the
-closed form ``n! / prod(d!)`` over all segments.
+Transfer gathers every segment into the target's single block, each gamma
+times its block's twist.  On a generic descriptor a parameter keeps its
+(segment, rank) label under transfer, so a refinement moves to the target as
+its labels read in target order through ``sigma^-1``.
 """
 
 from __future__ import annotations
@@ -51,7 +39,7 @@ from .tori import (
     modulus_half,
     weight_as_character,
 )
-from .transfer import TransferConfig, block_order_preserving_permutations, invert_permutation
+from .transfer import TransferConfig
 
 __all__ = [
     "Segment",
@@ -149,11 +137,9 @@ class LocalRepDescriptor(FrozenValue):
 
         A segment's parameters are ``gamma·q^(k/2)`` for ``k`` from ``lo = g - d + 1``
         to ``hi = g + d - 1`` in steps of 2, ``g`` being gamma's doubled ``q``
-        exponent.  Two segments can share a parameter or link only when they agree
-        in gamma's ``q``-free part and in the parity of ``lo``.  Sorted by that key
-        and then by ``lo``, the descriptor is non-generic exactly when a ladder
-        starts at or below the previous one's ``hi + 2``: ``lo <= hi`` is a shared
-        parameter and ``lo == hi + 2`` a link.
+        exponent.  Two segments can share a parameter or link only when their
+        :func:`_ladder` keys agree.  Sorted by key and ``lo``, a ladder with ``lo <= hi``
+        of the one before shares a parameter, and one with ``lo == hi + 2`` links.
         """
         return _sweep(_ladder(seg) for block in self.segments for seg in block)
 
@@ -291,16 +277,12 @@ def _require_transfer_generic(desc: LocalRepDescriptor, cfg: TransferConfig) -> 
 def accessible_transfer_check(desc: LocalRepDescriptor, cfg: TransferConfig) -> bool:
     """Whether every accessible refinement stays accessible after transfer.
 
-    Each accessible ordering of a block labels its slots by (segment, rank): for
-    each order-preserving ``sigma`` of the segment lengths, slot ``p`` holds ladder
-    entry ``sigma^-1(p)``.  The transferred refinement reads the labels in target
-    order through ``cfg.sigma_inverse`` and is accessible when each segment's ranks
-    come out as 0, 1, 2, ....  Blocks share no label, so each block's orderings are
-    checked alone: the sum of the block counts, never their product or ``n!``.
-
-    Once the genericity checks pass this cannot return ``False``: ``TransferConfig``
-    refuses a ``sigma`` that is not increasing on each block, so a block's slots keep
-    their order in the target.  The walk stays, since it is the check reported.
+    A block's slots are read in target order through ``cfg.sigma_inverse``.  Every
+    shuffle of the block's ladders reads back in ladder order exactly when those slots
+    keep their order or every segment has length 1: slots ``j < j'`` read out of order
+    can hold consecutive ranks of a longer segment.  No ordering is enumerated.  Since
+    ``TransferConfig`` refuses a ``sigma`` that is not increasing on each block, the
+    verdict is ``True`` once the genericity checks pass.
     """
     _require_transfer_generic(desc, cfg)
     positions = desc.shape._positions
@@ -308,13 +290,10 @@ def accessible_transfer_check(desc: LocalRepDescriptor, cfg: TransferConfig) -> 
     for u in cfg.sigma_inverse:
         i, j = positions[u]
         orders[i].append(j)
-    for block, order in zip(desc.segments, orders):
-        ranks = [(s, k) for s, seg in enumerate(block) for k in range(seg.d)]
-        for sigma in block_order_preserving_permutations(GroupShape(seg.d for seg in block)):
-            labels = [ranks[e] for e in invert_permutation(sigma)]
-            if not _in_ladder_order([labels[j] for j in order], len(block)):
-                return False
-    return True
+    return all(
+        order == sorted(order) or all(seg.d == 1 for seg in block)
+        for block, order in zip(desc.segments, orders)
+    )
 
 
 def refinement_count_inequality(

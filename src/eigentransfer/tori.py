@@ -103,6 +103,8 @@ class GroupShape(FrozenValue):
         return self.offsets[i] + j
 
     def block_range(self, i: int) -> range:
+        """The flat positions of block ``i``."""
+        _integers((i,), "block indices")
         return range(self.offsets[i], self.offsets[i] + self.blocks[i])
 
     def __str__(self) -> str:

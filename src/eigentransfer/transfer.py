@@ -2,12 +2,11 @@
 
 The source group is a product of general linear groups with block sizes
 ``(n_1, ..., n_r)``; the target is a single block of size ``n = sum(n_i)``.
-Both share a diagonal torus of rank ``n``, so every map here is plain exact
-arithmetic on length-``n`` tuples.  The four character maps are affine: the
-value at target slot ``p`` is ``T[p] * chi[sigma^-1(p)]``, where ``sigma`` is a
-block-order-preserving permutation and the tuple ``T`` is cached per config,
-each entry made once from its integer ``M``, ``q`` and ``W`` exponents in the
-config's slot rows.
+Both share a diagonal torus of rank ``n``, so every map here is exact
+arithmetic on length-``n`` tuples.  A config's ``sigma`` is a
+block-order-preserving permutation of the flat positions, and the four
+character maps are affine: the value at target slot ``p`` is
+``T[p] * chi[sigma^-1(p)]`` for a multiplier tuple ``T`` kept on the config.
 
 * ``refinement_pullback``: ``T`` is the unramified twist ``M`` on blocks whose
   complementary size ``n - n_i`` is odd (the twist symbol is trivial on even blocks).
@@ -16,34 +15,11 @@ config's slot rows.
 * ``weight_character_pullback``: ``T`` is ``W^shift``, the shift of the weight map.
 * ``atkin_lehner_pullback``: ``W^shift`` times the normalized ``T``, giving the
   transfer of eigenvalue systems on the commutative double-coset algebra.
-* ``weight_shift`` / ``weight_pullback`` implement the affine map on integer
-  weights: entry ``p`` of the result is ``shift[p] + k[sigma^-1(p)]`` where
-  the shift depends only on the source block occupying flat position ``p``,
-  via ``alpha·[n - n_i odd] + (n_i - n)/2 + offset_i``.
-* ``archimedean_transfer`` is the discrete-series recipe: shift each weight
-  entry by the half-sum data of its block, sort strictly descending, and
-  unshift with the target half-sum; collisions mean no transfer exists.  The
-  recipe runs on doubled integers (``2m`` rather than the half-integer ``m``),
-  sorting ints and testing parity for integrality; a ``Fraction`` is built
-  only for the text of an error.  ``archimedean_sigma`` reads the weight
-  shifts from the same private helper as ``TransferConfig`` and builds no
-  config.
+* ``weight_shift`` / ``weight_pullback``: the affine map on integer weights.
+* ``archimedean_transfer`` / ``archimedean_sigma``: the discrete-series recipe
+  and a permutation that realizes it through ``weight_pullback``.
 
-``verify_transfer_compatibility`` checks, with fully generic character
-symbols, that these maps fit together: the combined map factors as
-(refinement part) x (weight part) on all dominant generator cocharacters, the
-two routes through the modulus normalisation agree, and the weight shifts are
-integers.  It runs on the same integer rows as the multipliers, one per target
-slot, holding ``sigma^-1(p)`` and the doubled ``M``, ``q`` and ``W`` exponents:
-each side's value at a slot is a row of doubled exponents with the generic
-symbols kept by name, and the two sides are compared row by row.  Only a
-failing check builds monomials: the slot ratios ``lhs * rhs^-1``, from which
-the residual at a generator is read.  A character takes ``prod ratio[p]^t[p]``
-at ``t``, so on ``GL_n`` the generator with ``j`` leading ones reads the
-product of the first ``j`` ratios and ``(-1,..,-1)`` the inverse of all ``n``.
-Evaluation is a homomorphism and the arithmetic is exact, so this is
-``lhs(t) * rhs(t)^-1``.  Everything but ``lhs`` is the same with and without
-``drop_normalization``, so it is built once per config and kept on it.
+``verify_transfer_compatibility`` checks symbolically that these maps fit together.
 """
 
 from __future__ import annotations
@@ -129,8 +105,13 @@ def _weight_shifts(source: GroupShape, two_alpha: int) -> tuple[int, ...]:
 
 
 def invert_permutation(sigma: Sequence[int]) -> tuple[int, ...]:
-    inv = [0] * len(sigma)
+    """The inverse of a permutation of ``0..n-1``; any other sequence raises ``InvalidSigma``."""
+    sigma = _integers(sigma, "permutation entries")
+    n = len(sigma)
+    inv = [-1] * n
     for u, p in enumerate(sigma):
+        if not 0 <= p < n or inv[p] >= 0:
+            raise InvalidSigma(f"not a permutation of 0..{n - 1}: {sigma}")
         inv[p] = u
     return tuple(inv)
 
@@ -209,8 +190,8 @@ class TransferConfig(FrozenValue):
         n = source.n
         if len(sigma) != n or sorted(sigma) != list(range(n)):
             raise InvalidSigma(f"sigma must be a permutation of 0..{n - 1}, got {sigma}")
-        for i in range(source.r):
-            images = [sigma[u] for u in source.block_range(i)]
+        for i, (m, offset) in enumerate(zip(source.blocks, source.offsets)):
+            images = list(sigma[offset : offset + m])
             if any(a >= b for a, b in zip(images, images[1:])):
                 raise InvalidSigma(
                     f"sigma must be strictly increasing on block {i + 1}; images {images}"
@@ -237,6 +218,7 @@ class TransferConfig(FrozenValue):
 
     def twist_exponent(self, i: int) -> int:
         """1 when ``n - n_i`` is odd (the twist symbol appears), else 0."""
+        _integers((i,), "block indices")
         return (self.n - self.source.blocks[i]) % 2
 
     def twist_monomial(self, i: int) -> Monomial:
@@ -261,22 +243,21 @@ class TransferConfig(FrozenValue):
         rows = []
         for p, u in enumerate(self.sigma_inverse):
             i, j = positions[u]
-            twist = 2 * self.twist_exponent(i)
-            rows.append((u, twist, 2 * (j - p) + n - blocks[i], shifts[p]))
+            rows.append((u, 2 * ((n - blocks[i]) % 2), 2 * (j - p) + n - blocks[i], shifts[p]))
         return tuple(rows)
 
-    def _multipliers(self, normalized: bool, weighted: bool) -> tuple[Monomial, ...]:
-        """Per target slot ``p``: ``M^t`` times, when ``normalized``, the source
-        half-modulus at ``sigma^-1(p)`` and the inverse target half-modulus at ``p``,
-        times, when ``weighted``, ``W^shift[p]``, each made once from the doubled
-        exponents of :attr:`_slot_rows`.  The shifts are read first, so a non-integral
-        one raises first."""
+    def _multipliers(self, twisted: bool, normalized: bool, weighted: bool) -> tuple[Monomial, ...]:
+        """The multiplier of target slot ``p`` for each ``p``: the product of ``M^t`` when
+        ``twisted``, the source half-modulus at ``sigma^-1(p)`` and the inverse target
+        half-modulus at ``p`` when ``normalized``, and ``W^shift[p]`` when ``weighted``,
+        made once from the doubled exponents of :attr:`_slot_rows`.  The shifts are read
+        first, so a non-integral one raises first."""
         if weighted:
             weight_shift(self)
         mu = self.mu
         out = []
         for _, twist, q, w in self._slot_rows:
-            twice = {mu: twist}
+            twice = {mu: twist} if twisted else {}
             if normalized:
                 twice[RESIDUE_SYMBOL] = q
             if weighted:
@@ -284,15 +265,14 @@ class TransferConfig(FrozenValue):
             out.append(Monomial._from_twice(1, twice))
         return tuple(out)
 
-    @cached_property
-    def _slot_twists(self) -> tuple[Monomial, ...]:
-        """The twist monomial at each target slot ``p``: the plain refinement multipliers."""
-        return self._multipliers(normalized=False, weighted=False)
-
-    @cached_property
-    def _normalized_multipliers(self) -> tuple[Monomial, ...]:
-        """Slot twist x source half-modulus at ``sigma^-1(p)`` x inverse target half-modulus at ``p``."""
-        return self._multipliers(normalized=True, weighted=False)
+    # one table per pullback map, each built on first use and kept on the config
+    _slot_twists = cached_property(lambda self: self._multipliers(True, False, False))
+    _normalized_multipliers = cached_property(lambda self: self._multipliers(True, True, False))
+    _shift_monomials = cached_property(lambda self: self._multipliers(False, False, True))
+    _atkin_lehner_multipliers = cached_property(lambda self: self._multipliers(True, True, True))
+    _atkin_lehner_plain_multipliers = cached_property(
+        lambda self: self._multipliers(True, False, True)
+    )
 
     @cached_property
     def _shifts(self) -> tuple[int, ...]:
@@ -304,29 +284,13 @@ class TransferConfig(FrozenValue):
         return _weight_shifts(self.source, _doubled_alpha(self.alpha))
 
     @cached_property
-    def _shift_monomials(self) -> tuple[Monomial, ...]:
-        """``W^shift[p]`` for each flat position ``p``: the weight-character multipliers."""
-        return tuple(_half_power(UNIFORMIZER_SYMBOL, 2 * s) for s in self._shifts)
-
-    @cached_property
-    def _atkin_lehner_multipliers(self) -> tuple[Monomial, ...]:
-        return self._multipliers(normalized=True, weighted=True)
-
-    @cached_property
-    def _atkin_lehner_plain_multipliers(self) -> tuple[Monomial, ...]:
-        return self._multipliers(normalized=False, weighted=True)
-
-    @cached_property
     def _verifier_half(self) -> tuple[CheckResult, tuple[tuple, tuple] | None, CheckResult]:
         """The part of :func:`verify_transfer_compatibility` that ``drop_normalization``
-        does not change: the shift-integrality check, the factorization rows and the
-        modulus-duality check, all read from :attr:`_slot_rows`.
-
-        A side's row at a slot is its value there as ``(symbol, doubled exponent)``
-        pairs, generic symbols included.  The factorization rows are ``chi * zeta`` by
-        source position, for the generic characters ``chi`` and ``zeta``, and the
-        right side ``refinement_pullback_normalized(chi) * weight_character_pullback(zeta)``
-        by target slot; they are ``None`` when a weight shift is not integral.
+        does not change, read from :attr:`_slot_rows`: the shift-integrality check, the
+        modulus-duality check and the factorization rows of the generic characters,
+        ``chi * zeta`` by source position and the right side
+        ``refinement_pullback_normalized(chi) * weight_character_pullback(zeta)`` by
+        target slot (``None`` when a weight shift is not integral).
         """
         try:
             weight_shift(self)
@@ -377,8 +341,6 @@ def iota_sigma_pullback(chi: UnramifiedCharacter, sigma: Sequence[int]) -> Unram
     sigma = _integers(sigma, "permutation entries")
     if len(sigma) != n:
         raise SizeMismatch(f"permutation has length {len(sigma)}, character has rank {n}")
-    if sorted(sigma) != list(range(n)):
-        raise InvalidSigma(f"not a permutation of 0..{n - 1}: {sigma}")
     inv = invert_permutation(sigma)
     return UnramifiedCharacter._new(chi.shape, tuple(chi.values[inv[p]] for p in range(n)))
 
@@ -542,22 +504,15 @@ def verify_transfer_compatibility(
     ``drop_normalization=True`` replaces the eigenvalue-system transfer by its
     unnormalized variant; for more than one source block this must fail.
 
-    The checks run on the config's integer slot rows, not on characters.  A
-    side's value at a target slot is a row of ``(symbol, doubled exponent)``
-    pairs: the generic symbols ``x_u`` and ``z_u`` by name, then ``M``, ``q``
-    and ``W``.  The rows of ``lhs`` and ``rhs`` are compared slot by slot, the
-    generic entries included, and the check passes when all agree, with no
-    monomial built.  Otherwise the ratio ``lhs * rhs^-1`` of each disagreeing
-    slot is made from the two rows (an agreeing slot reads ``ONE``), and the
-    residual at ``t`` is the slot-ratio character evaluated at ``t``, read as a
-    prefix product of the ratios (inverted at the negated full vector).  Since
-    ``chi -> chi(t)`` is a homomorphism, that is exactly ``lhs(t) * rhs(t)^-1``,
-    so the residual texts are those of evaluating both sides at each generator.
-
-    Only ``lhs`` depends on ``drop_normalization``.  The rest is built once per
-    config and kept on it: the shift-integrality and modulus-duality checks and
-    the rows of ``chi * zeta`` and of ``rhs`` (see ``TransferConfig._verifier_half``).
-    A call builds the ``n`` rows of ``lhs`` and compares them.
+    A side's value at a target slot is a row of ``(symbol, doubled exponent)``
+    pairs read from the config's slot rows, the generic symbols ``x_u`` and ``z_u``
+    kept by name.  A check passes when the rows of ``lhs`` and ``rhs`` agree, with no
+    monomial built.  Otherwise the residual at a generator ``t`` is
+    ``lhs(t) * rhs(t)^-1``, read from the slot ratios ``lhs * rhs^-1``, since
+    ``chi -> chi(t)`` is a homomorphism: on ``GL_n`` the generator with ``j``
+    leading ones takes the product of the first ``j`` ratios, and ``(-1,..,-1)``
+    the inverse of all ``n``.  Only ``lhs`` depends on ``drop_normalization``; the
+    rest is kept on the config (``TransferConfig._verifier_half``).
     """
     shift_check, sides, duality_check = cfg._verifier_half
     if sides is None:
@@ -625,8 +580,9 @@ def _archimedean_transfer(weight: AlgebraicWeight, alpha) -> tuple[ArchimedeanTr
             + ", ".join(str(d // 2) if d % 2 == 0 else f"{d}/2" for d in sorted(ms))
         )
     order = sorted(range(n), key=ms.__getitem__, reverse=True)
-    out = []
+    out, sigma = [], [0] * n
     for p, u in enumerate(order):
+        sigma[u] = p
         doubled = ms[u] - n + 1 + 2 * p  # 2k'_p = 2m'_p - (n + 1) + 2(p + 1)
         if doubled % 2:
             raise NonIntegralShift(
@@ -634,7 +590,7 @@ def _archimedean_transfer(weight: AlgebraicWeight, alpha) -> tuple[ArchimedeanTr
             )
         out.append(doubled // 2)
     target = AlgebraicWeight._new(GroupShape((n,)), tuple(out))
-    return ArchimedeanTransfer(target, invert_permutation(order)), two_alpha
+    return ArchimedeanTransfer(target, tuple(sigma)), two_alpha
 
 
 def _first_realizing_sigma(
@@ -678,18 +634,12 @@ def archimedean_sigma(weight: AlgebraicWeight, alpha) -> tuple[int, ...]:
     the shifts do not depend on ``sigma``, so ``sigma`` realizes the target
     weight ``k'`` exactly when ``k[u] == need[sigma(u)]`` with
     ``need = k' - shift``.  The sorting permutation is returned when it
-    realizes; otherwise the lexicographically first realizing permutation,
-    found by a depth-first search over the slots whose ``need`` matches (a
-    pruned walk of :func:`block_order_preserving_permutations` in its own
-    order: at most ``n!/prod(n_i!)`` leaves, ``O(n^2)`` steps when nothing
-    backtracks).
-    Raises ``NotRelevant`` when no permutation realizes (which does happen for
-    some mixed shapes); a multiset mismatch between ``need`` and ``k`` settles
-    that at once.  Every error of :func:`archimedean_transfer` comes first.
-    The shifts come from the shared helper, with no ``TransferConfig`` built,
-    and are always integers here: the recipe's doubled output at a slot of
-    block ``i`` has the parity of block ``i``'s doubled shift, so a
-    non-integral shift has already made the recipe raise ``NonIntegralShift``.
+    realizes; otherwise the lexicographically first realizing permutation
+    (:func:`_first_realizing_sigma`).  Raises ``NotRelevant`` when no permutation
+    realizes (which does happen for some mixed shapes).  Every error of
+    :func:`archimedean_transfer` comes first; after it the shifts are integers,
+    since the recipe's doubled output at a slot of block ``i`` has the parity of
+    block ``i``'s doubled shift.
     """
     art, two_alpha = _archimedean_transfer(weight, alpha)
     sigma = _realizing_sigma(weight, art, two_alpha)

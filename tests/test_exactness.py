@@ -36,6 +36,7 @@ from eigentransfer.transfer import (
     TransferConfig,
     archimedean_sigma,
     archimedean_transfer,
+    invert_permutation,
     iota_sigma_pullback,
 )
 
@@ -48,6 +49,7 @@ WEIGHT = AlgebraicWeight(PAIR, (0, 0))
 POINT = ClassicalPoint.build(WEIGHT, {"p": UnramifiedCharacter.trivial(PAIR)}, {})
 FACTORS = (AtkinLehnerFactor("p", (1, 0)),)
 KAPPA = AlgebraicWeight(GroupShape((1, 1)), (2, 0))
+CONFIG = TransferConfig(SPLIT, (0, 1, 2), HALF)
 
 
 def _space(mult):
@@ -109,6 +111,11 @@ INTEGER_SITES = {
         lambda x: [(0, 0), (1, 0), (1, 1)][x],
     ),
     "GroupShape.flat": (lambda x: SPLIT.flat(1, x), st.integers(0, 1), lambda x: 1 + x),
+    "GroupShape.block_range": (
+        lambda x: SPLIT.block_range(x),
+        st.integers(0, 1),
+        lambda x: (range(0, 1), range(1, 3))[x],
+    ),
     "modulus_half sign": (
         lambda x: modulus_half(PAIR, x).values,
         st.sampled_from((1, -1)),
@@ -158,6 +165,18 @@ INTEGER_SITES = {
         lambda x: TransferConfig((1, 1), _swap(x), HALF).sigma,
         st.integers(0, 1),
         lambda x: (x, 1 - x),
+    ),
+    "invert_permutation": (
+        lambda x: invert_permutation(_swap(x)),
+        st.integers(0, 1),
+        lambda x: (x, 1 - x),
+    ),
+    # the twist symbol appears on the block of size 2, whose complement is odd
+    "TransferConfig.twist_exponent": (lambda x: CONFIG.twist_exponent(x), st.integers(0, 1), int),
+    "TransferConfig.twist_monomial": (
+        lambda x: CONFIG.twist_monomial(x),
+        st.integers(0, 1),
+        lambda x: (ONE, symbol("M"))[x],
     ),
     "iota_sigma_pullback sigma": (
         lambda x: iota_sigma_pullback(CHI, _swap(x)).values,

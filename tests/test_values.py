@@ -32,6 +32,7 @@ from eigentransfer.transfer import (
     TransferReport,
     archimedean_sigma,
     archimedean_transfer,
+    invert_permutation,
 )
 
 HALF = Fraction(1, 2)
@@ -284,12 +285,17 @@ ERRORS = [
     (archimedean_transfer, (WEIGHT, "1e0"), f"{INEXACT}'1e0'"),
     (archimedean_sigma, (WEIGHT, "0.5"), f"{INEXACT}'0.5'"),
     (archimedean_sigma, (WEIGHT, 1.0), f"{INEXACT}1.0"),
+    # a sequence that is not a permutation used to be inverted into a wrong answer
+    (invert_permutation, ((0, 0),), "not a permutation of 0..1: (0, 0)"),
+    (invert_permutation, ((1, 1),), "not a permutation of 0..1: (1, 1)"),
+    (invert_permutation, ((-1, 0),), "not a permutation of 0..1: (-1, 0)"),
+    (invert_permutation, ((True, 0),), "permutation entries must be integers, got True"),
 ]
 
 
 @pytest.mark.parametrize("cls, args, message", ERRORS)
 def test_constructor_errors(cls, args, message):
-    error = InvalidSigma if message.startswith("sigma") else ValueError
+    error = InvalidSigma if message.startswith(("sigma", "not a permutation")) else ValueError
     with pytest.raises(error) as err:
         cls(*args)
     assert type(err.value) is error and str(err.value) == message

@@ -56,11 +56,18 @@ MUTANTS = [
         ["tests/test_refinements.py::test_ladder_sweep_genericity_matches_oracle_on_explicit_cases"],
     ),
     (
-        "ladder shuffle labels read through sigma instead of sigma^-1",
+        "direct order test ignoring the order of a block's slots",
         REFINEMENTS,
-        "labels = [ranks[e] for e in invert_permutation(sigma)]",
-        "labels = [ranks[e] for e in sigma]",
-        ["tests/test_refinements.py::test_accessible_transfer_check_builds_instead_of_filtering"],
+        "order == sorted(order)",
+        "True",
+        ["tests/test_refinements.py::test_accessible_transfer_check_matches_walk_on_every_order"],
+    ),
+    (
+        "direct order test passing a block when any segment has length 1",
+        REFINEMENTS,
+        "all(seg.d == 1 for seg in block)",
+        "any(seg.d == 1 for seg in block)",
+        ["tests/test_refinements.py::test_accessible_transfer_check_matches_walk_on_every_order"],
     ),
     (
         "transferred ladder sweep dropping the twist entry",
@@ -490,6 +497,51 @@ MUTANTS = [
         "if type(value) is not int or value < 1:",
         "if type(value) is not int or value < 0:",
         ["tests/test_values.py::test_constructor_errors"],
+    ),
+    (
+        "multiplier builder ignoring twisted: the weight-character table carries M",
+        TRANSFER,
+        "twice = {mu: twist} if twisted else {}",
+        "twice = {mu: twist}",
+        ["tests/test_transfer.py::test_weight_character_pullback_matches_weight_pullback"],
+    ),
+    (
+        "multiplier builder ignoring normalized: the plain tables carry the half-moduli",
+        TRANSFER,
+        "            if normalized:\n                twice[RESIDUE_SYMBOL] = q\n",
+        "            twice[RESIDUE_SYMBOL] = q\n",
+        ["tests/test_transfer.py::test_refinement_pullback_anchors"],
+    ),
+    (
+        "multiplier builder ignoring weighted: the refinement tables carry W^shift",
+        TRANSFER,
+        "            if weighted:\n                twice[UNIFORMIZER_SYMBOL] = w\n",
+        "            twice[UNIFORMIZER_SYMBOL] = w\n",
+        ["tests/test_transfer.py::test_refinement_pullback_normalized_anchor"],
+    ),
+    (
+        "invert_permutation accepting a repeated entry",
+        TRANSFER,
+        "if not 0 <= p < n or inv[p] >= 0:",
+        "if not 0 <= p < n:",
+        ["tests/test_values.py::test_constructor_errors"],
+    ),
+    (
+        "block_range indexing by a number outside the exactness rule",
+        TORI,
+        '        _integers((i,), "block indices")\n        return range(',
+        "        return range(",
+        ["tests/test_exactness.py::test_integer_sites_take_exactly_the_ints[GroupShape.block_range]"],
+    ),
+    (
+        "twist_exponent indexing by a number outside the exactness rule",
+        TRANSFER,
+        '        _integers((i,), "block indices")\n        return (self.n',
+        "        return (self.n",
+        [
+            "tests/test_exactness.py::"
+            "test_integer_sites_take_exactly_the_ints[TransferConfig.twist_exponent]"
+        ],
     ),
     (
         "_exact accepting a bool",
