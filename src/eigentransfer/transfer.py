@@ -265,7 +265,7 @@ class TransferConfig(FrozenValue):
             out.append(Monomial._from_twice(1, twice))
         return tuple(out)
 
-    # one table per pullback map, each built on first use and kept on the config
+    # the multiplier tables of the pullback maps, each built on first use and kept on the config
     _slot_twists = cached_property(lambda self: self._multipliers(True, False, False))
     _normalized_multipliers = cached_property(lambda self: self._multipliers(True, True, False))
     _shift_monomials = cached_property(lambda self: self._multipliers(False, False, True))
