@@ -1,14 +1,15 @@
 """Immutable value base for the library's record classes.
 
 A subclass names its fields in ``_fields`` and assigns them once in its own
-``__init__`` through ``_set``.  When the subclass is defined, the base
-compiles its ``_key``: a method of plain attribute reads, the way
+``__init__`` through ``_set``.  On a class's first ``_key`` call the base
+compiles its ``_key``: a function of plain attribute reads, the way
 ``dataclasses`` builds its methods, that returns the tuple of those fields in
 ``_fields`` order, a one-field class included; ``_fields`` is the only
-statement of a record's field order.  From that key the base supplies equality
-(same class and equal keys), ``hash`` of the key, the ``Name(field=value, ...)``
-repr, copy and pickle (which rebuild through ``__init__``), and
-``AttributeError`` on any assignment or deletion.  Subclasses that cache
+statement of a record's field order.  Compiling on first use keeps code
+generation out of import, and plain reads cost less than an ``attrgetter``.
+From that key the base supplies equality (same class and equal keys), ``hash``
+of the key, the ``Name(field=value, ...)`` repr, copy and pickle (which rebuild
+through ``__init__``), and ``AttributeError`` on any assignment or deletion.  Subclasses that cache
 derived data with ``cached_property`` keep a ``__dict__``; the others declare
 ``__slots__``.
 
@@ -30,10 +31,12 @@ class FrozenValue:
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
-        reads = "".join(f"self.{name}, " for name in cls._fields)
-        namespace: dict = {}
-        exec(f"def _key(self):\n    return ({reads})", namespace)
-        cls._key = namespace["_key"]
+        cls._key = FrozenValue._key
+
+    def _key(self) -> tuple:
+        reads = "".join(f"self.{name}, " for name in self._fields)
+        key = type(self)._key = eval(f"lambda self: ({reads})")
+        return key(self)
 
     def __eq__(self, other) -> bool:
         if self is other:

@@ -14,12 +14,18 @@ exception, never a traceback), and 0 otherwise.
 
 from __future__ import annotations
 
-import argparse
-import hashlib
 import json
 import sys
 from pathlib import Path
 from typing import Any
+
+try:  # the built-in SHA-256, the one ``hashlib`` falls back to, without loading OpenSSL
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 from .errors import NonIntegralShift, NotRelevant, SchemaError, TransferError
 from .jsonio import SCHEMA_VERSION, decode_job, run_command
@@ -30,32 +36,35 @@ _VERDICT_ERRORS = (NotRelevant, NonIntegralShift)
 
 
 def _emit(report: dict, pretty: bool) -> None:
-    if pretty:
-        text = json.dumps(report, sort_keys=True, indent=2)
-    else:
-        text = json.dumps(report, sort_keys=True, separators=(",", ":"))
-    sys.stdout.write(text + "\n")
+    layout = {"indent": 2} if pretty else {"separators": (",", ":")}
+    sys.stdout.write(json.dumps(report, sort_keys=True, **layout) + "\n")
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="eigentransfer",
-        description="Run one JSON job against the transfer library and print a JSON report.",
-    )
-    parser.add_argument("--job", metavar="FILE", help="job file (default: standard input)")
-    parser.add_argument("--pretty", action="store_true", help="indent the report")
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    job, pretty = None, False  # a run with no arguments reads standard input and builds no parser
+    if argv:
+        import argparse
+
+        parser = argparse.ArgumentParser(
+            prog="eigentransfer",
+            description="Run one JSON job against the transfer library and print a JSON report.",
+        )
+        parser.add_argument("--job", metavar="FILE", help="job file (default: standard input)")
+        parser.add_argument("--pretty", action="store_true", help="indent the report")
+        args = parser.parse_args(argv)
+        job, pretty = args.job, args.pretty
 
     report: dict[str, Any] = {"schema_version": SCHEMA_VERSION}
     try:
-        if args.job:
+        if job:
             try:
-                raw = Path(args.job).read_bytes()
+                raw = Path(job).read_bytes()
             except OSError as err:
                 raise SchemaError(f"cannot read job file: {err}") from err
         else:
             raw = sys.stdin.buffer.read()
-        report["input_sha256"] = hashlib.sha256(raw).hexdigest()
+        report["input_sha256"] = sha256(raw).hexdigest()
         command, payload = decode_job(raw)
         report["command"] = command
         report.update(run_command(command, payload))
@@ -69,7 +78,7 @@ def main(argv: list[str] | None = None) -> int:
         # a crash is neither a verdict nor a refusal of the input
         report["error"] = {"type": "InternalError", "message": f"{type(err).__name__}: {err}"}
         code = 3
-    _emit(report, args.pretty)
+    _emit(report, pretty)
     return code
 
 

@@ -56,7 +56,6 @@ UNIFORMIZER_SYMBOL = "W"
 
 Rational = Union[int, Fraction]
 
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _FACTOR_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)(?:\^(?:(-?\d+)|\((-?\d+)/2\)))?\Z")
 # Coefficient tokens are integers or integer ratios only: no decimals, exponents or "_".
 _COEFF_RE = re.compile(r"[+-]?\d+(?:/\d+)?\Z", re.ASCII)
@@ -161,7 +160,7 @@ def _positive(value, what: str) -> int:
 
 def valid_symbol(name: str) -> bool:
     """True if ``name`` is usable as a symbol (identifier-like, parseable)."""
-    return isinstance(name, str) and bool(_NAME_RE.match(name))
+    return isinstance(name, str) and name.isascii() and name.isidentifier()
 
 
 class SymbolValue(FrozenValue):
@@ -429,8 +428,11 @@ def _new(coeff: Rational, twice: tuple[tuple[str, int], ...]) -> Monomial:
     return _make(_canon(coeff), twice)
 
 
-def _half_power(name: str, doubled: int) -> Monomial:
-    """``name^(doubled/2)`` with coefficient one, for a valid symbol ``name``."""
+def _half_power(name: str, doubled: int, twice: tuple = ()) -> Monomial:
+    """``name^(doubled/2)`` with coefficient one, for a valid symbol ``name``, times the
+    doubled-exponent tuple ``twice`` when one is given."""
+    if twice:
+        return _make(_UNIT, _times(twice, name, doubled))
     return _make(_UNIT, ((name, doubled),) if doubled else ())
 
 

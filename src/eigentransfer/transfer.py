@@ -214,7 +214,10 @@ class TransferConfig(FrozenValue):
 
     @cached_property
     def sigma_inverse(self) -> tuple[int, ...]:
-        return invert_permutation(self.sigma)
+        inv = [0] * self.n  # ``__init__`` checked ``sigma``; ``invert_permutation`` would again
+        for u, p in enumerate(self.sigma):
+            inv[p] = u
+        return tuple(inv)
 
     def twist_exponent(self, i: int) -> int:
         """1 when ``n - n_i`` is odd (the twist symbol appears), else 0."""
@@ -257,12 +260,11 @@ class TransferConfig(FrozenValue):
         mu = self.mu
         out = []
         for _, twist, q, w in self._slot_rows:
-            twice = {mu: twist} if twisted else {}
-            if normalized:
-                twice[RESIDUE_SYMBOL] = q
-            if weighted:
-                twice[UNIFORMIZER_SYMBOL] = w
-            out.append(Monomial._from_twice(1, twice))
+            # sorted by name, as the format asks: ``W`` sorts before ``q``
+            twice = ((UNIFORMIZER_SYMBOL, w),) if weighted and w else ()
+            if normalized and q:
+                twice += ((RESIDUE_SYMBOL, q),)
+            out.append(_half_power(mu, twist if twisted else 0, twice))
         return tuple(out)
 
     # the multiplier tables of the pullback maps, each built on first use and kept on the config
