@@ -9,9 +9,9 @@ statement of a record's field order.  Compiling on first use keeps code
 generation out of import, and plain reads cost less than an ``attrgetter``.
 From that key the base supplies equality (same class and equal keys), ``hash``
 of the key, the ``Name(field=value, ...)`` repr, copy and pickle (which rebuild
-through ``__init__``), and ``AttributeError`` on any assignment or deletion.  Subclasses that cache
-derived data with ``cached_property`` keep a ``__dict__``; the others declare
-``__slots__``.
+through ``__init__``), and ``AttributeError`` on any assignment or deletion.
+Subclasses that cache derived data with ``cached_property`` keep a
+``__dict__``; the others declare ``__slots__``.
 
 The two hot unvalidated constructors, ``monomial._make`` (with the product
 branch of ``Monomial.__mul__``) and ``tori.UnramifiedCharacter._new``, skip

@@ -260,10 +260,9 @@ class TransferConfig(FrozenValue):
         mu = self.mu
         out = []
         for _, twist, q, w in self._slot_rows:
-            # sorted by name, as the format asks: ``W`` sorts before ``q``
-            twice = ((UNIFORMIZER_SYMBOL, w),) if weighted and w else ()
-            if normalized and q:
-                twice += ((RESIDUE_SYMBOL, q),)
+            twice = _times((), UNIFORMIZER_SYMBOL, w) if weighted else ()
+            if normalized:
+                twice = _times(twice, RESIDUE_SYMBOL, q)
             out.append(_half_power(mu, twist if twisted else 0, twice))
         return tuple(out)
 

@@ -1,5 +1,6 @@
 """End-to-end tests for the JSON job runner."""
 
+import argparse
 import hashlib
 import io
 import json
@@ -697,11 +698,14 @@ def run_stdin(monkeypatch, capsys, raw):
 
 @pytest.mark.parametrize("entry", POOL, ids=[entry["name"] for entry in POOL])
 def test_bench_pool_replay(monkeypatch, capsys, entry):
-    """Every pool job keeps its exit code and its report bytes, and the code follows the report."""
-    code, out = run_stdin(monkeypatch, capsys, entry["job"].encode())
+    """Every pool job keeps its exit code and its report bytes, the code follows the
+    report, and the echoed input digest is ``hashlib``'s."""
+    raw = entry["job"].encode()
+    code, out = run_stdin(monkeypatch, capsys, raw)
     assert code == entry["exit_code"]
     assert sha256(out.encode()) == entry["report_sha256"]
     report = json.loads(out)
+    assert report["input_sha256"] == hashlib.sha256(raw).hexdigest()
     error = report.get("error", {}).get("type")
     if report.get("verdict") == "fail" or error in ("NotRelevant", "NonIntegralShift"):
         assert code == 1
@@ -812,16 +816,105 @@ def test_deeply_nested_job_is_refused(monkeypatch, capsys):
     assert (proc.returncode, proc.stdout.decode(), proc.stderr) == (2, expected, b"")
 
 
+COLD_SKIPS = ["_hashlib", "argparse", "dataclasses", "gettext", "hashlib", "inspect"]
+
+
 def test_cli_import_skips_dataclasses_and_inspect():
-    """The value classes are plain classes, so a cold CLI start imports neither module."""
+    """A cold CLI job on standard input loads none of these modules: the value classes
+    are plain classes, the input is hashed by the built-in SHA-256 rather than through
+    ``hashlib`` (which loads OpenSSL), and a run with no arguments builds no parser."""
+    entry = POOL[0]
     code = (
-        "import sys, eigentransfer.cli; "
-        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+        "import sys\n"
+        "from eigentransfer.cli import main\n"
+        "code = main()\n"
+        f"print(sorted(set({COLD_SKIPS!r}) & set(sys.modules)), file=sys.stderr)\n"
+        "sys.exit(code)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], input=entry["job"].encode(), capture_output=True,
+        env=child_env(),
+    )
+    assert (proc.returncode, sha256(proc.stdout), proc.stderr) == (
+        entry["exit_code"], entry["report_sha256"], b"[]\n"
+    )
+
+
+def test_cli_import_compiles_no_record_key():
+    """Importing the CLI compiles none of the 17 value classes' keys."""
+    code = (
+        "from eigentransfer import cli\n"
+        "from eigentransfer._frozen import FrozenValue\n"
+        "classes = FrozenValue.__subclasses__()\n"
+        "print(len(classes), [c for c in classes if c._key is not FrozenValue._key])\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=child_env()
     )
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "17 []\n", "")
+
+
+def test_input_hash_falls_back_to_hashlib():
+    """With neither built-in SHA-256 module, the CLI hashes through ``hashlib``."""
+    raw = POOL[0]["job"].encode()
+    code = (
+        "import sys\n"
+        "sys.modules['_sha2'] = sys.modules['_sha256'] = None\n"
+        "from eigentransfer.cli import main, sha256\n"
+        "import hashlib\n"
+        "assert sha256 is hashlib.sha256\n"
+        "sys.exit(main())\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], input=raw, capture_output=True, env=child_env()
+    )
+    assert (proc.returncode, proc.stderr) == (POOL[0]["exit_code"], b"")
+    assert json.loads(proc.stdout)["input_sha256"] == hashlib.sha256(raw).hexdigest()
+    assert sha256(proc.stdout) == POOL[0]["report_sha256"]
+
+
+def test_stdin_job_builds_no_parser(monkeypatch, capsys):
+    """With no arguments, from ``main([])`` or from an empty ``sys.argv[1:]``, the job
+    is read from standard input and no parser is built."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("built a parser for a run with no arguments")
+
+    raw = POOL[0]["job"].encode()
+    monkeypatch.setattr(argparse, "ArgumentParser", refuse)
+    monkeypatch.setattr(sys, "argv", ["eigentransfer"])
+    for argv in ([], None):
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(raw)))
+        assert main(argv) == POOL[0]["exit_code"]
+        assert sha256(capsys.readouterr().out.encode()) == POOL[0]["report_sha256"]
+
+
+HELP = (
+    "usage: eigentransfer [-h] [--job FILE] [--pretty]\n\n"
+    "Run one JSON job against the transfer library and print a JSON report.\n\n"
+    "options:\n"
+    "  -h, --help  show this help message and exit\n"
+    "  --job FILE  job file (default: standard input)\n"
+    "  --pretty    indent the report\n"
+)
+USAGE = "usage: eigentransfer [-h] [--job FILE] [--pretty]\n"
+
+
+@pytest.mark.parametrize(
+    "argv, code, out, err",
+    [
+        (["-h"], 0, HELP, ""),
+        (["--bogus"], 2, "", USAGE + "eigentransfer: error: unrecognized arguments: --bogus\n"),
+    ],
+    ids=["help", "usage-error"],
+)
+def test_parser_bytes(monkeypatch, capsys, argv, code, out, err):
+    """Arguments still go through ``argparse``: help and usage errors keep their bytes."""
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == code
+    assert capsys.readouterr() == (out, err)
 
 
 def test_non_generic_descriptor_is_refused_before_enumerating(monkeypatch, tmp_path, capsys):

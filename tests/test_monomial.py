@@ -3,6 +3,7 @@
 import copy
 import pickle
 import random
+import re
 from decimal import Decimal
 from fractions import Fraction
 
@@ -40,6 +41,30 @@ def test_valid_symbol():
     assert not valid_symbol("x^2")
     assert not valid_symbol(3)
     assert not valid_symbol(None)
+    # keywords are names; non-ASCII letters and digits and a trailing newline are not
+    assert [name for name in _NAME_EDGES if valid_symbol(name)] == ["if", "class", "None", "_"]
+
+
+# the symbol-name rule as the regex that stated it before the string-method test
+_NAME_REGEX = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+_NAME_EDGES = ["", "a\n", "\na", "1a", "9", "if", "class", "None", "_"]
+_NAME_EDGES += ["é", "aé", "ß", "λx", "ａ", "x١", "ǅ"]
+
+
+@settings(max_examples=500, derandomize=True, database=None)
+@given(
+    st.one_of(
+        st.text(),
+        st.text(alphabet="az_09AZ\n -é١ａ", max_size=4),
+        st.from_regex(r"[A-Za-z_][A-Za-z0-9_]*", fullmatch=True),
+        st.sampled_from(_NAME_EDGES),
+    )
+)
+def test_valid_symbol_matches_the_name_regex(name):
+    """``valid_symbol`` accepts exactly the names the ASCII identifier regex matches:
+    non-ASCII letters and digits, a leading digit, a trailing newline and the empty
+    name are refused, keywords are accepted."""
+    assert valid_symbol(name) is bool(_NAME_REGEX.match(name))
 
 
 def test_construction_normalization():

@@ -2,6 +2,7 @@
 
 import gc
 import random
+import re
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations, product
 from math import factorial, prod
@@ -1040,6 +1041,78 @@ def test_cached_config_data_matches_seed_formulas():
                     assert atkin_lehner_pullback(chi, cfg, normalized=False).values == tuple(
                         w[p] * plain[p] for p in range(n)
                     )
+
+
+def _every_config(alpha=HALF, mu="M"):
+    """Every config with n <= 5: each composition with each block-order-preserving sigma."""
+    for n in range(1, 6):
+        for blocks in _compositions(n):
+            shape = GroupShape(blocks)
+            for sigma in block_order_preserving_permutations(shape):
+                yield TransferConfig(shape, sigma, alpha, mu)
+
+
+def test_sigma_inverse_matches_invert_permutation(monkeypatch):
+    """The config inverts its checked ``sigma`` itself, without the public function's
+    checks, and gets the same inverse on every n <= 5 config."""
+    configs = list(_every_config())
+    expected = [invert_permutation(cfg.sigma) for cfg in configs]
+
+    def refuse(sigma):
+        raise AssertionError("sigma_inverse re-checked an already checked sigma")
+
+    monkeypatch.setattr(transfer_module, "invert_permutation", refuse)
+    assert len(configs) == 633
+    assert [cfg.sigma_inverse for cfg in configs] == expected
+
+
+def _from_twice_multipliers(cfg, twisted, normalized, weighted):
+    """Oracle: a multiplier table as a dict of doubled exponents per slot, made through
+    ``Monomial._from_twice``, the way the tables were built before they were sorted
+    tuples."""
+    if weighted:
+        weight_shift(cfg)
+    out = []
+    for _, twist, q, w in cfg._slot_rows:
+        twice = {cfg.mu: twist} if twisted else {}
+        if normalized:
+            twice["q"] = q
+        if weighted:
+            twice["W"] = w
+        out.append(Monomial._from_twice(1, twice))
+    return tuple(out)
+
+
+_TABLES = {
+    "_slot_twists": (True, False, False),
+    "_normalized_multipliers": (True, True, False),
+    "_shift_monomials": (False, False, True),
+    "_atkin_lehner_multipliers": (True, True, True),
+    "_atkin_lehner_plain_multipliers": (True, False, True),
+}
+
+
+def test_multiplier_tables_match_the_from_twice_builder():
+    """All five tables on every n <= 5 config, with a twist symbol that sorts before
+    ``W`` (``M``), between ``W`` and ``q`` (``x1``) and after ``q`` (``z3``), and with
+    integral and non-integral shifts: the same monomials as the dict builder, and the
+    same ``NonIntegralShift`` text from the weighted tables."""
+    cases = 0
+    for mu, alpha in product(("M", "x1", "z3"), (HALF, Fraction(1))):
+        for cfg in _every_config(alpha, mu):
+            for name, flags in _TABLES.items():
+                try:
+                    expected = _from_twice_multipliers(cfg, *flags)
+                except NonIntegralShift as err:
+                    with pytest.raises(NonIntegralShift, match=re.escape(str(err))):
+                        getattr(cfg, name)
+                    continue
+                got = getattr(cfg, name)
+                # equal stored tuples, so sorted alike, and the canonical ``int`` coefficient
+                assert got == expected
+                assert all(m._coeff.__class__ is int for m in got)
+                cases += 1
+    assert cases > 633 * 3 * 2 * 2
 
 
 def test_cached_data_leaves_no_cyclic_garbage():

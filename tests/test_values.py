@@ -11,6 +11,7 @@ from fractions import Fraction
 
 import pytest
 
+from eigentransfer._frozen import FrozenValue, _set
 from eigentransfer.errors import InvalidSigma
 from eigentransfer.laurent import LaurentPoly
 from eigentransfer.monomial import ONE, SymbolValue, symbol
@@ -152,6 +153,33 @@ def test_copy_and_pickle_round_trips(obj, fields):
     for other in copies:
         assert type(other) is type(obj)
         assert other == obj and hash(other) == hash(obj) and repr(other) == repr(obj)
+
+
+def test_keys_are_compiled_per_class_on_first_use():
+    """A class's key is compiled on its first use and returns its fields in ``_fields``
+    order, a 1-tuple for one field; a subclass with other fields compiles its own."""
+
+    class Single(FrozenValue):
+        __slots__ = _fields = ("x",)
+
+        def __init__(self, x):
+            _set(self, "x", x)
+
+    class Triple(Single):
+        __slots__ = ("y", "z")
+        _fields = ("z", "x", "y")
+
+        def __init__(self, x, y, z):
+            super().__init__(x)
+            _set(self, "y", y)
+            _set(self, "z", z)
+
+    assert Single._key is Triple._key is FrozenValue._key
+    assert Single(5)._key() == (5,) and hash(Single(5)) == hash((5,))
+    assert Single._key is not FrozenValue._key and Triple._key is FrozenValue._key
+    assert Triple(1, 2, 3)._key() == (3, 1, 2)
+    assert repr(Triple(1, 2, 3)).endswith(".Triple(z=3, x=1, y=2)")
+    assert Single(5) != Triple(5, 0, 0)
 
 
 def test_cached_properties_still_cache():

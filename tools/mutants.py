@@ -38,6 +38,7 @@ JSONIO = "src/eigentransfer/jsonio.py"
 MONOMIAL = "src/eigentransfer/monomial.py"
 LAURENT = "src/eigentransfer/laurent.py"
 CLI = "src/eigentransfer/cli.py"
+FROZEN = "src/eigentransfer/_frozen.py"
 
 # (name, file, old text, new text, pytest node ids that must fail)
 MUTANTS = [
@@ -195,7 +196,7 @@ MUTANTS = [
         CLI,
         'raise SchemaError(f"cannot read job file: {err}") from err',
         'error = {"type": "SchemaError", "message": f"cannot read job file: {err}"}\n'
-        '                _emit({"schema_version": SCHEMA_VERSION, "error": error}, args.pretty)\n'
+        '                _emit({"schema_version": SCHEMA_VERSION, "error": error}, pretty)\n'
         "                return 1",
         ["tests/test_cli.py::test_unreadable_and_invalid_json_reports"],
     ),
@@ -501,22 +502,22 @@ MUTANTS = [
     (
         "multiplier builder ignoring twisted: the weight-character table carries M",
         TRANSFER,
-        "twice = {mu: twist} if twisted else {}",
-        "twice = {mu: twist}",
+        "_half_power(mu, twist if twisted else 0, twice)",
+        "_half_power(mu, twist, twice)",
         ["tests/test_transfer.py::test_weight_character_pullback_matches_weight_pullback"],
     ),
     (
         "multiplier builder ignoring normalized: the plain tables carry the half-moduli",
         TRANSFER,
-        "            if normalized:\n                twice[RESIDUE_SYMBOL] = q\n",
-        "            twice[RESIDUE_SYMBOL] = q\n",
+        "            if normalized:\n                twice = _times(twice, RESIDUE_SYMBOL, q)\n",
+        "            twice = _times(twice, RESIDUE_SYMBOL, q)\n",
         ["tests/test_transfer.py::test_refinement_pullback_anchors"],
     ),
     (
         "multiplier builder ignoring weighted: the refinement tables carry W^shift",
         TRANSFER,
-        "            if weighted:\n                twice[UNIFORMIZER_SYMBOL] = w\n",
-        "            twice[UNIFORMIZER_SYMBOL] = w\n",
+        "_times((), UNIFORMIZER_SYMBOL, w) if weighted else ()",
+        "_times((), UNIFORMIZER_SYMBOL, w)",
         ["tests/test_transfer.py::test_refinement_pullback_normalized_anchor"],
     ),
     (
@@ -542,6 +543,41 @@ MUTANTS = [
             "tests/test_exactness.py::"
             "test_integer_sites_take_exactly_the_ints[TransferConfig.twist_exponent]"
         ],
+    ),
+    (
+        "sigma_inverse returning sigma itself",
+        TRANSFER,
+        "            inv[p] = u\n",
+        "            inv[u] = p\n",
+        ["tests/test_transfer.py::test_sigma_inverse_matches_invert_permutation"],
+    ),
+    (
+        "valid_symbol accepting non-ASCII identifiers",
+        MONOMIAL,
+        "name.isascii() and name.isidentifier()",
+        "name.isidentifier()",
+        ["tests/test_monomial.py::test_valid_symbol_matches_the_name_regex"],
+    ),
+    (
+        "record subclass inheriting its parent's compiled key",
+        FROZEN,
+        "        cls._key = FrozenValue._key\n",
+        "",
+        ["tests/test_values.py::test_keys_are_compiled_per_class_on_first_use"],
+    ),
+    (
+        "stdin job building the parser",
+        CLI,
+        "    if argv:\n        import argparse",
+        "    if True:\n        import argparse",
+        ["tests/test_cli.py::test_stdin_job_builds_no_parser"],
+    ),
+    (
+        "no hashlib fallback when neither built-in SHA-256 module exists",
+        CLI,
+        "        from hashlib import sha256",
+        "        from _sha2 import sha256",
+        ["tests/test_cli.py::test_input_hash_falls_back_to_hashlib"],
     ),
     (
         "_exact accepting a bool",
