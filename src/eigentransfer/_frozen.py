@@ -5,11 +5,11 @@ A subclass names its fields in ``_fields`` and assigns them once in its own
 compiles its ``_key``: a function of plain attribute reads, the way
 ``dataclasses`` builds its methods, that returns the tuple of those fields in
 ``_fields`` order, a one-field class included; ``_fields`` is the only
-statement of a record's field order.  Compiling on first use keeps code
-generation out of import, and plain reads cost less than an ``attrgetter``.
-From that key the base supplies equality (same class and equal keys), ``hash``
-of the key, the ``Name(field=value, ...)`` repr, copy and pickle (which rebuild
-through ``__init__``), and ``AttributeError`` on any assignment or deletion.
+statement of a record's field order.  ``__init_subclass__`` resets ``_key``
+for every subclass, so each class compiles its own.  From that key the base
+supplies equality (same class and equal keys), ``hash`` of the key, the
+``Name(field=value, ...)`` repr, copy and pickle (which rebuild through
+``__init__``), and ``AttributeError`` on any assignment or deletion.
 Subclasses that cache derived data with ``cached_property`` keep a
 ``__dict__``; the others declare ``__slots__``.
 

@@ -36,8 +36,11 @@ _VERDICT_ERRORS = (NotRelevant, NonIntegralShift)
 
 
 def _emit(report: dict, pretty: bool) -> None:
-    layout = {"indent": 2} if pretty else {"separators": (",", ":")}
-    sys.stdout.write(json.dumps(report, sort_keys=True, **layout) + "\n")
+    if pretty:
+        text = json.dumps(report, sort_keys=True, indent=2)
+    else:
+        text = json.dumps(report, sort_keys=True, separators=(",", ":"))
+    sys.stdout.write(text + "\n")
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -19,8 +19,8 @@ A value is stored as its coefficient (an ``int`` when integral) and a tuple of
 ``(name, doubled exponent)`` pairs, sorted by name with no zero entry.  This
 module owns that format.  Other modules reach it through a small private
 vocabulary: :func:`_merge` and :func:`_times` on tuples, :func:`_half_power`,
-:meth:`Monomial._from_twice` (which also takes a power product of monomials),
-:meth:`Monomial._split` and :meth:`Monomial._pair`.  :mod:`eigentransfer.laurent`
+:func:`_unit`, :meth:`Monomial._from_twice` (which also takes a power product of
+monomials), :meth:`Monomial._split` and :meth:`Monomial._pair`.  :mod:`eigentransfer.laurent`
 is the one other module that holds the tuples, since its term key is one: it
 reads a coefficient's pair in its constructor, multiplies keys with
 :func:`_merge` and rebuilds coefficients with :func:`_new`.
@@ -428,12 +428,14 @@ def _new(coeff: Rational, twice: tuple[tuple[str, int], ...]) -> Monomial:
     return _make(_canon(coeff), twice)
 
 
-def _half_power(name: str, doubled: int, twice: tuple = ()) -> Monomial:
-    """``name^(doubled/2)`` with coefficient one, for a valid symbol ``name``, times the
-    doubled-exponent tuple ``twice`` when one is given."""
-    if twice:
-        return _make(_UNIT, _times(twice, name, doubled))
+def _half_power(name: str, doubled: int) -> Monomial:
+    """``name^(doubled/2)`` with coefficient one, for a valid symbol ``name``."""
     return _make(_UNIT, ((name, doubled),) if doubled else ())
+
+
+def _unit(twice: tuple[tuple[str, int], ...]) -> Monomial:
+    """The monomial with coefficient one and the well-formed doubled-exponent tuple ``twice``."""
+    return _make(_UNIT, twice)
 
 
 # the slots' own setters, bound once: cheaper than ``object.__setattr__`` by name

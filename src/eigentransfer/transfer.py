@@ -48,6 +48,7 @@ from .monomial import (
     _half_power,
     _integers,
     _times,
+    _unit,
     valid_symbol,
 )
 from .tori import AlgebraicWeight, CocharVector, GroupShape, UnramifiedCharacter
@@ -214,10 +215,7 @@ class TransferConfig(FrozenValue):
 
     @cached_property
     def sigma_inverse(self) -> tuple[int, ...]:
-        inv = [0] * self.n  # ``__init__`` checked ``sigma``; ``invert_permutation`` would again
-        for u, p in enumerate(self.sigma):
-            inv[p] = u
-        return tuple(inv)
+        return invert_permutation(self.sigma)
 
     def twist_exponent(self, i: int) -> int:
         """1 when ``n - n_i`` is odd (the twist symbol appears), else 0."""
@@ -260,10 +258,12 @@ class TransferConfig(FrozenValue):
         mu = self.mu
         out = []
         for _, twist, q, w in self._slot_rows:
-            twice = _times((), UNIFORMIZER_SYMBOL, w) if weighted else ()
+            twice = _times((), mu, twist) if twisted else ()
             if normalized:
                 twice = _times(twice, RESIDUE_SYMBOL, q)
-            out.append(_half_power(mu, twist if twisted else 0, twice))
+            if weighted:
+                twice = _times(twice, UNIFORMIZER_SYMBOL, w)
+            out.append(_unit(twice))
         return tuple(out)
 
     # the multiplier tables of the pullback maps, each built on first use and kept on the config

@@ -1052,20 +1052,6 @@ def _every_config(alpha=HALF, mu="M"):
                 yield TransferConfig(shape, sigma, alpha, mu)
 
 
-def test_sigma_inverse_matches_invert_permutation(monkeypatch):
-    """The config inverts its checked ``sigma`` itself, without the public function's
-    checks, and gets the same inverse on every n <= 5 config."""
-    configs = list(_every_config())
-    expected = [invert_permutation(cfg.sigma) for cfg in configs]
-
-    def refuse(sigma):
-        raise AssertionError("sigma_inverse re-checked an already checked sigma")
-
-    monkeypatch.setattr(transfer_module, "invert_permutation", refuse)
-    assert len(configs) == 633
-    assert [cfg.sigma_inverse for cfg in configs] == expected
-
-
 def _from_twice_multipliers(cfg, twisted, normalized, weighted):
     """Oracle: a multiplier table as a dict of doubled exponents per slot, made through
     ``Monomial._from_twice``, the way the tables were built before they were sorted

@@ -502,8 +502,8 @@ MUTANTS = [
     (
         "multiplier builder ignoring twisted: the weight-character table carries M",
         TRANSFER,
-        "_half_power(mu, twist if twisted else 0, twice)",
-        "_half_power(mu, twist, twice)",
+        "twice = _times((), mu, twist) if twisted else ()",
+        "twice = _times((), mu, twist)",
         ["tests/test_transfer.py::test_weight_character_pullback_matches_weight_pullback"],
     ),
     (
@@ -516,8 +516,8 @@ MUTANTS = [
     (
         "multiplier builder ignoring weighted: the refinement tables carry W^shift",
         TRANSFER,
-        "_times((), UNIFORMIZER_SYMBOL, w) if weighted else ()",
-        "_times((), UNIFORMIZER_SYMBOL, w)",
+        "            if weighted:\n                twice = _times(twice, UNIFORMIZER_SYMBOL, w)\n",
+        "            twice = _times(twice, UNIFORMIZER_SYMBOL, w)\n",
         ["tests/test_transfer.py::test_refinement_pullback_normalized_anchor"],
     ),
     (
@@ -543,13 +543,6 @@ MUTANTS = [
             "tests/test_exactness.py::"
             "test_integer_sites_take_exactly_the_ints[TransferConfig.twist_exponent]"
         ],
-    ),
-    (
-        "sigma_inverse returning sigma itself",
-        TRANSFER,
-        "            inv[p] = u\n",
-        "            inv[u] = p\n",
-        ["tests/test_transfer.py::test_sigma_inverse_matches_invert_permutation"],
     ),
     (
         "valid_symbol accepting non-ASCII identifiers",
