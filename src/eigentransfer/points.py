@@ -22,11 +22,12 @@ from operator import mul
 from typing import Iterable, Mapping, Sequence
 
 from ._frozen import FrozenValue, _set
-from .errors import EmptyPacket, SizeMismatch
+from .errors import EmptyPacket
 from .monomial import UNIFORMIZER_SYMBOL, Monomial, SymbolValue, _integers, _positive
 from .tori import AlgebraicWeight, CocharVector, GroupShape, UnramifiedCharacter
 from .transfer import (
     TransferConfig,
+    _require_source,
     atkin_lehner_pullback,
     satake_param_transfer,
     weight_pullback,
@@ -245,10 +246,7 @@ def point_eigenvalue(
 
 def transfer_point(point: ClassicalPoint, cfg: TransferConfig) -> ClassicalPoint:
     """Transfer weight, eigenvalue systems, and Satake data componentwise."""
-    if point.weight.shape != cfg.source:
-        raise SizeMismatch(
-            f"point on shape {point.weight.shape} does not match config source {cfg.source}"
-        )
+    _require_source("point", point.weight.shape, cfg)
     weight = weight_pullback(point.weight, cfg)
     up = {place: atkin_lehner_pullback(chi, cfg) for place, chi in point.up}
     satake = {

@@ -19,7 +19,11 @@ descriptors are refused rather than guessed at.
 Transfer gathers every segment into the target's single block, each gamma
 times its block's twist.  On a generic descriptor a parameter keeps its
 (segment, rank) label under transfer, so a refinement moves to the target as
-its labels read in target order through ``sigma^-1``.
+its labels read in target order through ``sigma^-1``.  A config's ``sigma`` is
+strictly increasing on each block, so every accessible refinement stays
+accessible: ``accessible_transfer_check`` refuses what is not generic and
+otherwise returns ``True``, and ``refinement_count_inequality`` counts in
+closed form.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from math import factorial
 from typing import Iterable, Iterator
 
 from ._frozen import FrozenValue, _set
-from .errors import ShapeMismatch, SizeMismatch, UnsupportedLinked
+from .errors import ShapeMismatch, UnsupportedLinked
 from .monomial import Monomial, RESIDUE_SYMBOL, _half_power, _positive, _times
 from .tori import (
     AlgebraicWeight,
@@ -39,7 +43,7 @@ from .tori import (
     modulus_half,
     weight_as_character,
 )
-from .transfer import TransferConfig
+from .transfer import TransferConfig, _require_source
 
 __all__ = [
     "Segment",
@@ -236,16 +240,9 @@ def count_accessible(desc: LocalRepDescriptor) -> int:
     return total
 
 
-def _require_source(desc: LocalRepDescriptor, cfg: TransferConfig) -> None:
-    if desc.shape != cfg.source:
-        raise SizeMismatch(
-            f"descriptor on {desc.shape} does not match config source {cfg.source}"
-        )
-
-
 def transferred_descriptor(desc: LocalRepDescriptor, cfg: TransferConfig) -> LocalRepDescriptor:
     """All segments gathered into one block, each twist multiplied by its ``M`` power."""
-    _require_source(desc, cfg)
+    _require_source("descriptor", desc.shape, cfg)
     segments = tuple(
         Segment(cfg.twist_monomial(i) * seg.gamma, seg.d)
         for i, block in enumerate(desc.segments)
@@ -262,7 +259,7 @@ def _require_transfer_generic(desc: LocalRepDescriptor, cfg: TransferConfig) -> 
     ``q``-free part of each ladder in a twisted block merged with the entry
     ``(mu, 2)``; ``lo`` and ``hi`` stay, since the twist has no ``q`` part.
     """
-    _require_source(desc, cfg)
+    _require_source("descriptor", desc.shape, cfg)
     _require_generic(desc)
     mu, ladders = cfg.mu, []
     for i, block in enumerate(desc.segments):
@@ -277,23 +274,16 @@ def _require_transfer_generic(desc: LocalRepDescriptor, cfg: TransferConfig) -> 
 def accessible_transfer_check(desc: LocalRepDescriptor, cfg: TransferConfig) -> bool:
     """Whether every accessible refinement stays accessible after transfer.
 
-    A block's slots are read in target order through ``cfg.sigma_inverse``.  Every
-    shuffle of the block's ladders reads back in ladder order exactly when those slots
-    keep their order or every segment has length 1: slots ``j < j'`` read out of order
-    can hold consecutive ranks of a longer segment.  No ordering is enumerated.  Since
-    ``TransferConfig`` refuses a ``sigma`` that is not increasing on each block, the
-    verdict is ``True`` once the genericity checks pass.
+    Refuses, in order, a descriptor off the config's source, a non-generic one and
+    one whose transferred descriptor is not generic; otherwise the verdict is
+    ``True``.  A refinement moves to the target as its (segment, rank) labels read
+    in target order through ``sigma^-1``, and an accessible refinement keeps each
+    segment's ranks in order.  ``TransferConfig`` refuses a ``sigma`` that is not
+    strictly increasing on each block, so a block's slots keep their order in the
+    target, every label reads back in ladder order, and no order is left to test.
     """
     _require_transfer_generic(desc, cfg)
-    positions = desc.shape._positions
-    orders = [[] for _ in desc.segments]  # each block's slots, in target order
-    for u in cfg.sigma_inverse:
-        i, j = positions[u]
-        orders[i].append(j)
-    return all(
-        order == sorted(order) or all(seg.d == 1 for seg in block)
-        for block, order in zip(desc.segments, orders)
-    )
+    return True
 
 
 def refinement_count_inequality(

@@ -169,7 +169,8 @@ class TransferConfig(FrozenValue):
     """A transfer datum: source blocks, slot permutation, half-integer alpha, twist symbol.
 
     ``sigma`` maps flat source positions to target positions (0-based) and must
-    be strictly increasing on each source block.  ``alpha`` is the archimedean
+    be strictly increasing on each source block; the permutation check inverts it
+    and keeps the inverse as ``sigma_inverse``.  ``alpha`` is the archimedean
     half-integer entering the weight shifts; values outside ``Z + 1/2`` are
     accepted and flagged per-operation when they make a shift non-integral.
     ``mu`` names the unramified twist symbol.  Place tags are not part of the
@@ -189,7 +190,11 @@ class TransferConfig(FrozenValue):
             source = GroupShape(tuple(source))
         sigma = _integers(sigma, "sigma entries")
         n = source.n
-        if len(sigma) != n or sorted(sigma) != list(range(n)):
+        try:
+            inverse = invert_permutation(sigma)
+        except InvalidSigma:
+            inverse = ()
+        if len(inverse) != n:
             raise InvalidSigma(f"sigma must be a permutation of 0..{n - 1}, got {sigma}")
         for i, (m, offset) in enumerate(zip(source.blocks, source.offsets)):
             images = list(sigma[offset : offset + m])
@@ -202,6 +207,7 @@ class TransferConfig(FrozenValue):
             raise ValueError(f"mu must be a fresh symbol name, got {mu!r}")
         _set(self, "source", source)
         _set(self, "sigma", sigma)
+        _set(self, "sigma_inverse", inverse)
         _set(self, "alpha", Fraction(two_alpha, 2))
         _set(self, "mu", mu)
 
@@ -212,10 +218,6 @@ class TransferConfig(FrozenValue):
     @cached_property
     def target(self) -> GroupShape:
         return GroupShape((self.n,))
-
-    @cached_property
-    def sigma_inverse(self) -> tuple[int, ...]:
-        return invert_permutation(self.sigma)
 
     def twist_exponent(self, i: int) -> int:
         """1 when ``n - n_i`` is odd (the twist symbol appears), else 0."""
@@ -327,11 +329,10 @@ class TransferConfig(FrozenValue):
         return shift_check, sides, CheckResult("modulus-duality", not residuals, tuple(residuals))
 
 
-def _require_source(data, cfg: TransferConfig) -> None:
-    if data.shape != cfg.source:
-        raise SizeMismatch(
-            f"data lives on shape {data.shape} but the config source is {cfg.source}"
-        )
+def _require_source(noun: str, shape: GroupShape, cfg: TransferConfig) -> None:
+    """The one check that data on ``shape`` lives on the config's source."""
+    if shape != cfg.source:
+        raise SizeMismatch(f"{noun} on {shape} does not match config source {cfg.source}")
 
 
 def iota_sigma_pullback(chi: UnramifiedCharacter, sigma: Sequence[int]) -> UnramifiedCharacter:
@@ -358,7 +359,7 @@ def _affine_pullback(
 
 def refinement_pullback(chi: UnramifiedCharacter, cfg: TransferConfig) -> UnramifiedCharacter:
     """Target value at ``p`` is ``M^[n - n_i odd] * chi(e_u)`` for ``u = sigma^-1(p)``."""
-    _require_source(chi, cfg)
+    _require_source("character", chi.shape, cfg)
     return _affine_pullback(chi, cfg, cfg._slot_twists)
 
 
@@ -372,7 +373,7 @@ def refinement_pullback_normalized(
     at ``p``; equivalently the plain transfer of ``chi * delta_source^(1/2)``
     times ``delta_target^(-1/2)``.
     """
-    _require_source(chi, cfg)
+    _require_source("character", chi.shape, cfg)
     return _affine_pullback(chi, cfg, cfg._normalized_multipliers)
 
 
@@ -394,7 +395,7 @@ def weight_pullback(weight: AlgebraicWeight, cfg: TransferConfig) -> AlgebraicWe
     moves with ``sigma``; this is the convention under which the archimedean
     recipe is reproduced whenever it can be.
     """
-    _require_source(weight, cfg)
+    _require_source("weight", weight.shape, cfg)
     exps = tuple(s + weight.exps[u] for s, u in zip(weight_shift(cfg), cfg.sigma_inverse))
     return AlgebraicWeight(cfg.target, exps)
 
@@ -403,7 +404,7 @@ def weight_character_pullback(
     chi: UnramifiedCharacter, cfg: TransferConfig
 ) -> UnramifiedCharacter:
     """Character form of the weight map: value at ``p`` is ``W^shift[p] * chi(e_u)``."""
-    _require_source(chi, cfg)
+    _require_source("character", chi.shape, cfg)
     return _affine_pullback(chi, cfg, cfg._shift_monomials)
 
 
@@ -419,7 +420,7 @@ def atkin_lehner_pullback(
     multipliers = (
         cfg._atkin_lehner_multipliers if normalized else cfg._atkin_lehner_plain_multipliers
     )
-    _require_source(chi, cfg)
+    _require_source("character", chi.shape, cfg)
     return _affine_pullback(chi, cfg, multipliers)
 
 
@@ -478,9 +479,8 @@ def _factorization_residuals(ratios: tuple[Monomial, ...]) -> tuple[str, ...]:
     """The non-trivial values of the slot-ratio character at the generators of ``GL_n``,
     in :func:`dominant_generators` order: the ``n`` prefix products, then the
     inverse of the full product at the negated full vector."""
-    n = len(ratios)
     prefixes = list(accumulate(ratios, mul))
-    gens = [(1,) * j + (0,) * (n - j) for j in range(1, n + 1)] + [(-1,) * n]
+    gens = [gen.exps for gen in dominant_generators(GroupShape((len(ratios),)))]
     values = prefixes + [prefixes[-1].inverse()]
     return tuple(f"t={t}: {v.text()}" for t, v in zip(gens, values) if not v.is_one())
 

@@ -309,3 +309,27 @@ def test_monomial_operators_take_no_bool():
                 operate()
     with pytest.raises(ValueError, match="got True"):
         LaurentPoly.variable((2,), 0) * True
+
+
+def test_mixed_operands_follow_the_operator_protocol():
+    """An operand of another type gives ``NotImplemented``, so Python raises
+    ``TypeError`` or compares unequal; a zero scalar is no monomial coefficient."""
+    poly = LaurentPoly.variable((2,), 0)
+    shape = GroupShape((2,))
+    v = CocharVector(shape, (1, 0))
+    chi = UnramifiedCharacter.trivial(shape)
+    for operate in (
+        lambda: poly + 1,
+        lambda: poly - 1,
+        lambda: poly * 1.5,
+        lambda: v + 1,
+        lambda: chi * 1,
+    ):
+        with pytest.raises(TypeError):
+            operate()
+    assert poly.__eq__(1) is NotImplemented and poly != 1 and not poly == "x0"
+    for zero in (0, Fraction(0)):
+        for operate in (lambda: symbol("a") * zero, lambda: zero * symbol("a")):
+            with pytest.raises(ValueError) as err:
+                operate()
+            assert str(err.value) == "monomial coefficients are nonzero"

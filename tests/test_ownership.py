@@ -10,6 +10,10 @@ through the unvalidated constructor or the coefficient canonicaliser.
 ``monomial`` also states the exactness rule of the library boundary, in
 ``_integers``, ``_positive`` and ``_exact``; no other module defines them or
 converts a number with the builtin ``int``.
+
+``transfer`` owns the check that data lives on a config's source shape, in
+``_require_source``; no other module compares a shape with ``cfg.source`` to
+raise ``SizeMismatch``.
 """
 
 import ast
@@ -67,3 +71,43 @@ def test_only_monomial_states_the_exactness_rule():
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "int"
     )
     assert int_calls == []
+
+
+def _reads_config_source(test):
+    return any(
+        isinstance(part, ast.Attribute)
+        and part.attr == "source"
+        and isinstance(part.value, ast.Name)
+        and part.value.id == "cfg"
+        for part in ast.walk(test)
+    )
+
+
+def _raises_size_mismatch(node):
+    return any(
+        isinstance(part, ast.Raise)
+        and isinstance(part.exc, ast.Call)
+        and isinstance(part.exc.func, ast.Name)
+        and part.exc.func.id == "SizeMismatch"
+        for part in ast.walk(node)
+    )
+
+
+def test_only_transfer_checks_the_config_source():
+    definitions = sorted(
+        name
+        for name, tree in _trees()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == "_require_source"
+    )
+    assert definitions == ["transfer.py"]
+    checks = sorted(
+        (name, node.lineno)
+        for name, tree in _trees()
+        if name != "transfer.py"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.If)
+        and _reads_config_source(node.test)
+        and _raises_size_mismatch(node)
+    )
+    assert checks == []

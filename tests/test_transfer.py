@@ -20,12 +20,15 @@ from eigentransfer.errors import (
 )
 from eigentransfer.laurent import LaurentPoly, elementary_symmetric
 from eigentransfer.monomial import Monomial, ONE, symbol
+from eigentransfer.points import ClassicalPoint, transfer_point
 from eigentransfer.refinements import (
     LocalRepDescriptor,
     Segment,
     accessible_transfer_check,
     enumerate_refinements,
     is_accessible,
+    refinement_count_inequality,
+    transferred_descriptor,
 )
 from eigentransfer.tori import (
     AlgebraicWeight,
@@ -357,6 +360,31 @@ def test_pullback_error_order():
     ):
         with pytest.raises(SizeMismatch):
             pullback(wrong, cfg)
+
+
+def test_source_shape_texts():
+    """Every map that takes data on the config's source refuses another shape
+    through ``transfer._require_source``, with one text naming what it was given."""
+    cfg = config((1, 2))
+    wrong = GroupShape((3,))
+    chi = UnramifiedCharacter.trivial(wrong)
+    weight = AlgebraicWeight(wrong, (0, 0, 0))
+    desc = LocalRepDescriptor(wrong, ((Segment(symbol("g"), 3),),))
+    calls = [
+        (refinement_pullback, chi, "character"),
+        (refinement_pullback_normalized, chi, "character"),
+        (weight_character_pullback, chi, "character"),
+        (atkin_lehner_pullback, chi, "character"),
+        (weight_pullback, weight, "weight"),
+        (transfer_point, ClassicalPoint(weight, (), ()), "point"),
+        (transferred_descriptor, desc, "descriptor"),
+        (accessible_transfer_check, desc, "descriptor"),
+        (refinement_count_inequality, desc, "descriptor"),
+    ]
+    for fn, data, noun in calls:
+        with pytest.raises(SizeMismatch) as err:
+            fn(data, cfg)
+        assert str(err.value) == f"{noun} on (3) does not match config source (1,2)", fn
 
 
 def test_weight_map_check():
@@ -994,9 +1022,10 @@ def _seed_refinement(chi, cfg, normalized):
 
 def test_cached_config_data_matches_seed_formulas():
     """Every config with n <= 5, integral and non-integral shifts: cached data against
-    formulas.  The twist symbol sorts before ``W`` (``M``), between ``W`` and ``q``
-    (``mu``) and after ``q`` (``z``), since the multipliers are built pre-sorted; the
-    last two run with one alpha of integral shifts and one of non-integral shifts."""
+    formulas, and the inverse of ``sigma`` stored by the constructor.  The twist symbol
+    sorts before ``W`` (``M``), between ``W`` and ``q`` (``mu``) and after ``q`` (``z``),
+    since the multipliers are built pre-sorted; the last two run with one alpha of
+    integral shifts and one of non-integral shifts."""
     alphas = [Fraction(a, 2) for a in (-3, -1, 1, 3)] + [Fraction(0), Fraction(1)]
     twists = [(alpha, "M") for alpha in alphas]
     twists += [(alpha, mu) for mu in ("mu", "z") for alpha in (HALF, Fraction(1))]
@@ -1009,6 +1038,9 @@ def test_cached_config_data_matches_seed_formulas():
             )
             for sigma, (alpha, mu) in product(block_order_preserving_permutations(shape), twists):
                 cfg = TransferConfig(source=shape, sigma=sigma, alpha=alpha, mu=mu)
+                # the permutation check inverts sigma, so the inverse is held from the start
+                assert "sigma_inverse" in vars(cfg)
+                assert cfg.sigma_inverse == invert_permutation(sigma)
                 for i, m in enumerate(blocks):
                     assert cfg.twist_monomial(i) == Monomial(1, {mu: (n - m) % 2})
                 plain = tuple(_seed_refinement(chi, cfg, False))

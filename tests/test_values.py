@@ -318,6 +318,28 @@ ERRORS = [
     (invert_permutation, ((1, 1),), "not a permutation of 0..1: (1, 1)"),
     (invert_permutation, ((-1, 0),), "not a permutation of 0..1: (-1, 0)"),
     (invert_permutation, ((True, 0),), "permutation entries must be integers, got True"),
+    # a sigma that is not a permutation: too short, too long, out of range, repeated
+    (TransferConfig, (SHAPE, (0, 1), HALF), "sigma must be a permutation of 0..2, got (0, 1)"),
+    (
+        TransferConfig,
+        (SHAPE, (0, 1, 2, 3), HALF),
+        "sigma must be a permutation of 0..2, got (0, 1, 2, 3)",
+    ),
+    (
+        TransferConfig,
+        (SHAPE, (0, 1, 3), HALF),
+        "sigma must be a permutation of 0..2, got (0, 1, 3)",
+    ),
+    (
+        TransferConfig,
+        (SHAPE, (-1, 0, 1), HALF),
+        "sigma must be a permutation of 0..2, got (-1, 0, 1)",
+    ),
+    (
+        TransferConfig,
+        ((2, 2), (0, 1, 1, 3), HALF),
+        "sigma must be a permutation of 0..3, got (0, 1, 1, 3)",
+    ),
 ]
 
 

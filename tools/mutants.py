@@ -57,20 +57,6 @@ MUTANTS = [
         ["tests/test_refinements.py::test_ladder_sweep_genericity_matches_oracle_on_explicit_cases"],
     ),
     (
-        "direct order test ignoring the order of a block's slots",
-        REFINEMENTS,
-        "order == sorted(order)",
-        "True",
-        ["tests/test_refinements.py::test_accessible_transfer_check_matches_walk_on_every_order"],
-    ),
-    (
-        "direct order test passing a block when any segment has length 1",
-        REFINEMENTS,
-        "all(seg.d == 1 for seg in block)",
-        "any(seg.d == 1 for seg in block)",
-        ["tests/test_refinements.py::test_accessible_transfer_check_matches_walk_on_every_order"],
-    ),
-    (
         "transferred ladder sweep dropping the twist entry",
         REFINEMENTS,
         "ladders.append(((coeff, _times(rest, mu, twist), parity), lo, hi))",
@@ -79,13 +65,6 @@ MUTANTS = [
             "tests/test_refinements.py::"
             "test_twist_cancelling_a_gamma_symbol_reaches_the_untwisted_ladder"
         ],
-    ),
-    (
-        "transferred labels read through sigma instead of sigma^-1",
-        REFINEMENTS,
-        "for u in cfg.sigma_inverse:",
-        "for u in cfg.sigma:",
-        ["tests/test_refinements.py::test_accessible_transfer_check_builds_instead_of_filtering"],
     ),
     (
         "target count over the block sizes instead of the segment lengths",
@@ -126,13 +105,27 @@ MUTANTS = [
         ["tests/test_transfer.py::test_archimedean_transfer_anchors"],
     ),
     (
+        "sigma of the wrong length accepted when it is a permutation",
+        TRANSFER,
+        "if len(inverse) != n:",
+        "if not inverse:",
+        ["tests/test_values.py::test_constructor_errors"],
+    ),
+    (
+        "source-shape check comparing only the rank",
+        TRANSFER,
+        "if shape != cfg.source:",
+        "if shape.n != cfg.source.n:",
+        ["tests/test_transfer.py::test_source_shape_texts"],
+    ),
+    (
         "atkin_lehner_pullback checking the shape before reading the shifts",
         TRANSFER,
         "    multipliers = (\n"
         "        cfg._atkin_lehner_multipliers if normalized else cfg._atkin_lehner_plain_multipliers\n"
         "    )\n"
-        "    _require_source(chi, cfg)\n",
-        "    _require_source(chi, cfg)\n"
+        '    _require_source("character", chi.shape, cfg)\n',
+        '    _require_source("character", chi.shape, cfg)\n'
         "    multipliers = (\n"
         "        cfg._atkin_lehner_multipliers if normalized else cfg._atkin_lehner_plain_multipliers\n"
         "    )\n",
@@ -410,8 +403,8 @@ MUTANTS = [
     (
         "Atkin-Lehner prefix residual labelled one generator early",
         TRANSFER,
-        "for j in range(1, n + 1)]",
-        "for j in range(n)]",
+        "for j in range(1, shape.blocks[i] + 1):",
+        "for j in range(shape.blocks[i]):",
         ["tests/test_transfer.py::test_factorization_residuals_read_prefix_products"],
     ),
     (
