@@ -2,7 +2,10 @@
 
 A :class:`GroupShape` records the block sizes ``(n_1, ..., n_r)`` of a product
 of general linear groups; positions are flattened to ``0..n-1`` with block
-``i`` occupying ``offsets[i] .. offsets[i]+n_i-1``.  Unramified characters of
+``i`` occupying ``offsets[i] .. offsets[i]+n_i-1``.  Shapes are interned, one
+object per block tuple, so the torus data that depends on the shape alone
+(offsets, the half-modulus values, the dominant generators) is built once per
+process, and shapes are compared by identity.  Unramified characters of
 the diagonal torus are stored through their values on the basis cocharacters
 ``e_p`` (the coordinate maps ``x -> diag(1,..,x,..,1)`` evaluated at the
 uniformizer), which are exact monomial values.  Algebraic weights are integer
@@ -32,17 +35,34 @@ __all__ = [
     "weight_as_character",
 ]
 
+# every shape made so far, by its blocks; see GroupShape
+_SHAPES: dict[tuple[int, ...], GroupShape] = {}
+
 
 class GroupShape(FrozenValue):
-    """Ordered block sizes of a product of general linear groups."""
+    """Ordered block sizes of a product of general linear groups.
+
+    Shapes are interned: equal block tuples give one object, so the tables a
+    shape caches are built once per process, and shapes compare by identity
+    where the library checks them.  The blocks pass the exactness rule before
+    the lookup, since ``(True, 2)`` and ``(1.0, 2)`` hash and compare equal to
+    ``(1, 2)``.  The table keeps every shape it makes and evicts none: a process
+    sees few shapes (one CLI job one or two, the ``n <= 5`` family 31).
+    """
 
     _fields = ("blocks",)
 
-    def __init__(self, blocks: Iterable[int]) -> None:
+    def __new__(cls, blocks: Iterable[int]) -> "GroupShape":
         blocks = _integers(blocks, "group shape blocks")
-        if not blocks or any(b < 1 for b in blocks):
-            raise ValueError("a group shape needs at least one block, all of positive size")
-        _set(self, "blocks", blocks)
+        shape = _SHAPES.get(blocks)
+        if shape is None:
+            if not blocks or any(b < 1 for b in blocks):
+                raise ValueError("a group shape needs at least one block, all of positive size")
+            shape = object.__new__(cls)
+            _set(shape, "blocks", blocks)
+            # of two threads that build one shape, both keep the one stored first
+            shape = _SHAPES.setdefault(blocks, shape)
+        return shape
 
     @property
     def n(self) -> int:
@@ -79,8 +99,8 @@ class GroupShape(FrozenValue):
     def _modulus_half_values(self) -> tuple[tuple[Monomial, ...], tuple[Monomial, ...]]:
         """Values of the half modulus and of its inverse, shared by :func:`modulus_half`.
 
-        Only values are cached: a cached character would point back at the
-        shape, and the cycle would leave every shape to the cyclic collector.
+        Only values are cached: :func:`modulus_half` returns a fresh character on
+        every call, one unvalidated ``_new`` over one of these tuples.
         """
         doubled = self._modulus_half_doubled
         return tuple(
@@ -112,7 +132,7 @@ class GroupShape(FrozenValue):
 
 
 def _check_shape(a, b) -> None:
-    if a.shape != b.shape:
+    if a.shape is not b.shape:
         raise ShapeMismatch(f"shapes differ: {a.shape} vs {b.shape}")
 
 

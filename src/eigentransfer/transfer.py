@@ -25,7 +25,7 @@ character maps are affine: the value at target slot ``p`` is
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import accumulate, combinations
 from operator import mul
 from typing import Iterable, Iterator, Sequence
@@ -144,11 +144,13 @@ def _block_order_preserving(
             yield chosen + tail
 
 
+@cache
 def dominant_generators(shape: GroupShape) -> tuple[CocharVector, ...]:
     """Monoid generators of the antidominant-ordered cocharacters.
 
     Per block: the partial indicator vectors (1,..,1,0,..,0) of each length,
-    plus the negated full-block vector.
+    plus the negated full-block vector.  Built once per shape, like the
+    shape's own tables: shapes are interned, so the cache holds one entry each.
     """
     gens = []
     for i in range(shape.r):
@@ -331,7 +333,7 @@ class TransferConfig(FrozenValue):
 
 def _require_source(noun: str, shape: GroupShape, cfg: TransferConfig) -> None:
     """The one check that data on ``shape`` lives on the config's source."""
-    if shape != cfg.source:
+    if shape is not cfg.source:
         raise SizeMismatch(f"{noun} on {shape} does not match config source {cfg.source}")
 
 

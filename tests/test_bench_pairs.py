@@ -102,3 +102,49 @@ def test_refusals(tmp_path, capsys):
     assert bench_pairs.main(argv) == 2
     assert existing.read_text() == "{}"
     assert "exists" in capsys.readouterr().err
+
+
+def _tier1_log(path, passed, seconds, slowest):
+    path.write_text(
+        f"{slowest:.2f}s call     tests/test_acceptance.py::test_criterion_8_homomorphism_laws\n"
+        f"=== {passed} passed in {seconds:.2f}s ===\n"
+    )
+    return path
+
+
+def test_tier1_takes_alternated_logs_per_side(tmp_path, monkeypatch):
+    checkouts = _checkouts(tmp_path)
+    commits = {"parent": "a" * 40, "change": "b" * 40}
+    # parent, change, parent, change, parent, change
+    times = [(60.0, 7.0), (55.0, 6.0), (64.0, 8.0), (54.0, 6.5), (61.0, 7.5), (58.0, 5.0)]
+    logs = [
+        _tier1_log(tmp_path / f"tier1-{k}.log", 700, suite, slowest)
+        for k, (suite, slowest) in enumerate(times)
+    ]
+    result = bench_pairs.summarise(checkouts, commits, SEEDS, logs, "")
+    tier1 = result["tier1_durations_s"]
+    assert tier1["parent"] == {
+        "test_criterion_8_homomorphism_laws": 7.5, "suite_passed": 700, "suite_s": 61.0
+    }
+    assert tier1["change"]["test_criterion_8_homomorphism_laws"] == 6.0
+    assert tier1["suite_s"]["parent"] == {
+        "median": 61.0, "min": 60.0, "max": 64.0, "runs": [60.0, 64.0, 61.0]
+    }
+    assert tier1["suite_s"]["change"] == {
+        "median": 55.0, "min": 54.0, "max": 58.0, "runs": [55.0, 54.0, 58.0]
+    }
+    assert tier1["suite_s"]["change_vs_parent_median"] == pytest.approx(55 / 61 - 1)
+    assert "3 alternated log(s)" in tier1["about"]
+    with pytest.raises(bench_pairs.Refused, match="pairs of logs"):
+        bench_pairs.summarise(checkouts, commits, SEEDS, logs[:3], "")
+    logs[2] = _tier1_log(tmp_path / "short.log", 699, 50.0, 7.0)
+    with pytest.raises(bench_pairs.Refused, match="differ in passed count"):
+        bench_pairs.summarise(checkouts, commits, SEEDS, logs, "")
+    # the command line takes the logs as one list
+    monkeypatch.setattr(bench_pairs, "_commit", lambda checkout: "c" * 40)
+    out = tmp_path / "BENCH_2.json"
+    argv = [str(checkouts["parent"]), str(checkouts["change"]), str(out), "--seeds", *map(str, SEEDS)]
+    assert bench_pairs.main([*argv, "--tier1", *map(str, logs[:2] + logs[4:])]) == 0
+    assert json.loads(out.read_text())["tier1_durations_s"]["suite_s"]["parent"]["runs"] == [
+        60.0, 61.0
+    ]

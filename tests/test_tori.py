@@ -1,14 +1,22 @@
 """Tests for group shapes, torus characters, weights, and the modulus character."""
 
+import copy
+import json
+import os
+import pickle
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 
 from eigentransfer.errors import ShapeMismatch
 from eigentransfer.monomial import Monomial, ONE, symbol
 from eigentransfer.tori import (
+    _SHAPES,
     AlgebraicWeight,
     CocharVector,
     GroupShape,
@@ -16,6 +24,9 @@ from eigentransfer.tori import (
     modulus_half,
     weight_as_character,
 )
+from eigentransfer.transfer import dominant_generators
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def test_group_shape_basics():
@@ -52,6 +63,82 @@ def test_group_shape_validation():
         GroupShape((-1,))
     assert GroupShape((1,)) == GroupShape((1,))
     assert GroupShape((2, 1)) != GroupShape((1, 2))
+
+
+def test_equal_blocks_give_one_shape():
+    shape = GroupShape((2, 3))
+    assert GroupShape([2, 3]) is shape and GroupShape(iter((2, 3))) is shape
+    assert copy.copy(shape) is shape and copy.deepcopy(shape) is shape
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(shape, protocol)) is shape
+    assert _SHAPES[(2, 3)] is shape
+    # the tables hang off the one object, and so do the dominant generators
+    assert GroupShape((2, 3)).offsets is shape.offsets
+    assert dominant_generators(shape) is dominant_generators(GroupShape(list(shape.blocks)))
+
+
+def test_interned_blocks_do_not_admit_inexact_equals():
+    """``(True, 2)`` and ``(1.0, 2)`` hash and compare equal to ``(1, 2)``: the
+    exactness rule runs before the table is read, so an interned ``(1, 2)`` lets
+    none of them through, and a refused shape leaves no entry."""
+    for blocks in ((1, 2), (2,), (2, 1)):
+        GroupShape(blocks)
+    for blocks, bad in (
+        ((True, 2), "True"),
+        ((1.0, 2), "1.0"),
+        ((Fraction(2),), "Fraction(2, 1)"),
+        ((2, True), "True"),
+    ):
+        with pytest.raises(ValueError) as err:
+            GroupShape(blocks)
+        assert type(err.value) is ValueError
+        assert str(err.value) == f"group shape blocks must be integers, got {bad}"
+    for blocks in ((), (1, 0)):
+        with pytest.raises(ValueError) as err:
+            GroupShape(blocks)
+        assert str(err.value) == "a group shape needs at least one block, all of positive size"
+        assert blocks not in _SHAPES
+
+
+def test_family_run_interns_one_shape_per_block_tuple():
+    """A fresh process that builds all 2,532 configs of the n <= 5 family and runs
+    both verifier calls and both half moduli on each holds exactly its 31 shapes."""
+    script = """
+import json
+from eigentransfer.tori import _SHAPES, GroupShape, modulus_half
+from eigentransfer.transfer import (
+    TransferConfig, block_order_preserving_permutations, verify_transfer_compatibility)
+
+def compositions(n):
+    if n == 0:
+        yield ()
+        return
+    for head in range(1, n + 1):
+        for tail in compositions(n - head):
+            yield (head,) + tail
+
+configs = 0
+for n in range(1, 6):
+    for blocks in compositions(n):
+        for sigma in block_order_preserving_permutations(GroupShape(blocks)):
+            for alpha in ("1/2", "-1/2", "3/2", "-3/2"):
+                cfg = TransferConfig(blocks, sigma, alpha)
+                verify_transfer_compatibility(cfg)
+                verify_transfer_compatibility(cfg, drop_normalization=True)
+                modulus_half(cfg.source, 1)
+                modulus_half(cfg.target, -1)
+                configs += 1
+print(json.dumps([configs, sorted(_SHAPES)]))
+"""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
+    )
+    configs, shapes = json.loads(proc.stdout)
+    assert configs == 2532
+    family = sorted(list(b) for n in range(1, 6) for b in _compositions(n))
+    assert len(shapes) <= 31 and shapes == family
 
 
 def test_cochar_vector():

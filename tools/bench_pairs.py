@@ -1,7 +1,7 @@
 """Summarise paired benchmark runs of a parent and a change into one ``BENCH_<n>.json``.
 
     python3 tools/bench_pairs.py PARENT_CHECKOUT CHANGE_CHECKOUT BENCH_10.json \\
-        --seeds 9101 9102 ... [--tier1 PARENT_LOG CHANGE_LOG] [--note TEXT]
+        --seeds 9101 9102 ... [--tier1 PARENT_LOG CHANGE_LOG ...] [--note TEXT]
 
 Each checkout must hold, for every seed and every workload that
 ``BENCHMARK.json`` lists, the record ``bench/out/<workload>-seed<seed>-trace0.json``
@@ -12,12 +12,16 @@ metric the output holds both sides' median, quartiles
 relative median difference, and ``wins``: the pairs in which the change is
 better in the metric's direction.  It also records the failed and attempted
 op counts per run, which side ran first in each pair (by record mtime), the
-environment and both commits.  ``--tier1`` adds the slowest tests and the
-suite total parsed from one ``pytest --durations`` log per side.
+environment and both commits.  ``--tier1`` takes ``pytest --durations`` logs
+of the Tier-1 command as pairs, parent log then change log, one pair per
+alternated run; it adds each side's median time of the slowest tests, its
+passed count and the suite's median, range and every run, and the change's
+relative median difference.
 
 Refused, with exit code 2: an existing output file (records are never
-overwritten), a missing record, a traced record, or records whose
-interpreter, platform or run length differ.  Stdlib only.
+overwritten), a missing record, a traced record, records whose
+interpreter, platform or run length differ, an odd number of Tier-1 logs, or
+Tier-1 logs of one side with different passed counts.  Stdlib only.
 """
 
 from __future__ import annotations
@@ -64,27 +68,44 @@ def _spread(runs: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "runs": runs}
 
 
-def _tier1(log: Path) -> dict:
+def _tier1_log(log: Path) -> tuple[dict[str, float], int, float]:
+    """The listed test durations, the passed count and the suite time of one log."""
     text = log.read_text()
-    out: dict = {}
+    durations = {}
     for line in text.splitlines():
         match = _DURATION.match(line)
         if match:
-            out[match.group(2)] = float(match.group(1))
+            durations[match.group(2)] = float(match.group(1))
     summary = _SUMMARY.findall(text)
     if not summary:
         raise Refused(f"{log} has no pytest summary line")
     passed, seconds = summary[-1]
-    out["suite_passed"] = int(passed)
-    out["suite_s"] = float(seconds)
-    return out
+    return durations, int(passed), float(seconds)
+
+
+def _tier1(logs: list[Path]) -> tuple[dict, dict]:
+    """One side's Tier-1 logs: the median of each listed test over the logs that
+    list it, the passed count and the suite's median seconds; then the suite's
+    median, range and every run."""
+    parsed = [_tier1_log(log) for log in logs]
+    if len({passed for _, passed, _ in parsed}) != 1:
+        raise Refused(f"the Tier-1 logs {', '.join(map(str, logs))} differ in passed count")
+    tests: dict[str, list[float]] = {}
+    for durations, _, _ in parsed:
+        for name, seconds in durations.items():
+            tests.setdefault(name, []).append(seconds)
+    out: dict = {name: statistics.median(runs) for name, runs in tests.items()}
+    runs = [seconds for _, _, seconds in parsed]
+    out["suite_passed"] = parsed[0][1]
+    out["suite_s"] = statistics.median(runs)
+    return out, {"median": out["suite_s"], "min": min(runs), "max": max(runs), "runs": runs}
 
 
 def summarise(
     checkouts: dict[str, Path],
     commits: dict[str, str],
     seeds: list[int],
-    tier1: tuple[Path, Path] | None,
+    tier1: list[Path] | None,
     note: str,
 ) -> dict:
     """The ``BENCH_<n>.json`` object for the records under ``checkouts[side]/bench/out``."""
@@ -145,9 +166,21 @@ def summarise(
         "workloads": out_workloads,
     }
     if tier1:
+        if len(tier1) % 2:
+            raise Refused("--tier1 takes pairs of logs, parent then change")
+        logs = {side: [Path(log) for log in tier1[k::2]] for k, side in enumerate(SIDES)}
+        tests, suite = zip(*(_tier1(logs[side]) for side in SIDES))
         result["tier1_durations_s"] = {
-            "about": "pytest --durations of the Tier-1 command, one log per side.",
-            **{side: _tier1(Path(log)) for side, log in zip(SIDES, tier1)},
+            "about": (
+                "pytest --durations of the Tier-1 command: per side, the median of each "
+                f"listed test over {len(logs['parent'])} alternated log(s); suite_s holds "
+                "each side's median, range and runs."
+            ),
+            **dict(zip(SIDES, tests)),
+            "suite_s": {
+                **dict(zip(SIDES, suite)),
+                "change_vs_parent_median": suite[1]["median"] / suite[0]["median"] - 1,
+            },
         }
     return result
 
@@ -160,7 +193,12 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("change", type=Path, help="checkout of the change")
     parser.add_argument("out", type=Path, help="BENCH_<n>.json to write; must not exist")
     parser.add_argument("--seeds", type=int, nargs="+", required=True)
-    parser.add_argument("--tier1", nargs=2, metavar=("PARENT_LOG", "CHANGE_LOG"))
+    parser.add_argument(
+        "--tier1",
+        nargs="+",
+        metavar="LOG",
+        help="pytest --durations logs in alternated pairs: PARENT_LOG CHANGE_LOG ...",
+    )
     parser.add_argument("--note", default="", help="text appended to the about field")
     args = parser.parse_args(argv)
     try:

@@ -114,9 +114,34 @@ MUTANTS = [
     (
         "source-shape check comparing only the rank",
         TRANSFER,
-        "if shape != cfg.source:",
+        "if shape is not cfg.source:",
         "if shape.n != cfg.source.n:",
         ["tests/test_transfer.py::test_source_shape_texts"],
+    ),
+    (
+        "source-shape check refusing the config's own source",
+        TRANSFER,
+        "if shape is not cfg.source:",
+        "if shape is cfg.source:",
+        ["tests/test_transfer.py::test_source_shape_texts"],
+    ),
+    (
+        "shapes not interned: each call builds a new object",
+        TORI,
+        "shape = _SHAPES.setdefault(blocks, shape)",
+        "shape = shape",
+        ["tests/test_tori.py::test_equal_blocks_give_one_shape"],
+    ),
+    (
+        "shape table read before the exactness rule",
+        TORI,
+        '        blocks = _integers(blocks, "group shape blocks")\n'
+        "        shape = _SHAPES.get(blocks)\n"
+        "        if shape is None:\n",
+        "        shape = _SHAPES.get(blocks)\n"
+        "        if shape is None:\n"
+        '            blocks = _integers(blocks, "group shape blocks")\n',
+        ["tests/test_tori.py::test_interned_blocks_do_not_admit_inexact_equals"],
     ),
     (
         "atkin_lehner_pullback checking the shape before reading the shifts",
