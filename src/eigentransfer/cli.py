@@ -16,8 +16,6 @@ from __future__ import annotations
 
 import json
 import sys
-from pathlib import Path
-from typing import Any
 
 try:  # the built-in SHA-256, the one ``hashlib`` falls back to, without loading OpenSSL
     from _sha2 import sha256  # Python 3.12+
@@ -58,9 +56,11 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
         job, pretty = args.job, args.pretty
 
-    report: dict[str, Any] = {"schema_version": SCHEMA_VERSION}
+    report: dict[str, object] = {"schema_version": SCHEMA_VERSION}
     try:
         if job:
+            from pathlib import Path  # only a job file needs it
+
             try:
                 raw = Path(job).read_bytes()
             except OSError as err:

@@ -21,8 +21,8 @@ one that checks the JSON job or knows a command.
 from __future__ import annotations
 
 import json
+from collections.abc import Callable, Container
 from fractions import Fraction
-from typing import Any, Callable, Container, TypeVar
 
 from .errors import SchemaError
 from .monomial import Monomial, SymbolValue, _rational, valid_symbol
@@ -81,35 +81,31 @@ __all__ = [
 
 SCHEMA_VERSION = "1"
 
-_T = TypeVar("_T")
-_Decode = Callable[[Any, str], _T]  # decodes one JSON value found at a location
-
-
-def _object(obj: Any, where: str) -> dict:
+def _object(obj: object, where: str) -> dict:
     if not isinstance(obj, dict):
         raise SchemaError(f"{where}: expected an object")
     return obj
 
 
-def _array(obj: Any, where: str) -> list:
+def _array(obj: object, where: str) -> list:
     if not isinstance(obj, list):
         raise SchemaError(f"{where}: expected an array")
     return obj
 
 
-def _string(obj: Any, where: str) -> str:
+def _string(obj: object, where: str) -> str:
     if not isinstance(obj, str):
         raise SchemaError(f"{where}: expected a string")
     return obj
 
 
-def _integer(obj: Any, where: str) -> int:
+def _integer(obj: object, where: str) -> int:
     if isinstance(obj, bool) or not isinstance(obj, int):
         raise SchemaError(f"{where}: expected an integer")
     return obj
 
 
-def _located(where: str, make: Callable[..., _T], *args: Any) -> _T:
+def _located(where: str, make: Callable[..., object], *args: object) -> object:
     """``make(*args)``, with its ``ValueError`` relabeled as a ``SchemaError`` at ``where``."""
     try:
         return make(*args)
@@ -118,7 +114,7 @@ def _located(where: str, make: Callable[..., _T], *args: Any) -> _T:
 
 
 def _record(
-    obj: Any, where: str, required: tuple[str, ...], optional: Container[str] = ()
+    obj: object, where: str, required: tuple[str, ...], optional: Container[str] = ()
 ) -> dict:
     """An object with every key of ``required`` and no key outside ``required`` and ``optional``."""
     record = _object(obj, where)
@@ -131,12 +127,14 @@ def _record(
     return record
 
 
-def _each(obj: Any, where: str, decode: _Decode[_T]) -> list[_T]:
+def _each(obj: object, where: str, decode: Callable[[object, str], object]) -> list:
     """An array, each entry decoded in order by ``decode(entry, where[index])``."""
     return [decode(entry, f"{where}[{i}]") for i, entry in enumerate(_array(obj, where))]
 
 
-def _sized(obj: Any, count: int, noun: str, where: str, decode: _Decode[_T]) -> list[_T]:
+def _sized(
+    obj: object, count: int, noun: str, where: str, decode: Callable[[object, str], object]
+) -> list:
     """An array of exactly ``count`` entries, each decoded as by :func:`_each`."""
     entries = _array(obj, where)
     if len(entries) != count:
@@ -145,8 +143,8 @@ def _sized(obj: Any, count: int, noun: str, where: str, decode: _Decode[_T]) -> 
 
 
 def _by_block(
-    obj: Any, shape: GroupShape, noun: str, where: str, decode: _Decode[_T]
-) -> list[list[_T]]:
+    obj: object, shape: GroupShape, noun: str, where: str, decode: Callable[[object, str], object]
+) -> list[list]:
     """One array per block of ``shape``, each holding the block's size of decoded entries."""
     sizes = iter(shape.blocks)  # taken in block order, after the count of blocks is checked
     return _sized(
@@ -154,7 +152,7 @@ def _by_block(
     )
 
 
-def decode_rational(obj: Any, where: str) -> Fraction:
+def decode_rational(obj: object, where: str) -> Fraction:
     if isinstance(obj, bool):
         raise SchemaError(f"{where}: expected an integer or a rational string")
     if isinstance(obj, int):
@@ -172,11 +170,11 @@ def decode_rational(obj: Any, where: str) -> Fraction:
     )
 
 
-def decode_shape(obj: Any, where: str = "blocks") -> GroupShape:
+def decode_shape(obj: object, where: str = "blocks") -> GroupShape:
     return _located(where, GroupShape, tuple(_each(obj, where, _integer)))
 
 
-def _decode_sigma(obj: Any, n: int, where: str) -> tuple[int, ...]:
+def _decode_sigma(obj: object, n: int, where: str) -> tuple[int, ...]:
     entries = _each(obj, where, _integer)  # every entry is checked before the length
     if len(entries) != n:
         raise SchemaError(f"{where}: expected {n} entries, got {len(entries)}")
@@ -189,7 +187,7 @@ def encode_sigma(sigma: tuple[int, ...]) -> list[int]:
     return [p + 1 for p in sigma]
 
 
-def decode_config(obj: Any, where: str = "config") -> TransferConfig:
+def decode_config(obj: object, where: str = "config") -> TransferConfig:
     cfg = _record(obj, where, ("blocks", "sigma", "alpha"), ("mu",))
     shape = decode_shape(cfg["blocks"], f"{where}.blocks")
     sigma = _decode_sigma(cfg["sigma"], shape.n, f"{where}.sigma")
@@ -198,7 +196,7 @@ def decode_config(obj: Any, where: str = "config") -> TransferConfig:
     return _located(where, TransferConfig, shape, sigma, alpha, mu)
 
 
-def decode_weight(obj: Any, shape: GroupShape, where: str = "weight") -> AlgebraicWeight:
+def decode_weight(obj: object, shape: GroupShape, where: str = "weight") -> AlgebraicWeight:
     groups = _by_block(obj, shape, "entries", where, _integer)
     return AlgebraicWeight(shape, tuple(e for group in groups for e in group))
 
@@ -208,11 +206,11 @@ def encode_weight(weight: AlgebraicWeight) -> list[list[int]]:
     return [[weight.exps[p] for p in shape.block_range(i)] for i in range(shape.r)]
 
 
-def _decode_monomial(obj: Any, where: str) -> Monomial:
+def _decode_monomial(obj: object, where: str) -> Monomial:
     return _located(where, Monomial.parse, _string(obj, where))
 
 
-def decode_character(obj: Any, shape: GroupShape, where: str = "character") -> UnramifiedCharacter:
+def decode_character(obj: object, shape: GroupShape, where: str = "character") -> UnramifiedCharacter:
     values = _sized(obj, shape.n, "values", where, _decode_monomial)
     return UnramifiedCharacter(shape, tuple(values))
 
@@ -221,7 +219,7 @@ def encode_character(chi: UnramifiedCharacter) -> list[str]:
     return [value.text() for value in chi.values]
 
 
-def decode_assignment(obj: Any, where: str = "assignment") -> dict[str, SymbolValue]:
+def decode_assignment(obj: object, where: str = "assignment") -> dict[str, SymbolValue]:
     out: dict[str, SymbolValue] = {}
     for name, raw in _object(obj, where).items():
         if not valid_symbol(name):
@@ -234,13 +232,13 @@ def decode_assignment(obj: Any, where: str = "assignment") -> dict[str, SymbolVa
     return out
 
 
-def _decode_segment(obj: Any, where: str) -> Segment:
+def _decode_segment(obj: object, where: str) -> Segment:
     entry = _record(obj, where, ("gamma", "d"))
     gamma = _decode_monomial(entry["gamma"], f"{where}.gamma")
     return _located(where, Segment, gamma, _integer(entry["d"], f"{where}.d"))
 
 
-def decode_descriptor(obj: Any, where: str = "descriptor") -> LocalRepDescriptor:
+def decode_descriptor(obj: object, where: str = "descriptor") -> LocalRepDescriptor:
     desc = _record(obj, where, ("blocks",))
     segments = _each(
         desc["blocks"], f"{where}.blocks", lambda blk, at: tuple(_each(blk, at, _decode_segment))
@@ -249,7 +247,7 @@ def decode_descriptor(obj: Any, where: str = "descriptor") -> LocalRepDescriptor
     return _located(where, LocalRepDescriptor, shape, tuple(segments))
 
 
-def decode_point(obj: Any, shape: GroupShape, where: str = "point") -> ClassicalPoint:
+def decode_point(obj: object, shape: GroupShape, where: str = "point") -> ClassicalPoint:
     entry = _record(obj, where, ("weight",), ("up", "satake"))
     weight = decode_weight(entry["weight"], shape, f"{where}.weight")
     up = {}
@@ -273,11 +271,11 @@ def encode_point(point: ClassicalPoint) -> dict:
     }
 
 
-def decode_space(obj: Any, shape: GroupShape, where: str = "space") -> MockFormSpace:
+def decode_space(obj: object, shape: GroupShape, where: str = "space") -> MockFormSpace:
     entry = _record(obj, where, ("weight", "entries"))
     weight = decode_weight(entry["weight"], shape, f"{where}.weight")
 
-    def decode_entry(obj: Any, where: str) -> tuple[ClassicalPoint, int]:
+    def decode_entry(obj: object, where: str) -> tuple[ClassicalPoint, int]:
         item = _record(obj, where, ("point", "mult"))
         point = decode_point(item["point"], shape, f"{where}.point")
         return point, _integer(item["mult"], f"{where}.mult")
@@ -286,7 +284,7 @@ def decode_space(obj: Any, shape: GroupShape, where: str = "space") -> MockFormS
     return _located(where, MockFormSpace, weight, tuple(entries))
 
 
-def _decode_factor(obj: Any, where: str) -> HeckeFactor:
+def _decode_factor(obj: object, where: str) -> HeckeFactor:
     # only the type first (any other key may follow), then the keys of that type
     kind = _string(_record(obj, where, ("type",), obj)["type"], f"{where}.type")
     if kind == "atkin-lehner":
@@ -301,13 +299,13 @@ def _decode_factor(obj: Any, where: str) -> HeckeFactor:
     raise SchemaError(f"{where}.type: expected 'atkin-lehner' or 'spherical', got {kind!r}")
 
 
-def decode_factors(obj: Any, where: str = "generator") -> tuple[HeckeFactor, ...]:
+def decode_factors(obj: object, where: str = "generator") -> tuple[HeckeFactor, ...]:
     if not _array(obj, where):
         raise SchemaError(f"{where}: a generator product needs at least one factor")
     return tuple(_each(obj, where, _decode_factor))
 
 
-def _non_empty(obj: Any, where: str) -> list:
+def _non_empty(obj: object, where: str) -> list:
     if not isinstance(obj, list) or not obj:
         raise SchemaError(f"{where}: expected a non-empty array")
     return obj
@@ -442,7 +440,7 @@ def _check_interpolation(payload: dict) -> dict:
     constant = _decode_constant(payload)
     points = [point for space in (source_space, target_space) for point, _ in space.entries]
 
-    def decode_generator(obj: Any, where: str) -> tuple[HeckeFactor, ...]:
+    def decode_generator(obj: object, where: str) -> tuple[HeckeFactor, ...]:
         # every factor must act on the target shape and on each point of both spaces
         factors = decode_factors(obj, where)
         _each(list(factors), where, lambda f, at: _located(at, f._check, cfg.target, points))
@@ -481,7 +479,7 @@ _COMMANDS: dict[str, Callable[[dict], dict]] = {
 }
 
 
-def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
     """``object_pairs_hook`` that refuses a key repeated within one JSON object."""
     obj = {}
     for key, value in pairs:

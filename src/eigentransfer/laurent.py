@@ -1,26 +1,29 @@
 """Laurent polynomials in block-partitioned variables over monomial coefficients.
 
 The variable set is a disjoint union of blocks (sizes ``blocks``), flattened to
-indices ``0..n-1``.  A term is indexed by its integer exponent vector together
-with the symbol part of its coefficient, with the rational part stored
-separately; this keeps the ring closed under addition while individual
-coefficients remain exact :class:`~eigentransfer.monomial.Monomial` values
-whenever they are single monomials.
+indices ``0..n-1``; a polynomial holds the interned
+:class:`~eigentransfer.tori.GroupShape` of its blocks, which checks them and
+owns every table derived from them.  A term is indexed by its integer exponent
+vector together with the symbol part of its coefficient, with the rational
+part stored separately; this keeps the ring closed under addition while
+individual coefficients remain exact :class:`~eigentransfer.monomial.Monomial`
+values whenever they are single monomials.
 
 Block symmetry means invariance under every permutation of variables inside
 each block; it is checked on adjacent transpositions, which generate the full
-symmetric group of each block, by looking up each term's swapped partner in
-the term table.
+symmetric group of each block (the shape's in-block neighbour pairs), by
+looking up each term's swapped partner in the term table.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Mapping, Sequence
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import BlockMismatch
 from .monomial import Monomial, Rational, _integers, _merge, _new
+from .tori import GroupShape
 
 __all__ = ["LaurentPoly", "elementary_symmetric"]
 
@@ -31,37 +34,35 @@ _Key = tuple[tuple[int, ...], tuple[tuple[str, int], ...]]
 class LaurentPoly:
     """Exact Laurent polynomial attached to a block partition of its variables."""
 
-    __slots__ = ("_blocks", "_terms")
+    __slots__ = ("_shape", "_terms")
 
     def __init__(self, blocks: Sequence[int], terms: Mapping[tuple[int, ...], Monomial] | None = None):
-        blocks = _integers(blocks, "blocks")
-        if not blocks or any(b < 1 for b in blocks):
-            raise ValueError("blocks must be a nonempty tuple of positive sizes")
+        shape = GroupShape(blocks)
         raw: dict[_Key, Rational] = {}
-        n = sum(blocks)
+        n = shape.n
         for exps, mono in (terms or {}).items():
             exps = _integers(exps, "exponents")
             if len(exps) != n:
                 raise ValueError(f"exponent vector {exps} does not have length {n}")
             key = (exps, mono._twice)
             raw[key] = raw.get(key, 0) + mono._coeff
-        object.__setattr__(self, "_blocks", blocks)
+        object.__setattr__(self, "_shape", shape)
         object.__setattr__(self, "_terms", {k: c for k, c in raw.items() if c})
 
     @classmethod
-    def _raw(cls, blocks: tuple[int, ...], terms: dict[_Key, Rational]) -> "LaurentPoly":
+    def _raw(cls, shape: GroupShape, terms: dict[_Key, Rational]) -> "LaurentPoly":
         self = object.__new__(cls)
-        object.__setattr__(self, "_blocks", blocks)
+        object.__setattr__(self, "_shape", shape)
         object.__setattr__(self, "_terms", {k: c for k, c in terms.items() if c})
         return self
 
     @property
     def blocks(self) -> tuple[int, ...]:
-        return self._blocks
+        return self._shape.blocks
 
     @property
     def n(self) -> int:
-        return sum(self._blocks)
+        return self._shape.n
 
     @classmethod
     def zero(cls, blocks: Sequence[int]) -> "LaurentPoly":
@@ -75,13 +76,12 @@ class LaurentPoly:
     def constant(cls, blocks: Sequence[int], value) -> "LaurentPoly":
         if not isinstance(value, Monomial):
             value = Monomial(value)
-        zero_exps = (0,) * sum(_integers(blocks, "blocks"))
-        return cls(blocks, {zero_exps: value})
+        return cls(blocks, {(0,) * GroupShape(blocks).n: value})
 
     @classmethod
     def variable(cls, blocks: Sequence[int], index: int, power: int = 1) -> "LaurentPoly":
         """The single variable ``x_index`` (flat indexing), possibly to a Laurent power."""
-        n = sum(_integers(blocks, "blocks"))
+        n = GroupShape(blocks).n
         _integers((index,), "variable indices")
         _integers((power,), "exponents")  # before the exponent vector is hashed
         if not 0 <= index < n:
@@ -104,8 +104,8 @@ class LaurentPoly:
         return tuple(found)
 
     def _check(self, other: "LaurentPoly") -> None:
-        if self._blocks != other._blocks:
-            raise BlockMismatch(f"block structures differ: {self._blocks} vs {other._blocks}")
+        if self._shape is not other._shape:
+            raise BlockMismatch(f"block structures differ: {self.blocks} vs {other.blocks}")
 
     def __add__(self, other):
         if not isinstance(other, LaurentPoly):
@@ -114,10 +114,10 @@ class LaurentPoly:
         terms = dict(self._terms)
         for key, coeff in other._terms.items():
             terms[key] = terms.get(key, 0) + coeff
-        return LaurentPoly._raw(self._blocks, terms)
+        return LaurentPoly._raw(self._shape, terms)
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly._raw(self._blocks, {k: -c for k, c in self._terms.items()})
+        return LaurentPoly._raw(self._shape, {k: -c for k, c in self._terms.items()})
 
     def __sub__(self, other):
         if not isinstance(other, LaurentPoly):
@@ -126,7 +126,7 @@ class LaurentPoly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, Monomial)):
-            other = LaurentPoly.constant(self._blocks, other)
+            other = LaurentPoly.constant(self.blocks, other)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         self._check(other)
@@ -135,14 +135,14 @@ class LaurentPoly:
             for (e2, s2), c2 in other._terms.items():
                 key = (tuple(a + b for a, b in zip(e1, e2)), _merge(s1, s2))
                 prod[key] = prod.get(key, 0) + c1 * c2
-        return LaurentPoly._raw(self._blocks, prod)
+        return LaurentPoly._raw(self._shape, prod)
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> "LaurentPoly":
         if _integers((k,), "powers")[0] < 0:
             raise ValueError("only nonnegative integer powers of polynomials")
-        out = LaurentPoly.one(self._blocks)
+        out = LaurentPoly.one(self.blocks)
         for _ in range(k):
             out = out * self
         return out
@@ -150,7 +150,7 @@ class LaurentPoly:
     def __eq__(self, other) -> bool:
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        return self._blocks == other._blocks and self._terms == other._terms
+        return self._shape is other._shape and self._terms == other._terms
 
     __hash__ = None
 
@@ -167,7 +167,7 @@ class LaurentPoly:
                 new[pi[u]] = e
             key = (tuple(new), sym)
             out[key] = out.get(key, 0) + coeff
-        return LaurentPoly._raw(self._blocks, out)
+        return LaurentPoly._raw(self._shape, out)
 
     def is_block_symmetric(self) -> bool:
         """Invariance under all permutations of variables within each block.
@@ -178,14 +178,9 @@ class LaurentPoly:
         term with the same coefficient, so each partner is looked up in the term
         table and no permuted polynomial is built.
         """
-        swaps: list[int] = []
-        offset = 0
-        for size in self._blocks:
-            swaps.extend(range(offset, offset + size - 1))
-            offset += size
         terms = self._terms
         for (exps, sym), coeff in terms.items():
-            for p in swaps:
+            for p, _ in self._shape._neighbours:
                 a, b = exps[p], exps[p + 1]
                 if a != b and terms.get((exps[:p] + (b, a) + exps[p + 2 :], sym)) != coeff:
                     return False
@@ -210,7 +205,7 @@ class LaurentPoly:
 
 def elementary_symmetric(blocks: Sequence[int], degree: int) -> LaurentPoly:
     """The elementary symmetric polynomial of the given degree in all variables."""
-    n = sum(_integers(blocks, "blocks"))
+    n = GroupShape(blocks).n
     _integers((degree,), "degrees")
     if not 0 <= degree <= n:
         raise ValueError(f"degree {degree} out of range for {n} variables")

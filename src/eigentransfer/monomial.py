@@ -35,8 +35,8 @@ coefficient grammar (``"-3/2"``).  Every other module checks its numbers with
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Union
 
 from ._frozen import FrozenValue, _set
 from .errors import MissingSymbol, NonSquareAssignment
@@ -54,7 +54,7 @@ __all__ = [
 RESIDUE_SYMBOL = "q"
 UNIFORMIZER_SYMBOL = "W"
 
-Rational = Union[int, Fraction]
+Rational = int | Fraction
 
 _FACTOR_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)(?:\^(?:(-?\d+)|\((-?\d+)/2\)))?\Z")
 # Coefficient tokens are integers or integer ratios only: no decimals, exponents or "_".
@@ -123,7 +123,7 @@ def _times(twice: tuple, name: str, doubled: int) -> tuple:
     return _merge(twice, ((name, doubled),)) if doubled else twice
 
 
-def _rational(text: str) -> Optional[Fraction]:
+def _rational(text: str) -> Fraction | None:
     """The rational that ``text`` spells in the coefficient grammar, else ``None``; a zero
     denominator raises ``ZeroDivisionError``.  The JSON decoder reads rationals with it too."""
     return Fraction(text) if _COEFF_RE.match(text) else None
@@ -172,7 +172,7 @@ class SymbolValue(FrozenValue):
 
     __slots__ = _fields = ("value", "sqrt")
 
-    def __init__(self, value: Rational, sqrt: Optional[Rational] = None) -> None:
+    def __init__(self, value: Rational, sqrt: Rational | None = None) -> None:
         value = Fraction(_exact(value))
         if value <= 0:
             raise ValueError("symbol values must be positive rationals")

@@ -16,10 +16,10 @@ with the ``C``-th power of the target's, eigenvalue by eigenvalue.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 from math import lcm
 from operator import mul
-from typing import Iterable, Mapping, Sequence
 
 from ._frozen import FrozenValue, _set
 from .errors import EmptyPacket
@@ -71,7 +71,7 @@ class ClassicalPoint(FrozenValue):
         shape = weight.shape
         up = tuple(sorted(((str(place), chi) for place, chi in up), key=lambda item: item[0]))
         for place, chi in up:
-            if not isinstance(chi, UnramifiedCharacter) or chi.shape != shape:
+            if not isinstance(chi, UnramifiedCharacter) or chi.shape is not shape:
                 raise ValueError(
                     f"eigenvalue system at place {place!r} must be a character on {shape}"
                 )

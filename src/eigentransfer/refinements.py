@@ -28,10 +28,10 @@ closed form.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from functools import cached_property
 from itertools import permutations, product
 from math import factorial
-from typing import Iterable, Iterator
 
 from ._frozen import FrozenValue, _set
 from .errors import ShapeMismatch, UnsupportedLinked
@@ -197,7 +197,7 @@ def is_accessible(desc: LocalRepDescriptor, refinement: UnramifiedCharacter) -> 
     appear as 0, 1, 2, ....
     """
     _require_generic(desc)
-    if refinement.shape != desc.shape:
+    if refinement.shape is not desc.shape:
         raise ShapeMismatch(
             f"refinement on {refinement.shape} does not match descriptor on {desc.shape}"
         )
@@ -304,7 +304,7 @@ def refinement_count_inequality(
 
 def normalize_point(weight: AlgebraicWeight, chi: UnramifiedCharacter) -> UnramifiedCharacter:
     """The algebraicity normalisation: weight character times ``chi`` times ``delta^(-1/2)``."""
-    if weight.shape != chi.shape:
+    if weight.shape is not chi.shape:
         raise ShapeMismatch(
             f"weight on {weight.shape} does not match character on {chi.shape}"
         )

@@ -3,14 +3,15 @@
 A :class:`GroupShape` records the block sizes ``(n_1, ..., n_r)`` of a product
 of general linear groups; positions are flattened to ``0..n-1`` with block
 ``i`` occupying ``offsets[i] .. offsets[i]+n_i-1``.  Shapes are interned, one
-object per block tuple, so the torus data that depends on the shape alone
-(offsets, the half-modulus values, the dominant generators) is built once per
-process, and shapes are compared by identity.  Unramified characters of
-the diagonal torus are stored through their values on the basis cocharacters
-``e_p`` (the coordinate maps ``x -> diag(1,..,x,..,1)`` evaluated at the
-uniformizer), which are exact monomial values.  Algebraic weights are integer
-exponent vectors; as characters they take the value ``W^k`` on ``e_p``,
-``W`` being the formal uniformizer symbol.
+object per block tuple, and each stores the torus data that depends on the
+shape alone (offsets, flat positions, in-block neighbours, the half-modulus
+values) when it is made, so that data is built once per process; the dominant
+generators are cached per shape, and shapes are compared by identity.
+Unramified characters of the diagonal torus are stored through their values
+on the basis cocharacters ``e_p`` (the coordinate maps ``x -> diag(1,..,x,..,1)``
+evaluated at the uniformizer), which are exact monomial values.  Algebraic
+weights are integer exponent vectors; as characters they take the value
+``W^k`` on ``e_p``, ``W`` being the formal uniformizer symbol.
 
 The half modulus character of the upper-triangular Borel is computed from
 ``|uniformizer| = q^(-1)``: on a block of size ``m`` the full modulus takes
@@ -19,8 +20,7 @@ The half modulus character of the upper-triangular Borel is computed from
 
 from __future__ import annotations
 
-from functools import cached_property
-from typing import Iterable
+from collections.abc import Iterable
 
 from ._frozen import FrozenValue, _set
 from .errors import ShapeMismatch
@@ -42,10 +42,13 @@ _SHAPES: dict[tuple[int, ...], GroupShape] = {}
 class GroupShape(FrozenValue):
     """Ordered block sizes of a product of general linear groups.
 
-    Shapes are interned: equal block tuples give one object, so the tables a
-    shape caches are built once per process, and shapes compare by identity
-    where the library checks them.  The blocks pass the exactness rule before
-    the lookup, since ``(True, 2)`` and ``(1.0, 2)`` hash and compare equal to
+    Shapes are interned: equal block tuples give one object, which stores its
+    tables as plain attributes when it is first made: ``n``, ``r``, the block
+    ``offsets``, the ``(block, entry)`` pair of each flat position, the flat
+    pairs ``(p, p + 1)`` that lie in one block, and the half modulus.  So each
+    table is built once per process, and shapes compare by identity where the
+    library checks them.  The blocks pass the exactness rule before the
+    lookup, since ``(True, 2)`` and ``(1.0, 2)`` hash and compare equal to
     ``(1, 2)``.  The table keeps every shape it makes and evicts none: a process
     sees few shapes (one CLI job one or two, the ``n <= 5`` family 31).
     """
@@ -59,53 +62,26 @@ class GroupShape(FrozenValue):
             if not blocks or any(b < 1 for b in blocks):
                 raise ValueError("a group shape needs at least one block, all of positive size")
             shape = object.__new__(cls)
+            positions = tuple((i, j) for i, b in enumerate(blocks) for j in range(b))
+            # twice the q exponent of the half modulus at 0-based entry j of a block of
+            # size m: -(m + 1 - 2(j + 1))
+            doubled = tuple(-(blocks[i] + 1 - 2 * (j + 1)) for i, j in positions)
             _set(shape, "blocks", blocks)
+            _set(shape, "n", len(positions))
+            _set(shape, "r", len(blocks))
+            _set(shape, "offsets", tuple(p for p, (_, j) in enumerate(positions) if j == 0))
+            _set(shape, "_positions", positions)
+            _set(shape, "_neighbours", tuple(
+                (p, p + 1) for p, (i, j) in enumerate(positions) if j + 1 < blocks[i]
+            ))
+            _set(shape, "_modulus_half_doubled", doubled)
+            # values and their inverses only: modulus_half makes a fresh character on each call
+            _set(shape, "_modulus_half_values", tuple(
+                tuple(_half_power(RESIDUE_SYMBOL, sign * d) for d in doubled) for sign in (1, -1)
+            ))
             # of two threads that build one shape, both keep the one stored first
             shape = _SHAPES.setdefault(blocks, shape)
         return shape
-
-    @property
-    def n(self) -> int:
-        return sum(self.blocks)
-
-    @property
-    def r(self) -> int:
-        return len(self.blocks)
-
-    @cached_property
-    def offsets(self) -> tuple[int, ...]:
-        out, acc = [], 0
-        for b in self.blocks:
-            out.append(acc)
-            acc += b
-        return tuple(out)
-
-    @cached_property
-    def _positions(self) -> tuple[tuple[int, int], ...]:
-        return tuple((i, j) for i, b in enumerate(self.blocks) for j in range(b))
-
-    @cached_property
-    def _neighbours(self) -> tuple[tuple[int, int], ...]:
-        """Flat position pairs ``(p, p + 1)`` that lie in one block."""
-        return tuple((p, p + 1) for i in range(self.r) for p in self.block_range(i)[:-1])
-
-    @cached_property
-    def _modulus_half_doubled(self) -> tuple[int, ...]:
-        """Twice the ``q`` exponent of the half modulus at each flat position: at
-        0-based entry ``j`` of a block of size ``m``, ``-(m + 1 - 2(j + 1))``."""
-        return tuple(-(self.blocks[i] + 1 - 2 * (j + 1)) for i, j in self._positions)
-
-    @cached_property
-    def _modulus_half_values(self) -> tuple[tuple[Monomial, ...], tuple[Monomial, ...]]:
-        """Values of the half modulus and of its inverse, shared by :func:`modulus_half`.
-
-        Only values are cached: :func:`modulus_half` returns a fresh character on
-        every call, one unvalidated ``_new`` over one of these tuples.
-        """
-        doubled = self._modulus_half_doubled
-        return tuple(
-            tuple(_half_power(RESIDUE_SYMBOL, sign * d) for d in doubled) for sign in (1, -1)
-        )
 
     def block_of(self, p: int) -> tuple[int, int]:
         """Block index and 0-based position within the block of flat position ``p``."""

@@ -24,11 +24,11 @@ character maps are affine: the value at target slot ``p`` is
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
 from functools import cache, cached_property
 from itertools import accumulate, combinations
 from operator import mul
-from typing import Iterable, Iterator, Sequence
 
 from ._frozen import FrozenValue, _set
 from .errors import (
@@ -678,7 +678,7 @@ def satake_transfer(poly: LaurentPoly, cfg: TransferConfig) -> LaurentPoly:
     The input must be symmetric on the single target block; the output is then
     symmetric on each source block, and the map is a ring homomorphism.
     """
-    if poly.blocks != (cfg.n,):
+    if poly._shape is not cfg.target:
         raise SizeMismatch(
             f"input must live on the single target block of size {cfg.n}, got blocks {poly.blocks}"
         )
@@ -691,7 +691,7 @@ def satake_transfer(poly: LaurentPoly, cfg: TransferConfig) -> LaurentPoly:
         pulled = tuple(exps[p] for p in cfg.sigma)
         shift = sum(e * t for e, t in zip(exps, doubled_twists))
         out[pulled, _times(sym, mu, shift)] = coeff
-    return LaurentPoly._raw(cfg.source.blocks, out)
+    return LaurentPoly._raw(cfg.source, out)
 
 
 def satake_param_transfer(

@@ -61,6 +61,8 @@ from eigentransfer.transfer import (
     weight_shift,
 )
 
+from shapes import compositions
+
 HALF = Fraction(1, 2)
 ALPHAS = (HALF, -HALF, Fraction(3, 2), Fraction(-3, 2))
 
@@ -73,16 +75,6 @@ def criterion(number, text):
         print(f"[FAIL] criterion {number}: {text}")
         raise
     print(f"[PASS] criterion {number}: {text}")
-
-
-def compositions(n):
-    """All ordered tuples of positive integers summing to n."""
-    if n == 0:
-        yield ()
-        return
-    for head in range(1, n + 1):
-        for tail in compositions(n - head):
-            yield (head,) + tail
 
 
 def family_configs(max_n):

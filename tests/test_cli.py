@@ -817,27 +817,32 @@ def test_deeply_nested_job_is_refused(monkeypatch, capsys):
 
 
 COLD_SKIPS = ["_hashlib", "argparse", "dataclasses", "gettext", "hashlib", "inspect"]
+# loaded by this interpreter's site packages, if any, so checked with site off (-S)
+LEAN_SKIPS = ["fnmatch", "ipaddress", "pathlib", "typing", "urllib.parse"]
 
 
 def test_cli_import_skips_dataclasses_and_inspect():
     """A cold CLI job on standard input loads none of these modules: the value classes
     are plain classes, the input is hashed by the built-in SHA-256 rather than through
-    ``hashlib`` (which loads OpenSSL), and a run with no arguments builds no parser."""
+    ``hashlib`` (which loads OpenSSL), and a run with no arguments builds no parser.
+    With ``site`` off, it loads no ``typing`` (annotations are deferred and the abstract
+    types come from ``collections.abc``) and no ``pathlib``, which only ``--job`` needs."""
     entry = POOL[0]
-    code = (
-        "import sys\n"
-        "from eigentransfer.cli import main\n"
-        "code = main()\n"
-        f"print(sorted(set({COLD_SKIPS!r}) & set(sys.modules)), file=sys.stderr)\n"
-        "sys.exit(code)\n"
-    )
-    proc = subprocess.run(
-        [sys.executable, "-c", code], input=entry["job"].encode(), capture_output=True,
-        env=child_env(),
-    )
-    assert (proc.returncode, sha256(proc.stdout), proc.stderr) == (
-        entry["exit_code"], entry["report_sha256"], b"[]\n"
-    )
+    for flags, skips in (((), COLD_SKIPS), (("-S",), COLD_SKIPS + LEAN_SKIPS)):
+        code = (
+            "import sys\n"
+            "from eigentransfer.cli import main\n"
+            "code = main()\n"
+            f"print(sorted(set({skips!r}) & set(sys.modules)), file=sys.stderr)\n"
+            "sys.exit(code)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, *flags, "-c", code], input=entry["job"].encode(),
+            capture_output=True, env=child_env(),
+        )
+        assert (proc.returncode, sha256(proc.stdout), proc.stderr) == (
+            entry["exit_code"], entry["report_sha256"], b"[]\n"
+        ), flags
 
 
 def test_cli_import_compiles_no_record_key():

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from eigentransfer.errors import BlockMismatch, NotSymmetric
 from eigentransfer.laurent import LaurentPoly, elementary_symmetric
 from eigentransfer.monomial import Monomial, symbol
+from eigentransfer.tori import GroupShape
 from eigentransfer.transfer import TransferConfig, satake_transfer
 
 
@@ -261,7 +262,7 @@ def _perturbed_symmetric_polys(draw):
         else:
             other = draw(st.sampled_from([part for part in _SYMBOL_PARTS if part != sym]))
             terms[exps, other] = terms.pop(key)
-    return LaurentPoly._raw(blocks, terms)
+    return LaurentPoly._raw(GroupShape(blocks), terms)
 
 
 @settings(max_examples=400, derandomize=True, database=None)
@@ -285,14 +286,17 @@ def test_block_symmetry_lookup_cases():
     first_two = {((1, 0, 0, 0, 0), ()): 1, ((0, 1, 0, 0, 0), ()): 1}
     cases["asymmetric in the last pair only"] = (first_two, False)
     cases["asymmetric in the second block only"] = ({((0, 0, 0, 1, 0), ()): 1}, False)
+    shape = GroupShape(blocks)
     for name, (terms, expected) in cases.items():
-        assert _assert_symmetry_matches_oracle(LaurentPoly._raw(blocks, terms)) is expected, name
+        assert _assert_symmetry_matches_oracle(LaurentPoly._raw(shape, terms)) is expected, name
     # a * x0 + b * x1: the swap partner of each term has the right exponents and
     # coefficient but the other symbol part
-    crossed = LaurentPoly._raw((2,), {((1, 0), _A): 1, ((0, 1), _B): 1})
+    crossed = LaurentPoly._raw(GroupShape((2,)), {((1, 0), _A): 1, ((0, 1), _B): 1})
     assert _assert_symmetry_matches_oracle(crossed) is False
     assert _assert_symmetry_matches_oracle(
-        LaurentPoly._raw((2,), {((1, 0), _A): 1, ((0, 1), _A): 1, ((1, 0), _B): 1, ((0, 1), _B): 1})
+        LaurentPoly._raw(
+            GroupShape((2,)), {((1, 0), _A): 1, ((0, 1), _A): 1, ((1, 0), _B): 1, ((0, 1), _B): 1}
+        )
     )
 
 
@@ -327,6 +331,21 @@ def test_block_mismatch():
     assert p != q
 
 
+def test_polynomials_hold_their_interned_shape():
+    """Every constructor and ring operation keeps the one ``GroupShape`` of its blocks,
+    and ``satake_transfer`` returns a polynomial on the config's source shape."""
+    shape = GroupShape((2, 1))
+    p = var((2, 1), 0) + LaurentPoly.constant([2, 1], 3)
+    results = [
+        p, -p, p - p, p * p, p * 2, p ** 2, p.permute_variables((1, 0, 2)),
+        LaurentPoly.zero((2, 1)), LaurentPoly.one([2, 1]), elementary_symmetric((2, 1), 2),
+    ]
+    assert all(q._shape is shape for q in results)
+    cfg = TransferConfig((1, 2), (1, 0, 2), "1/2")
+    assert satake_transfer(elementary_symmetric((3,), 2), cfg)._shape is cfg.source
+    assert "_blocks" not in LaurentPoly.__slots__
+
+
 def test_str():
     blocks = (2,)
     assert str(LaurentPoly.zero(blocks)) == "0"
@@ -337,18 +356,21 @@ def test_str():
 @pytest.mark.parametrize(
     "build, message",
     [
-        (lambda: LaurentPoly((1.5,)), "blocks must be integers, got 1.5"),
-        (lambda: LaurentPoly.constant((2, 0.5), 3), "blocks must be integers, got 0.5"),
+        (lambda: LaurentPoly((1.5,)), "group shape blocks must be integers, got 1.5"),
+        (lambda: LaurentPoly.constant((2, 0.5), 3), "group shape blocks must be integers, got 0.5"),
         # the variable count comes from the blocks, so they are checked before the index
-        (lambda: LaurentPoly.variable((1.5,), 1), "blocks must be integers, got 1.5"),
-        (lambda: elementary_symmetric((1.5,), 2), "blocks must be integers, got 1.5"),
+        (lambda: LaurentPoly.variable((1.5,), 1), "group shape blocks must be integers, got 1.5"),
+        (lambda: elementary_symmetric((1.5,), 2), "group shape blocks must be integers, got 1.5"),
         (lambda: LaurentPoly((1,), {(1.5,): Monomial(1)}), "exponents must be integers, got 1.5"),
         (lambda: var((2,), 0).coefficients((0.5, 0)), "exponents must be integers, got 0.5"),
         (
             lambda: var((2,), 0).permute_variables((1.2, 0)),
             "permutation entries must be integers, got 1.2",
         ),
-        (lambda: LaurentPoly((2, 0)), "blocks must be a nonempty tuple of positive sizes"),
+        (
+            lambda: LaurentPoly((2, 0)),
+            "a group shape needs at least one block, all of positive size",
+        ),
         # scalar arguments follow the same rule: these raised TypeError or were accepted
         (lambda: elementary_symmetric((3,), 1.5), "degrees must be integers, got 1.5"),
         (lambda: elementary_symmetric((3,), True), "degrees must be integers, got True"),
@@ -370,8 +392,11 @@ def test_integral_values_of_other_types_are_refused():
     used to be accepted and stored as the ``int`` it equals."""
     p = 3 * var((2,), 0)
     for build, message in (
-        (lambda: LaurentPoly((2.0,), {(1, 0): Monomial(3)}), "blocks must be integers, got 2.0"),
-        (lambda: LaurentPoly((True, 1)), "blocks must be integers, got True"),
+        (
+            lambda: LaurentPoly((2.0,), {(1, 0): Monomial(3)}),
+            "group shape blocks must be integers, got 2.0",
+        ),
+        (lambda: LaurentPoly((True, 1)), "group shape blocks must be integers, got True"),
         (
             lambda: LaurentPoly((2,), {(1, Fraction(0)): Monomial(3)}),
             "exponents must be integers, got Fraction(0, 1)",

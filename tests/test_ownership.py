@@ -14,6 +14,10 @@ converts a number with the builtin ``int``.
 ``transfer`` owns the check that data lives on a config's source shape, in
 ``_require_source``; no other module compares a shape with ``cfg.source`` to
 raise ``SizeMismatch``.
+
+``GroupShape`` owns every table derived from its blocks and stores each one
+when the shape is interned, so no module compares shapes, or the block tuples
+behind them, by equality.
 """
 
 import ast
@@ -25,6 +29,7 @@ PACKAGE = Path(eigentransfer.__file__).parent
 STORED_PARTS = {"_twice", "_coeff"}
 UNVALIDATED = {"_make", "_canon"}
 RULE = {"_integers", "_positive", "_exact"}
+SHAPE_READS = {"shape", "blocks", "_shape"}
 
 
 def _trees():
@@ -111,3 +116,42 @@ def test_only_transfer_checks_the_config_source():
         and _raises_size_mismatch(node)
     )
     assert checks == []
+
+
+def _equality_operands(node):
+    """The operands on either side of each ``==`` or ``!=`` of a comparison."""
+    operands = [node.left, *node.comparators]
+    for i, op in enumerate(node.ops):
+        if isinstance(op, (ast.Eq, ast.NotEq)):
+            yield from operands[i : i + 2]
+
+
+def test_no_module_compares_shapes_by_equality():
+    compares = sorted(
+        (name, node.lineno)
+        for name, tree in _trees()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Compare)
+        and any(
+            isinstance(part, ast.Attribute) and part.attr in SHAPE_READS
+            for part in _equality_operands(node)
+        )
+    )
+    assert compares == []
+
+
+def test_group_shape_stores_its_tables():
+    """No table of a shape is a property: each is set when the shape is made."""
+    tree = dict(_trees())["tori.py"]
+    (shape,) = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "GroupShape"]
+    decorated = [
+        node.name for node in shape.body if isinstance(node, ast.FunctionDef) and node.decorator_list
+    ]
+    assert decorated == []
+    imported = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert "cached_property" not in imported

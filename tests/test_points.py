@@ -33,6 +33,8 @@ from eigentransfer.tori import (
 )
 from eigentransfer.transfer import TransferConfig
 
+from shapes import compositions
+
 HALF = Fraction(1, 2)
 
 
@@ -130,14 +132,6 @@ def test_atkin_lehner_factor_eigenvalue():
         AtkinLehnerFactor("p", (1,)).eigenvalue(point, assign)
 
 
-def _compositions(n):
-    if n == 0:
-        yield ()
-    for first in range(1, n + 1):
-        for rest in _compositions(n - first):
-            yield (first,) + rest
-
-
 def _weight_character_eigenvalue(factor, point, assign):
     """Oracle: the weight twist as the weight character's value at the cocharacter."""
     vector = CocharVector(point.weight.shape, factor.cochar)
@@ -149,7 +143,7 @@ def test_atkin_lehner_eigenvalue_matches_weight_character_oracle():
     rng = random.Random(15)
     orthogonal = 0
     for n in range(1, 5):
-        for blocks in _compositions(n):
+        for blocks in compositions(n):
             shape = GroupShape(blocks)
             antidominant = [
                 v for v in product(range(-2, 3), repeat=n) if CocharVector(shape, v).is_antidominant()
@@ -192,7 +186,7 @@ def test_atkin_lehner_one_pass_matches_eval_oracle():
     names = ("W", "a", "q", "z")
     outcomes = {Fraction: 0, MissingSymbol: 0, NonSquareAssignment: 0}
     for _ in range(1500):
-        blocks = rng.choice([blocks for n in range(1, 4) for blocks in _compositions(n)])
+        blocks = rng.choice([blocks for n in range(1, 4) for blocks in compositions(n)])
         shape = GroupShape(blocks)
         n = shape.n
         values = []

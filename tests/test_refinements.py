@@ -44,6 +44,8 @@ from eigentransfer.transfer import (
     weight_pullback,
 )
 
+from shapes import compositions
+
 HALF = Fraction(1, 2)
 
 
@@ -334,20 +336,11 @@ def _assert_matches_oracle(desc, refinement):
     return expected
 
 
-def _compositions(n):
-    if n == 0:
-        yield ()
-        return
-    for head in range(1, n + 1):
-        for tail in _compositions(n - head):
-            yield (head,) + tail
-
-
 def _generic_descriptors(max_n):
     """Criterion 6's family: every shape and per-block segment split, fresh twist symbols."""
     for n in range(1, max_n + 1):
-        for blocks in _compositions(n):
-            for split in product(*(list(_compositions(b)) for b in blocks)):
+        for blocks in compositions(n):
+            for split in product(*(list(compositions(b)) for b in blocks)):
                 names = iter(range(n))
                 segments = tuple(
                     tuple(Segment(symbol(f"s{next(names)}"), d) for d in lengths)

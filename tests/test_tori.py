@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 from eigentransfer.errors import ShapeMismatch
+from eigentransfer.laurent import LaurentPoly
 from eigentransfer.monomial import Monomial, ONE, symbol
 from eigentransfer.tori import (
     _SHAPES,
@@ -26,7 +27,10 @@ from eigentransfer.tori import (
 )
 from eigentransfer.transfer import dominant_generators
 
+from shapes import compositions
+
 SRC = Path(__file__).resolve().parents[1] / "src"
+TESTS = str(Path(__file__).resolve().parent)
 
 
 def test_group_shape_basics():
@@ -100,6 +104,47 @@ def test_interned_blocks_do_not_admit_inexact_equals():
         assert blocks not in _SHAPES
 
 
+def _seed_tables(blocks):
+    """Every table a shape stores, by the formulas of the ``cached_property`` versions:
+    running offsets, the ``(block, entry)`` scan, each block's adjacent flat pairs and
+    the half modulus ``q^(-sign (m + 1 - 2j) / 2)`` at 1-based entry ``j``."""
+    offsets, acc = [], 0
+    for b in blocks:
+        offsets.append(acc)
+        acc += b
+    positions = tuple((i, j) for i, b in enumerate(blocks) for j in range(b))
+    neighbours = tuple(
+        (p, p + 1) for i, b in enumerate(blocks) for p in range(offsets[i], offsets[i] + b - 1)
+    )
+    doubled = tuple(-(blocks[i] + 1 - 2 * (j + 1)) for i, j in positions)
+    return {
+        "blocks": blocks,
+        "n": sum(blocks),
+        "r": len(blocks),
+        "offsets": tuple(offsets),
+        "_positions": positions,
+        "_neighbours": neighbours,
+        "_modulus_half_doubled": doubled,
+        "_modulus_half_values": tuple(
+            tuple(Monomial(1, {"q": Fraction(sign * d, 2)}) for d in doubled) for sign in (1, -1)
+        ),
+    }
+
+
+def test_shape_tables_are_stored_when_the_shape_is_made():
+    """The 31 shapes of the ``n <= 5`` family and a few shapes first made by a Laurent
+    polynomial hold every table as a plain attribute as soon as the constructor
+    returns, each equal to its seed formula, and nothing else."""
+    family = [blocks for n in range(1, 6) for blocks in compositions(n)]
+    assert len(family) == 31
+    for blocks in family:
+        assert vars(GroupShape(blocks)) == _seed_tables(blocks), blocks
+    for blocks in ((7,), (4, 3), (1, 1, 1, 1, 1, 1), (2, 6, 1)):
+        poly = LaurentPoly(blocks)
+        assert vars(poly._shape) == _seed_tables(blocks), blocks
+        assert poly._shape is GroupShape(blocks) and poly.blocks == blocks
+
+
 def test_family_run_interns_one_shape_per_block_tuple():
     """A fresh process that builds all 2,532 configs of the n <= 5 family and runs
     both verifier calls and both half moduli on each holds exactly its 31 shapes."""
@@ -108,14 +153,7 @@ import json
 from eigentransfer.tori import _SHAPES, GroupShape, modulus_half
 from eigentransfer.transfer import (
     TransferConfig, block_order_preserving_permutations, verify_transfer_compatibility)
-
-def compositions(n):
-    if n == 0:
-        yield ()
-        return
-    for head in range(1, n + 1):
-        for tail in compositions(n - head):
-            yield (head,) + tail
+from shapes import compositions
 
 configs = 0
 for n in range(1, 6):
@@ -131,13 +169,13 @@ for n in range(1, 6):
 print(json.dumps([configs, sorted(_SHAPES)]))
 """
     env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), TESTS, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
     )
     configs, shapes = json.loads(proc.stdout)
     assert configs == 2532
-    family = sorted(list(b) for n in range(1, 6) for b in _compositions(n))
+    family = sorted(list(b) for n in range(1, 6) for b in compositions(n))
     assert len(shapes) <= 31 and shapes == family
 
 
@@ -386,19 +424,10 @@ def test_weight_as_character():
     )
 
 
-def _compositions(n):
-    if n == 0:
-        yield ()
-        return
-    for first in range(1, n + 1):
-        for rest in _compositions(n - first):
-            yield (first,) + rest
-
-
 def test_cached_torus_data_matches_closed_formulas():
     """Every shape with n <= 6: ``block_of`` and both half moduli against the formulas."""
     for n in range(1, 7):
-        for blocks in _compositions(n):
+        for blocks in compositions(n):
             shape = GroupShape(blocks)
             scan = [(i, j) for i, m in enumerate(blocks) for j in range(m)]
             assert [shape.block_of(p) for p in range(n)] == scan
@@ -451,7 +480,7 @@ def test_neighbour_table_matches_block_walks():
     rng = random.Random(6)
     verdicts = set()
     for n in range(1, 7):
-        for blocks in _compositions(n):
+        for blocks in compositions(n):
             shape = GroupShape(blocks)
             for exps in _entry_vectors(n, rng):
                 weight = AlgebraicWeight(shape, exps)

@@ -63,6 +63,8 @@ from eigentransfer.transfer import (
     weight_shift,
 )
 
+from shapes import compositions
+
 HALF = Fraction(1, 2)
 
 
@@ -529,11 +531,11 @@ def test_verify_matches_per_generator_oracle():
     configs = [
         config(blocks, sigma=sigma, alpha=alpha)
         for n in range(1, 5)
-        for blocks in _compositions(n)
+        for blocks in compositions(n)
         for sigma in block_order_preserving_permutations(GroupShape(blocks))
         for alpha in alphas
     ]
-    configs += [config(blocks, alpha=alpha) for blocks in _compositions(5) for alpha in alphas]
+    configs += [config(blocks, alpha=alpha) for blocks in compositions(5) for alpha in alphas]
     configs += [config((2, 1, 2), sigma=(0, 3, 1, 2, 4), mu="x1")]
     verdicts = set()
     for cfg in configs:
@@ -589,7 +591,7 @@ def test_verify_matches_rebuilt_verifier(n):
     fresh object, so the second call of each reads the half the first one built."""
     alphas = (HALF, -HALF, Fraction(3, 2), 0, 1, Fraction(5, 2))
     verdicts = set()
-    for blocks in _compositions(n):
+    for blocks in compositions(n):
         for sigma in block_order_preserving_permutations(GroupShape(blocks)):
             for alpha, mu in product(alphas, ("M", "x1")):
                 oracle_cfg = config(blocks, sigma, alpha, mu=mu)
@@ -833,7 +835,7 @@ def test_recipe_refuses_exactly_the_non_integral_shifts():
     1/2, 1 and 3/2."""
     seen = set()
     for n in range(1, 5):
-        for blocks in _compositions(n):
+        for blocks in compositions(n):
             shape = GroupShape(blocks)
             alphas = (0, HALF, 1, Fraction(3, 2))
             integral = {alpha: weight_map_check(config(blocks, alpha=alpha)) for alpha in alphas}
@@ -975,15 +977,6 @@ def test_satake_param_transfer():
         satake_param_transfer(((symbol("a"),), (symbol("b"),)), cfg)
 
 
-def _compositions(n):
-    if n == 0:
-        yield ()
-        return
-    for first in range(1, n + 1):
-        for rest in _compositions(n - first):
-            yield (first,) + rest
-
-
 def _seed_shifts(blocks, alpha):
     """The affine weight shifts in flat source layout, or the error text of the first
     shift that is not an integer."""
@@ -1030,7 +1023,7 @@ def test_cached_config_data_matches_seed_formulas():
     twists = [(alpha, "M") for alpha in alphas]
     twists += [(alpha, mu) for mu in ("mu", "z") for alpha in (HALF, Fraction(1))]
     for n in range(1, 6):
-        for blocks in _compositions(n):
+        for blocks in compositions(n):
             shape = GroupShape(blocks)
             chi = UnramifiedCharacter(
                 shape,
@@ -1078,7 +1071,7 @@ def test_cached_config_data_matches_seed_formulas():
 def _every_config(alpha=HALF, mu="M"):
     """Every config with n <= 5: each composition with each block-order-preserving sigma."""
     for n in range(1, 6):
-        for blocks in _compositions(n):
+        for blocks in compositions(n):
             shape = GroupShape(blocks)
             for sigma in block_order_preserving_permutations(shape):
                 yield TransferConfig(shape, sigma, alpha, mu)
@@ -1318,7 +1311,7 @@ def _compare_with_walk(monkeypatch, shapes, bound, alphas):
 def test_archimedean_sigma_matches_walk_oracle(monkeypatch):
     """Every dominant weight with entries in [-3, 3] on shapes with n <= 4, four alphas:
     the same sigma, exception type and message as the brute-force walk."""
-    shapes = [blocks for n in range(1, 5) for blocks in _compositions(n)]
+    shapes = [blocks for n in range(1, 5) for blocks in compositions(n)]
     alphas = (HALF, -HALF, Fraction(3, 2), Fraction(-3, 2))
     counts = _compare_with_walk(monkeypatch, shapes, 3, alphas)
     assert counts["total"] == 38360
@@ -1334,8 +1327,8 @@ def test_archimedean_sigma_search_matches_walk_oracle(monkeypatch):
     assert counts["searched"] and counts["refused"]
 
 
-_SHAPES_UP_TO_6 = [blocks for n in range(1, 7) for blocks in _compositions(n)]
-_SHAPES_UP_TO_7 = [blocks for n in range(1, 8) for blocks in _compositions(n)]
+_SHAPES_UP_TO_6 = [blocks for n in range(1, 7) for blocks in compositions(n)]
+_SHAPES_UP_TO_7 = [blocks for n in range(1, 8) for blocks in compositions(n)]
 _HALF_INTEGERS = [Fraction(t, 2) for t in range(-9, 10)]
 _ALPHAS = [*_HALF_INTEGERS, *range(-4, 5), *map(str, _HALF_INTEGERS), Fraction(1, 3)]
 
@@ -1396,7 +1389,7 @@ def test_library_built_characters_pass_validation():
         assert chi == UnramifiedCharacter(chi.shape, chi.values)
 
     for n in range(1, 6):
-        for blocks in _compositions(n):
+        for blocks in compositions(n):
             shape = GroupShape(blocks)
             chi = UnramifiedCharacter(
                 shape,

@@ -288,7 +288,7 @@ ERRORS = [
     (Segment, (symbol("g"), NAN), "segment length must be a positive integer, got nan"),
     (Segment, (symbol("g"), "abc"), "segment length must be a positive integer, got 'abc'"),
     (AtkinLehnerFactor, ("p", (INF,)), "cocharacter entries must be integers, got inf"),
-    (LaurentPoly, ((INF,),), "blocks must be integers, got inf"),
+    (LaurentPoly, ((INF,),), "group shape blocks must be integers, got inf"),
     (SphericalFactor, ("v", None), "degree must be a positive integer, got None"),
     (SphericalFactor, ("v", INF), "degree must be a positive integer, got inf"),
     (constant_C, (None, [1]), "dimensions must be positive integers"),

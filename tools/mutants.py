@@ -455,11 +455,25 @@ MUTANTS = [
         ["tests/test_transfer.py::test_verify_matches_rebuilt_verifier[2]"],
     ),
     (
-        "block symmetry skipping each block's last adjacent pair",
-        LAURENT,
-        "swaps.extend(range(offset, offset + size - 1))",
-        "swaps.extend(range(offset, offset + size - 2))",
+        "shape neighbour table skipping each block's last adjacent pair",
+        TORI,
+        "(p, p + 1) for p, (i, j) in enumerate(positions) if j + 1 < blocks[i]",
+        "(p, p + 1) for p, (i, j) in enumerate(positions) if j + 2 < blocks[i]",
         ["tests/test_laurent.py::test_block_symmetry_lookup_cases"],
+    ),
+    (
+        "LaurentPoly._check comparing shapes by equality instead of identity",
+        LAURENT,
+        "if self._shape is not other._shape:",
+        "if self._shape != other._shape:",
+        ["tests/test_ownership.py::test_no_module_compares_shapes_by_equality"],
+    ),
+    (
+        "stored n counting blocks instead of positions",
+        TORI,
+        '_set(shape, "n", len(positions))',
+        '_set(shape, "n", len(blocks))',
+        ["tests/test_tori.py::test_shape_tables_are_stored_when_the_shape_is_made"],
     ),
     (
         "block symmetry looking up the swap partner without its symbol part",
