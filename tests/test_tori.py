@@ -105,9 +105,9 @@ def test_interned_blocks_do_not_admit_inexact_equals():
 
 
 def _seed_tables(blocks):
-    """Every table a shape stores, by the formulas of the ``cached_property`` versions:
-    running offsets, the ``(block, entry)`` scan, each block's adjacent flat pairs and
-    the half modulus ``q^(-sign (m + 1 - 2j) / 2)`` at 1-based entry ``j``."""
+    """Every table a shape stores, each by its own formula from the blocks: running
+    offsets, the ``(block, entry)`` scan, each block's adjacent flat pairs and the half
+    modulus ``q^(-sign (m + 1 - 2j) / 2)`` at 1-based entry ``j``."""
     offsets, acc = [], 0
     for b in blocks:
         offsets.append(acc)
@@ -132,9 +132,9 @@ def _seed_tables(blocks):
 
 
 def test_shape_tables_are_stored_when_the_shape_is_made():
-    """The 31 shapes of the ``n <= 5`` family and a few shapes first made by a Laurent
-    polynomial hold every table as a plain attribute as soon as the constructor
-    returns, each equal to its seed formula, and nothing else."""
+    """The 31 shapes of the ``n <= 5`` family, and the shapes of a few Laurent
+    polynomials, hold every table as a plain attribute as soon as the constructor
+    returns, each equal to its formula, and nothing else."""
     family = [blocks for n in range(1, 6) for blocks in compositions(n)]
     assert len(family) == 31
     for blocks in family:
