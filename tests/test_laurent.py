@@ -378,6 +378,8 @@ def test_str():
         (lambda: LaurentPoly.variable((2,), 1.0), "variable indices must be integers, got 1.0"),
         (lambda: var((2,), 0) ** True, "powers must be integers, got True"),
     ],
+    # a block case is named by its message without the ``group shape `` prefix
+    ids=lambda v: v.removeprefix("group shape ") if isinstance(v, str) else None,
 )
 def test_non_integral_values_are_refused(build, message):
     """Blocks and exponents used to be truncated by ``int``: ``(1.5,)`` became ``(1,)``."""
