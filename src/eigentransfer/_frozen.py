@@ -11,9 +11,9 @@ supplies equality (same class and equal keys), ``hash`` of the key, the
 ``Name(field=value, ...)`` repr, copy and pickle (which rebuild through the
 class, so an interned ``GroupShape`` comes back as itself), and
 ``AttributeError`` on any assignment or deletion.
-``GroupShape``, which stores its derived tables as plain attributes when it
-is interned, and the subclasses that cache derived data with
-``cached_property`` keep a ``__dict__``; the others declare ``__slots__``.
+``GroupShape``, which stores its derived tables as plain attributes, and the
+subclasses that cache derived data with ``cached_property`` keep a
+``__dict__``; the others declare ``__slots__``.
 
 The two hot unvalidated constructors, ``monomial._make`` (with the product
 branch of ``Monomial.__mul__``) and ``tori.UnramifiedCharacter._new``, skip

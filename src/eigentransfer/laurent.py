@@ -74,20 +74,24 @@ class LaurentPoly:
 
     @classmethod
     def constant(cls, blocks: Sequence[int], value) -> "LaurentPoly":
+        return cls._constant(GroupShape(blocks), value)
+
+    @classmethod
+    def _constant(cls, shape: GroupShape, value) -> "LaurentPoly":
         if not isinstance(value, Monomial):
             value = Monomial(value)
-        return cls(blocks, {(0,) * GroupShape(blocks).n: value})
+        return cls._raw(shape, {((0,) * shape.n, value._twice): value._coeff})
 
     @classmethod
     def variable(cls, blocks: Sequence[int], index: int, power: int = 1) -> "LaurentPoly":
         """The single variable ``x_index`` (flat indexing), possibly to a Laurent power."""
-        n = GroupShape(blocks).n
+        shape = GroupShape(blocks)
+        n = shape.n
         _integers((index,), "variable indices")
         _integers((power,), "exponents")  # before the exponent vector is hashed
         if not 0 <= index < n:
             raise ValueError(f"variable index {index} out of range for {n} variables")
-        exps = tuple(power if p == index else 0 for p in range(n))
-        return cls(blocks, {exps: Monomial(1)})
+        return cls._raw(shape, {(tuple(power if p == index else 0 for p in range(n)), ()): 1})
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -126,7 +130,7 @@ class LaurentPoly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, Monomial)):
-            other = LaurentPoly.constant(self.blocks, other)
+            other = LaurentPoly._constant(self._shape, other)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         self._check(other)
@@ -142,7 +146,7 @@ class LaurentPoly:
     def __pow__(self, k: int) -> "LaurentPoly":
         if _integers((k,), "powers")[0] < 0:
             raise ValueError("only nonnegative integer powers of polynomials")
-        out = LaurentPoly.one(self.blocks)
+        out = LaurentPoly._constant(self._shape, 1)
         for _ in range(k):
             out = out * self
         return out
@@ -205,12 +209,11 @@ class LaurentPoly:
 
 def elementary_symmetric(blocks: Sequence[int], degree: int) -> LaurentPoly:
     """The elementary symmetric polynomial of the given degree in all variables."""
-    n = GroupShape(blocks).n
+    shape = GroupShape(blocks)
+    n = shape.n
     _integers((degree,), "degrees")
     if not 0 <= degree <= n:
         raise ValueError(f"degree {degree} out of range for {n} variables")
-    terms: dict[tuple[int, ...], Monomial] = {}
-    for subset in combinations(range(n), degree):
-        exps = tuple(1 if u in subset else 0 for u in range(n))
-        terms[exps] = Monomial(1)
-    return LaurentPoly(blocks, terms)
+    subsets = combinations(range(n), degree)
+    terms = {(tuple(1 if u in s else 0 for u in range(n)), ()): 1 for s in subsets}
+    return LaurentPoly._raw(shape, terms)

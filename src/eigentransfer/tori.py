@@ -4,9 +4,10 @@ A :class:`GroupShape` records the block sizes ``(n_1, ..., n_r)`` of a product
 of general linear groups; positions are flattened to ``0..n-1`` with block
 ``i`` occupying ``offsets[i] .. offsets[i]+n_i-1``.  Shapes are interned, one
 object per block tuple, and each stores the torus data that depends on the
-shape alone (offsets, flat positions, in-block neighbours, the half-modulus
-values) when it is made, so that data is built once per process; the dominant
-generators are cached per shape, and shapes are compared by identity.
+shape alone (``n``, offsets, flat positions, in-block neighbours, the
+half-modulus values) as plain attributes, so that data is built once per
+process; the dominant generators are cached per shape, and shapes are
+compared by identity.
 Unramified characters of the diagonal torus are stored through their values
 on the basis cocharacters ``e_p`` (the coordinate maps ``x -> diag(1,..,x,..,1)``
 evaluated at the uniformizer), which are exact monomial values.  Algebraic
@@ -21,6 +22,7 @@ The half modulus character of the upper-triangular Borel is computed from
 from __future__ import annotations
 
 from collections.abc import Iterable
+from itertools import accumulate
 
 from ._frozen import FrozenValue, _set
 from .errors import ShapeMismatch
@@ -37,17 +39,20 @@ __all__ = [
 
 # every shape made so far, by its blocks; see GroupShape
 _SHAPES: dict[tuple[int, ...], GroupShape] = {}
+_POSITION_TABLES = ("_positions", "_neighbours", "_modulus_half_doubled", "_modulus_half_values")
 
 
 class GroupShape(FrozenValue):
     """Ordered block sizes of a product of general linear groups.
 
     Shapes are interned: equal block tuples give one object, which stores its
-    tables as plain attributes when it is first made: ``n``, ``r``, the block
-    ``offsets``, the ``(block, entry)`` pair of each flat position, the flat
-    pairs ``(p, p + 1)`` that lie in one block, and the half modulus.  So each
-    table is built once per process, and shapes compare by identity where the
-    library checks them.  The blocks pass the exactness rule before the
+    tables as plain attributes.  ``n``, ``r`` and the block ``offsets`` are
+    stored when it is first made; the tables of one entry per flat position
+    (the ``(block, entry)`` pair of each position, the flat pairs ``(p, p + 1)``
+    that lie in one block, and the half modulus) are stored together on the
+    first read of any of them, since ``n`` is not bounded by the size of the
+    input that names the shape.  So each table is built at most once per
+    process, and shapes compare by identity where the library checks them.  The blocks pass the exactness rule before the
     lookup, since ``(True, 2)`` and ``(1.0, 2)`` hash and compare equal to
     ``(1, 2)``.  The table keeps every shape it makes and evicts none: a process
     sees few shapes (one CLI job one or two, the ``n <= 5`` family 31).
@@ -62,34 +67,41 @@ class GroupShape(FrozenValue):
             if not blocks or any(b < 1 for b in blocks):
                 raise ValueError("a group shape needs at least one block, all of positive size")
             shape = object.__new__(cls)
-            positions = tuple((i, j) for i, b in enumerate(blocks) for j in range(b))
-            # twice the q exponent of the half modulus at 0-based entry j of a block of
-            # size m: -(m + 1 - 2(j + 1))
-            doubled = tuple(-(blocks[i] + 1 - 2 * (j + 1)) for i, j in positions)
             _set(shape, "blocks", blocks)
-            _set(shape, "n", len(positions))
+            _set(shape, "n", sum(blocks))
             _set(shape, "r", len(blocks))
-            _set(shape, "offsets", tuple(p for p, (_, j) in enumerate(positions) if j == 0))
-            _set(shape, "_positions", positions)
-            _set(shape, "_neighbours", tuple(
-                (p, p + 1) for p, (i, j) in enumerate(positions) if j + 1 < blocks[i]
-            ))
-            _set(shape, "_modulus_half_doubled", doubled)
-            # values and their inverses only: modulus_half makes a fresh character on each call
-            _set(shape, "_modulus_half_values", tuple(
-                tuple(_half_power(RESIDUE_SYMBOL, sign * d) for d in doubled) for sign in (1, -1)
-            ))
+            _set(shape, "offsets", tuple(accumulate(blocks[:-1], initial=0)))
             # of two threads that build one shape, both keep the one stored first
             shape = _SHAPES.setdefault(blocks, shape)
         return shape
 
+    def __getattr__(self, name: str):
+        # a shape's n comes unbounded from its input, so the tables of one entry per
+        # flat position are built on the first read of any of them, not when interned
+        if name not in _POSITION_TABLES:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        blocks = self.blocks
+        positions = tuple((i, j) for i, b in enumerate(blocks) for j in range(b))
+        # twice the q exponent of the half modulus at 0-based entry j of a block of
+        # size m: -(m + 1 - 2(j + 1))
+        doubled = tuple(-(blocks[i] + 1 - 2 * (j + 1)) for i, j in positions)
+        _set(self, "_positions", positions)
+        _set(self, "_neighbours", tuple(
+            (p, p + 1) for p, (i, j) in enumerate(positions) if j + 1 < blocks[i]
+        ))
+        _set(self, "_modulus_half_doubled", doubled)
+        # values and their inverses only: modulus_half makes a fresh character on each call
+        _set(self, "_modulus_half_values", tuple(
+            tuple(_half_power(RESIDUE_SYMBOL, sign * d) for d in doubled) for sign in (1, -1)
+        ))
+        return vars(self)[name]
+
     def block_of(self, p: int) -> tuple[int, int]:
         """Block index and 0-based position within the block of flat position ``p``."""
         _integers((p,), "positions")
-        positions = self._positions
-        if not 0 <= p < len(positions):
+        if not 0 <= p < self.n:
             raise ValueError(f"position {p} out of range")
-        return positions[p]
+        return self._positions[p]
 
     def flat(self, i: int, j: int) -> int:
         """Flat position of the 0-based ``j``-th entry of block ``i``."""

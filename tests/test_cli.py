@@ -816,6 +816,41 @@ def test_deeply_nested_job_is_refused(monkeypatch, capsys):
     assert (proc.returncode, proc.stdout.decode(), proc.stderr) == (2, expected, b"")
 
 
+def _address_space_cap():
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+
+@pytest.mark.skipif(os.name != "posix", reason="caps the child's address space with resource")
+@pytest.mark.parametrize(
+    "job, message",
+    [
+        (hyp1_job([10**9], [1], "0"), "config.sigma: expected 1000000000 entries, got 1"),
+        (edit(WEIGHT, shape=[10**9], weight=[[3]]), "weight[0]: expected 1000000000 entries, got 1"),
+    ],
+    ids=["config", "weight"],
+)
+def test_huge_block_sizes_are_refused_by_their_length_checks(job, message):
+    """A block size is not bounded by the job's length, so a one-line job may name a
+    shape of ``10**9`` positions; the array sized by that shape refuses it at once, with
+    exit code 2, in a child whose address space is capped at 1 GiB, since the shape
+    builds no table of one entry per position before that check."""
+    raw = json.dumps(job).encode()
+    argv = [sys.executable, "-m", "eigentransfer.cli"]
+    proc = subprocess.run(
+        argv, input=raw, capture_output=True, env=child_env(), preexec_fn=_address_space_cap,
+        timeout=60,
+    )
+    report = {
+        "command": job["command"],
+        "error": {"message": message, "type": "SchemaError"},
+        "input_sha256": sha256(raw),
+        "schema_version": "1",
+    }
+    assert (proc.returncode, json.loads(proc.stdout), proc.stderr) == (2, report, b"")
+
+
 COLD_SKIPS = ["_hashlib", "argparse", "dataclasses", "gettext", "hashlib", "inspect"]
 # loaded by this interpreter's site packages, if any, so checked with site off (-S)
 LEAN_SKIPS = ["fnmatch", "ipaddress", "pathlib", "typing", "urllib.parse"]

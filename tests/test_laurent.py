@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from eigentransfer.errors import BlockMismatch, NotSymmetric
 from eigentransfer.laurent import LaurentPoly, elementary_symmetric
-from eigentransfer.monomial import Monomial, symbol
+from eigentransfer.monomial import ONE, Monomial, symbol
 from eigentransfer.tori import GroupShape
 from eigentransfer.transfer import TransferConfig, satake_transfer
 
@@ -344,6 +344,23 @@ def test_polynomials_hold_their_interned_shape():
     cfg = TransferConfig((1, 2), (1, 0, 2), "1/2")
     assert satake_transfer(elementary_symmetric((3,), 2), cfg)._shape is cfg.source
     assert "_blocks" not in LaurentPoly.__slots__
+
+
+def test_constructors_read_their_blocks_once():
+    """``one``, ``constant``, ``variable`` and ``elementary_symmetric`` read their blocks
+    once, so an iterator serves them as it serves the constructor, and each stores the
+    terms the constructor stores for the same monomials."""
+    blocks = (2, 1)
+    built = [
+        (LaurentPoly.one(iter(blocks)), {(0, 0, 0): Monomial(1)}),
+        (LaurentPoly.constant(iter(blocks), "3/2"), {(0, 0, 0): Monomial("3/2")}),
+        (LaurentPoly.variable(iter(blocks), 2, -1), {(0, 0, -1): Monomial(1)}),
+        (elementary_symmetric(iter(blocks), 2), dict.fromkeys(((1, 1, 0), (1, 0, 1), (0, 1, 1)), ONE)),
+    ]
+    for poly, terms in built:
+        expected = LaurentPoly(blocks, terms)
+        assert poly == expected and str(poly) == str(expected)
+        assert [type(c) for c in poly._terms.values()] == [type(c) for c in expected._terms.values()]
 
 
 def test_str():

@@ -131,18 +131,39 @@ def _seed_tables(blocks):
     }
 
 
-def test_shape_tables_are_stored_when_the_shape_is_made():
+def test_shape_tables_are_plain_attributes():
     """The 31 shapes of the ``n <= 5`` family, and the shapes of a few Laurent
-    polynomials, hold every table as a plain attribute as soon as the constructor
-    returns, each equal to its formula, and nothing else."""
+    polynomials, hold every table as a plain attribute once any table of one entry
+    per flat position has been read, each equal to its formula, and nothing else."""
     family = [blocks for n in range(1, 6) for blocks in compositions(n)]
     assert len(family) == 31
     for blocks in family:
-        assert vars(GroupShape(blocks)) == _seed_tables(blocks), blocks
+        shape, seed = GroupShape(blocks), _seed_tables(blocks)
+        assert {name: getattr(shape, name) for name in seed} == seed, blocks
+        assert vars(shape) == seed, blocks
     for blocks in ((7,), (4, 3), (1, 1, 1, 1, 1, 1), (2, 6, 1)):
         poly = LaurentPoly(blocks)
-        assert vars(poly._shape) == _seed_tables(blocks), blocks
         assert poly._shape is GroupShape(blocks) and poly.blocks == blocks
+        assert poly._shape._modulus_half_doubled == _seed_tables(blocks)["_modulus_half_doubled"]
+        assert vars(poly._shape) == _seed_tables(blocks), blocks
+
+
+def test_position_tables_wait_for_their_first_read():
+    """A shape's ``n`` is not bounded by the input that names it, so a new shape, alone
+    or under a Laurent polynomial, stores only what its blocks size (``n``, ``r`` and
+    the offsets) until a table of one entry per flat position is read; then it stores
+    all four.  Other missing attributes raise the usual ``AttributeError``.  (The CLI
+    tests run a job naming ``10**9`` positions in a child with a capped address space.)"""
+    for blocks, offsets in (((997,), (0,)), ((3, 401, 1), (0, 3, 404))):
+        shape = GroupShape(blocks)
+        assert vars(shape) == {"blocks": blocks, "n": sum(blocks), "r": len(blocks), "offsets": offsets}
+        assert shape.block_of(shape.n - 1) == (len(blocks) - 1, blocks[-1] - 1)
+        assert vars(shape) == _seed_tables(blocks)
+    poly = LaurentPoly((409, 2))
+    assert sorted(vars(poly._shape)) == ["blocks", "n", "offsets", "r"] and poly.n == 411
+    with pytest.raises(AttributeError) as err:
+        GroupShape((2,)).nope
+    assert str(err.value) == "'GroupShape' object has no attribute 'nope'"
 
 
 def test_family_run_interns_one_shape_per_block_tuple():

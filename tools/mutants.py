@@ -471,9 +471,9 @@ MUTANTS = [
     (
         "stored n counting blocks instead of positions",
         TORI,
-        '_set(shape, "n", len(positions))',
+        '_set(shape, "n", sum(blocks))',
         '_set(shape, "n", len(blocks))',
-        ["tests/test_tori.py::test_shape_tables_are_stored_when_the_shape_is_made"],
+        ["tests/test_tori.py::test_shape_tables_are_plain_attributes"],
     ),
     (
         "block symmetry looking up the swap partner without its symbol part",
