@@ -16,8 +16,8 @@ converts a number with the builtin ``int``.
 raise ``SizeMismatch``.
 
 ``GroupShape`` owns every table derived from its blocks and stores each one
-when the shape is interned, so no module compares shapes, or the block tuples
-behind them, by equality.
+as a plain attribute of the interned shape, so no module compares shapes, or
+the block tuples behind them, by equality.
 """
 
 import ast
@@ -141,7 +141,7 @@ def test_no_module_compares_shapes_by_equality():
 
 
 def test_group_shape_stores_its_tables():
-    """No table of a shape is a property: each is set when the shape is made."""
+    """No table of a shape is a property: each is set as a plain attribute."""
     tree = dict(_trees())["tori.py"]
     (shape,) = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "GroupShape"]
     decorated = [
