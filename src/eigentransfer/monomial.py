@@ -19,8 +19,9 @@ A value is stored as its coefficient (an ``int`` when integral) and a tuple of
 ``(name, doubled exponent)`` pairs, sorted by name with no zero entry.  This
 module owns that format.  Other modules reach it through a small private
 vocabulary: :func:`_merge` and :func:`_times` on tuples, :func:`_half_power`,
-:func:`_unit`, :meth:`Monomial._from_twice` (which also takes a power product of
-monomials), :meth:`Monomial._split` and :meth:`Monomial._pair`.  :mod:`eigentransfer.laurent`
+:func:`_times_rows` (each value of a sequence times the unit monomial of a tuple),
+:meth:`Monomial._from_twice` (which also takes a power product of monomials),
+:meth:`Monomial._split` and :meth:`Monomial._pair`.  :mod:`eigentransfer.laurent`
 is the one other module that holds the tuples, since its term key is one: it
 reads a coefficient's pair in its constructor, multiplies keys with
 :func:`_merge` and rebuilds coefficients with :func:`_new`.
@@ -35,7 +36,7 @@ coefficient grammar (``"-3/2"``).  Every other module checks its numbers with
 from __future__ import annotations
 
 import re
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 
 from ._frozen import FrozenValue, _set
@@ -433,9 +434,20 @@ def _half_power(name: str, doubled: int) -> Monomial:
     return _make(_UNIT, ((name, doubled),) if doubled else ())
 
 
-def _unit(twice: tuple[tuple[str, int], ...]) -> Monomial:
-    """The monomial with coefficient one and the well-formed doubled-exponent tuple ``twice``."""
-    return _make(_UNIT, twice)
+def _times_rows(rows: Sequence[tuple], values: Sequence[Monomial], order: Sequence[int]) -> tuple:
+    """``unit(rows[p]) * values[order[p]]`` for each ``p``, where ``unit(row)`` is the monomial
+    with coefficient one and the well-formed doubled-exponent tuple ``row``.  Each product keeps
+    the value's own coefficient, which is canonical, and an empty row gives the value itself."""
+    out = []
+    for row, u in zip(rows, order):
+        value = values[u]
+        if row:
+            product = _new_object(Monomial)
+            _set_coeff(product, value._coeff)
+            _set_twice(product, _merge(row, value._twice))
+            value = product
+        out.append(value)
+    return tuple(out)
 
 
 # the slots' own setters, bound once: cheaper than ``object.__setattr__`` by name

@@ -6,7 +6,8 @@ Both share a diagonal torus of rank ``n``, so every map here is exact
 arithmetic on length-``n`` tuples.  A config's ``sigma`` is a
 block-order-preserving permutation of the flat positions, and the four
 character maps are affine: the value at target slot ``p`` is
-``T[p] * chi[sigma^-1(p)]`` for a multiplier tuple ``T`` kept on the config.
+``T[p] * chi[sigma^-1(p)]`` for a multiplier ``T[p]`` with coefficient one, kept
+on the config as its row of ``(symbol, doubled exponent)`` pairs.
 
 * ``refinement_pullback``: ``T`` is the unramified twist ``M`` on blocks whose
   complementary size ``n - n_i`` is odd (the twist symbol is trivial on even blocks).
@@ -27,8 +28,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
 from functools import cache, cached_property
-from itertools import accumulate, combinations
-from operator import mul
+from itertools import combinations
 
 from ._frozen import FrozenValue, _set
 from .errors import (
@@ -41,14 +41,13 @@ from .errors import (
 from .laurent import LaurentPoly
 from .monomial import (
     Monomial,
-    ONE,
     RESIDUE_SYMBOL,
     UNIFORMIZER_SYMBOL,
     _exact,
     _half_power,
     _integers,
     _times,
-    _unit,
+    _times_rows,
     valid_symbol,
 )
 from .tori import AlgebraicWeight, CocharVector, GroupShape, UnramifiedCharacter
@@ -251,12 +250,12 @@ class TransferConfig(FrozenValue):
             rows.append((u, 2 * ((n - blocks[i]) % 2), 2 * (j - p) + n - blocks[i], shifts[p]))
         return tuple(rows)
 
-    def _multipliers(self, twisted: bool, normalized: bool, weighted: bool) -> tuple[Monomial, ...]:
-        """The multiplier of target slot ``p`` for each ``p``: the product of ``M^t`` when
-        ``twisted``, the source half-modulus at ``sigma^-1(p)`` and the inverse target
-        half-modulus at ``p`` when ``normalized``, and ``W^shift[p]`` when ``weighted``,
-        made once from the doubled exponents of :attr:`_slot_rows`.  The shifts are read
-        first, so a non-integral one raises first."""
+    def _multipliers(self, twisted: bool, normalized: bool, weighted: bool) -> tuple[tuple, ...]:
+        """The doubled-exponent row of the multiplier of target slot ``p`` for each ``p``:
+        the product of ``M^t`` when ``twisted``, the source half-modulus at ``sigma^-1(p)``
+        and the inverse target half-modulus at ``p`` when ``normalized``, and ``W^shift[p]``
+        when ``weighted``, made once from the doubled exponents of :attr:`_slot_rows`.  The
+        shifts are read first, so a non-integral one raises first."""
         if weighted:
             weight_shift(self)
         mu = self.mu
@@ -267,13 +266,13 @@ class TransferConfig(FrozenValue):
                 twice = _times(twice, RESIDUE_SYMBOL, q)
             if weighted:
                 twice = _times(twice, UNIFORMIZER_SYMBOL, w)
-            out.append(_unit(twice))
+            out.append(twice)
         return tuple(out)
 
-    # the multiplier tables of the pullback maps, each built on first use and kept on the config
+    # the multiplier rows of the pullback maps, each table built on first use and kept on the config
     _slot_twists = cached_property(lambda self: self._multipliers(True, False, False))
     _normalized_multipliers = cached_property(lambda self: self._multipliers(True, True, False))
-    _shift_monomials = cached_property(lambda self: self._multipliers(False, False, True))
+    _shift_rows = cached_property(lambda self: self._multipliers(False, False, True))
     _atkin_lehner_multipliers = cached_property(lambda self: self._multipliers(True, True, True))
     _atkin_lehner_plain_multipliers = cached_property(
         lambda self: self._multipliers(True, False, True)
@@ -350,12 +349,12 @@ def iota_sigma_pullback(chi: UnramifiedCharacter, sigma: Sequence[int]) -> Unram
 
 
 def _affine_pullback(
-    chi: UnramifiedCharacter, cfg: TransferConfig, multipliers: tuple[Monomial, ...]
+    chi: UnramifiedCharacter, cfg: TransferConfig, multipliers: tuple[tuple, ...]
 ) -> UnramifiedCharacter:
-    """The character with value ``multipliers[p] * chi(e_u)``, ``u = sigma^-1(p)``, at slot ``p``."""
-    values = chi.values
+    """The character with value ``multipliers[p] * chi(e_u)``, ``u = sigma^-1(p)``, at slot
+    ``p``, each multiplier given by its doubled-exponent row."""
     return UnramifiedCharacter._new(
-        cfg.target, tuple(m * values[u] for m, u in zip(multipliers, cfg.sigma_inverse))
+        cfg.target, _times_rows(multipliers, chi.values, cfg.sigma_inverse)
     )
 
 
@@ -407,7 +406,7 @@ def weight_character_pullback(
 ) -> UnramifiedCharacter:
     """Character form of the weight map: value at ``p`` is ``W^shift[p] * chi(e_u)``."""
     _require_source("character", chi.shape, cfg)
-    return _affine_pullback(chi, cfg, cfg._shift_monomials)
+    return _affine_pullback(chi, cfg, cfg._shift_rows)
 
 
 def atkin_lehner_pullback(
@@ -477,14 +476,29 @@ def _ratio(left: tuple, right: tuple) -> Monomial:
     return Monomial._from_twice(1, twice)
 
 
-def _factorization_residuals(ratios: tuple[Monomial, ...]) -> tuple[str, ...]:
-    """The non-trivial values of the slot-ratio character at the generators of ``GL_n``,
-    in :func:`dominant_generators` order: the ``n`` prefix products, then the
-    inverse of the full product at the negated full vector."""
-    prefixes = list(accumulate(ratios, mul))
-    gens = [gen.exps for gen in dominant_generators(GroupShape((len(ratios),)))]
-    values = prefixes + [prefixes[-1].inverse()]
-    return tuple(f"t={t}: {v.text()}" for t, v in zip(gens, values) if not v.is_one())
+def _factorization_residuals(lhs: tuple, rhs: tuple) -> tuple[str, ...]:
+    """The non-trivial values of the slot-ratio character ``lhs * rhs^-1`` at the generators
+    of ``GL_n``, in :func:`dominant_generators` order: the ``n`` prefix products, then the
+    inverse of the full product at the negated full vector.
+
+    ``lhs[p]`` and ``rhs[p]`` are rows of ``(symbol, doubled exponent)`` pairs of one
+    length, so a prefix product is the running sum, by name, of the entries in which the
+    rows differ; a monomial is built only for a generator that is reported."""
+    gens = dominant_generators(GroupShape((len(lhs),)))
+    total: dict[str, int] = {}
+    out = []
+    for gen, a, b in zip(gens, lhs, rhs):
+        if a != b:
+            for x, y in zip(a, b):
+                if x != y:
+                    total[x[0]] = total.get(x[0], 0) + x[1]
+                    total[y[0]] = total.get(y[0], 0) - y[1]
+        if any(total.values()):
+            out.append(f"t={gen.exps}: {Monomial._from_twice(1, total).text()}")
+    if any(total.values()):
+        inverse = {name: -t for name, t in total.items()}
+        out.append(f"t={gens[-1].exps}: {Monomial._from_twice(1, inverse).text()}")
+    return tuple(out)
 
 
 def verify_transfer_compatibility(
@@ -529,10 +543,7 @@ def verify_transfer_compatibility(
             product[u] + ((mu, twist), (RESIDUE_SYMBOL, q * keep_q), (UNIFORMIZER_SYMBOL, w))
             for u, twist, q, w in cfg._slot_rows
         )
-        residuals = ()
-        if lhs != rhs:
-            ratios = tuple(ONE if a == b else _ratio(a, b) for a, b in zip(lhs, rhs))
-            residuals = _factorization_residuals(ratios)
+        residuals = _factorization_residuals(lhs, rhs) if lhs != rhs else ()
         factorization = CheckResult("atkin-lehner-factorization", not residuals, residuals)
     return TransferReport((shift_check, factorization, duality_check))
 

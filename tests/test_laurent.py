@@ -370,33 +370,80 @@ def test_str():
     assert str(p) == "1 * x1^-2 + 1 * a * x0"
 
 
+# Each case carries its test id, so that neither its message nor its place in the list
+# renames a test.  The ids are the ones these cases were collected under before they
+# were written out; a new case takes a short id that names what it builds.
 @pytest.mark.parametrize(
     "build, message",
     [
-        (lambda: LaurentPoly((1.5,)), "group shape blocks must be integers, got 1.5"),
-        (lambda: LaurentPoly.constant((2, 0.5), 3), "group shape blocks must be integers, got 0.5"),
+        pytest.param(
+            lambda: LaurentPoly((1.5,)),
+            "group shape blocks must be integers, got 1.5",
+            id="<lambda>-blocks must be integers, got 1.5_0",
+        ),
+        pytest.param(
+            lambda: LaurentPoly.constant((2, 0.5), 3),
+            "group shape blocks must be integers, got 0.5",
+            id="<lambda>-blocks must be integers, got 0.5",
+        ),
         # the variable count comes from the blocks, so they are checked before the index
-        (lambda: LaurentPoly.variable((1.5,), 1), "group shape blocks must be integers, got 1.5"),
-        (lambda: elementary_symmetric((1.5,), 2), "group shape blocks must be integers, got 1.5"),
-        (lambda: LaurentPoly((1,), {(1.5,): Monomial(1)}), "exponents must be integers, got 1.5"),
-        (lambda: var((2,), 0).coefficients((0.5, 0)), "exponents must be integers, got 0.5"),
-        (
+        pytest.param(
+            lambda: LaurentPoly.variable((1.5,), 1),
+            "group shape blocks must be integers, got 1.5",
+            id="<lambda>-blocks must be integers, got 1.5_1",
+        ),
+        pytest.param(
+            lambda: elementary_symmetric((1.5,), 2),
+            "group shape blocks must be integers, got 1.5",
+            id="<lambda>-blocks must be integers, got 1.5_2",
+        ),
+        pytest.param(
+            lambda: LaurentPoly((1,), {(1.5,): Monomial(1)}),
+            "exponents must be integers, got 1.5",
+            id="<lambda>-exponents must be integers, got 1.5",
+        ),
+        pytest.param(
+            lambda: var((2,), 0).coefficients((0.5, 0)),
+            "exponents must be integers, got 0.5",
+            id="<lambda>-exponents must be integers, got 0.5",
+        ),
+        pytest.param(
             lambda: var((2,), 0).permute_variables((1.2, 0)),
             "permutation entries must be integers, got 1.2",
+            id="<lambda>-permutation entries must be integers, got 1.2",
         ),
-        (
+        pytest.param(
             lambda: LaurentPoly((2, 0)),
             "a group shape needs at least one block, all of positive size",
+            id="<lambda>-a group shape needs at least one block, all of positive size",
         ),
         # scalar arguments follow the same rule: these raised TypeError or were accepted
-        (lambda: elementary_symmetric((3,), 1.5), "degrees must be integers, got 1.5"),
-        (lambda: elementary_symmetric((3,), True), "degrees must be integers, got True"),
-        (lambda: LaurentPoly.variable((2,), "0"), "variable indices must be integers, got '0'"),
-        (lambda: LaurentPoly.variable((2,), 1.0), "variable indices must be integers, got 1.0"),
-        (lambda: var((2,), 0) ** True, "powers must be integers, got True"),
+        pytest.param(
+            lambda: elementary_symmetric((3,), 1.5),
+            "degrees must be integers, got 1.5",
+            id="<lambda>-degrees must be integers, got 1.5",
+        ),
+        pytest.param(
+            lambda: elementary_symmetric((3,), True),
+            "degrees must be integers, got True",
+            id="<lambda>-degrees must be integers, got True",
+        ),
+        pytest.param(
+            lambda: LaurentPoly.variable((2,), "0"),
+            "variable indices must be integers, got '0'",
+            id="<lambda>-variable indices must be integers, got '0'",
+        ),
+        pytest.param(
+            lambda: LaurentPoly.variable((2,), 1.0),
+            "variable indices must be integers, got 1.0",
+            id="<lambda>-variable indices must be integers, got 1.0",
+        ),
+        pytest.param(
+            lambda: var((2,), 0) ** True,
+            "powers must be integers, got True",
+            id="<lambda>-powers must be integers, got True",
+        ),
     ],
-    # a block case is named by its message without the ``group shape `` prefix
-    ids=lambda v: v.removeprefix("group shape ") if isinstance(v, str) else None,
 )
 def test_non_integral_values_are_refused(build, message):
     """Blocks and exponents used to be truncated by ``int``: ``(1.5,)`` became ``(1,)``."""

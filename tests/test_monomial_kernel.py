@@ -491,6 +491,36 @@ def test_times_matches_dict_merge(a, name, doubled):
     assert monomial._half_power(name, doubled)._twice == _dict_merge((), [(name, doubled)])
 
 
+@st.composite
+def _rows_values_order(draw):
+    """Rows, values and an order of the values, one each per slot; a row may take back
+    every exponent of the value it meets, so that the product's tuple is ``()``."""
+    n = draw(st.integers(0, 5))
+    rows = draw(st.lists(_twice_tuples, min_size=n, max_size=n))
+    values = draw(st.lists(_pairs.map(lambda pair: pair[0]), min_size=n, max_size=n))
+    order = draw(st.permutations(range(n)))
+    for p, u in enumerate(order):
+        if draw(st.booleans()):
+            rows[p] = tuple((name, -t) for name, t in values[u]._twice)
+    return rows, values, order
+
+
+@settings(max_examples=150, derandomize=True, database=None)
+@given(_rows_values_order())
+def test_times_rows_matches_unit_products(case):
+    """``_times_rows`` against ``unit(row) * value`` through ``Monomial.__mul__``: the same
+    monomial with the same canonical coefficient type, a well-formed tuple, and for an
+    empty row the value object itself."""
+    rows, values, order = case
+    got = monomial._times_rows(rows, values, order)
+    assert type(got) is tuple and len(got) == len(rows)
+    for row, u, m in zip(rows, order, got):
+        expected = monomial._make(1, row) * values[u]
+        assert m == expected and type(m._coeff) is type(expected._coeff) and _canonical(m)
+        assert _well_formed(m)
+        assert (m is values[u]) == (not row)
+
+
 @settings(max_examples=150, derandomize=True, database=None)
 @given(_pairs, st.sampled_from(_NAMES + ("absent",)))
 def test_split_matches_dict_reference(x, name):

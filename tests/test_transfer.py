@@ -565,7 +565,7 @@ def _rebuilt_verifier(cfg, drop_normalization=False):
     if shifts_ok:
         lhs_char = atkin_lehner_pullback(chi * zeta, cfg, normalized=not drop_normalization)
         rhs_char = refinement_pullback_normalized(chi, cfg) * weight_character_pullback(zeta, cfg)
-        residuals = _factorization_residuals((lhs_char * rhs_char.inverse()).values)
+        residuals = _generator_oracle((lhs_char * rhs_char.inverse()).values)
         checks.append(CheckResult("atkin-lehner-factorization", not residuals, residuals))
     else:
         skipped = ("skipped: weight shifts are not integral",)
@@ -661,7 +661,7 @@ def test_verifier_rows_carry_the_generic_symbols():
         rhs = refinement_pullback_normalized(chi, kept) * weight_character_pullback(zeta, kept)
         for drop in (False, True):
             lhs = atkin_lehner_pullback(chi * zeta, cfg, normalized=not drop)
-            expected = _factorization_residuals((lhs * rhs.inverse()).values)
+            expected = _generator_oracle((lhs * rhs.inverse()).values)
             factorization = verify_transfer_compatibility(cfg, drop).checks[1]
             assert factorization.residuals == expected, (sigma, drop)
             assert not factorization.passed
@@ -676,43 +676,57 @@ def _generator_oracle(ratios):
 
 
 def test_factorization_residuals_read_prefix_products():
-    root_q = Monomial(1, {"q": HALF})
-    ratios = (root_q, root_q.inverse(), Monomial(-2, {"W": 1}))
-    assert _factorization_residuals(ratios) == (
+    q_half, q_back, w = ((("q", 1),), (("q", -1),), (("W", 2),))
+    zero = (("q", 0),)
+    assert _factorization_residuals((q_half, q_back, w), (zero, zero, (("W", 0),))) == (
         "t=(1, 0, 0): 1 * q^(1/2)",
-        "t=(1, 1, 1): -2 * W",
-        "t=(-1, -1, -1): -1/2 * W^-1",
+        "t=(1, 1, 1): 1 * W",
+        "t=(-1, -1, -1): 1 * W^-1",
     )
     # a full product of 1, as every config's: no residual at the negated full vector
-    assert _factorization_residuals((root_q, root_q.inverse())) == ("t=(1, 0): 1 * q^(1/2)",)
-    assert _factorization_residuals((ONE,)) == ()
+    assert _factorization_residuals((q_half, q_back), (zero, zero)) == ("t=(1, 0): 1 * q^(1/2)",)
+    # entries that differ by name are both kept
+    assert _factorization_residuals(((("x1", 2),),), ((("x2", 2),),)) == (
+        "t=(1,): 1 * x1 * x2^-1",
+        "t=(-1,): 1 * x1^-1 * x2",
+    )
 
 
-_slot_ratios = st.one_of(
-    st.just(ONE),
-    st.builds(
-        lambda num, den, exps: Monomial(
-            Fraction(num, den), {name: Fraction(e, 2) for name, e in zip("qWM", exps)}
-        ),
-        st.integers(-4, 4).filter(bool),
-        st.integers(1, 4),
-        st.lists(st.integers(-3, 3), min_size=3, max_size=3),
-    ),
-)
+def _row_ratio(a, b):
+    """Oracle: the monomial ``a * b^-1`` of two rows, through public ``Monomial`` products."""
+    power = lambda row: prod((symbol(name, Fraction(t, 2)) for name, t in row), start=ONE)
+    return power(a) * power(b).inverse()
+
+
+@st.composite
+def _residual_rows(draw):
+    """Two rows per slot, n = 1..6, laid out alike as the verifier's are: each pair of
+    entries at one position shares its name or not, with doubled exponents -3..3 that
+    may be 0 or cancel across slots; a slot's rows are often equal."""
+    n = draw(st.integers(1, 6))
+    width = draw(st.integers(1, 3))
+    exps = st.integers(-3, 3)
+    entries = st.tuples(st.sampled_from(("M", "W", "q", "x1", "x2", "z1")), exps)
+    lhs, rhs = [], []
+    for _ in range(n):
+        a = tuple(draw(st.lists(entries, min_size=width, max_size=width)))
+        if draw(st.booleans()):
+            b = a
+        else:  # each entry: a's own, a's name with another exponent, or any other entry
+            b = tuple(draw(st.just(x) | exps.map(lambda t: (x[0], t)) | entries) for x in a)
+        lhs.append(a)
+        rhs.append(b)
+    return tuple(lhs), tuple(rhs)
 
 
 @settings(max_examples=400, derandomize=True, database=None)
-@given(st.data())
-def test_factorization_residuals_match_generator_oracle(data):
-    """Prefix products against ``eval`` at each generator: n = 1..6, small
-    ``q``/``W``/``M`` monomials with coefficients of both signs, with the full
-    product left free (no config reaches a residual at the negated full vector)
-    or closed to 1 by the last ratio."""
-    n = data.draw(st.integers(1, 6))
-    ratios = data.draw(st.lists(_slot_ratios, min_size=n, max_size=n))
-    if data.draw(st.booleans()):
-        ratios[-1] = prod(ratios[:-1], start=ONE).inverse()
-    assert _factorization_residuals(tuple(ratios)) == _generator_oracle(ratios)
+@given(_residual_rows())
+def test_factorization_residuals_match_generator_oracle(rows):
+    """Running sums of the differing entries against ``eval`` of the slot-ratio character
+    at each generator, the ratios built from the rows by ``Monomial`` products."""
+    lhs, rhs = rows
+    ratios = [_row_ratio(a, b) for a, b in zip(lhs, rhs)]
+    assert _factorization_residuals(lhs, rhs) == _generator_oracle(ratios)
 
 
 def test_archimedean_transfer_anchors():
@@ -1097,7 +1111,7 @@ def _from_twice_multipliers(cfg, twisted, normalized, weighted):
 _TABLES = {
     "_slot_twists": (True, False, False),
     "_normalized_multipliers": (True, True, False),
-    "_shift_monomials": (False, False, True),
+    "_shift_rows": (False, False, True),
     "_atkin_lehner_multipliers": (True, True, True),
     "_atkin_lehner_plain_multipliers": (True, False, True),
 }
@@ -1106,8 +1120,8 @@ _TABLES = {
 def test_multiplier_tables_match_the_from_twice_builder():
     """All five tables on every n <= 5 config, with a twist symbol that sorts before
     ``W`` (``M``), between ``W`` and ``q`` (``x1``) and after ``q`` (``z3``), and with
-    integral and non-integral shifts: the same monomials as the dict builder, and the
-    same ``NonIntegralShift`` text from the weighted tables."""
+    integral and non-integral shifts: the doubled-exponent rows of the dict builder's
+    monomials, and the same ``NonIntegralShift`` text from the weighted tables."""
     cases = 0
     for mu, alpha in product(("M", "x1", "z3"), (HALF, Fraction(1))):
         for cfg in _every_config(alpha, mu):
@@ -1118,12 +1132,59 @@ def test_multiplier_tables_match_the_from_twice_builder():
                     with pytest.raises(NonIntegralShift, match=re.escape(str(err))):
                         getattr(cfg, name)
                     continue
-                got = getattr(cfg, name)
-                # equal stored tuples, so sorted alike, and the canonical ``int`` coefficient
-                assert got == expected
-                assert all(m._coeff.__class__ is int for m in got)
+                assert getattr(cfg, name) == tuple(m._twice for m in expected)
                 cases += 1
     assert cases > 633 * 3 * 2 * 2
+
+
+_PULLBACKS = {
+    "_slot_twists": refinement_pullback,
+    "_normalized_multipliers": refinement_pullback_normalized,
+    "_shift_rows": weight_character_pullback,
+    "_atkin_lehner_multipliers": atkin_lehner_pullback,
+    "_atkin_lehner_plain_multipliers": lambda chi, cfg: atkin_lehner_pullback(chi, cfg, False),
+}
+_coefficients = st.builds(Fraction, st.integers(-4, 4).filter(bool), st.integers(1, 4))
+# names that sort before, equal to and between the multipliers' M, W and q, and after q
+_VALUE_NAMES = ("A", "M", "N", "W", "a", "q", "z")
+_character_values = st.builds(
+    lambda coeff, exps: Monomial(coeff, {n: Fraction(e, 2) for n, e in zip(_VALUE_NAMES, exps)}),
+    _coefficients,
+    st.lists(st.integers(-3, 3), min_size=len(_VALUE_NAMES), max_size=len(_VALUE_NAMES)),
+)
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(_verifier_inputs(), st.data())
+def test_pullbacks_match_the_monomial_multiplier_formula(inputs, data):
+    """All five maps against the formula of the tables of monomials that the rows
+    replaced: ``Monomial._from_twice(1, row) * chi.values[sigma_inverse[p]]`` at slot
+    ``p``, in value and in coefficient type.  Values have ``Fraction`` and ``int``
+    coefficients and symbols on every side of ``M``, ``W`` and ``q``, and each value may
+    be the inverse of its slot's multiplier times a coefficient, so that the exponents
+    cancel to ``()``.  A non-integral shift raises the table's text from the weighted maps."""
+    blocks, sigma, alpha, mu = inputs
+    cfg = config(blocks, sigma, alpha, mu=mu)
+    for name, pullback in _PULLBACKS.items():
+        try:
+            rows = getattr(cfg, name)
+        except NonIntegralShift as err:
+            with pytest.raises(NonIntegralShift, match=re.escape(str(err))):
+                pullback(UnramifiedCharacter.trivial(cfg.source), cfg)
+            continue
+        values = data.draw(st.lists(_character_values, min_size=cfg.n, max_size=cfg.n))
+        cancel = data.draw(st.lists(st.booleans(), min_size=cfg.n, max_size=cfg.n))
+        for u, p in enumerate(cfg.sigma):
+            if cancel[u]:
+                values[u] = Monomial._from_twice(values[u]._coeff, {n: -t for n, t in rows[p]})
+        chi = UnramifiedCharacter(cfg.source, values)
+        got = pullback(chi, cfg).values
+        expected = tuple(
+            Monomial._from_twice(1, dict(row)) * values[cfg.sigma_inverse[p]]
+            for p, row in enumerate(rows)
+        )
+        assert got == expected
+        assert [type(v._coeff) for v in got] == [type(v._coeff) for v in expected]
 
 
 def test_cached_data_leaves_no_cyclic_garbage():

@@ -203,143 +203,394 @@ TRIVIAL_3 = UnramifiedCharacter.trivial(GroupShape((3,)))
 INF, NAN = float("inf"), float("nan")
 EMPTY_SPACE = MockFormSpace(WEIGHT, ())
 INEXACT = "rationals are ints, Fractions or 'a/b' text, got "
+# Each row carries its test id, so that neither its message nor its place in the table
+# renames a test.  The ids are the ones pytest generated for these rows (constructor, row
+# index, message) before they were written out; a new row takes a short id that names
+# its case.
 ERRORS = [
-    (SymbolValue, (0,), "symbol values must be positive rationals"),
-    (SymbolValue, (4, 3), "declared square root does not square to the value"),
-    (GroupShape, ((),), "a group shape needs at least one block, all of positive size"),
-    (GroupShape, ((1, 0),), "a group shape needs at least one block, all of positive size"),
-    (CocharVector, (SHAPE, (1,)), "cocharacter needs 3 entries, got 1"),
-    (UnramifiedCharacter, (SHAPE, (ONE,)), "character needs 3 values, got 1"),
-    (UnramifiedCharacter, (SHAPE, (ONE, ONE, 1)), "character values must be Monomial instances"),
-    (AlgebraicWeight, (SHAPE, (1, 2, 3, 4)), "weight needs 3 entries, got 4"),
-    (
+    pytest.param(
+        SymbolValue,
+        (0,),
+        "symbol values must be positive rationals",
+        id="SymbolValue-args0-symbol values must be positive rationals",
+    ),
+    pytest.param(
+        SymbolValue,
+        (4, 3),
+        "declared square root does not square to the value",
+        id="SymbolValue-args1-declared square root does not square to the value",
+    ),
+    pytest.param(
+        GroupShape,
+        ((),),
+        "a group shape needs at least one block, all of positive size",
+        id="GroupShape-args2-a group shape needs at least one block, all of positive size",
+    ),
+    pytest.param(
+        GroupShape,
+        ((1, 0),),
+        "a group shape needs at least one block, all of positive size",
+        id="GroupShape-args3-a group shape needs at least one block, all of positive size",
+    ),
+    pytest.param(
+        CocharVector,
+        (SHAPE, (1,)),
+        "cocharacter needs 3 entries, got 1",
+        id="CocharVector-args4-cocharacter needs 3 entries, got 1",
+    ),
+    pytest.param(
+        UnramifiedCharacter,
+        (SHAPE, (ONE,)),
+        "character needs 3 values, got 1",
+        id="UnramifiedCharacter-args5-character needs 3 values, got 1",
+    ),
+    pytest.param(
+        UnramifiedCharacter,
+        (SHAPE, (ONE, ONE, 1)),
+        "character values must be Monomial instances",
+        id="UnramifiedCharacter-args6-character values must be Monomial instances",
+    ),
+    pytest.param(
+        AlgebraicWeight,
+        (SHAPE, (1, 2, 3, 4)),
+        "weight needs 3 entries, got 4",
+        id="AlgebraicWeight-args7-weight needs 3 entries, got 4",
+    ),
+    pytest.param(
         TransferConfig,
         (SHAPE, (0, 0, 1), HALF),
         "sigma must be a permutation of 0..2, got (0, 0, 1)",
+        id="TransferConfig-args8-sigma must be a permutation of 0..2, got (0, 0, 1)",
     ),
-    (
+    pytest.param(
         TransferConfig,
         (SHAPE, (0, 2, 1), HALF),
         "sigma must be strictly increasing on block 2; images [2, 1]",
+        id="TransferConfig-args9-sigma must be strictly increasing on block 2; images [2, 1]",
     ),
-    (TransferConfig, (SHAPE, (0, 1, 2), Fraction(1, 3)), "alpha must be a half-integer, got 1/3"),
-    (TransferConfig, ((1, 2), (0, 1, 2), HALF, "q"), "mu must be a fresh symbol name, got 'q'"),
-    (Segment, (1, 1), "segment twist must be a Monomial"),
-    (Segment, (symbol("g"), 0), "segment length must be a positive integer, got 0"),
-    (Segment, (symbol("g"), 1.5), "segment length must be a positive integer, got 1.5"),
-    (LocalRepDescriptor, (SHAPE, ((SEGMENT,),)), "descriptor needs 2 segment blocks, got 1"),
-    (
+    pytest.param(
+        TransferConfig,
+        (SHAPE, (0, 1, 2), Fraction(1, 3)),
+        "alpha must be a half-integer, got 1/3",
+        id="TransferConfig-args10-alpha must be a half-integer, got 1/3",
+    ),
+    pytest.param(
+        TransferConfig,
+        ((1, 2), (0, 1, 2), HALF, "q"),
+        "mu must be a fresh symbol name, got 'q'",
+        id="TransferConfig-args11-mu must be a fresh symbol name, got 'q'",
+    ),
+    pytest.param(
+        Segment,
+        (1, 1),
+        "segment twist must be a Monomial",
+        id="Segment-args12-segment twist must be a Monomial",
+    ),
+    pytest.param(
+        Segment,
+        (symbol("g"), 0),
+        "segment length must be a positive integer, got 0",
+        id="Segment-args13-segment length must be a positive integer, got 0",
+    ),
+    pytest.param(
+        Segment,
+        (symbol("g"), 1.5),
+        "segment length must be a positive integer, got 1.5",
+        id="Segment-args14-segment length must be a positive integer, got 1.5",
+    ),
+    pytest.param(
+        LocalRepDescriptor,
+        (SHAPE, ((SEGMENT,),)),
+        "descriptor needs 2 segment blocks, got 1",
+        id="LocalRepDescriptor-args15-descriptor needs 2 segment blocks, got 1",
+    ),
+    pytest.param(
         LocalRepDescriptor,
         (SHAPE, ((1,), (SEGMENT,))),
         "segment blocks must contain Segment instances",
+        id="LocalRepDescriptor-args16-segment blocks must contain Segment instances",
     ),
-    (
+    pytest.param(
         LocalRepDescriptor,
         (SHAPE, ((SEGMENT,), (SEGMENT,))),
         "segment lengths in block 1 sum to 2, expected 1",
+        id="LocalRepDescriptor-args17-segment lengths in block 1 sum to 2, expected 1",
     ),
-    (
+    pytest.param(
         ClassicalPoint,
         (WEIGHT, (("p", TRIVIAL_3),), ()),
         "eigenvalue system at place 'p' must be a character on (1,2)",
+        id="ClassicalPoint-args18-eigenvalue system at place 'p' must be a character on (1,2)",
     ),
-    (
+    pytest.param(
         ClassicalPoint,
         (WEIGHT, (), (("v", ((ONE,), (ONE,))),)),
         "Satake data at place 'v' must have block sizes (1, 2)",
+        id="ClassicalPoint-args19-Satake data at place 'v' must have block sizes (1, 2)",
     ),
-    (
+    pytest.param(
         ClassicalPoint,
         (WEIGHT, (), (("v", ((ONE,), (ONE, 1))),)),
         "Satake values at place 'v' must be Monomials",
+        id="ClassicalPoint-args20-Satake values at place 'v' must be Monomials",
     ),
-    (
+    pytest.param(
         ClassicalPoint,
         (WEIGHT, (("p", CHI), ("p", CHI)), ()),
         "duplicate place tags in eigenvalue systems",
+        id="ClassicalPoint-args21-duplicate place tags in eigenvalue systems",
     ),
-    (
+    pytest.param(
         ClassicalPoint,
         (WEIGHT, (), (("v", ((ONE,), (ONE, ONE))),) * 2),
         "duplicate place tags in Satake data",
+        id="ClassicalPoint-args22-duplicate place tags in Satake data",
     ),
-    (MockFormSpace, (WEIGHT, ((POINT, 0),)), "multiplicity must be positive, got 0"),
-    (
+    pytest.param(
+        MockFormSpace,
+        (WEIGHT, ((POINT, 0),)),
+        "multiplicity must be positive, got 0",
+        id="MockFormSpace-args23-multiplicity must be positive, got 0",
+    ),
+    pytest.param(
         MockFormSpace,
         (AlgebraicWeight(SHAPE, (0, 0, 0)), ((POINT, 1),)),
         "all entries of a form space must share its weight",
+        id="MockFormSpace-args24-all entries of a form space must share its weight",
     ),
-    (SphericalFactor, ("v", 0), "degree must be a positive integer, got 0"),
-    (SphericalFactor, ("v", "2"), "degree must be a positive integer, got '2'"),
-    (Segment, (symbol("g"), "2"), "segment length must be a positive integer, got '2'"),
-    (
+    pytest.param(
+        SphericalFactor,
+        ("v", 0),
+        "degree must be a positive integer, got 0",
+        id="SphericalFactor-args25-degree must be a positive integer, got 0",
+    ),
+    pytest.param(
+        SphericalFactor,
+        ("v", "2"),
+        "degree must be a positive integer, got '2'",
+        id="SphericalFactor-args26-degree must be a positive integer, got '2'",
+    ),
+    pytest.param(
+        Segment,
+        (symbol("g"), "2"),
+        "segment length must be a positive integer, got '2'",
+        id="Segment-args27-segment length must be a positive integer, got '2'",
+    ),
+    pytest.param(
         Segment,
         (symbol("g"), Fraction(3, 2)),
         "segment length must be a positive integer, got Fraction(3, 2)",
+        id="Segment-args28-segment length must be a positive integer, got Fraction(3, 2)",
     ),
     # values that int() itself refuses (TypeError, OverflowError or its own
     # ValueError text) get the message of the site that checks them
-    (GroupShape, ((INF,),), "group shape blocks must be integers, got inf"),
-    (GroupShape, ((None,),), "group shape blocks must be integers, got None"),
-    (GroupShape, ((NAN,),), "group shape blocks must be integers, got nan"),
-    (GroupShape, ((1, "abc"),), "group shape blocks must be integers, got 'abc'"),
-    (Segment, (symbol("g"), INF), "segment length must be a positive integer, got inf"),
-    (Segment, (symbol("g"), None), "segment length must be a positive integer, got None"),
-    (Segment, (symbol("g"), NAN), "segment length must be a positive integer, got nan"),
-    (Segment, (symbol("g"), "abc"), "segment length must be a positive integer, got 'abc'"),
-    (AtkinLehnerFactor, ("p", (INF,)), "cocharacter entries must be integers, got inf"),
-    (LaurentPoly, ((INF,),), "group shape blocks must be integers, got inf"),
-    (SphericalFactor, ("v", None), "degree must be a positive integer, got None"),
-    (SphericalFactor, ("v", INF), "degree must be a positive integer, got inf"),
-    (constant_C, (None, [1]), "dimensions must be positive integers"),
-    (constant_C, (INF, [1]), "dimensions must be positive integers"),
-    (constant_C, (3, [None]), "packet dimensions must be integers, got None"),
-    (MockFormSpace, (WEIGHT, ((POINT, None),)), "multiplicities must be integers, got None"),
-    (
+    pytest.param(
+        GroupShape,
+        ((INF,),),
+        "group shape blocks must be integers, got inf",
+        id="GroupShape-args29-group shape blocks must be integers, got inf",
+    ),
+    pytest.param(
+        GroupShape,
+        ((None,),),
+        "group shape blocks must be integers, got None",
+        id="GroupShape-args30-group shape blocks must be integers, got None",
+    ),
+    pytest.param(
+        GroupShape,
+        ((NAN,),),
+        "group shape blocks must be integers, got nan",
+        id="GroupShape-args31-group shape blocks must be integers, got nan",
+    ),
+    pytest.param(
+        GroupShape,
+        ((1, "abc"),),
+        "group shape blocks must be integers, got 'abc'",
+        id="GroupShape-args32-group shape blocks must be integers, got 'abc'",
+    ),
+    pytest.param(
+        Segment,
+        (symbol("g"), INF),
+        "segment length must be a positive integer, got inf",
+        id="Segment-args33-segment length must be a positive integer, got inf",
+    ),
+    pytest.param(
+        Segment,
+        (symbol("g"), None),
+        "segment length must be a positive integer, got None",
+        id="Segment-args34-segment length must be a positive integer, got None",
+    ),
+    pytest.param(
+        Segment,
+        (symbol("g"), NAN),
+        "segment length must be a positive integer, got nan",
+        id="Segment-args35-segment length must be a positive integer, got nan",
+    ),
+    pytest.param(
+        Segment,
+        (symbol("g"), "abc"),
+        "segment length must be a positive integer, got 'abc'",
+        id="Segment-args36-segment length must be a positive integer, got 'abc'",
+    ),
+    pytest.param(
+        AtkinLehnerFactor,
+        ("p", (INF,)),
+        "cocharacter entries must be integers, got inf",
+        id="AtkinLehnerFactor-args37-cocharacter entries must be integers, got inf",
+    ),
+    pytest.param(
+        LaurentPoly,
+        ((INF,),),
+        "group shape blocks must be integers, got inf",
+        id="LaurentPoly-args38-group shape blocks must be integers, got inf",
+    ),
+    pytest.param(
+        SphericalFactor,
+        ("v", None),
+        "degree must be a positive integer, got None",
+        id="SphericalFactor-args39-degree must be a positive integer, got None",
+    ),
+    pytest.param(
+        SphericalFactor,
+        ("v", INF),
+        "degree must be a positive integer, got inf",
+        id="SphericalFactor-args40-degree must be a positive integer, got inf",
+    ),
+    pytest.param(
+        constant_C,
+        (None, [1]),
+        "dimensions must be positive integers",
+        id="constant_C-args41-dimensions must be positive integers",
+    ),
+    pytest.param(
+        constant_C,
+        (INF, [1]),
+        "dimensions must be positive integers",
+        id="constant_C-args42-dimensions must be positive integers",
+    ),
+    pytest.param(
+        constant_C,
+        (3, [None]),
+        "packet dimensions must be integers, got None",
+        id="constant_C-args43-packet dimensions must be integers, got None",
+    ),
+    pytest.param(
+        MockFormSpace,
+        (WEIGHT, ((POINT, None),)),
+        "multiplicities must be integers, got None",
+        id="MockFormSpace-args44-multiplicities must be integers, got None",
+    ),
+    pytest.param(
         divisibility_check,
         (EMPTY_SPACE, EMPTY_SPACE, INF, (), {}),
         "the constant must be a positive integer, got inf",
+        id="divisibility_check-args45-the constant must be a positive integer, got inf",
     ),
-    (
+    pytest.param(
         divisibility_check,
         (EMPTY_SPACE, EMPTY_SPACE, NAN, (), {}),
         "the constant must be a positive integer, got nan",
+        id="divisibility_check-args46-the constant must be a positive integer, got nan",
     ),
     # alpha follows the exactness rule of the rest of the boundary: no floats and no
     # decimal text, which used to be read as the rationals they spell or round to
-    (TransferConfig, (SHAPE, (0, 1, 2), 0.5), f"{INEXACT}0.5"),
-    (TransferConfig, (SHAPE, (0, 1, 2), "0.5"), f"{INEXACT}'0.5'"),
-    (TransferConfig, (SHAPE, (0, 1, 2), "1e0"), f"{INEXACT}'1e0'"),
-    (archimedean_transfer, (WEIGHT, 0.5), f"{INEXACT}0.5"),
-    (archimedean_transfer, (WEIGHT, "1e0"), f"{INEXACT}'1e0'"),
-    (archimedean_sigma, (WEIGHT, "0.5"), f"{INEXACT}'0.5'"),
-    (archimedean_sigma, (WEIGHT, 1.0), f"{INEXACT}1.0"),
+    pytest.param(
+        TransferConfig,
+        (SHAPE, (0, 1, 2), 0.5),
+        f"{INEXACT}0.5",
+        id="TransferConfig-args47-rationals are ints, Fractions or 'a/b' text, got 0.5",
+    ),
+    pytest.param(
+        TransferConfig,
+        (SHAPE, (0, 1, 2), "0.5"),
+        f"{INEXACT}'0.5'",
+        id="TransferConfig-args48-rationals are ints, Fractions or 'a/b' text, got '0.5'",
+    ),
+    pytest.param(
+        TransferConfig,
+        (SHAPE, (0, 1, 2), "1e0"),
+        f"{INEXACT}'1e0'",
+        id="TransferConfig-args49-rationals are ints, Fractions or 'a/b' text, got '1e0'",
+    ),
+    pytest.param(
+        archimedean_transfer,
+        (WEIGHT, 0.5),
+        f"{INEXACT}0.5",
+        id="archimedean_transfer-args50-rationals are ints, Fractions or 'a/b' text, got 0.5",
+    ),
+    pytest.param(
+        archimedean_transfer,
+        (WEIGHT, "1e0"),
+        f"{INEXACT}'1e0'",
+        id="archimedean_transfer-args51-rationals are ints, Fractions or 'a/b' text, got '1e0'",
+    ),
+    pytest.param(
+        archimedean_sigma,
+        (WEIGHT, "0.5"),
+        f"{INEXACT}'0.5'",
+        id="archimedean_sigma-args52-rationals are ints, Fractions or 'a/b' text, got '0.5'",
+    ),
+    pytest.param(
+        archimedean_sigma,
+        (WEIGHT, 1.0),
+        f"{INEXACT}1.0",
+        id="archimedean_sigma-args53-rationals are ints, Fractions or 'a/b' text, got 1.0",
+    ),
     # a sequence that is not a permutation used to be inverted into a wrong answer
-    (invert_permutation, ((0, 0),), "not a permutation of 0..1: (0, 0)"),
-    (invert_permutation, ((1, 1),), "not a permutation of 0..1: (1, 1)"),
-    (invert_permutation, ((-1, 0),), "not a permutation of 0..1: (-1, 0)"),
-    (invert_permutation, ((True, 0),), "permutation entries must be integers, got True"),
+    pytest.param(
+        invert_permutation,
+        ((0, 0),),
+        "not a permutation of 0..1: (0, 0)",
+        id="invert_permutation-args54-not a permutation of 0..1: (0, 0)",
+    ),
+    pytest.param(
+        invert_permutation,
+        ((1, 1),),
+        "not a permutation of 0..1: (1, 1)",
+        id="invert_permutation-args55-not a permutation of 0..1: (1, 1)",
+    ),
+    pytest.param(
+        invert_permutation,
+        ((-1, 0),),
+        "not a permutation of 0..1: (-1, 0)",
+        id="invert_permutation-args56-not a permutation of 0..1: (-1, 0)",
+    ),
+    pytest.param(
+        invert_permutation,
+        ((True, 0),),
+        "permutation entries must be integers, got True",
+        id="invert_permutation-args57-permutation entries must be integers, got True",
+    ),
     # a sigma that is not a permutation: too short, too long, out of range, repeated
-    (TransferConfig, (SHAPE, (0, 1), HALF), "sigma must be a permutation of 0..2, got (0, 1)"),
-    (
+    pytest.param(
+        TransferConfig,
+        (SHAPE, (0, 1), HALF),
+        "sigma must be a permutation of 0..2, got (0, 1)",
+        id="TransferConfig-args58-sigma must be a permutation of 0..2, got (0, 1)",
+    ),
+    pytest.param(
         TransferConfig,
         (SHAPE, (0, 1, 2, 3), HALF),
         "sigma must be a permutation of 0..2, got (0, 1, 2, 3)",
+        id="TransferConfig-args59-sigma must be a permutation of 0..2, got (0, 1, 2, 3)",
     ),
-    (
+    pytest.param(
         TransferConfig,
         (SHAPE, (0, 1, 3), HALF),
         "sigma must be a permutation of 0..2, got (0, 1, 3)",
+        id="TransferConfig-args60-sigma must be a permutation of 0..2, got (0, 1, 3)",
     ),
-    (
+    pytest.param(
         TransferConfig,
         (SHAPE, (-1, 0, 1), HALF),
         "sigma must be a permutation of 0..2, got (-1, 0, 1)",
+        id="TransferConfig-args61-sigma must be a permutation of 0..2, got (-1, 0, 1)",
     ),
-    (
+    pytest.param(
         TransferConfig,
         ((2, 2), (0, 1, 1, 3), HALF),
         "sigma must be a permutation of 0..3, got (0, 1, 1, 3)",
+        id="TransferConfig-args62-sigma must be a permutation of 0..3, got (0, 1, 1, 3)",
     ),
 ]
 

@@ -284,26 +284,22 @@ MUTANTS = [
     (
         "Atkin-Lehner slot ratios without the inverse",
         TRANSFER,
-        "twice[name] = twice.get(name, 0) - t",
-        "twice[name] = twice.get(name, 0) + t",
+        "total[y[0]] = total.get(y[0], 0) - y[1]",
+        "total[y[0]] = total.get(y[0], 0) + y[1]",
         ["tests/test_transfer.py::test_verify_matches_per_generator_oracle"],
     ),
     (
         "Atkin-Lehner slot ratios the wrong way round",
         TRANSFER,
-        "ratios = tuple(ONE if a == b else _ratio(a, b) for a, b in zip(lhs, rhs))",
-        "ratios = tuple(ONE if a == b else _ratio(b, a) for a, b in zip(lhs, rhs))",
+        "residuals = _factorization_residuals(lhs, rhs) if lhs != rhs else ()",
+        "residuals = _factorization_residuals(rhs, lhs) if lhs != rhs else ()",
         ["tests/test_transfer.py::test_verify_negative_control"],
     ),
     (
         "slot ratios skipping the generic entries, as if they cancelled",
         TRANSFER,
-        "    for name, t in left:\n"
-        "        twice[name] = twice.get(name, 0) + t\n"
-        "    for name, t in right:\n",
-        "    for name, t in left[2:]:\n"
-        "        twice[name] = twice.get(name, 0) + t\n"
-        "    for name, t in right[2:]:\n",
+        "for x, y in zip(a, b):",
+        "for x, y in zip(a[2:], b[2:]):",
         ["tests/test_transfer.py::test_verifier_rows_carry_the_generic_symbols"],
     ),
     (
@@ -435,15 +431,15 @@ MUTANTS = [
     (
         "Atkin-Lehner residual at the negated full generator dropped",
         TRANSFER,
-        "values = prefixes + [prefixes[-1].inverse()]",
-        "values = prefixes",
+        "    if any(total.values()):\n        inverse",
+        "    if False:\n        inverse",
         ["tests/test_transfer.py::test_factorization_residuals_read_prefix_products"],
     ),
     (
         "Atkin-Lehner negated full generator read as the full product, not its inverse",
         TRANSFER,
-        "values = prefixes + [prefixes[-1].inverse()]",
-        "values = prefixes + [prefixes[-1]]",
+        "inverse = {name: -t for name, t in total.items()}",
+        "inverse = total",
         ["tests/test_transfer.py::test_factorization_residuals_read_prefix_products"],
     ),
     (
@@ -610,6 +606,34 @@ MUTANTS = [
         "if type(value) is int or isinstance(value, Fraction):",
         "if isinstance(value, int) or isinstance(value, Fraction):",
         ["tests/test_monomial.py::test_exact_rationals_are_accepted"],
+    ),
+    (
+        "row kernel giving every product coefficient one",
+        MONOMIAL,
+        "_set_coeff(product, value._coeff)",
+        "_set_coeff(product, _UNIT)",
+        ["tests/test_monomial_kernel.py::test_times_rows_matches_unit_products"],
+    ),
+    (
+        "row kernel keeping the value's exponents without the row's",
+        MONOMIAL,
+        "_set_twice(product, _merge(row, value._twice))",
+        "_set_twice(product, value._twice)",
+        ["tests/test_monomial_kernel.py::test_times_rows_matches_unit_products"],
+    ),
+    (
+        "row kernel copying the value for an empty row",
+        MONOMIAL,
+        "        if row:\n",
+        "        if True:\n",
+        ["tests/test_monomial_kernel.py::test_times_rows_matches_unit_products"],
+    ),
+    (
+        "row kernel with the empty-row test inverted",
+        MONOMIAL,
+        "        if row:\n",
+        "        if not row:\n",
+        ["tests/test_monomial_kernel.py::test_times_rows_matches_unit_products"],
     ),
 ]
 
