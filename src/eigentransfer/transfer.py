@@ -482,22 +482,22 @@ def _factorization_residuals(lhs: tuple, rhs: tuple) -> tuple[str, ...]:
     inverse of the full product at the negated full vector.
 
     ``lhs[p]`` and ``rhs[p]`` are rows of ``(symbol, doubled exponent)`` pairs of one
-    length, so a prefix product is the running sum, by name, of the entries in which the
-    rows differ; a monomial is built only for a generator that is reported."""
+    length (rows of two lengths raise ``ValueError``), so a prefix product is the running
+    sum, by name, of the entries in which the rows differ; a monomial is built only for a
+    generator that is reported."""
     gens = dominant_generators(GroupShape((len(lhs),)))
     total: dict[str, int] = {}
     out = []
     for gen, a, b in zip(gens, lhs, rhs):
         if a != b:
-            for x, y in zip(a, b):
+            for x, y in zip(a, b, strict=True):
                 if x != y:
                     total[x[0]] = total.get(x[0], 0) + x[1]
                     total[y[0]] = total.get(y[0], 0) - y[1]
         if any(total.values()):
             out.append(f"t={gen.exps}: {Monomial._from_twice(1, total).text()}")
     if any(total.values()):
-        inverse = {name: -t for name, t in total.items()}
-        out.append(f"t={gens[-1].exps}: {Monomial._from_twice(1, inverse).text()}")
+        out.append(f"t={gens[-1].exps}: {Monomial._from_twice(1, total).inverse().text()}")
     return tuple(out)
 
 

@@ -550,8 +550,9 @@ def test_verify_matches_per_generator_oracle():
 
 
 def _rebuilt_verifier(cfg, drop_normalization=False):
-    """The prefix-product verifier as it was before its drop-independent half was
-    kept on the config: every part is rebuilt on each call."""
+    """The verifier as it was before its drop-independent half was kept on the config:
+    every part is rebuilt on each call, and the residuals are the slot-ratio character's
+    values at the generators."""
     checks = []
     try:
         weight_shift(cfg)
