@@ -11,9 +11,11 @@ supplies equality (same class and equal keys), ``hash`` of the key, the
 ``Name(field=value, ...)`` repr, copy and pickle (which rebuild through the
 class, so an interned ``GroupShape`` comes back as itself), and
 ``AttributeError`` on any assignment or deletion.
-``GroupShape``, which stores its derived tables as plain attributes, and the
-subclasses that cache derived data with ``cached_property`` keep a
-``__dict__``; the others declare ``__slots__``.
+A class whose instances keep data derived from their fields (``GroupShape``,
+``TransferConfig``, ``LocalRepDescriptor``) also takes the :class:`Derived`
+mixin and keeps a ``__dict__``; the others declare ``__slots__``.  Only the
+mixin has a ``__getattr__``, since a class with one loses the interpreter's
+specialized attribute load, and every slotted record would pay for it.
 
 The two hot unvalidated constructors, ``monomial._make`` (with the product
 branch of ``Monomial.__mul__``) and ``tori.UnramifiedCharacter._new``, skip
@@ -62,3 +64,26 @@ class FrozenValue:
 
     def __reduce__(self):
         return type(self), self._key()
+
+
+class Derived:
+    """Mixin of a :class:`FrozenValue` that stores data derived from its fields as plain
+    attributes, each built on its first read.
+
+    ``_builders`` maps each derived name to the method that builds it; a builder stores
+    what it makes through ``_set``, and may store a group of names in one pass.  Once
+    stored, a name is an ordinary instance attribute and never reaches
+    ``__getattr__`` again.  A builder that raises stores nothing, so the next read
+    builds, and raises, again.  Any other missing name raises the usual
+    ``AttributeError``.  Derived data is no field: it changes neither equality, hash,
+    repr nor copies.  The mixin declares no ``__slots__``: it needs the ``__dict__``.
+    """
+
+    _builders: dict = {}
+
+    def __getattr__(self, name: str):
+        build = self._builders.get(name)
+        if build is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        build(self)
+        return vars(self)[name]

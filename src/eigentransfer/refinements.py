@@ -29,11 +29,10 @@ closed form.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
-from functools import cached_property
 from itertools import permutations, product
 from math import factorial
 
-from ._frozen import FrozenValue, _set
+from ._frozen import Derived, FrozenValue, _set
 from .errors import ShapeMismatch, UnsupportedLinked
 from .monomial import Monomial, RESIDUE_SYMBOL, _half_power, _positive, _times
 from .tori import (
@@ -100,8 +99,12 @@ def _sweep(ladders: Iterable[tuple[tuple, int, int]]) -> bool:
     return True
 
 
-class LocalRepDescriptor(FrozenValue):
-    """Per-block segment lists; segment lengths must sum to each block size."""
+class LocalRepDescriptor(Derived, FrozenValue):
+    """Per-block segment lists; segment lengths must sum to each block size.
+
+    ``is_generic`` and the per-parameter tables are stored on their first read (see
+    :class:`~eigentransfer._frozen.Derived`).
+    """
 
     _fields = ("shape", "segments")
 
@@ -121,23 +124,15 @@ class LocalRepDescriptor(FrozenValue):
         _set(self, "shape", shape)
         _set(self, "segments", segments)
 
-    @cached_property
-    def _block_params(self) -> tuple[tuple[Monomial, ...], ...]:
-        """Per block, its segment ladders in order; built once, so every caller
-        (and every ``_ladders`` key) shares the same ``Monomial`` objects."""
-        return tuple(
-            tuple(m for seg in block for m in seg.params()) for block in self.segments
-        )
-
     def block_params(self, i: int) -> tuple[Monomial, ...]:
-        return self._block_params[i]
+        return self._block_params[self.shape._block_index(i)]
 
     def all_params(self) -> tuple[Monomial, ...]:
         return tuple(m for block in self._block_params for m in block)
 
-    @cached_property
-    def is_generic(self) -> bool:
-        """Distinct parameters throughout and no two segments linked, by a ladder sweep.
+    def _build_generic(self) -> None:
+        """``is_generic``: distinct parameters throughout and no two segments linked, by a
+        ladder sweep over the segments alone, with no table of one entry per parameter.
 
         A segment's parameters are ``gamma·q^(k/2)`` for ``k`` from ``lo = g - d + 1``
         to ``hi = g + d - 1`` in steps of 2, ``g`` being gamma's doubled ``q``
@@ -145,19 +140,26 @@ class LocalRepDescriptor(FrozenValue):
         :func:`_ladder` keys agree.  Sorted by key and ``lo``, a ladder with ``lo <= hi``
         of the one before shares a parameter, and one with ``lo == hi + 2`` links.
         """
-        return _sweep(_ladder(seg) for block in self.segments for seg in block)
+        _set(self, "is_generic", _sweep(_ladder(seg) for block in self.segments for seg in block))
 
-    @cached_property
-    def _ladders(self) -> tuple[tuple[int, int, dict[Monomial, tuple[int, int]]], ...]:
-        """Per block, for :func:`is_accessible`: its flat range and each
-        parameter's segment and rank within that segment's ladder."""
-        out = []
-        for i, block in enumerate(self.segments):
-            ranks = [(s, k) for s, seg in enumerate(block) for k in range(seg.d)]
-            places = dict(zip(self._block_params[i], ranks))
-            start = self.shape.offsets[i]
-            out.append((start, start + self.shape.blocks[i], places))
-        return tuple(out)
+    def _build_params(self) -> None:
+        """``_block_params``, per block its segment ladders in order, and ``_ladders``, per
+        block for :func:`is_accessible` its flat range and each parameter's segment and
+        rank within that segment's ladder.  Built together, so every caller and every
+        ``_ladders`` key share the same ``Monomial`` objects."""
+        params, ladders = [], []
+        for block, start, size in zip(self.segments, self.shape.offsets, self.shape.blocks):
+            ladder = tuple(m for seg in block for m in seg.params())
+            ranks = ((s, k) for s, seg in enumerate(block) for k in range(seg.d))
+            params.append(ladder)
+            ladders.append((start, start + size, dict(zip(ladder, ranks))))
+        _set(self, "_block_params", tuple(params))
+        _set(self, "_ladders", tuple(ladders))
+
+    _builders = {
+        "is_generic": _build_generic,
+        **dict.fromkeys(("_block_params", "_ladders"), _build_params),
+    }
 
 
 _NOT_GENERIC = (

@@ -24,7 +24,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 from itertools import accumulate
 
-from ._frozen import FrozenValue, _set
+from ._frozen import Derived, FrozenValue, _set
 from .errors import ShapeMismatch
 from .monomial import Monomial, ONE, RESIDUE_SYMBOL, UNIFORMIZER_SYMBOL, _half_power, _integers
 
@@ -42,7 +42,7 @@ _SHAPES: dict[tuple[int, ...], GroupShape] = {}
 _POSITION_TABLES = ("_positions", "_neighbours", "_modulus_half_doubled", "_modulus_half_values")
 
 
-class GroupShape(FrozenValue):
+class GroupShape(Derived, FrozenValue):
     """Ordered block sizes of a product of general linear groups.
 
     Shapes are interned: equal block tuples give one object, which stores its
@@ -75,26 +75,33 @@ class GroupShape(FrozenValue):
             shape = _SHAPES.setdefault(blocks, shape)
         return shape
 
-    def __getattr__(self, name: str):
+    def _build_positions(self) -> None:
         # a shape's n comes unbounded from its input, so the tables of one entry per
         # flat position are built on the first read of any of them, not when interned
-        if name not in _POSITION_TABLES:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         blocks = self.blocks
         positions = tuple((i, j) for i, b in enumerate(blocks) for j in range(b))
+        neighbours = tuple((p, p + 1) for p, (i, j) in enumerate(positions) if j + 1 < blocks[i])
         # twice the q exponent of the half modulus at 0-based entry j of a block of
         # size m: -(m + 1 - 2(j + 1))
         doubled = tuple(-(blocks[i] + 1 - 2 * (j + 1)) for i, j in positions)
-        _set(self, "_positions", positions)
-        _set(self, "_neighbours", tuple(
-            (p, p + 1) for p, (i, j) in enumerate(positions) if j + 1 < blocks[i]
-        ))
-        _set(self, "_modulus_half_doubled", doubled)
         # values and their inverses only: modulus_half makes a fresh character on each call
-        _set(self, "_modulus_half_values", tuple(
+        values = tuple(
             tuple(_half_power(RESIDUE_SYMBOL, sign * d) for d in doubled) for sign in (1, -1)
-        ))
-        return vars(self)[name]
+        )
+        _set(self, "_positions", positions)
+        _set(self, "_neighbours", neighbours)
+        _set(self, "_modulus_half_doubled", doubled)
+        _set(self, "_modulus_half_values", values)
+
+    _builders = dict.fromkeys(_POSITION_TABLES, _build_positions)
+
+    def _block_index(self, i: int) -> int:
+        """``i`` when it indexes a block of the shape, else ``ValueError``: the one check
+        of every method that takes a block index."""
+        _integers((i,), "block indices")
+        if not 0 <= i < self.r:
+            raise ValueError(f"no block {i} in shape {self.blocks}")
+        return i
 
     def block_of(self, p: int) -> tuple[int, int]:
         """Block index and 0-based position within the block of flat position ``p``."""
@@ -112,8 +119,8 @@ class GroupShape(FrozenValue):
 
     def block_range(self, i: int) -> range:
         """The flat positions of block ``i``."""
-        _integers((i,), "block indices")
-        return range(self.offsets[i], self.offsets[i] + self.blocks[i])
+        start = self.offsets[self._block_index(i)]
+        return range(start, start + self.blocks[i])
 
     def __str__(self) -> str:
         return "(" + ",".join(str(b) for b in self.blocks) + ")"
@@ -142,9 +149,7 @@ class CocharVector(FrozenValue):
 
     @classmethod
     def basis(cls, shape: GroupShape, p: int) -> "CocharVector":
-        _integers((p,), "positions")
-        if not 0 <= p < shape.n:
-            raise ValueError(f"position {p} out of range")
+        shape.block_of(p)  # the shape's one position check
         return cls(shape, tuple(1 if u == p else 0 for u in range(shape.n)))
 
     def is_antidominant(self) -> bool:

@@ -27,10 +27,10 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cache
 from itertools import combinations
 
-from ._frozen import FrozenValue, _set
+from ._frozen import Derived, FrozenValue, _set
 from .errors import (
     InvalidSigma,
     NonIntegralShift,
@@ -77,6 +77,8 @@ __all__ = [
 ]
 
 DEFAULT_TWIST_SYMBOL = "M"
+# the multiplier tables of TransferConfig that carry W^shift
+_SHIFTED_TABLES = ("_shift_rows", "_atkin_lehner_multipliers", "_atkin_lehner_plain_multipliers")
 
 
 def _doubled_alpha(alpha: Fraction | int | str) -> int:
@@ -166,7 +168,7 @@ def dominant_generators(shape: GroupShape) -> tuple[CocharVector, ...]:
     return tuple(gens)
 
 
-class TransferConfig(FrozenValue):
+class TransferConfig(Derived, FrozenValue):
     """A transfer datum: source blocks, slot permutation, half-integer alpha, twist symbol.
 
     ``sigma`` maps flat source positions to target positions (0-based) and must
@@ -176,6 +178,10 @@ class TransferConfig(FrozenValue):
     accepted and flagged per-operation when they make a shift non-integral.
     ``mu`` names the unramified twist symbol.  Place tags are not part of the
     config: a point carries its own tags, and the transfer treats them alike.
+    ``n`` and the single-block ``target`` are stored with the fields; the weight
+    shifts, the slot rows with the multiplier tables of the pullbacks, and the
+    verifier's kept half are stored on their first read (see
+    :class:`~eigentransfer._frozen.Derived`).
     """
 
     _fields = ("source", "sigma", "alpha", "mu")
@@ -211,88 +217,68 @@ class TransferConfig(FrozenValue):
         _set(self, "sigma_inverse", inverse)
         _set(self, "alpha", Fraction(two_alpha, 2))
         _set(self, "mu", mu)
-
-    @property
-    def n(self) -> int:
-        return self.source.n
-
-    @cached_property
-    def target(self) -> GroupShape:
-        return GroupShape((self.n,))
+        _set(self, "n", n)
+        _set(self, "target", GroupShape((n,)))
 
     def twist_exponent(self, i: int) -> int:
         """1 when ``n - n_i`` is odd (the twist symbol appears), else 0."""
-        _integers((i,), "block indices")
-        return (self.n - self.source.blocks[i]) % 2
+        return (self.n - self.source.blocks[self.source._block_index(i)]) % 2
 
     def twist_monomial(self, i: int) -> Monomial:
         return _half_power(self.mu, 2 * self.twist_exponent(i))
 
-    @cached_property
-    def _slot_rows(self) -> tuple[tuple[int, int, int, int | None], ...]:
-        """The integers behind every multiplier and the verifier, one row per target slot.
+    def _build_shifts(self) -> None:
+        """``_shifts``, the weight-shift vector in flat source layout; see
+        :func:`weight_shift`.  A non-integral shift raises and stores nothing."""
+        _set(self, "_shifts", _weight_shifts(self.source, _doubled_alpha(self.alpha)))
+
+    def _build_slots(self) -> None:
+        """One pass over the target slots: ``_slot_rows``, the integers behind every
+        multiplier and the verifier, and the five multiplier tables built from them.
 
         For slot ``p``, with ``u = sigma^-1(p)`` at block ``i``, entry ``j``, the row
         is ``(u, 2t, 2(j-p)+n-n_i, 2·shift[p])``: the doubled twist exponent of block
         ``i``, the doubled ``q`` exponent of the source half-modulus at ``u`` times the
-        inverse target half-modulus at ``p``, and the doubled weight shift.  The last
-        is ``None`` when the shifts are not integers; every reader of it checks the
-        shifts first.
+        inverse target half-modulus at ``p``, and the doubled weight shift, ``None``
+        when the shifts are not integers.  A table holds the doubled-exponent row of
+        the multiplier of each slot: ``M^t`` (``_slot_twists``), times the half-moduli
+        (``_normalized_multipliers``); ``W^shift`` (``_shift_rows``), times the
+        normalized multiplier (``_atkin_lehner_multipliers``) or ``M^t``
+        (``_atkin_lehner_plain_multipliers``).  The three ``W^shift`` tables are
+        stored only when the shifts are integers.
         """
-        n, blocks, positions = self.n, self.source.blocks, self.source._positions
-        try:
-            shifts = [2 * s for s in self._shifts]
-        except NonIntegralShift:
-            shifts = [None] * n
-        rows = []
+        n, mu, blocks, positions = self.n, self.mu, self.source.blocks, self.source._positions
+        shifts = self._shifts if weight_map_check(self) else None
+        rows, twisted, normalized = [], [], []
+        shifted = {name: [] for name in _SHIFTED_TABLES} if shifts is not None else {}
         for p, u in enumerate(self.sigma_inverse):
             i, j = positions[u]
-            rows.append((u, 2 * ((n - blocks[i]) % 2), 2 * (j - p) + n - blocks[i], shifts[p]))
-        return tuple(rows)
+            t, q = 2 * ((n - blocks[i]) % 2), 2 * (j - p) + n - blocks[i]
+            w = None if shifts is None else 2 * shifts[p]
+            m = _times((), mu, t)
+            mq = _times(m, RESIDUE_SYMBOL, q)
+            rows.append((u, t, q, w))
+            twisted.append(m)
+            normalized.append(mq)
+            for table, row in zip(shifted.values(), ((), mq, m)):
+                table.append(_times(row, UNIFORMIZER_SYMBOL, w))
+        _set(self, "_slot_rows", tuple(rows))
+        _set(self, "_slot_twists", tuple(twisted))
+        _set(self, "_normalized_multipliers", tuple(normalized))
+        for name, table in shifted.items():
+            _set(self, name, tuple(table))
 
-    def _multipliers(self, twisted: bool, normalized: bool, weighted: bool) -> tuple[tuple, ...]:
-        """The doubled-exponent row of the multiplier of target slot ``p`` for each ``p``:
-        the product of ``M^t`` when ``twisted``, the source half-modulus at ``sigma^-1(p)``
-        and the inverse target half-modulus at ``p`` when ``normalized``, and ``W^shift[p]``
-        when ``weighted``, made once from the doubled exponents of :attr:`_slot_rows`.  The
-        shifts are read first, so a non-integral one raises first."""
-        if weighted:
-            weight_shift(self)
-        mu = self.mu
-        out = []
-        for _, twist, q, w in self._slot_rows:
-            twice = _times((), mu, twist) if twisted else ()
-            if normalized:
-                twice = _times(twice, RESIDUE_SYMBOL, q)
-            if weighted:
-                twice = _times(twice, UNIFORMIZER_SYMBOL, w)
-            out.append(twice)
-        return tuple(out)
+    def _build_shifted(self) -> None:
+        """The ``W^shift`` tables: the shifts are read first, so on a non-integral config
+        every read of one raises ``NonIntegralShift`` and nothing is stored."""
+        weight_shift(self)
+        self._build_slots()
 
-    # the multiplier rows of the pullback maps, each table built on first use and kept on the config
-    _slot_twists = cached_property(lambda self: self._multipliers(True, False, False))
-    _normalized_multipliers = cached_property(lambda self: self._multipliers(True, True, False))
-    _shift_rows = cached_property(lambda self: self._multipliers(False, False, True))
-    _atkin_lehner_multipliers = cached_property(lambda self: self._multipliers(True, True, True))
-    _atkin_lehner_plain_multipliers = cached_property(
-        lambda self: self._multipliers(True, False, True)
-    )
-
-    @cached_property
-    def _shifts(self) -> tuple[int, ...]:
-        """The weight-shift vector in flat source layout; see :func:`weight_shift`.
-
-        A non-integral shift raises on every access, since ``cached_property``
-        stores nothing when the computation raises.
-        """
-        return _weight_shifts(self.source, _doubled_alpha(self.alpha))
-
-    @cached_property
-    def _verifier_half(self) -> tuple[CheckResult, tuple[tuple, tuple] | None, CheckResult]:
-        """The part of :func:`verify_transfer_compatibility` that ``drop_normalization``
-        does not change, read from :attr:`_slot_rows`: the shift-integrality check, the
-        modulus-duality check and the factorization rows of the generic characters,
-        ``chi * zeta`` by source position and the right side
+    def _build_verifier_half(self) -> None:
+        """``_verifier_half``: the part of :func:`verify_transfer_compatibility` that
+        ``drop_normalization`` does not change, read from :attr:`_slot_rows`: the
+        shift-integrality check, the modulus-duality check and the factorization rows of
+        the generic characters, ``chi * zeta`` by source position and the right side
         ``refinement_pullback_normalized(chi) * weight_character_pullback(zeta)`` by
         target slot (``None`` when a weight shift is not integral).
         """
@@ -327,7 +313,15 @@ class TransferConfig(FrozenValue):
             right = ((x[u], 2), (mu, twist), (RESIDUE_SYMBOL, -target_half[p]))
             if left != right:
                 residuals.append(f"e_{p + 1}: {_ratio(left, right).text()}")
-        return shift_check, sides, CheckResult("modulus-duality", not residuals, tuple(residuals))
+        duality_check = CheckResult("modulus-duality", not residuals, tuple(residuals))
+        _set(self, "_verifier_half", (shift_check, sides, duality_check))
+
+    _builders = {
+        "_shifts": _build_shifts,
+        **dict.fromkeys(("_slot_rows", "_slot_twists", "_normalized_multipliers"), _build_slots),
+        **dict.fromkeys(_SHIFTED_TABLES, _build_shifted),
+        "_verifier_half": _build_verifier_half,
+    }
 
 
 def _require_source(noun: str, shape: GroupShape, cfg: TransferConfig) -> None:

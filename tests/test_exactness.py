@@ -24,7 +24,7 @@ from eigentransfer.points import (
     constant_C,
     divisibility_check,
 )
-from eigentransfer.refinements import Segment
+from eigentransfer.refinements import LocalRepDescriptor, Segment
 from eigentransfer.tori import (
     AlgebraicWeight,
     CocharVector,
@@ -50,6 +50,7 @@ POINT = ClassicalPoint.build(WEIGHT, {"p": UnramifiedCharacter.trivial(PAIR)}, {
 FACTORS = (AtkinLehnerFactor("p", (1, 0)),)
 KAPPA = AlgebraicWeight(GroupShape((1, 1)), (2, 0))
 CONFIG = TransferConfig(SPLIT, (0, 1, 2), HALF)
+DESCRIPTOR = LocalRepDescriptor(SPLIT, ((Segment(symbol("a"), 1),), (Segment(symbol("g"), 2),)))
 
 
 def _space(mult):
@@ -177,6 +178,15 @@ INTEGER_SITES = {
         lambda x: CONFIG.twist_monomial(x),
         st.integers(0, 1),
         lambda x: (ONE, symbol("M"))[x],
+    ),
+    # the segment g of length 2 has the ladder g·q^(1/2), g·q^(-1/2)
+    "LocalRepDescriptor.block_params": (
+        lambda x: DESCRIPTOR.block_params(x),
+        st.integers(0, 1),
+        lambda x: (
+            (symbol("a"),),
+            (Monomial(1, {"g": 1, "q": HALF}), Monomial(1, {"g": 1, "q": -HALF})),
+        )[x],
     ),
     "iota_sigma_pullback sigma": (
         lambda x: iota_sigma_pullback(CHI, _swap(x)).values,

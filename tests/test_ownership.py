@@ -18,6 +18,10 @@ raise ``SizeMismatch``.
 ``GroupShape`` owns every table derived from its blocks and stores each one
 as a plain attribute of the interned shape, so no module compares shapes, or
 the block tuples behind them, by equality.
+
+Data derived from an immutable value is kept one way: the ``_frozen.Derived`` mixin
+builds it on first read and stores it as plain attributes, so no module uses
+``functools.cached_property``.
 """
 
 import ast
@@ -155,3 +159,19 @@ def test_group_shape_stores_its_tables():
         for alias in node.names
     }
     assert "cached_property" not in imported
+
+
+def test_no_module_uses_cached_property():
+    """Neither imported nor named, as ``cached_property`` or ``functools.cached_property``."""
+    uses = sorted(
+        (name, node.lineno)
+        for name, tree in _trees()
+        for node in ast.walk(tree)
+        if (
+            isinstance(node, ast.ImportFrom)
+            and "cached_property" in {alias.name for alias in node.names}
+        )
+        or (isinstance(node, ast.Name) and node.id == "cached_property")
+        or (isinstance(node, ast.Attribute) and node.attr == "cached_property")
+    )
+    assert uses == []

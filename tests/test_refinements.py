@@ -154,6 +154,23 @@ def test_refinements_share_the_cached_ladder_objects():
     assert all(id(v) in keys for chi in refinements for v in chi.values)
 
 
+def test_genericity_builds_no_parameter_tables():
+    """A segment's length is not bounded by the input that names it, so reading
+    ``is_generic`` sweeps the segments alone and stores only the verdict; the tables
+    of one entry per parameter are stored together on the first read of either.
+    Other missing attributes raise the usual ``AttributeError``."""
+    shape = GroupShape((3, 401))
+    desc = LocalRepDescriptor(shape, ((Segment(symbol("g"), 3),), (Segment(symbol("h"), 401),)))
+    assert sorted(vars(desc)) == ["segments", "shape"]
+    assert desc.is_generic is True and desc.is_generic is True
+    assert sorted(vars(desc)) == ["is_generic", "segments", "shape"]
+    assert len(desc.block_params(1)) == 401
+    assert sorted(vars(desc)) == ["_block_params", "_ladders", "is_generic", "segments", "shape"]
+    with pytest.raises(AttributeError) as err:
+        desc.nope
+    assert str(err.value) == "'LocalRepDescriptor' object has no attribute 'nope'"
+
+
 def test_steinberg_refinements():
     g = symbol("g")
     desc = LocalRepDescriptor(GroupShape((2,)), ((Segment(g, 2),),))

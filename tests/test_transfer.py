@@ -1122,7 +1122,9 @@ def test_multiplier_tables_match_the_from_twice_builder():
     """All five tables on every n <= 5 config, with a twist symbol that sorts before
     ``W`` (``M``), between ``W`` and ``q`` (``x1``) and after ``q`` (``z3``), and with
     integral and non-integral shifts: the doubled-exponent rows of the dict builder's
-    monomials, and the same ``NonIntegralShift`` text from the weighted tables."""
+    monomials, and the same ``NonIntegralShift`` text from the weighted tables.  Each
+    table and ``weight_shift`` is read twice, so a builder that kept ``None`` or the
+    error for a non-integral shift, instead of raising again, fails."""
     cases = 0
     for mu, alpha in product(("M", "x1", "z3"), (HALF, Fraction(1))):
         for cfg in _every_config(alpha, mu):
@@ -1130,12 +1132,42 @@ def test_multiplier_tables_match_the_from_twice_builder():
                 try:
                     expected = _from_twice_multipliers(cfg, *flags)
                 except NonIntegralShift as err:
-                    with pytest.raises(NonIntegralShift, match=re.escape(str(err))):
-                        getattr(cfg, name)
+                    for read in (lambda: getattr(cfg, name), lambda: weight_shift(cfg)) * 2:
+                        with pytest.raises(NonIntegralShift, match=re.escape(str(err))):
+                            read()
                     continue
-                assert getattr(cfg, name) == tuple(m._twice for m in expected)
+                for _ in range(2):
+                    assert getattr(cfg, name) == tuple(m._twice for m in expected)
                 cases += 1
     assert cases > 633 * 3 * 2 * 2
+
+
+
+def test_config_tables_wait_for_their_first_read():
+    """A new config stores its fields, the inverse of ``sigma``, ``n`` and ``target``.  The first
+    read of any slot table stores ``_slot_rows`` and the multiplier tables together, the
+    three ``W^shift`` tables (and ``_shifts``) only when the shifts are integers; on a
+    non-integral config a read of one of those raises on every read and stores nothing.
+    Other missing attributes raise the usual ``AttributeError``."""
+    made = ["alpha", "mu", "n", "sigma", "sigma_inverse", "source", "target"]
+    plain = made + ["_normalized_multipliers", "_slot_rows", "_slot_twists"]
+    shifted = ["_atkin_lehner_multipliers", "_atkin_lehner_plain_multipliers", "_shift_rows"]
+    for first in ("_slot_twists", "_shift_rows"):
+        cfg = config((1, 2), sigma=(2, 0, 1))
+        assert sorted(vars(cfg)) == made
+        getattr(cfg, first)
+        assert sorted(vars(cfg)) == sorted(plain + shifted + ["_shifts"])
+    cfg = config((1, 2), alpha=0)
+    cfg._slot_twists
+    assert sorted(vars(cfg)) == sorted(plain)
+    for name in shifted + ["_shifts"]:
+        for _ in range(2):
+            with pytest.raises(NonIntegralShift):
+                getattr(cfg, name)
+    assert sorted(vars(cfg)) == sorted(plain)
+    with pytest.raises(AttributeError) as err:
+        cfg.nope
+    assert str(err.value) == "'TransferConfig' object has no attribute 'nope'"
 
 
 _PULLBACKS = {

@@ -203,6 +203,8 @@ TRIVIAL_3 = UnramifiedCharacter.trivial(GroupShape((3,)))
 INF, NAN = float("inf"), float("nan")
 EMPTY_SPACE = MockFormSpace(WEIGHT, ())
 INEXACT = "rationals are ints, Fractions or 'a/b' text, got "
+CONFIG = TransferConfig(SHAPE, (2, 0, 1), HALF)
+DESCRIPTOR = LocalRepDescriptor(SHAPE, ((Segment(symbol("a"), 1),), (SEGMENT,)))
 # Each row carries its test id, so that neither its message nor its place in the table
 # renames a test.  The ids are the ones pytest generated for these rows (constructor, row
 # index, message) before they were written out; a new row takes a short id that names
@@ -591,6 +593,27 @@ ERRORS = [
         ((2, 2), (0, 1, 1, 3), HALF),
         "sigma must be a permutation of 0..3, got (0, 1, 1, 3)",
         id="TransferConfig-args62-sigma must be a permutation of 0..3, got (0, 1, 1, 3)",
+    ),
+    # a block index outside 0..r-1 used to read a block from the end, or raise IndexError
+    pytest.param(SHAPE.block_range, (-1,), "no block -1 in shape (1, 2)", id="block_range-minus-1"),
+    pytest.param(SHAPE.block_range, (2,), "no block 2 in shape (1, 2)", id="block_range-past-end"),
+    pytest.param(
+        CONFIG.twist_exponent, (-1,), "no block -1 in shape (1, 2)", id="twist_exponent-minus-1"
+    ),
+    pytest.param(
+        CONFIG.twist_monomial, (2,), "no block 2 in shape (1, 2)", id="twist_monomial-past-end"
+    ),
+    pytest.param(
+        DESCRIPTOR.block_params, (-1,), "no block -1 in shape (1, 2)", id="block_params-minus-1"
+    ),
+    pytest.param(
+        DESCRIPTOR.block_params, (2,), "no block 2 in shape (1, 2)", id="block_params-past-end"
+    ),
+    pytest.param(
+        DESCRIPTOR.block_params,
+        (True,),
+        "block indices must be integers, got True",
+        id="block_params-bool",
     ),
 ]
 

@@ -6,7 +6,10 @@ Each row names a file under ``src/``, an exact old text, the new text and the
 pytest node ids that must fail.  For each row the runner copies ``src/``,
 ``tests/``, ``pyproject.toml`` and ``bench/jobs.json`` into a fresh temporary
 directory, so that ``pyproject``'s ``pythonpath = ["src"]`` finds the mutated
-copy, replaces the old text, and runs only the selected tests there.  Before
+copy, replaces the old text, and runs only the selected tests there.  Each copy
+also gets a root ``conftest.py`` that loads a Hypothesis profile without the
+shrink phase: the first failing example decides a kill, so shrinking it is
+wasted work.  The tests themselves are not changed.  Before
 any mutant, the union of the selections runs once on an unmutated copy and
 must pass, so a kill always means the mutation was caught.
 
@@ -528,25 +531,46 @@ MUTANTS = [
         ["tests/test_values.py::test_constructor_errors"],
     ),
     (
-        "multiplier builder ignoring twisted: the weight-character table carries M",
+        "one-pass builder putting M in the W^shift table",
         TRANSFER,
-        "twice = _times((), mu, twist) if twisted else ()",
-        "twice = _times((), mu, twist)",
+        "for table, row in zip(shifted.values(), ((), mq, m)):",
+        "for table, row in zip(shifted.values(), (m, mq, m)):",
         ["tests/test_transfer.py::test_weight_character_pullback_matches_weight_pullback"],
     ),
     (
-        "multiplier builder ignoring normalized: the plain tables carry the half-moduli",
+        "one-pass builder putting the half-moduli in the plain twist table",
         TRANSFER,
-        "            if normalized:\n                twice = _times(twice, RESIDUE_SYMBOL, q)\n",
-        "            twice = _times(twice, RESIDUE_SYMBOL, q)\n",
+        "twisted.append(m)",
+        "twisted.append(mq)",
         ["tests/test_transfer.py::test_refinement_pullback_anchors"],
     ),
     (
-        "multiplier builder ignoring weighted: the refinement tables carry W^shift",
+        "one-pass builder putting W^shift in the normalized refinement table",
         TRANSFER,
-        "            if weighted:\n                twice = _times(twice, UNIFORMIZER_SYMBOL, w)\n",
-        "            twice = _times(twice, UNIFORMIZER_SYMBOL, w)\n",
+        "normalized.append(mq)",
+        "normalized.append(_times(mq, UNIFORMIZER_SYMBOL, w))",
         ["tests/test_transfer.py::test_refinement_pullback_normalized_anchor"],
+    ),
+    (
+        "non-integral config storing its W^shift tables, without W",
+        TRANSFER,
+        "shifted = {name: [] for name in _SHIFTED_TABLES} if shifts is not None else {}",
+        "shifted = {name: [] for name in _SHIFTED_TABLES}",
+        ["tests/test_transfer.py::test_config_tables_wait_for_their_first_read"],
+    ),
+    (
+        "W^shift tables built without reading the shifts first",
+        TRANSFER,
+        "        weight_shift(self)\n        self._build_slots()\n",
+        "        self._build_slots()\n",
+        ["tests/test_transfer.py::test_config_tables_wait_for_their_first_read"],
+    ),
+    (
+        "genericity check building the per-parameter tables",
+        REFINEMENTS,
+        '        _set(self, "is_generic", _sweep(',
+        '        self._ladders\n        _set(self, "is_generic", _sweep(',
+        ["tests/test_refinements.py::test_genericity_builds_no_parameter_tables"],
     ),
     (
         "invert_permutation accepting a repeated entry",
@@ -556,20 +580,37 @@ MUTANTS = [
         ["tests/test_values.py::test_constructor_errors"],
     ),
     (
-        "block_range indexing by a number outside the exactness rule",
+        "block index check without the exactness rule",
         TORI,
-        '        _integers((i,), "block indices")\n        return range(',
-        "        return range(",
+        '        _integers((i,), "block indices")\n        if not 0 <= i < self.r:\n',
+        "        if not 0 <= i < self.r:\n",
         ["tests/test_exactness.py::test_integer_sites_take_exactly_the_ints[GroupShape.block_range]"],
     ),
     (
-        "twist_exponent indexing by a number outside the exactness rule",
+        "block index check accepting a negative index",
+        TORI,
+        '        if not 0 <= i < self.r:\n            raise ValueError(f"no block',
+        '        if not i < self.r:\n            raise ValueError(f"no block',
+        ["tests/test_values.py::test_constructor_errors[block_range-minus-1]"],
+    ),
+    (
+        "twist_exponent indexing without the block index check",
         TRANSFER,
-        '        _integers((i,), "block indices")\n        return (self.n',
-        "        return (self.n",
+        "self.source.blocks[self.source._block_index(i)]",
+        "self.source.blocks[i]",
         [
             "tests/test_exactness.py::"
             "test_integer_sites_take_exactly_the_ints[TransferConfig.twist_exponent]"
+        ],
+    ),
+    (
+        "block_params indexing without the block index check",
+        REFINEMENTS,
+        "self._block_params[self.shape._block_index(i)]",
+        "self._block_params[i]",
+        [
+            "tests/test_exactness.py::"
+            "test_integer_sites_take_exactly_the_ints[LocalRepDescriptor.block_params]"
         ],
     ),
     (
@@ -638,6 +679,16 @@ MUTANTS = [
 ]
 
 
+# loaded by pytest from the root of each temporary copy; a test's own @settings still
+# sets everything else
+NO_SHRINK = """\
+from hypothesis import Phase, settings
+
+settings.register_profile("mutants", phases=(Phase.explicit, Phase.reuse, Phase.generate))
+settings.load_profile("mutants")
+"""
+
+
 def _copy_tree(dest: Path) -> None:
     ignore = shutil.ignore_patterns("__pycache__", "*.pyc")
     shutil.copytree(ROOT / "src", dest / "src", ignore=ignore)
@@ -645,6 +696,7 @@ def _copy_tree(dest: Path) -> None:
     shutil.copy2(ROOT / "pyproject.toml", dest / "pyproject.toml")
     (dest / "bench").mkdir()
     shutil.copy2(ROOT / "bench" / "jobs.json", dest / "bench" / "jobs.json")
+    (dest / "conftest.py").write_text(NO_SHRINK)
 
 
 def _pytest(tree: Path, node_ids: list[str]) -> subprocess.CompletedProcess:
