@@ -1142,13 +1142,12 @@ def test_multiplier_tables_match_the_from_twice_builder():
     assert cases > 633 * 3 * 2 * 2
 
 
-
 def test_config_tables_wait_for_their_first_read():
-    """A new config stores its fields, the inverse of ``sigma``, ``n`` and ``target``.  The first
-    read of any slot table stores ``_slot_rows`` and the multiplier tables together, the
-    three ``W^shift`` tables (and ``_shifts``) only when the shifts are integers; on a
-    non-integral config a read of one of those raises on every read and stores nothing.
-    Other missing attributes raise the usual ``AttributeError``."""
+    """A new config stores its fields, the inverse of ``sigma``, ``n`` and ``target``.
+    The first read of any slot table stores ``_slot_rows`` and the multiplier tables
+    together, the three ``W^shift`` tables (and ``_shifts``) only when the shifts are
+    integers; on a non-integral config a read of one of those raises on every read and
+    stores nothing.  Other missing attributes raise the usual ``AttributeError``."""
     made = ["alpha", "mu", "n", "sigma", "sigma_inverse", "source", "target"]
     plain = made + ["_normalized_multipliers", "_slot_rows", "_slot_twists"]
     shifted = ["_atkin_lehner_multipliers", "_atkin_lehner_plain_multipliers", "_shift_rows"]
