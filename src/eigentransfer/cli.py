@@ -33,12 +33,10 @@ from .jsonio import SCHEMA_VERSION, decode_job, run_command
 _VERDICT_ERRORS = (NotRelevant, NonIntegralShift)
 
 
-def _emit(report: dict, pretty: bool) -> None:
+def _encode(report: dict, pretty: bool) -> str:
     if pretty:
-        text = json.dumps(report, sort_keys=True, indent=2)
-    else:
-        text = json.dumps(report, sort_keys=True, separators=(",", ":"))
-    sys.stdout.write(text + "\n")
+        return json.dumps(report, sort_keys=True, indent=2)
+    return json.dumps(report, sort_keys=True, separators=(",", ":"))
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -57,6 +55,7 @@ def main(argv: list[str] | None = None) -> int:
         job, pretty = args.job, args.pretty
 
     report: dict[str, object] = {"schema_version": SCHEMA_VERSION}
+    text = ""
     try:
         if job:
             from pathlib import Path  # only a job file needs it
@@ -70,8 +69,10 @@ def main(argv: list[str] | None = None) -> int:
         report["input_sha256"] = sha256(raw).hexdigest()
         command, payload = decode_job(raw)
         report["command"] = command
-        report.update(run_command(command, payload))
-        code = 1 if report.get("verdict") == "fail" else 0
+        body = run_command(command, payload)
+        # encoded before it joins the report, so an encode error reports with no body
+        text = _encode({**report, **body}, pretty)
+        code = 1 if body.get("verdict") == "fail" else 0
     except (TransferError, ValueError) as err:
         # a ValueError from the library is reported as a schema violation
         kind = type(err).__name__ if isinstance(err, TransferError) else "SchemaError"
@@ -81,7 +82,7 @@ def main(argv: list[str] | None = None) -> int:
         # a crash is neither a verdict nor a refusal of the input
         report["error"] = {"type": "InternalError", "message": f"{type(err).__name__}: {err}"}
         code = 3
-    _emit(report, pretty)
+    sys.stdout.write((text or _encode(report, pretty)) + "\n")
     return code
 
 

@@ -46,6 +46,7 @@ from .monomial import (
     _exact,
     _half_power,
     _integers,
+    _merge,
     _times,
     _times_rows,
     valid_symbol,
@@ -179,8 +180,8 @@ class TransferConfig(Derived, FrozenValue):
     ``mu`` names the unramified twist symbol.  Place tags are not part of the
     config: a point carries its own tags, and the transfer treats them alike.
     ``n`` and the single-block ``target`` are stored with the fields; the weight
-    shifts, the slot rows with the multiplier tables of the pullbacks, and the
-    verifier's kept half are stored on their first read (see
+    shifts, the multiplier tables of the pullbacks, and the verifier's kept half,
+    which reads those tables, are stored on their first read (see
     :class:`~eigentransfer._frozen.Derived`).
     """
 
@@ -233,23 +234,21 @@ class TransferConfig(Derived, FrozenValue):
         _set(self, "_shifts", _weight_shifts(self.source, _doubled_alpha(self.alpha)))
 
     def _build_slots(self) -> None:
-        """One pass over the target slots: ``_slot_rows``, the integers behind every
-        multiplier and the verifier, and the five multiplier tables built from them.
+        """One pass over the target slots: the five multiplier tables, the one statement of
+        the multiplier rule, which the pullbacks apply and the verifier checks.
 
-        For slot ``p``, with ``u = sigma^-1(p)`` at block ``i``, entry ``j``, the row
-        is ``(u, 2t, 2(j-p)+n-n_i, 2·shift[p])``: the doubled twist exponent of block
-        ``i``, the doubled ``q`` exponent of the source half-modulus at ``u`` times the
-        inverse target half-modulus at ``p``, and the doubled weight shift, ``None``
-        when the shifts are not integers.  A table holds the doubled-exponent row of
-        the multiplier of each slot: ``M^t`` (``_slot_twists``), times the half-moduli
-        (``_normalized_multipliers``); ``W^shift`` (``_shift_rows``), times the
+        For slot ``p``, with ``u = sigma^-1(p)`` at block ``i``, entry ``j``, a table holds
+        the doubled-exponent row of the slot's multiplier: ``M^t`` (``_slot_twists``), with
+        ``t = [n - n_i odd]``; that times the source half-modulus at ``u`` and the inverse
+        target half-modulus at ``p``, ``q^((j-p) + (n-n_i)/2)``
+        (``_normalized_multipliers``); ``W^shift[p]`` (``_shift_rows``), times the
         normalized multiplier (``_atkin_lehner_multipliers``) or ``M^t``
-        (``_atkin_lehner_plain_multipliers``).  The three ``W^shift`` tables are
-        stored only when the shifts are integers.
+        (``_atkin_lehner_plain_multipliers``).  The three ``W^shift`` tables are stored only
+        when the shifts are integers.
         """
         n, mu, blocks, positions = self.n, self.mu, self.source.blocks, self.source._positions
         shifts = self._shifts if weight_map_check(self) else None
-        rows, twisted, normalized = [], [], []
+        twisted, normalized = [], []
         shifted = {name: [] for name in _SHIFTED_TABLES} if shifts is not None else {}
         for p, u in enumerate(self.sigma_inverse):
             i, j = positions[u]
@@ -257,12 +256,10 @@ class TransferConfig(Derived, FrozenValue):
             w = None if shifts is None else 2 * shifts[p]
             m = _times((), mu, t)
             mq = _times(m, RESIDUE_SYMBOL, q)
-            rows.append((u, t, q, w))
             twisted.append(m)
             normalized.append(mq)
             for table, row in zip(shifted.values(), ((), mq, m)):
                 table.append(_times(row, UNIFORMIZER_SYMBOL, w))
-        _set(self, "_slot_rows", tuple(rows))
         _set(self, "_slot_twists", tuple(twisted))
         _set(self, "_normalized_multipliers", tuple(normalized))
         for name, table in shifted.items():
@@ -276,7 +273,7 @@ class TransferConfig(Derived, FrozenValue):
 
     def _build_verifier_half(self) -> None:
         """``_verifier_half``: the part of :func:`verify_transfer_compatibility` that
-        ``drop_normalization`` does not change, read from :attr:`_slot_rows`: the
+        ``drop_normalization`` does not change, read from the multiplier tables: the
         shift-integrality check, the modulus-duality check and the factorization rows of
         the generic characters, ``chi * zeta`` by source position and the right side
         ``refinement_pullback_normalized(chi) * weight_character_pullback(zeta)`` by
@@ -288,37 +285,37 @@ class TransferConfig(Derived, FrozenValue):
         except NonIntegralShift as err:
             shift_check = CheckResult("shift-integrality", False, (str(err),))
 
-        avoid = {self.mu}
-        x = _generic_names(self.n, "x", avoid)
-        z = _generic_names(self.n, "z", avoid)
-        mu, rows = self.mu, self._slot_rows
-
+        inverse, normalized = self.sigma_inverse, self._normalized_multipliers
         sides = None
         if shift_check.passed:
+            avoid = {self.mu}
+            x = _generic_names(self.n, "x", avoid)
+            z = _generic_names(self.n, "z", avoid)
             product = tuple(((xu, 2), (zu, 2)) for xu, zu in zip(x, z))
-            # laid out like the left side's rows: the generic entries, then M, q and W
             rhs = tuple(
-                ((x[u], 2), (z[u], 2), (mu, twist), (RESIDUE_SYMBOL, q), (UNIFORMIZER_SYMBOL, w))
-                for u, twist, q, w in rows
+                _merge(_merge(row, shift), product[u])
+                for row, shift, u in zip(normalized, self._shift_rows, inverse)
             )
             sides = (product, rhs)
 
-        # the normalized transfer of chi * delta_source^(-1/2) against the plain
-        # transfer of chi times delta_target^(-1/2)
+        # the normalized transfer of chi * delta_source^(-1/2) against the plain transfer
+        # of chi times delta_target^(-1/2): chi's generic value at u cancels, and the two
+        # agree when the normalized multiplier at p is the plain one times the source
+        # half-modulus at u and the inverse target half-modulus at p
         source_half = self.source._modulus_half_doubled
         target_half = self.target._modulus_half_doubled
         residuals = []
-        for p, (u, twist, q, _) in enumerate(rows):
-            left = ((x[u], 2), (mu, twist), (RESIDUE_SYMBOL, q - source_half[u]))
-            right = ((x[u], 2), (mu, twist), (RESIDUE_SYMBOL, -target_half[p]))
-            if left != right:
-                residuals.append(f"e_{p + 1}: {_ratio(left, right).text()}")
+        for p, (u, row, twist) in enumerate(zip(inverse, normalized, self._slot_twists)):
+            plain = _times(twist, RESIDUE_SYMBOL, source_half[u] - target_half[p])
+            if row != plain:
+                ratio = Monomial._from_twice(1, _add_ratio({}, row, plain))
+                residuals.append(f"e_{p + 1}: {ratio.text()}")
         duality_check = CheckResult("modulus-duality", not residuals, tuple(residuals))
         _set(self, "_verifier_half", (shift_check, sides, duality_check))
 
     _builders = {
         "_shifts": _build_shifts,
-        **dict.fromkeys(("_slot_rows", "_slot_twists", "_normalized_multipliers"), _build_slots),
+        **dict.fromkeys(("_slot_twists", "_normalized_multipliers"), _build_slots),
         **dict.fromkeys(_SHIFTED_TABLES, _build_shifted),
         "_verifier_half": _build_verifier_half,
     }
@@ -459,15 +456,15 @@ def _generic_names(n: int, prefix: str, avoid: set[str]) -> tuple[str, ...]:
     return tuple(names)
 
 
-def _ratio(left: tuple, right: tuple) -> Monomial:
-    """``left * right^-1`` for two rows of ``(symbol, doubled exponent)`` pairs.  Every
-    entry of both rows is summed by name, so generic symbols that differ stay."""
-    twice: dict[str, int] = {}
+def _add_ratio(total: dict[str, int], left: tuple, right: tuple) -> dict[str, int]:
+    """``total`` plus the doubled exponents of the row ``left`` minus those of ``right``.
+    Every entry of both rows is summed by name, so rows of any length compare and
+    generic symbols that differ stay."""
     for name, t in left:
-        twice[name] = twice.get(name, 0) + t
+        total[name] = total.get(name, 0) + t
     for name, t in right:
-        twice[name] = twice.get(name, 0) - t
-    return Monomial._from_twice(1, twice)
+        total[name] = total.get(name, 0) - t
+    return total
 
 
 def _factorization_residuals(lhs: tuple, rhs: tuple) -> tuple[str, ...]:
@@ -475,19 +472,15 @@ def _factorization_residuals(lhs: tuple, rhs: tuple) -> tuple[str, ...]:
     of ``GL_n``, in :func:`dominant_generators` order: the ``n`` prefix products, then the
     inverse of the full product at the negated full vector.
 
-    ``lhs[p]`` and ``rhs[p]`` are rows of ``(symbol, doubled exponent)`` pairs of one
-    length (rows of two lengths raise ``ValueError``), so a prefix product is the running
-    sum, by name, of the entries in which the rows differ; a monomial is built only for a
-    generator that is reported."""
+    ``lhs[p]`` and ``rhs[p]`` are rows of ``(symbol, doubled exponent)`` pairs, so a
+    prefix product is the running :func:`_add_ratio` of the slots whose rows differ; a
+    monomial is built only for a generator that is reported."""
     gens = dominant_generators(GroupShape((len(lhs),)))
     total: dict[str, int] = {}
     out = []
     for gen, a, b in zip(gens, lhs, rhs):
         if a != b:
-            for x, y in zip(a, b, strict=True):
-                if x != y:
-                    total[x[0]] = total.get(x[0], 0) + x[1]
-                    total[y[0]] = total.get(y[0], 0) - y[1]
+            _add_ratio(total, a, b)
         if any(total.values()):
             out.append(f"t={gen.exps}: {Monomial._from_twice(1, total).text()}")
     if any(total.values()):
@@ -516,13 +509,14 @@ def verify_transfer_compatibility(
     unnormalized variant; for more than one source block this must fail.
 
     A side's value at a target slot is a row of ``(symbol, doubled exponent)``
-    pairs read from the config's slot rows, the generic symbols ``x_u`` and ``z_u``
-    kept by name.  A check passes when the rows of ``lhs`` and ``rhs`` agree, with no
-    monomial built.  Otherwise the residual at a generator ``t`` is
-    ``lhs(t) * rhs(t)^-1``, read from the slot ratios ``lhs * rhs^-1``, since
-    ``chi -> chi(t)`` is a homomorphism: on ``GL_n`` the generator with ``j``
-    leading ones takes the product of the first ``j`` ratios, and ``(-1,..,-1)``
-    the inverse of all ``n``.  Only ``lhs`` depends on ``drop_normalization``; the
+    pairs: the generic symbols ``x_u`` and ``z_u``, kept by name, merged with the rows
+    of the multiplier tables that the pullbacks apply, so every check reads the shipped
+    tables and states no multiplier of its own.  A check passes when the rows of
+    ``lhs`` and ``rhs`` agree, with no monomial built.  Otherwise the residual at a
+    generator ``t`` is ``lhs(t) * rhs(t)^-1``, read from the slot ratios
+    ``lhs * rhs^-1``, since ``chi -> chi(t)`` is a homomorphism: on ``GL_n`` the
+    generator with ``j`` leading ones takes the product of the first ``j`` ratios, and
+    ``(-1,..,-1)`` the inverse of all ``n``.  Only ``lhs`` depends on ``drop_normalization``; the
     rest is kept on the config (``TransferConfig._verifier_half``).
     """
     shift_check, sides, duality_check = cfg._verifier_half
@@ -531,12 +525,13 @@ def verify_transfer_compatibility(
         factorization = CheckResult("atkin-lehner-factorization", False, skipped)
     else:
         product, rhs = sides
-        mu, keep_q = cfg.mu, not drop_normalization
-        # the Atkin-Lehner pullback of chi * zeta: its value at u times the multiplier at p
-        lhs = tuple(
-            product[u] + ((mu, twist), (RESIDUE_SYMBOL, q * keep_q), (UNIFORMIZER_SYMBOL, w))
-            for u, twist, q, w in cfg._slot_rows
+        table = (
+            cfg._atkin_lehner_plain_multipliers
+            if drop_normalization
+            else cfg._atkin_lehner_multipliers
         )
+        # the Atkin-Lehner pullback of chi * zeta: the multiplier at p times the value at u
+        lhs = tuple(_merge(row, product[u]) for row, u in zip(table, cfg.sigma_inverse))
         residuals = _factorization_residuals(lhs, rhs) if lhs != rhs else ()
         factorization = CheckResult("atkin-lehner-factorization", not residuals, residuals)
     return TransferReport((shift_check, factorization, duality_check))
@@ -691,7 +686,8 @@ def satake_transfer(poly: LaurentPoly, cfg: TransferConfig) -> LaurentPoly:
         raise NotSymmetric("input polynomial is not symmetric in the target variables")
     # keyed like LaurentPoly's own terms, so coefficients sharing an exponent vector all survive
     out = {}
-    mu, doubled_twists = cfg.mu, [row[1] for row in cfg._slot_rows]
+    mu = cfg.mu
+    doubled_twists = [dict(row).get(mu, 0) for row in cfg._slot_twists]
     for (exps, sym), coeff in poly._terms.items():
         pulled = tuple(exps[p] for p in cfg.sigma)
         shift = sum(e * t for e, t in zip(exps, doubled_twists))

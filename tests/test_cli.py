@@ -4,6 +4,7 @@ import argparse
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -696,6 +697,38 @@ def run_stdin(monkeypatch, capsys, raw):
     return code, capsys.readouterr().out
 
 
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"),
+    reason="an interpreter without a limit on integer text encodes any count",
+)
+def test_report_that_cannot_be_encoded_is_refused_with_no_body(monkeypatch, capsys):
+    """A well-formed job whose report cannot be encoded ends in one report, not a
+    traceback: one block of 1,700 with the identity ``sigma`` and 1,700 one-parameter
+    segments counts 1700! refinements on each side, past the interpreter's limit on
+    integer text.  The encode ``ValueError`` is refused with exit 2, and the error
+    report holds none of the command's body.  The message is the interpreter's."""
+    m = 1700
+    segments = [{"gamma": f"1 * g{k}", "d": 1} for k in range(m)]
+    job = {
+        "schema_version": "1",
+        "command": "check-accessible-transfer",
+        "payload": {
+            "config": {"blocks": [m], "sigma": list(range(1, m + 1)), "alpha": "1/2"},
+            "descriptor": {"blocks": [segments]},
+        },
+    }
+    body = jsonio.run_command(job["command"], job["payload"])
+    assert body["count_source"] == body["count_target"] == math.factorial(m)
+    raw = json.dumps(job).encode()
+    code, out = run_stdin(monkeypatch, capsys, raw)
+    assert (code, out.count("\n"), out.endswith("\n")) == (2, 1, True)
+    report = json.loads(out)
+    assert report.keys() == {"schema_version", "input_sha256", "command", "error"}
+    assert report["command"] == "check-accessible-transfer"
+    assert report["error"].keys() == {"type", "message"}
+    assert report["error"]["type"] == "SchemaError"
+
+
 @pytest.mark.parametrize("entry", POOL, ids=[entry["name"] for entry in POOL])
 def test_bench_pool_replay(monkeypatch, capsys, entry):
     """Every pool job keeps its exit code and its report bytes, the code follows the
@@ -881,11 +914,17 @@ def test_cli_import_skips_dataclasses_and_inspect():
 
 
 def test_cli_import_compiles_no_record_key():
-    """Importing the CLI compiles none of the 17 value classes' keys."""
+    """Importing the CLI compiles none of the 17 value classes' keys.  The classes are
+    found by walking the subclass graph, so a record class under an intermediate base
+    is counted too."""
     code = (
         "from eigentransfer import cli\n"
         "from eigentransfer._frozen import FrozenValue\n"
-        "classes = FrozenValue.__subclasses__()\n"
+        "classes, todo = [], [FrozenValue]\n"
+        "while todo:\n"
+        "    new = [c for c in todo.pop().__subclasses__() if c not in classes]\n"
+        "    classes += new\n"
+        "    todo += new\n"
         "print(len(classes), [c for c in classes if c._key is not FrozenValue._key])\n"
     )
     proc = subprocess.run(

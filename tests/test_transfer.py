@@ -19,7 +19,7 @@ from eigentransfer.errors import (
     SizeMismatch,
 )
 from eigentransfer.laurent import LaurentPoly, elementary_symmetric
-from eigentransfer.monomial import Monomial, ONE, symbol
+from eigentransfer.monomial import Monomial, ONE, _times, symbol
 from eigentransfer.points import ClassicalPoint, transfer_point
 from eigentransfer.refinements import (
     LocalRepDescriptor,
@@ -669,6 +669,40 @@ def test_verifier_rows_carry_the_generic_symbols():
             assert any("z" in text for text in expected)
 
 
+_WRONG_TABLES = {
+    "times q^(1/2)": lambda rows, mu: tuple(_times(row, "q", 1) for row in rows),
+    "times W": lambda rows, mu: tuple(_times(row, "W", 2) for row in rows),
+    "times the twist": lambda rows, mu: tuple(_times(row, mu, 2) for row in rows),
+    "in reverse slot order": lambda rows, mu: rows[::-1],
+}
+
+
+def test_wrong_slot_tables_give_the_rebuilt_duality_residuals():
+    """The modulus-duality check reads the shipped ``_normalized_multipliers`` and
+    ``_slot_twists``.  A config given a wrong one before its first verifier call gives
+    the report of the ``Monomial`` oracle, whose public pullbacks apply the same wrong
+    table: every config with n <= 4, the twist ``M`` and ``x1``, each table multiplied
+    by ``q^(1/2)``, ``W`` or the twist symbol at every slot (the duality check then
+    fails with ``e_p`` residuals) or read in reverse slot order."""
+    texts = set()
+    for n in range(1, 5):
+        for blocks in compositions(n):
+            for sigma in block_order_preserving_permutations(GroupShape(blocks)):
+                for mu, name, (how, wrong) in product(
+                    ("M", "x1"), ("_normalized_multipliers", "_slot_twists"), _WRONG_TABLES.items()
+                ):
+                    cfg = config(blocks, sigma, mu=mu)
+                    cfg.__dict__[name] = wrong(getattr(cfg, name), mu)
+                    for drop in (False, True):
+                        report = verify_transfer_compatibility(cfg, drop)
+                        assert repr(report) == repr(_rebuilt_verifier(cfg, drop)), (cfg, how)
+                    duality = report.checks[2]
+                    assert duality.passed in (False, how == "in reverse slot order")
+                    assert all(text.startswith("e_") for text in duality.residuals)
+                    texts.update(duality.residuals)
+    assert {"e_1: 1 * q^(1/2)", "e_1: 1 * W^-1", "e_2: 1 * x1^-1"} <= texts
+
+
 def _generator_oracle(ratios):
     """The residual texts of evaluating the slot-ratio character at each generator."""
     chi = UnramifiedCharacter(GroupShape((len(ratios),)), ratios)
@@ -701,20 +735,24 @@ def _row_ratio(a, b):
 
 @st.composite
 def _residual_rows(draw):
-    """Two rows per slot, n = 1..6, laid out alike as the verifier's are: each pair of
-    entries at one position shares its name or not, with doubled exponents -3..3 that
-    may be 0 or cancel across slots; a slot's rows are often equal."""
+    """Two rows per slot, n = 1..6, canonical as the verifier's merged rows are: sorted by
+    name with no zero entry, so the two rows of a slot may differ in length.  Doubled
+    exponents -3..3 may cancel across slots; a slot's rows are often equal, and otherwise
+    each entry of the first row is kept, given another exponent or dropped, and the
+    second row may hold names of its own."""
     n = draw(st.integers(1, 6))
-    width = draw(st.integers(1, 3))
     exps = st.integers(-3, 3)
-    entries = st.tuples(st.sampled_from(("M", "W", "q", "x1", "x2", "z1")), exps)
+    names = st.sampled_from(("M", "W", "q", "x1", "x2", "z1"))
+    canonical = lambda twice: tuple(sorted(item for item in twice.items() if item[1]))
     lhs, rhs = [], []
     for _ in range(n):
-        a = tuple(draw(st.lists(entries, min_size=width, max_size=width)))
+        a = canonical(dict(draw(st.lists(st.tuples(names, exps), max_size=4))))
         if draw(st.booleans()):
             b = a
-        else:  # each entry: a's own, a's name with another exponent, or any other entry
-            b = tuple(draw(st.just(x) | exps.map(lambda t: (x[0], t)) | entries) for x in a)
+        else:
+            twice = {name: draw(st.sampled_from((t, 0)) | exps) for name, t in a}
+            twice.update(draw(st.lists(st.tuples(names, exps), max_size=2)))
+            b = canonical(twice)
         lhs.append(a)
         rhs.append(b)
     return tuple(lhs), tuple(rhs)
@@ -1095,16 +1133,19 @@ def _every_config(alpha=HALF, mu="M"):
 def _from_twice_multipliers(cfg, twisted, normalized, weighted):
     """Oracle: a multiplier table as a dict of doubled exponents per slot, made through
     ``Monomial._from_twice``, the way the tables were built before they were sorted
-    tuples."""
-    if weighted:
-        weight_shift(cfg)
+    tuples.  Slot ``p`` with ``u = sigma^-1(p)`` reads the twist of ``u``'s block, the
+    source half-modulus at ``u`` and the inverse target half-modulus at ``p`` from the
+    public characters, and the weight shift at ``p``."""
+    shifts = weight_shift(cfg) if weighted else None
+    source_half = modulus_half(cfg.source, 1).values
+    target_half = modulus_half(cfg.target, -1).values
     out = []
-    for _, twist, q, w in cfg._slot_rows:
-        twice = {cfg.mu: twist} if twisted else {}
+    for p, u in enumerate(cfg.sigma_inverse):
+        twice = {cfg.mu: 2 * cfg.twist_exponent(cfg.source.block_of(u)[0])} if twisted else {}
         if normalized:
-            twice["q"] = q
+            twice["q"] = (source_half[u] * target_half[p]).doubled_exponent("q")
         if weighted:
-            twice["W"] = w
+            twice["W"] = 2 * shifts[p]
         out.append(Monomial._from_twice(1, twice))
     return tuple(out)
 
@@ -1144,12 +1185,12 @@ def test_multiplier_tables_match_the_from_twice_builder():
 
 def test_config_tables_wait_for_their_first_read():
     """A new config stores its fields, the inverse of ``sigma``, ``n`` and ``target``.
-    The first read of any slot table stores ``_slot_rows`` and the multiplier tables
-    together, the three ``W^shift`` tables (and ``_shifts``) only when the shifts are
-    integers; on a non-integral config a read of one of those raises on every read and
-    stores nothing.  Other missing attributes raise the usual ``AttributeError``."""
+    The first read of any slot table stores the multiplier tables together, the three
+    ``W^shift`` tables (and ``_shifts``) only when the shifts are integers; on a
+    non-integral config a read of one of those raises on every read and stores nothing.
+    Other missing attributes raise the usual ``AttributeError``."""
     made = ["alpha", "mu", "n", "sigma", "sigma_inverse", "source", "target"]
-    plain = made + ["_normalized_multipliers", "_slot_rows", "_slot_twists"]
+    plain = made + ["_normalized_multipliers", "_slot_twists"]
     shifted = ["_atkin_lehner_multipliers", "_atkin_lehner_plain_multipliers", "_shift_rows"]
     for first in ("_slot_twists", "_shift_rows"):
         cfg = config((1, 2), sigma=(2, 0, 1))

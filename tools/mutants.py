@@ -217,7 +217,8 @@ MUTANTS = [
         CLI,
         'raise SchemaError(f"cannot read job file: {err}") from err',
         'error = {"type": "SchemaError", "message": f"cannot read job file: {err}"}\n'
-        '                _emit({"schema_version": SCHEMA_VERSION, "error": error}, pretty)\n'
+        '                report = {"schema_version": SCHEMA_VERSION, "error": error}\n'
+        '                sys.stdout.write(_encode(report, pretty) + "\\n")\n'
         "                return 1",
         ["tests/test_cli.py::test_unreadable_and_invalid_json_reports"],
     ),
@@ -287,8 +288,8 @@ MUTANTS = [
     (
         "Atkin-Lehner slot ratios without the inverse",
         TRANSFER,
-        "total[y[0]] = total.get(y[0], 0) - y[1]",
-        "total[y[0]] = total.get(y[0], 0) + y[1]",
+        "total[name] = total.get(name, 0) - t",
+        "total[name] = total.get(name, 0) + t",
         ["tests/test_transfer.py::test_verify_matches_per_generator_oracle"],
     ),
     (
@@ -301,22 +302,22 @@ MUTANTS = [
     (
         "slot ratios skipping the generic entries, as if they cancelled",
         TRANSFER,
-        "for x, y in zip(a, b, strict=True):",
-        "for x, y in zip(a[2:], b[2:], strict=True):",
+        "_add_ratio(total, a, b)",
+        "_add_ratio(total, a[:-2], b[:-2])",
         ["tests/test_transfer.py::test_verifier_rows_carry_the_generic_symbols"],
     ),
     (
-        "Atkin-Lehner row without its W entry",
+        "Atkin-Lehner row without its W entry: the verifier reading the normalized table",
         TRANSFER,
-        "(RESIDUE_SYMBOL, q * keep_q), (UNIFORMIZER_SYMBOL, w))",
-        "(RESIDUE_SYMBOL, q * keep_q))",
+        "            else cfg._atkin_lehner_multipliers\n",
+        "            else cfg._normalized_multipliers\n",
         ["tests/test_transfer.py::test_verify_matches_per_generator_oracle"],
     ),
     (
         "duality row reading the source half-modulus at p instead of u",
         TRANSFER,
-        "q - source_half[u]",
-        "q - source_half[p]",
+        "source_half[u] - target_half[p]",
+        "source_half[p] - target_half[p]",
         ["tests/test_transfer.py::test_verify_matches_rebuilt_verifier[3]"],
     ),
     (
@@ -448,8 +449,8 @@ MUTANTS = [
     (
         "the drop call reusing the normalized factorization kept on the config",
         TRANSFER,
-        "            for u, twist, q, w in cfg._slot_rows\n        )\n",
-        "            for u, twist, q, w in cfg._slot_rows\n        )\n"
+        "for row, u in zip(table, cfg.sigma_inverse))\n",
+        "for row, u in zip(table, cfg.sigma_inverse))\n"
         '        lhs = cfg.__dict__.setdefault("_lhs", lhs)\n',
         ["tests/test_transfer.py::test_verify_matches_rebuilt_verifier[2]"],
     ),
@@ -550,6 +551,63 @@ MUTANTS = [
         "normalized.append(mq)",
         "normalized.append(_times(mq, UNIFORMIZER_SYMBOL, w))",
         ["tests/test_transfer.py::test_refinement_pullback_normalized_anchor"],
+    ),
+    (
+        "plain twist table alone times q^(1/2)",
+        TRANSFER,
+        '_set(self, "_slot_twists", tuple(twisted))',
+        '_set(self, "_slot_twists", tuple(_times(m, RESIDUE_SYMBOL, 1) for m in twisted))',
+        ["tests/test_acceptance.py::test_criterion_1_compatibility_suite"],
+    ),
+    (
+        "normalized refinement table alone times q^(1/2)",
+        TRANSFER,
+        '_set(self, "_normalized_multipliers", tuple(normalized))',
+        '_set(self, "_normalized_multipliers", tuple(_times(m, RESIDUE_SYMBOL, 1) for m in normalized))',
+        ["tests/test_acceptance.py::test_criterion_1_compatibility_suite"],
+    ),
+    (
+        "W^shift table alone times W",
+        TRANSFER,
+        "            _set(self, name, tuple(table))\n",
+        "            _set(self, name, tuple(\n"
+        '                _times(r, UNIFORMIZER_SYMBOL, 2) if name == "_shift_rows" else r for r in table\n'
+        "            ))\n",
+        ["tests/test_acceptance.py::test_criterion_1_compatibility_suite"],
+    ),
+    (
+        "Atkin-Lehner table alone times W",
+        TRANSFER,
+        "            _set(self, name, tuple(table))\n",
+        "            _set(self, name, tuple(\n"
+        "                _times(r, UNIFORMIZER_SYMBOL, 2)\n"
+        '                if name == "_atkin_lehner_multipliers" else r for r in table\n'
+        "            ))\n",
+        ["tests/test_acceptance.py::test_criterion_1_compatibility_suite"],
+    ),
+    (
+        "unnormalized Atkin-Lehner table alone times W, failing the one-block drop call",
+        TRANSFER,
+        "            _set(self, name, tuple(table))\n",
+        "            _set(self, name, tuple(\n"
+        "                _times(r, UNIFORMIZER_SYMBOL, 2)\n"
+        '                if name == "_atkin_lehner_plain_multipliers" else r for r in table\n'
+        "            ))\n",
+        ["tests/test_acceptance.py::test_criterion_1_compatibility_suite"],
+    ),
+    (
+        "duality residual dropping the right row",
+        TRANSFER,
+        "_add_ratio({}, row, plain)",
+        "_add_ratio({}, row, ())",
+        ["tests/test_transfer.py::test_wrong_slot_tables_give_the_rebuilt_duality_residuals"],
+    ),
+    (
+        "report body joining the report before it is encoded",
+        CLI,
+        "        text = _encode({**report, **body}, pretty)\n",
+        "        report.update(body)\n",
+        ["tests/test_cli.py::test_report_that_cannot_be_encoded_is_refused_with_no_body"],
     ),
     (
         "non-integral config storing its W^shift tables, without W",
