@@ -31,6 +31,9 @@ from .jsonio import SCHEMA_VERSION, decode_job, run_command
 # Library errors that are verdicts on a well-formed job (exit 1); every other
 # error refuses the input (exit 2).
 _VERDICT_ERRORS = (NotRelevant, NonIntegralShift)
+# the message for a report that cannot be encoded, in place of the interpreter's own text,
+# which differs between versions
+_UNENCODABLE = "the report cannot be encoded as JSON text"
 
 
 def _encode(report: dict, pretty: bool) -> str:
@@ -71,7 +74,10 @@ def main(argv: list[str] | None = None) -> int:
         report["command"] = command
         body = run_command(command, payload)
         # encoded before it joins the report, so an encode error reports with no body
-        text = _encode({**report, **body}, pretty)
+        try:
+            text = _encode({**report, **body}, pretty)
+        except ValueError:
+            raise SchemaError(_UNENCODABLE) from None
         code = 1 if body.get("verdict") == "fail" else 0
     except (TransferError, ValueError) as err:
         # a ValueError from the library is reported as a schema violation

@@ -299,6 +299,11 @@ def refinement_count_inequality(
     the verdict cannot be ``False``.
     """
     _require_transfer_generic(desc, cfg)
+    return _transfer_counts(desc, cfg)
+
+
+def _transfer_counts(desc: LocalRepDescriptor, cfg: TransferConfig) -> tuple[int, int, bool]:
+    """:func:`refinement_count_inequality` for a descriptor that passed its checks."""
     count_source = count_accessible(desc)
     count_target = _multinomial(cfg.n, (seg.d for block in desc.segments for seg in block))
     return count_source, count_target, count_source <= count_target

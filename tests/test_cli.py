@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from eigentransfer import jsonio, transfer
+from eigentransfer import jsonio, refinements, transfer
 from eigentransfer.cli import main
 
 
@@ -187,6 +187,21 @@ def test_check_accessible_transfer(tmp_path, capsys):
     assert report["count_source"] == 1
     assert report["count_target"] == 3
     assert report["count_inequality"] is True
+
+
+def test_accessible_transfer_job_runs_the_transferred_sweep_once(monkeypatch, capsys):
+    """One ``check-accessible-transfer`` job checks the transferred descriptor's genericity
+    once, for its verdict and its counts together, and keeps its exit code and report bytes."""
+    sweep, calls = refinements._require_transfer_generic, []
+    monkeypatch.setattr(
+        refinements,
+        "_require_transfer_generic",
+        lambda desc, cfg: calls.append(desc) or sweep(desc, cfg),
+    )
+    entry = next(entry for entry in POOL if entry["name"] == "check-accessible-transfer-2")
+    code, out = run_stdin(monkeypatch, capsys, entry["job"].encode())
+    assert len(calls) == 1
+    assert (code, sha256(out.encode())) == (entry["exit_code"], entry["report_sha256"])
 
 
 def test_transfer_point(tmp_path, capsys):
@@ -706,7 +721,8 @@ def test_report_that_cannot_be_encoded_is_refused_with_no_body(monkeypatch, caps
     traceback: one block of 1,700 with the identity ``sigma`` and 1,700 one-parameter
     segments counts 1700! refinements on each side, past the interpreter's limit on
     integer text.  The encode ``ValueError`` is refused with exit 2, and the error
-    report holds none of the command's body.  The message is the interpreter's."""
+    report holds none of the command's body.  The message is the library's own, the
+    same on every interpreter."""
     m = 1700
     segments = [{"gamma": f"1 * g{k}", "d": 1} for k in range(m)]
     job = {
@@ -725,8 +741,10 @@ def test_report_that_cannot_be_encoded_is_refused_with_no_body(monkeypatch, caps
     report = json.loads(out)
     assert report.keys() == {"schema_version", "input_sha256", "command", "error"}
     assert report["command"] == "check-accessible-transfer"
-    assert report["error"].keys() == {"type", "message"}
-    assert report["error"]["type"] == "SchemaError"
+    assert report["error"] == {
+        "type": "SchemaError",
+        "message": "the report cannot be encoded as JSON text",
+    }
 
 
 @pytest.mark.parametrize("entry", POOL, ids=[entry["name"] for entry in POOL])

@@ -4,7 +4,8 @@ import gc
 import random
 import re
 from fractions import Fraction
-from itertools import combinations_with_replacement, permutations, product
+from functools import cache
+from itertools import chain, combinations_with_replacement, permutations, product
 from math import factorial, prod
 
 import pytest
@@ -80,10 +81,16 @@ def char(shape, *texts):
 
 
 def _generic_character(shape, prefix, avoid):
-    """The oracles' generic character: value ``name^1`` at each position, with the
-    names the verifier gives its generic symbols."""
-    names = transfer_module._generic_names(shape.n, prefix, avoid)
-    return UnramifiedCharacter(shape, tuple(symbol(name) for name in names))
+    """The oracles' generic character: value ``name^1`` at position ``u``, where ``name`` is
+    ``prefix`` and ``u + 1`` (counting from 1), suffixed with ``_`` until it is not in
+    ``avoid``, the verifier's names for its generic symbols."""
+    names = []
+    for u in range(1, shape.n + 1):
+        name = f"{prefix}{u}"
+        while name in avoid:
+            name += "_"
+        names.append(symbol(name))
+    return UnramifiedCharacter(shape, tuple(names))
 
 
 def test_invert_permutation():
@@ -487,128 +494,68 @@ def test_verify_negative_control():
     assert verify_transfer_compatibility(config((3,)), drop_normalization=True).passed
 
 
-def _per_generator_oracle(cfg, drop_normalization=False):
-    """The verifier as it was before the slot ratios: both wide generic characters
-    evaluated at every target generator, one of them inverted."""
-    checks = []
+def _rebuilt_verifier(cfg):
+    """The verifier rebuilt from its definition in ``verify_transfer_compatibility``'s
+    docstring, through the public maps alone: the generic characters ``chi`` and ``zeta``
+    pulled back, both sides of the factorization evaluated at every target generator
+    (``_generator_oracle``), and both sides of the duality compared at every basis vector.
+    Returns the report's ``repr`` for each ``drop_normalization``, keyed by it."""
     try:
         weight_shift(cfg)
-        shifts_ok = True
-        checks.append(CheckResult("shift-integrality", True))
+        shift_check = CheckResult("shift-integrality", True)
     except NonIntegralShift as err:
-        shifts_ok = False
-        checks.append(CheckResult("shift-integrality", False, (str(err),)))
+        shift_check = CheckResult("shift-integrality", False, (str(err),))
     chi = _generic_character(cfg.source, "x", {cfg.mu})
     zeta = _generic_character(cfg.source, "z", {cfg.mu})
-    if shifts_ok:
-        lhs_char = atkin_lehner_pullback(chi * zeta, cfg, normalized=not drop_normalization)
-        rhs_char = refinement_pullback_normalized(chi, cfg) * weight_character_pullback(zeta, cfg)
-        residuals = []
-        for gen in dominant_generators(cfg.target):
-            ratio = lhs_char.eval(gen) * rhs_char.eval(gen).inverse()
-            if not ratio.is_one():
-                residuals.append(f"t={gen.exps}: {ratio.text()}")
-        checks.append(CheckResult("atkin-lehner-factorization", not residuals, tuple(residuals)))
-    else:
-        skipped = ("skipped: weight shifts are not integral",)
-        checks.append(CheckResult("atkin-lehner-factorization", False, skipped))
     lhs = refinement_pullback_normalized(chi * modulus_half(cfg.source, -1), cfg)
     rhs = refinement_pullback(chi, cfg) * modulus_half(cfg.target, -1)
     residuals = tuple(
-        f"e_{p + 1}: {(lhs.values[p] * rhs.values[p].inverse()).text()}"
-        for p in range(cfg.n)
-        if lhs.values[p] != rhs.values[p]
+        f"e_{p + 1}: {(a / b).text()}"
+        for p, (a, b) in enumerate(zip(lhs.values, rhs.values))
+        if a != b
     )
-    checks.append(CheckResult("modulus-duality", not residuals, residuals))
-    return TransferReport(tuple(checks))
-
-
-def test_verify_matches_per_generator_oracle():
-    """Slot ratios against evaluating both characters at each generator: every
-    config with n <= 4, every n = 5 shape, integral and skipped shifts, a mu
-    that collides with a generic symbol."""
-    alphas = [Fraction(a, 2) for a in (-3, -1, 0, 1, 2, 3, 5)]
-    configs = [
-        config(blocks, sigma=sigma, alpha=alpha)
-        for n in range(1, 5)
-        for blocks in compositions(n)
-        for sigma in block_order_preserving_permutations(GroupShape(blocks))
-        for alpha in alphas
-    ]
-    configs += [config(blocks, alpha=alpha) for blocks in compositions(5) for alpha in alphas]
-    configs += [config((2, 1, 2), sigma=(0, 3, 1, 2, 4), mu="x1")]
-    verdicts = set()
-    for cfg in configs:
-        for drop in (False, True):
-            report = verify_transfer_compatibility(cfg, drop_normalization=drop)
-            assert report == _per_generator_oracle(cfg, drop), (cfg, drop)
-            verdicts.add((drop, report.checks[1].residuals[:1]))
-    # every branch ran: passes, failures with residuals and skipped checks
-    assert (False, ()) in verdicts
-    assert (True, ("t=(1, 0): 1 * q^(-1/2)",)) in verdicts
-    assert (False, ("skipped: weight shifts are not integral",)) in verdicts
-
-
-def _rebuilt_verifier(cfg, drop_normalization=False):
-    """The verifier as it was before its drop-independent half was kept on the config:
-    every part is rebuilt on each call, and the residuals are the slot-ratio character's
-    values at the generators."""
-    checks = []
-    try:
-        weight_shift(cfg)
-        shifts_ok = True
-        checks.append(CheckResult("shift-integrality", True))
-    except NonIntegralShift as err:
-        shifts_ok = False
-        checks.append(CheckResult("shift-integrality", False, (str(err),)))
-    chi = _generic_character(cfg.source, "x", {cfg.mu})
-    zeta = _generic_character(cfg.source, "z", {cfg.mu})
-    if shifts_ok:
-        lhs_char = atkin_lehner_pullback(chi * zeta, cfg, normalized=not drop_normalization)
-        rhs_char = refinement_pullback_normalized(chi, cfg) * weight_character_pullback(zeta, cfg)
-        residuals = _generator_oracle((lhs_char * rhs_char.inverse()).values)
-        checks.append(CheckResult("atkin-lehner-factorization", not residuals, residuals))
-    else:
-        skipped = ("skipped: weight shifts are not integral",)
-        checks.append(CheckResult("atkin-lehner-factorization", False, skipped))
-    lhs = refinement_pullback_normalized(chi * modulus_half(cfg.source, -1), cfg)
-    rhs = refinement_pullback(chi, cfg) * modulus_half(cfg.target, -1)
-    residuals = tuple(
-        f"e_{p + 1}: {(lhs.values[p] * rhs.values[p].inverse()).text()}"
-        for p in range(cfg.n)
-        if lhs.values[p] != rhs.values[p]
-    )
-    checks.append(CheckResult("modulus-duality", not residuals, residuals))
-    return TransferReport(tuple(checks))
+    duality = CheckResult("modulus-duality", not residuals, residuals)
+    if shift_check.passed:
+        rhs = refinement_pullback_normalized(chi, cfg) * weight_character_pullback(zeta, cfg)
+    reports = {}
+    for drop in (False, True):
+        if shift_check.passed:
+            lhs = atkin_lehner_pullback(chi * zeta, cfg, normalized=not drop)
+            residuals = _generator_oracle(lhs, rhs)
+            factorization = CheckResult("atkin-lehner-factorization", not residuals, residuals)
+        else:
+            skipped = ("skipped: weight shifts are not integral",)
+            factorization = CheckResult("atkin-lehner-factorization", False, skipped)
+        reports[drop] = repr(TransferReport((shift_check, factorization, duality)))
+    return reports
 
 
 @pytest.mark.parametrize("n", range(1, 6))
 def test_verify_matches_rebuilt_verifier(n):
-    """The verifier, whose drop-independent half is built once per config, against
-    the copy that rebuilds it: every config with this n and every sigma; alphas of
-    integral shifts and alphas 0 and 1, whose shifts are not integral for some
-    shapes (the "skipped" branch); the twist ``M`` and ``x1``, which collides with a
-    generic symbol.  Each config is checked in both call orders, each order on a
+    """The verifier against its definition: every config with this n and every sigma;
+    alphas -3/2 .. 5/2 in steps of 1/2, whose shifts are integral or, for 0 and 1 on
+    some shapes, not (the "skipped" branch); the twist ``M`` and ``x1``, which collides
+    with a generic symbol.  Each config is checked in both call orders, each order on a
     fresh object, so the second call of each reads the half the first one built."""
-    alphas = (HALF, -HALF, Fraction(3, 2), 0, 1, Fraction(5, 2))
+    alphas = [Fraction(a, 2) for a in (-3, -1, 0, 1, 2, 3, 5)]
     verdicts = set()
     for blocks in compositions(n):
         for sigma in block_order_preserving_permutations(GroupShape(blocks)):
             for alpha, mu in product(alphas, ("M", "x1")):
-                oracle_cfg = config(blocks, sigma, alpha, mu=mu)
-                expected = {
-                    drop: repr(_rebuilt_verifier(oracle_cfg, drop)) for drop in (False, True)
-                }
+                expected = _rebuilt_verifier(config(blocks, sigma, alpha, mu=mu))
                 for order in ((False, True), (True, False)):
                     cfg = config(blocks, sigma, alpha, mu=mu)
                     for drop in order:
                         report = verify_transfer_compatibility(cfg, drop_normalization=drop)
                         assert repr(report) == expected[drop], (cfg, order, drop)
                         verdicts.add((drop, report.checks[1].residuals[:1]))
+    # every branch ran: passes, failures with residuals and skipped checks
     assert (False, ()) in verdicts
     if n > 1:
         assert (False, ("skipped: weight shifts are not integral",)) in verdicts
         assert any(drop and res and res[0].startswith("t=") for drop, res in verdicts)
+    if n == 2:
+        assert (True, ("t=(1, 0): 1 * q^(-1/2)",)) in verdicts
 
 
 @st.composite
@@ -633,12 +580,10 @@ def _verifier_inputs(draw):
 @settings(max_examples=300, derandomize=True, database=None, deadline=None)
 @given(_verifier_inputs())
 def test_row_verifier_matches_rebuilt_verifier_property(inputs):
-    """The verifier on integer slot rows against the copy that builds both sides from
-    ``Monomial`` characters through the public pullbacks, on a fresh config in each
-    call order."""
+    """The verifier against its definition on random configs up to n = 7, on a fresh
+    config in each call order."""
     blocks, sigma, alpha, mu = inputs
-    oracle_cfg = config(blocks, sigma, alpha, mu=mu)
-    expected = {drop: repr(_rebuilt_verifier(oracle_cfg, drop)) for drop in (False, True)}
+    expected = _rebuilt_verifier(config(blocks, sigma, alpha, mu=mu))
     for order in ((False, True), (True, False)):
         cfg = config(blocks, sigma, alpha, mu=mu)
         for drop in order:
@@ -662,7 +607,7 @@ def test_verifier_rows_carry_the_generic_symbols():
         rhs = refinement_pullback_normalized(chi, kept) * weight_character_pullback(zeta, kept)
         for drop in (False, True):
             lhs = atkin_lehner_pullback(chi * zeta, cfg, normalized=not drop)
-            expected = _generator_oracle((lhs * rhs.inverse()).values)
+            expected = _generator_oracle(lhs, rhs)
             factorization = verify_transfer_compatibility(cfg, drop).checks[1]
             assert factorization.residuals == expected, (sigma, drop)
             assert not factorization.passed
@@ -693,9 +638,10 @@ def test_wrong_slot_tables_give_the_rebuilt_duality_residuals():
                 ):
                     cfg = config(blocks, sigma, mu=mu)
                     cfg.__dict__[name] = wrong(getattr(cfg, name), mu)
+                    expected = _rebuilt_verifier(cfg)
                     for drop in (False, True):
                         report = verify_transfer_compatibility(cfg, drop)
-                        assert repr(report) == repr(_rebuilt_verifier(cfg, drop)), (cfg, how)
+                        assert repr(report) == expected[drop], (cfg, how)
                     duality = report.checks[2]
                     assert duality.passed in (False, how == "in reverse slot order")
                     assert all(text.startswith("e_") for text in duality.residuals)
@@ -703,10 +649,10 @@ def test_wrong_slot_tables_give_the_rebuilt_duality_residuals():
     assert {"e_1: 1 * q^(1/2)", "e_1: 1 * W^-1", "e_2: 1 * x1^-1"} <= texts
 
 
-def _generator_oracle(ratios):
-    """The residual texts of evaluating the slot-ratio character at each generator."""
-    chi = UnramifiedCharacter(GroupShape((len(ratios),)), ratios)
-    values = ((gen, chi.eval(gen)) for gen in dominant_generators(chi.shape))
+def _generator_oracle(lhs, rhs):
+    """The factorization's residual texts: ``lhs(t) * rhs(t)^-1`` at each generator ``t`` of
+    the characters' single-block shape, in ``dominant_generators`` order, where it is not one."""
+    values = ((gen, lhs.eval(gen) / rhs.eval(gen)) for gen in dominant_generators(lhs.shape))
     return tuple(f"t={gen.exps}: {value.text()}" for gen, value in values if not value.is_one())
 
 
@@ -727,10 +673,11 @@ def test_factorization_residuals_read_prefix_products():
     )
 
 
-def _row_ratio(a, b):
-    """Oracle: the monomial ``a * b^-1`` of two rows, through public ``Monomial`` products."""
+def _row_character(rows):
+    """The single-block character whose value at slot ``p`` is the monomial of the row
+    ``rows[p]``, through public ``Monomial`` products."""
     power = lambda row: prod((symbol(name, Fraction(t, 2)) for name, t in row), start=ONE)
-    return power(a) * power(b).inverse()
+    return UnramifiedCharacter(GroupShape((len(rows),)), tuple(map(power, rows)))
 
 
 @st.composite
@@ -761,11 +708,12 @@ def _residual_rows(draw):
 @settings(max_examples=400, derandomize=True, database=None)
 @given(_residual_rows())
 def test_factorization_residuals_match_generator_oracle(rows):
-    """Running sums of the differing entries against ``eval`` of the slot-ratio character
-    at each generator, the ratios built from the rows by ``Monomial`` products."""
+    """Running sums of the differing entries against ``eval`` of both sides' characters
+    at each generator, the characters built from the rows by ``Monomial`` products."""
     lhs, rhs = rows
-    ratios = [_row_ratio(a, b) for a, b in zip(lhs, rhs)]
-    assert _factorization_residuals(lhs, rhs) == _generator_oracle(ratios)
+    assert _factorization_residuals(lhs, rhs) == _generator_oracle(
+        _row_character(lhs), _row_character(rhs)
+    )
 
 
 def test_archimedean_transfer_anchors():
@@ -1030,51 +978,75 @@ def test_satake_param_transfer():
         satake_param_transfer(((symbol("a"),), (symbol("b"),)), cfg)
 
 
-def _seed_shifts(blocks, alpha):
-    """The affine weight shifts in flat source layout, or the error text of the first
-    shift that is not an integer."""
+@cache
+def _block_shifts(blocks, alpha):
+    """Oracle: the weight shift at every position of each block ``i``, by ``weight_shift``'s
+    docstring ``alpha·[n - n_i odd] + (n_i - n)/2 + offset_i``, in ``Fraction`` arithmetic."""
     n, offset, shifts = sum(blocks), 0, []
-    for i, m in enumerate(blocks):
-        c = alpha * ((n - m) % 2) + Fraction(m - n, 2) + offset
-        if c.denominator != 1:
-            return f"weight shift {c} at block {i + 1} is not an integer (alpha = {alpha})"
-        shifts.extend([int(c)] * m)
+    for m in blocks:
+        shifts.append(Fraction(alpha) * ((n - m) % 2) + Fraction(m - n, 2) + offset)
         offset += m
     return tuple(shifts)
 
 
-def _seed_half_modulus(blocks, sign):
-    return [
-        Monomial(1, {"q": Fraction(-sign * (m + 1 - 2 * (j + 1)), 2)})
-        for m in blocks
-        for j in range(m)
-    ]
+def _plain_atkin_lehner_pullback(chi, cfg):
+    return atkin_lehner_pullback(chi, cfg, normalized=False)
 
 
-def _seed_refinement(chi, cfg, normalized):
-    blocks = cfg.source.blocks
-    block_index = [i for i, m in enumerate(blocks) for _ in range(m)]
-    half_source = _seed_half_modulus(blocks, 1)
-    inv_half_target = _seed_half_modulus((cfg.n,), -1)
-    values = []
-    for p in range(cfg.n):
-        u = cfg.sigma.index(p)
-        value = Monomial(1, {cfg.mu: (cfg.n - blocks[block_index[u]]) % 2}) * chi.values[u]
-        if normalized:
-            value = value * half_source[u] * inv_half_target[p]
-        values.append(value)
-    return values
+def _multipliers(blocks, sigma, alpha, mu):
+    """Oracle: the multiplier of each of the five affine maps at every target slot, from
+    the module docstring alone, in public ``Monomial`` products.  Slot ``p`` takes
+    ``u = sigma^-1(p)``, entry ``j`` (from 0) of block ``i`` of size ``m``: the twist
+    ``mu^[n - m odd]``; when normalized, times the source half-modulus at ``u``,
+    ``q^((2j + 1 - m)/2)``, and the inverse target half-modulus at ``p``,
+    ``q^((n - 1 - 2p)/2)``; when weighted, times ``W`` to the shift at flat position ``p``
+    (``_block_shifts``).
+
+    Returns the shifts and a dict from each map to its multipliers.  When a shift is not
+    an integer, the shifts and each weighted map's multipliers are the ``NonIntegralShift``
+    text of the first such block instead."""
+    n, block_shifts = len(sigma), _block_shifts(blocks, alpha)
+    error = next(
+        (
+            f"weight shift {shift} at block {i + 1} is not an integer (alpha = {alpha})"
+            for i, shift in enumerate(block_shifts)
+            if shift.denominator != 1
+        ),
+        None,
+    )
+    twists, halves, shifts = [], [], []
+    for m, shift in zip(blocks, block_shifts):
+        for j in range(m):
+            twists.append(symbol(mu, (n - m) % 2))
+            halves.append(symbol("q", Fraction(2 * j + 1 - m, 2)))
+            shifts.append(shift)
+    plain, normalized = [], []
+    for p in range(n):
+        u = sigma.index(p)
+        plain.append(twists[u])
+        normalized.append(twists[u] * halves[u] * symbol("q", Fraction(n - 1 - 2 * p, 2)))
+    w = [symbol("W", shift) for shift in shifts]
+    return error or tuple(map(int, shifts)), {
+        refinement_pullback: plain,
+        refinement_pullback_normalized: normalized,
+        weight_character_pullback: error or w,
+        atkin_lehner_pullback: error or [a * b for a, b in zip(w, normalized)],
+        _plain_atkin_lehner_pullback: error or [a * b for a, b in zip(w, plain)],
+    }
 
 
-def test_cached_config_data_matches_seed_formulas():
-    """Every config with n <= 5, integral and non-integral shifts: cached data against
-    formulas, and the inverse of ``sigma`` stored by the constructor.  The twist symbol
-    sorts before ``W`` (``M``), between ``W`` and ``q`` (``mu``) and after ``q`` (``z``),
-    since the multipliers are built pre-sorted; the last two run with one alpha of
-    integral shifts and one of non-integral shifts."""
-    alphas = [Fraction(a, 2) for a in (-3, -1, 1, 3)] + [Fraction(0), Fraction(1)]
-    twists = [(alpha, "M") for alpha in alphas]
-    twists += [(alpha, mu) for mu in ("mu", "z") for alpha in (HALF, Fraction(1))]
+def test_pullbacks_match_the_multiplier_definition():
+    """Every config with n <= 5, with integral and non-integral shifts, and a twist
+    symbol that sorts before ``W`` (``M``, under alphas -3/2 .. 3/2 in steps of 1/2),
+    between ``W`` and ``q`` (``mu``, ``x1``) and after ``q`` (``z``, ``z3``), each of
+    those four under alphas 1/2 and 1, since the multipliers are kept pre-sorted:
+    ``weight_shift`` and all five maps against the oracle, with the oracle's
+    ``NonIntegralShift`` text from the weighted ones, and the inverse of ``sigma`` stored
+    by the constructor.  Each map and ``weight_shift`` is read twice, so a config that
+    kept ``None`` or the error for a non-integral shift, instead of raising again, fails."""
+    twists = [(Fraction(a, 2), "M") for a in (-3, -1, 0, 1, 2, 3)]
+    twists += [(alpha, mu) for mu in ("mu", "x1", "z", "z3") for alpha in (HALF, Fraction(1))]
+    seen = set()
     for n in range(1, 6):
         for blocks in compositions(n):
             shape = GroupShape(blocks)
@@ -1089,98 +1061,22 @@ def test_cached_config_data_matches_seed_formulas():
                 assert cfg.sigma_inverse == invert_permutation(sigma)
                 for i, m in enumerate(blocks):
                     assert cfg.twist_monomial(i) == Monomial(1, {mu: (n - m) % 2})
-                plain = tuple(_seed_refinement(chi, cfg, False))
-                normed = tuple(_seed_refinement(chi, cfg, True))
-                shifts = _seed_shifts(blocks, alpha)
-                for _ in range(2):
-                    assert refinement_pullback(chi, cfg).values == plain
-                    assert refinement_pullback_normalized(chi, cfg).values == normed
-                if isinstance(shifts, str):
-                    for _ in range(2):
-                        for fn, *args in (
-                            (weight_shift, cfg),
-                            (weight_character_pullback, chi, cfg),
-                            (atkin_lehner_pullback, chi, cfg, True),
-                            (atkin_lehner_pullback, chi, cfg, False),
-                        ):
-                            with pytest.raises(NonIntegralShift) as err:
-                                fn(*args)
-                            assert str(err.value) == shifts
-                    continue
-                w = [Monomial(1, {"W": s}) for s in shifts]
-                for _ in range(2):
-                    assert weight_shift(cfg) == shifts
-                    assert weight_character_pullback(chi, cfg).values == tuple(
-                        w[p] * chi.values[sigma.index(p)] for p in range(n)
-                    )
-                    assert atkin_lehner_pullback(chi, cfg).values == tuple(
-                        w[p] * normed[p] for p in range(n)
-                    )
-                    assert atkin_lehner_pullback(chi, cfg, normalized=False).values == tuple(
-                        w[p] * plain[p] for p in range(n)
-                    )
-
-
-def _every_config(alpha=HALF, mu="M"):
-    """Every config with n <= 5: each composition with each block-order-preserving sigma."""
-    for n in range(1, 6):
-        for blocks in compositions(n):
-            shape = GroupShape(blocks)
-            for sigma in block_order_preserving_permutations(shape):
-                yield TransferConfig(shape, sigma, alpha, mu)
-
-
-def _from_twice_multipliers(cfg, twisted, normalized, weighted):
-    """Oracle: a multiplier table as a dict of doubled exponents per slot, made through
-    ``Monomial._from_twice``, the way the tables were built before they were sorted
-    tuples.  Slot ``p`` with ``u = sigma^-1(p)`` reads the twist of ``u``'s block, the
-    source half-modulus at ``u`` and the inverse target half-modulus at ``p`` from the
-    public characters, and the weight shift at ``p``."""
-    shifts = weight_shift(cfg) if weighted else None
-    source_half = modulus_half(cfg.source, 1).values
-    target_half = modulus_half(cfg.target, -1).values
-    out = []
-    for p, u in enumerate(cfg.sigma_inverse):
-        twice = {cfg.mu: 2 * cfg.twist_exponent(cfg.source.block_of(u)[0])} if twisted else {}
-        if normalized:
-            twice["q"] = (source_half[u] * target_half[p]).doubled_exponent("q")
-        if weighted:
-            twice["W"] = 2 * shifts[p]
-        out.append(Monomial._from_twice(1, twice))
-    return tuple(out)
-
-
-_TABLES = {
-    "_slot_twists": (True, False, False),
-    "_normalized_multipliers": (True, True, False),
-    "_shift_rows": (False, False, True),
-    "_atkin_lehner_multipliers": (True, True, True),
-    "_atkin_lehner_plain_multipliers": (True, False, True),
-}
-
-
-def test_multiplier_tables_match_the_from_twice_builder():
-    """All five tables on every n <= 5 config, with a twist symbol that sorts before
-    ``W`` (``M``), between ``W`` and ``q`` (``x1``) and after ``q`` (``z3``), and with
-    integral and non-integral shifts: the doubled-exponent rows of the dict builder's
-    monomials, and the same ``NonIntegralShift`` text from the weighted tables.  Each
-    table and ``weight_shift`` is read twice, so a builder that kept ``None`` or the
-    error for a non-integral shift, instead of raising again, fails."""
-    cases = 0
-    for mu, alpha in product(("M", "x1", "z3"), (HALF, Fraction(1))):
-        for cfg in _every_config(alpha, mu):
-            for name, flags in _TABLES.items():
-                try:
-                    expected = _from_twice_multipliers(cfg, *flags)
-                except NonIntegralShift as err:
-                    for read in (lambda: getattr(cfg, name), lambda: weight_shift(cfg)) * 2:
-                        with pytest.raises(NonIntegralShift, match=re.escape(str(err))):
-                            read()
-                    continue
-                for _ in range(2):
-                    assert getattr(cfg, name) == tuple(m._twice for m in expected)
-                cases += 1
-    assert cases > 633 * 3 * 2 * 2
+                shifts, multipliers = _multipliers(blocks, sigma, alpha, mu)
+                seen.add(type(shifts))
+                reads = [(weight_shift, (cfg,), shifts)]
+                for pullback, expected in multipliers.items():
+                    if not isinstance(expected, str):
+                        pulled = (t * chi.values[sigma.index(p)] for p, t in enumerate(expected))
+                        expected = UnramifiedCharacter(cfg.target, tuple(pulled))
+                    reads.append((pullback, (chi, cfg), expected))
+                for fn, args, expected in reads * 2:
+                    if isinstance(expected, str):
+                        with pytest.raises(NonIntegralShift) as err:
+                            fn(*args)
+                        assert str(err.value) == expected
+                    else:
+                        assert fn(*args) == expected
+    assert seen == {str, tuple}
 
 
 def test_config_tables_wait_for_their_first_read():
@@ -1210,13 +1106,6 @@ def test_config_tables_wait_for_their_first_read():
     assert str(err.value) == "'TransferConfig' object has no attribute 'nope'"
 
 
-_PULLBACKS = {
-    "_slot_twists": refinement_pullback,
-    "_normalized_multipliers": refinement_pullback_normalized,
-    "_shift_rows": weight_character_pullback,
-    "_atkin_lehner_multipliers": atkin_lehner_pullback,
-    "_atkin_lehner_plain_multipliers": lambda chi, cfg: atkin_lehner_pullback(chi, cfg, False),
-}
 _coefficients = st.builds(Fraction, st.integers(-4, 4).filter(bool), st.integers(1, 4))
 # names that sort before, equal to and between the multipliers' M, W and q, and after q
 _VALUE_NAMES = ("A", "M", "N", "W", "a", "q", "z")
@@ -1230,32 +1119,27 @@ _character_values = st.builds(
 @settings(max_examples=100, derandomize=True, database=None, deadline=None)
 @given(_verifier_inputs(), st.data())
 def test_pullbacks_match_the_monomial_multiplier_formula(inputs, data):
-    """All five maps against the formula of the tables of monomials that the rows
-    replaced: ``Monomial._from_twice(1, row) * chi.values[sigma_inverse[p]]`` at slot
-    ``p``, in value and in coefficient type.  Values have ``Fraction`` and ``int``
-    coefficients and symbols on every side of ``M``, ``W`` and ``q``, and each value may
-    be the inverse of its slot's multiplier times a coefficient, so that the exponents
-    cancel to ``()``.  A non-integral shift raises the table's text from the weighted maps."""
+    """All five maps against the multiplier oracle on random configs up to n = 7: the
+    multiplier at slot ``p`` times ``chi.values[sigma_inverse[p]]``, in value and in
+    coefficient type.  Values have ``Fraction`` and ``int`` coefficients and symbols on
+    every side of ``M``, ``W`` and ``q``, and each value may be the inverse of its slot's
+    multiplier times a coefficient, so that the exponents cancel to ``()``.  A
+    non-integral shift raises the oracle's text from the weighted maps."""
     blocks, sigma, alpha, mu = inputs
     cfg = config(blocks, sigma, alpha, mu=mu)
-    for name, pullback in _PULLBACKS.items():
-        try:
-            rows = getattr(cfg, name)
-        except NonIntegralShift as err:
-            with pytest.raises(NonIntegralShift, match=re.escape(str(err))):
+    for pullback, multipliers in _multipliers(blocks, sigma, alpha, mu)[1].items():
+        if isinstance(multipliers, str):
+            with pytest.raises(NonIntegralShift, match=re.escape(multipliers)):
                 pullback(UnramifiedCharacter.trivial(cfg.source), cfg)
             continue
         values = data.draw(st.lists(_character_values, min_size=cfg.n, max_size=cfg.n))
         cancel = data.draw(st.lists(st.booleans(), min_size=cfg.n, max_size=cfg.n))
-        for u, p in enumerate(cfg.sigma):
+        for u, p in enumerate(sigma):
             if cancel[u]:
-                values[u] = Monomial._from_twice(values[u]._coeff, {n: -t for n, t in rows[p]})
+                values[u] = Monomial(values[u].coeff) / multipliers[p]
         chi = UnramifiedCharacter(cfg.source, values)
         got = pullback(chi, cfg).values
-        expected = tuple(
-            Monomial._from_twice(1, dict(row)) * values[cfg.sigma_inverse[p]]
-            for p, row in enumerate(rows)
-        )
+        expected = tuple(t * values[sigma.index(p)] for p, t in enumerate(multipliers))
         assert got == expected
         assert [type(v._coeff) for v in got] == [type(v._coeff) for v in expected]
 
@@ -1330,67 +1214,25 @@ def _fraction_archimedean_transfer(weight, alpha):
     return ArchimedeanTransfer(AlgebraicWeight(target, tuple(exps)), invert_permutation(tuple(order)))
 
 
-def _fraction_archimedean_sigma(weight, alpha):
-    """Oracle: ``archimedean_sigma`` on the ``Fraction`` recipe, reading the
-    shifts from a ``TransferConfig`` built for the sorting permutation."""
-    art = _fraction_archimedean_transfer(weight, alpha)
-    shape = weight.shape
-    shifts = weight_shift(TransferConfig(source=shape, sigma=art.sigma, alpha=alpha))
-    need = [t - s for t, s in zip(art.weight.exps, shifts)]
-    k = weight.exps
-    if all(k[u] == need[p] for u, p in enumerate(art.sigma)):
-        return art.sigma
-    if sorted(need) == sorted(k):
-        sigma = _first_realizing_sigma(shape, k, need)
-        if sigma is not None:
+def _walk_archimedean_sigma(weight, alpha, art=None):
+    """Oracle: the permutation that ``archimedean_sigma`` defines.  A permutation realizes
+    the ``Fraction`` recipe's weight ``k'`` (``art``, computed here when not given) when
+    ``k[sigma^-1(p)] == k'[p] - shift[p]`` at every slot ``p`` (``_block_shifts``).  The
+    walk tries the recipe's sorting permutation, then every block-order-preserving
+    permutation in enumeration order."""
+    if art is None:
+        art = _fraction_archimedean_transfer(weight, alpha)
+    shape, k, target = weight.shape, weight.exps, art.weight.exps
+    blocks = shape.blocks
+    shifts = [shift for m, shift in zip(blocks, _block_shifts(blocks, alpha)) for _ in range(m)]
+    need = [t - shift for t, shift in zip(target, shifts)]
+    for sigma in chain([art.sigma], block_order_preserving_permutations(shape)):
+        if all(k[u] == need[p] for u, p in enumerate(sigma)):
             return sigma
     raise NotRelevant(
         f"no block-order-preserving permutation realizes the transferred weight "
-        f"{art.weight.exps} from {weight.exps}"
+        f"{target} from {k}"
     )
-
-
-def _walk_archimedean_sigma(weight, alpha, configs):
-    """Oracle: the brute-force search that ``archimedean_sigma`` replaced.
-
-    ``configs`` maps every block-order-preserving permutation of the weight's
-    shape, in enumeration order, to its config under ``alpha``.  Tries the
-    sorting permutation, then each permutation in turn, until
-    ``weight_pullback`` reproduces the archimedean weight.
-    """
-    art = transfer_module.archimedean_transfer(weight, alpha)
-
-    def realizes(sigma):
-        return weight_pullback(weight, configs[sigma]) == art.weight
-
-    if realizes(art.sigma):
-        return art.sigma
-    for sigma in configs:
-        if sigma != art.sigma and realizes(sigma):
-            return sigma
-    raise NotRelevant(
-        f"no block-order-preserving permutation realizes the transferred weight "
-        f"{art.weight.exps} from {weight.exps}"
-    )
-
-
-def _remember_last(fn):
-    """``fn`` with the outcome of its latest call replayed while the arguments stay the same."""
-    last = [None, None, None]
-
-    def wrapper(weight, alpha):
-        if last[0] is not weight or last[1] is not alpha:
-            try:
-                last[2] = (True, fn(weight, alpha))
-            except Exception as err:
-                last[2] = (False, err)
-            last[0], last[1] = weight, alpha
-        ok, value = last[2]
-        if ok:
-            return value
-        raise value.with_traceback(None)
-
-    return wrapper
 
 
 def _outcome(fn, *args):
@@ -1400,14 +1242,10 @@ def _outcome(fn, *args):
         return type(err), str(err)
 
 
-def _compare_with_walk(monkeypatch, shapes, bound, alphas):
-    """Assert that both searches agree on every dominant weight with entries in
-    ``[-bound, bound]`` under each alpha, and that ``archimedean_transfer``
-    agrees with its ``Fraction`` oracle; count the cases each branch decides."""
-    # both searches start from archimedean_transfer on the same case: compute it once
-    monkeypatch.setattr(
-        transfer_module, "archimedean_transfer", _remember_last(archimedean_transfer)
-    )
+def _compare_with_walk(shapes, bound, alphas):
+    """Assert that ``archimedean_transfer`` agrees with its ``Fraction`` oracle and
+    ``archimedean_sigma`` with the walk on every dominant weight with entries in
+    ``[-bound, bound]`` under each alpha; count the cases each branch decides."""
     counts = {"sorting": 0, "searched": 0, "refused": 0, "total": 0}
     for blocks in shapes:
         shape = GroupShape(blocks)
@@ -1418,46 +1256,39 @@ def _compare_with_walk(monkeypatch, shapes, bound, alphas):
             AlgebraicWeight(shape, tuple(x for block in combo for x in block))
             for combo in product(*per_block)
         ]
-        for alpha in alphas:
-            configs = {
-                sigma: TransferConfig(source=shape, sigma=sigma, alpha=alpha)
-                for sigma in block_order_preserving_permutations(shape)
-            }
-            for kappa in weights:
-                counts["total"] += 1
-                assert _outcome(transfer_module.archimedean_transfer, kappa, alpha) == _outcome(
-                    _fraction_archimedean_transfer, kappa, alpha
-                ), (blocks, kappa.exps, alpha)
-                expected = _outcome(_walk_archimedean_sigma, kappa, alpha, configs)
-                assert _outcome(archimedean_sigma, kappa, alpha) == expected, (
-                    blocks,
-                    kappa.exps,
-                    alpha,
-                )
-                if expected[0] is NotRelevant and "no block-order" in expected[1]:
-                    counts["refused"] += 1
-                elif isinstance(expected[0], int):
-                    art = transfer_module.archimedean_transfer(kappa, alpha)
-                    counts["sorting" if expected == art.sigma else "searched"] += 1
+        for alpha, kappa in product(alphas, weights):
+            counts["total"] += 1
+            art = _outcome(_fraction_archimedean_transfer, kappa, alpha)
+            assert _outcome(archimedean_transfer, kappa, alpha) == art, (blocks, kappa.exps, alpha)
+            # archimedean_sigma raises the recipe's errors first
+            walk = isinstance(art, ArchimedeanTransfer)
+            expected = _outcome(_walk_archimedean_sigma, kappa, alpha, art) if walk else art
+            assert _outcome(archimedean_sigma, kappa, alpha) == expected, (
+                blocks,
+                kappa.exps,
+                alpha,
+            )
+            if expected[0] is NotRelevant and "no block-order" in expected[1]:
+                counts["refused"] += 1
+            elif isinstance(expected[0], int):
+                counts["sorting" if expected == art.sigma else "searched"] += 1
     return counts
 
 
-def test_archimedean_sigma_matches_walk_oracle(monkeypatch):
+def test_archimedean_sigma_matches_walk_oracle():
     """Every dominant weight with entries in [-3, 3] on shapes with n <= 4, four alphas:
-    the same sigma, exception type and message as the brute-force walk."""
+    the same sigma, exception type and message as the walk."""
     shapes = [blocks for n in range(1, 5) for blocks in compositions(n)]
     alphas = (HALF, -HALF, Fraction(3, 2), Fraction(-3, 2))
-    counts = _compare_with_walk(monkeypatch, shapes, 3, alphas)
+    counts = _compare_with_walk(shapes, 3, alphas)
     assert counts["total"] == 38360
     assert counts["sorting"] and counts["refused"]
 
 
-def test_archimedean_sigma_search_matches_walk_oracle(monkeypatch):
+def test_archimedean_sigma_search_matches_walk_oracle():
     """Cases where the sorting permutation fails but another realizes: n = 6 with a
     singleton middle block, entries in [-1, 1], alpha = +-5/2."""
-    counts = _compare_with_walk(
-        monkeypatch, [(2, 1, 3), (3, 1, 2)], 1, (Fraction(5, 2), Fraction(-5, 2))
-    )
+    counts = _compare_with_walk([(2, 1, 3), (3, 1, 2)], 1, (Fraction(5, 2), Fraction(-5, 2)))
     assert counts["searched"] and counts["refused"]
 
 
@@ -1489,7 +1320,7 @@ def test_archimedean_recipe_matches_fraction_oracle(data):
         _fraction_archimedean_transfer, kappa, alpha
     )
     assert _outcome(archimedean_sigma, kappa, alpha) == _outcome(
-        _fraction_archimedean_sigma, kappa, alpha
+        _walk_archimedean_sigma, kappa, alpha
     )
 
 

@@ -290,7 +290,7 @@ MUTANTS = [
         TRANSFER,
         "total[name] = total.get(name, 0) - t",
         "total[name] = total.get(name, 0) + t",
-        ["tests/test_transfer.py::test_verify_matches_per_generator_oracle"],
+        ["tests/test_transfer.py::test_verify_matches_rebuilt_verifier[2]"],
     ),
     (
         "Atkin-Lehner slot ratios the wrong way round",
@@ -311,7 +311,7 @@ MUTANTS = [
         TRANSFER,
         "            else cfg._atkin_lehner_multipliers\n",
         "            else cfg._normalized_multipliers\n",
-        ["tests/test_transfer.py::test_verify_matches_per_generator_oracle"],
+        ["tests/test_transfer.py::test_verify_matches_rebuilt_verifier[2]"],
     ),
     (
         "duality row reading the source half-modulus at p instead of u",
@@ -395,7 +395,7 @@ MUTANTS = [
         TRANSFER,
         "2 * (j - p)",
         "2 * (j + p)",
-        ["tests/test_transfer.py::test_cached_config_data_matches_seed_formulas"],
+        ["tests/test_transfer.py::test_pullbacks_match_the_multiplier_definition"],
     ),
     (
         "collision texts of odd and even doubled parameters swapped",
@@ -605,8 +605,15 @@ MUTANTS = [
     (
         "report body joining the report before it is encoded",
         CLI,
-        "        text = _encode({**report, **body}, pretty)\n",
-        "        report.update(body)\n",
+        "            text = _encode({**report, **body}, pretty)\n",
+        "            report.update(body)\n",
+        ["tests/test_cli.py::test_report_that_cannot_be_encoded_is_refused_with_no_body"],
+    ),
+    (
+        "encode failure reported with the interpreter's own text",
+        CLI,
+        "            raise SchemaError(_UNENCODABLE) from None\n",
+        "            raise\n",
         ["tests/test_cli.py::test_report_that_cannot_be_encoded_is_refused_with_no_body"],
     ),
     (
@@ -733,6 +740,14 @@ MUTANTS = [
         "        if row:\n",
         "        if not row:\n",
         ["tests/test_monomial_kernel.py::test_times_rows_matches_unit_products"],
+    ),
+    (
+        "accessible-transfer job checking the transferred genericity again for its counts",
+        REFINEMENTS,
+        '    """:func:`refinement_count_inequality` for a descriptor that passed its checks."""\n',
+        '    """:func:`refinement_count_inequality` for a descriptor that passed its checks."""\n'
+        "    _require_transfer_generic(desc, cfg)\n",
+        ["tests/test_cli.py::test_accessible_transfer_job_runs_the_transferred_sweep_once"],
     ),
 ]
 
