@@ -20,11 +20,13 @@ A value is stored as its coefficient (an ``int`` when integral) and a tuple of
 module owns that format.  Other modules reach it through a small private
 vocabulary: :func:`_merge` and :func:`_times` on tuples, :func:`_half_power`,
 :func:`_times_rows` (each value of a sequence times the unit monomial of a tuple),
-:meth:`Monomial._from_twice` (which also takes a power product of monomials),
-:meth:`Monomial._split` and :meth:`Monomial._pair`.  :mod:`eigentransfer.laurent`
-is the one other module that holds the tuples, since its term key is one: it
-reads a coefficient's pair in its constructor, multiplies keys with
-:func:`_merge` and rebuilds coefficients with :func:`_new`.
+:meth:`Monomial._from_twice`, :meth:`Monomial._split`, :meth:`Monomial._pair` and
+:func:`_power_product_value` (a power product of monomials, evaluated as one integer
+pair).  A :class:`SymbolValue` keeps its value and root as integer pairs too, which
+only this module reads.  :mod:`eigentransfer.laurent` is the one other module that
+holds the tuples, since its term key is one: it reads a coefficient's pair in its
+constructor, multiplies keys with :func:`_merge` and rebuilds coefficients with
+:func:`_new`.
 
 This module also owns the exactness rule of the library boundary.  An integer
 is an ``int`` of exact type: a ``bool``, an integral float and ``Fraction(4, 2)``
@@ -168,10 +170,14 @@ class SymbolValue(FrozenValue):
     """Positive rational value of a symbol, with an optional declared square root.
 
     The root must be supplied explicitly whenever the symbol occurs with a
-    half-integer exponent; it is never derived numerically.
+    half-integer exponent; it is never derived numerically.  Evaluation reads the
+    value and the root as integer pairs ``(numerator, denominator)``, kept in two
+    more slots; they are not fields, so equality, hash, repr, copy and pickle see
+    the value and the root only.
     """
 
-    __slots__ = _fields = ("value", "sqrt")
+    __slots__ = ("value", "sqrt", "_value_pair", "_root_pair")
+    _fields = ("value", "sqrt")
 
     def __init__(self, value: Rational, sqrt: Rational | None = None) -> None:
         value = Fraction(_exact(value))
@@ -183,6 +189,8 @@ class SymbolValue(FrozenValue):
                 raise ValueError("declared square root does not square to the value")
         _set(self, "value", value)
         _set(self, "sqrt", sqrt)
+        _set(self, "_value_pair", (value.numerator, value.denominator))
+        _set(self, "_root_pair", None if sqrt is None else (sqrt.numerator, sqrt.denominator))
 
 
 class Monomial(FrozenValue):
@@ -225,18 +233,8 @@ class Monomial(FrozenValue):
         return _new, (self._coeff, self._twice)
 
     @classmethod
-    def _from_twice(cls, coeff: Rational, twice: dict[str, int], values=(), exps=()) -> "Monomial":
-        """``coeff`` times each ``name^(t/2)`` of ``twice``, times ``values[i]^exps[i]``.
-
-        The powers go into ``coeff`` and ``twice`` (which is updated in place) in one
-        pass, so one monomial is made however many values there are."""
-        if values:  # the loop's set-up is a measurable part of a plain call
-            for value, e in zip(values, exps):
-                if e:
-                    c = value._coeff
-                    coeff *= c ** e if e > 0 else Fraction(1, c) ** -e
-                    for name, t in value._twice:
-                        twice[name] = twice.get(name, 0) + t * e
+    def _from_twice(cls, coeff: Rational, twice: dict[str, int]) -> "Monomial":
+        """``coeff`` times each ``name^(t/2)`` of ``twice``."""
         if coeff == 0:
             raise ValueError("monomial coefficients are nonzero")
         if type(coeff) is not int:
@@ -341,27 +339,7 @@ class Monomial(FrozenValue):
         with the same errors.  ``den`` is nonzero but may be negative, when a negative
         declared root meets a negative odd exponent."""
         coeff = self._coeff
-        num, den = coeff.numerator, coeff.denominator
-        for name, t in self._twice:
-            try:
-                sv = assignment[name]
-            except KeyError:
-                raise MissingSymbol(f"no value assigned to symbol {name!r}") from None
-            if t % 2 == 0:
-                base, e = sv.value, t // 2
-            else:
-                base, e = sv.sqrt, t
-                if base is None:
-                    raise NonSquareAssignment(
-                        f"symbol {name!r} occurs with a half-integer exponent "
-                        "but its assignment declares no square root"
-                    )
-            n, d = base.numerator, base.denominator
-            if e < 0:
-                n, d, e = d, n, -e
-            num *= n ** e
-            den *= d ** e
-        return num, den
+        return _assigned_pair(coeff.numerator, coeff.denominator, self._twice, assignment)
 
     def text(self) -> str:
         """Canonical textual form, e.g. ``-3/2 * W * q^(1/2)``.
@@ -427,6 +405,60 @@ def _new(coeff: Rational, twice: tuple[tuple[str, int], ...]) -> Monomial:
     canonicalised: the pickle loader (older pickles hold a ``Fraction``) and the way
     :mod:`eigentransfer.laurent` turns a term back into a coefficient."""
     return _make(_canon(coeff), twice)
+
+
+def _assigned_pair(
+    num: int, den: int, twice: Iterable[tuple[str, int]], assignment: Mapping[str, SymbolValue]
+) -> tuple[int, int]:
+    """``num/den`` times each ``name^(t/2)`` of the doubled-exponent tuple ``twice`` under
+    ``assignment``, as an unreduced integer pair; the errors of :meth:`Monomial.evaluate`
+    at the first symbol, in ``twice``'s order, that has no value or lacks its root."""
+    for name, t in twice:
+        try:
+            sv = assignment[name]
+        except KeyError:
+            raise MissingSymbol(f"no value assigned to symbol {name!r}") from None
+        if t % 2 == 0:
+            pair, e = sv._value_pair, t // 2
+        else:
+            pair, e = sv._root_pair, t
+            if pair is None:
+                raise NonSquareAssignment(
+                    f"symbol {name!r} occurs with a half-integer exponent "
+                    "but its assignment declares no square root"
+                )
+        n, d = pair
+        if e < 0:
+            n, d, e = d, n, -e
+        num *= n ** e
+        den *= d ** e
+    return num, den
+
+
+def _power_product_value(
+    twice: dict[str, int],
+    values: Sequence[Monomial],
+    exps: Sequence[int],
+    assignment: Mapping[str, SymbolValue],
+) -> Fraction:
+    """The value under ``assignment`` of the unit monomial of ``twice`` times each
+    ``values[i]^exps[i]``, with the errors of :meth:`Monomial.evaluate` on that product.
+
+    The coefficient powers go into one integer pair and the doubled exponents into
+    ``twice`` (updated in place) before any symbol is evaluated, so half exponents that
+    cancel across the values need no root; the pair is reduced once, at the end."""
+    num = den = 1
+    for value, e in zip(values, exps):
+        if e:
+            c = value._coeff
+            if e > 0:
+                num, den = num * c.numerator ** e, den * c.denominator ** e
+            else:  # a negative power inverts the coefficient
+                num, den = num * c.denominator ** -e, den * c.numerator ** -e
+            for name, t in value._twice:
+                twice[name] = twice.get(name, 0) + t * e
+    rows = sorted([item for item in twice.items() if item[1]])
+    return Fraction(*_assigned_pair(num, den, rows, assignment))
 
 
 def _half_power(name: str, doubled: int) -> Monomial:

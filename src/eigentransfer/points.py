@@ -4,12 +4,17 @@ A classical point packages a dominant weight with an eigenvalue system: one
 unramified character per place above p (the normalized eigenvalue system on
 the antidominant double-coset algebra) and one Satake parameter multiset per
 tracked split place.  Transfer acts componentwise through the weight, the
-eigenvalue-system, and the Satake-parameter maps.
+eigenvalue-system, and the Satake-parameter maps; its parts come out canonical
+(places in order, Satake values sorted by text), so a transferred point is built
+from them as they are, and a transferred space transfers its weight once.
 
 A mock form space is a formal sum of classical points of one weight with
 multiplicities.  Its characteristic polynomial for a chosen product of Hecke
 generators is ``prod (1 - lambda·T)^mult`` with exact rational ``lambda``
-obtained by evaluating each point's eigenvalue under a symbol assignment.
+obtained by evaluating each point's eigenvalue under a symbol assignment.  An
+Atkin-Lehner eigenvalue is one power product of the character's values, and a
+spherical one a recurrence over the Satake values; both are evaluated on integer
+pairs and reduced once.
 The divisibility criterion compares the source's ``prod (T - lambda)^mult``
 with the ``C``-th power of the target's, eigenvalue by eigenvalue.
 """
@@ -23,7 +28,14 @@ from operator import mul
 
 from ._frozen import FrozenValue, _set
 from .errors import EmptyPacket
-from .monomial import UNIFORMIZER_SYMBOL, Monomial, SymbolValue, _integers, _positive
+from .monomial import (
+    UNIFORMIZER_SYMBOL,
+    Monomial,
+    SymbolValue,
+    _integers,
+    _positive,
+    _power_product_value,
+)
 from .tori import AlgebraicWeight, CocharVector, GroupShape, UnramifiedCharacter
 from .transfer import (
     TransferConfig,
@@ -102,6 +114,22 @@ class ClassicalPoint(FrozenValue):
         _set(self, "satake", tuple(satake_norm))
 
     @classmethod
+    def _new(
+        cls,
+        weight: AlgebraicWeight,
+        up: tuple[tuple[str, UnramifiedCharacter], ...],
+        satake: tuple[tuple[str, tuple[tuple[Monomial, ...], ...]], ...],
+    ) -> "ClassicalPoint":
+        """Unvalidated constructor: ``up`` and ``satake`` are sorted by distinct place
+        tags, the characters live on the weight's shape, and each Satake block is a
+        tuple of Monomials sorted by canonical text, with the weight's block sizes."""
+        point = object.__new__(cls)
+        _set(point, "weight", weight)
+        _set(point, "up", up)
+        _set(point, "satake", satake)
+        return point
+
+    @classmethod
     def build(
         cls,
         weight: AlgebraicWeight,
@@ -172,15 +200,15 @@ class AtkinLehnerFactor(FrozenValue):
             point.up_at(self.place)
 
     def eigenvalue(self, point: ClassicalPoint, assign: Assignment) -> Fraction:
-        """``chi(v)·W^(k·v)`` evaluated, built in one pass over the slots: the
-        power product of ``chi``'s values starts from ``W^(k·v)``, so one monomial
-        is made, the one that ``chi.eval(v)`` times the weight character's value
-        ``W^(k·v)`` gives."""
+        """``chi(v)·W^(k·v)`` evaluated: the value of ``chi.eval(v)`` times the weight
+        character's value ``W^(k·v)``, as one power product of ``chi``'s values that
+        starts from ``W^(k·v)``, evaluated as one integer pair with no monomial made."""
         vector = self._vector(point.weight.shape)
         chi = point.up_at(self.place)
         pairing = sum(map(mul, point.weight.exps, vector.exps))
-        value = Monomial._from_twice(1, {UNIFORMIZER_SYMBOL: 2 * pairing}, chi.values, vector.exps)
-        return value.evaluate(assign)
+        return _power_product_value(
+            {UNIFORMIZER_SYMBOL: 2 * pairing}, chi.values, vector.exps, assign
+        )
 
 
 def _elementary_symmetric(pairs: Sequence[tuple[int, int]], degree: int) -> Fraction:
@@ -247,12 +275,21 @@ def point_eigenvalue(
 def transfer_point(point: ClassicalPoint, cfg: TransferConfig) -> ClassicalPoint:
     """Transfer weight, eigenvalue systems, and Satake data componentwise."""
     _require_source("point", point.weight.shape, cfg)
-    weight = weight_pullback(point.weight, cfg)
-    up = {place: atkin_lehner_pullback(chi, cfg) for place, chi in point.up}
-    satake = {
-        place: (satake_param_transfer(blocks, cfg),) for place, blocks in point.satake
-    }
-    return ClassicalPoint.build(weight, up, satake)
+    return _transferred(point, cfg, weight_pullback(point.weight, cfg))
+
+
+def _transferred(
+    point: ClassicalPoint, cfg: TransferConfig, weight: AlgebraicWeight
+) -> ClassicalPoint:
+    """The transfer of ``point``, whose weight transfers to ``weight``.  Its parts are
+    canonical as made: the places keep the point's order, each character lives on the
+    target, and :func:`satake_param_transfer` sorts its one block by canonical text, so
+    the point is built as it is, with no second sort."""
+    up = tuple((place, atkin_lehner_pullback(chi, cfg)) for place, chi in point.up)
+    satake = tuple(
+        (place, (satake_param_transfer(blocks, cfg),)) for place, blocks in point.satake
+    )
+    return ClassicalPoint._new(weight, up, satake)
 
 
 class DiagramReport(FrozenValue):
@@ -375,5 +412,5 @@ def constant_C(dim_source: int, dims_target: Sequence[int]) -> int:
 def build_transferred_space(space: MockFormSpace, cfg: TransferConfig) -> MockFormSpace:
     """Transfer every entry's point, preserving multiplicities."""
     weight = weight_pullback(space.weight, cfg)
-    entries = tuple((transfer_point(point, cfg), mult) for point, mult in space.entries)
+    entries = tuple((_transferred(point, cfg, weight), mult) for point, mult in space.entries)
     return MockFormSpace(weight, entries)

@@ -5,9 +5,10 @@ of general linear groups; positions are flattened to ``0..n-1`` with block
 ``i`` occupying ``offsets[i] .. offsets[i]+n_i-1``.  Shapes are interned, one
 object per block tuple, and each stores the torus data that depends on the
 shape alone (``n``, offsets, flat positions, in-block neighbours, the
-half-modulus values) as plain attributes, so that data is built once per
-process; the dominant generators are cached per shape, and shapes are
-compared by identity.
+half-modulus values, and per position the twist parity and doubled weight-shift
+base that the transfer to one block of size ``n`` reads) as plain attributes, so
+that data is built once per process; the dominant generators are cached per
+shape, and shapes are compared by identity.
 Unramified characters of the diagonal torus are stored through their values
 on the basis cocharacters ``e_p`` (the coordinate maps ``x -> diag(1,..,x,..,1)``
 evaluated at the uniformizer), which are exact monomial values.  Algebraic
@@ -39,7 +40,14 @@ __all__ = [
 
 # every shape made so far, by its blocks; see GroupShape
 _SHAPES: dict[tuple[int, ...], GroupShape] = {}
-_POSITION_TABLES = ("_positions", "_neighbours", "_modulus_half_doubled", "_modulus_half_values")
+_POSITION_TABLES = (
+    "_positions",
+    "_neighbours",
+    "_modulus_half_doubled",
+    "_modulus_half_values",
+    "_twist_parity",
+    "_shift_base_doubled",
+)
 
 
 class GroupShape(Derived, FrozenValue):
@@ -49,9 +57,10 @@ class GroupShape(Derived, FrozenValue):
     tables as plain attributes.  ``n``, ``r`` and the block ``offsets`` are
     stored when it is first made; the tables of one entry per flat position
     (the ``(block, entry)`` pair of each position, the flat pairs ``(p, p + 1)``
-    that lie in one block, and the half modulus) are stored together on the
-    first read of any of them, since ``n`` is not bounded by the size of the
-    input that names the shape.  So each table is built at most once per
+    that lie in one block, the half modulus, the twist parity ``(n - n_i) % 2`` and
+    the doubled shift base ``n_i - n + 2·offset_i`` of the position's block ``i``)
+    are stored together on the first read of any of them, since ``n`` is not
+    bounded by the size of the input that names the shape.  So each table is built at most once per
     process, and shapes compare by identity where the library checks them.  The blocks pass the exactness rule before the
     lookup, since ``(True, 2)`` and ``(1.0, 2)`` hash and compare equal to
     ``(1, 2)``.  The table keeps every shape it makes and evicts none: a process
@@ -88,10 +97,17 @@ class GroupShape(Derived, FrozenValue):
         values = tuple(
             tuple(_half_power(RESIDUE_SYMBOL, sign * d) for d in doubled) for sign in (1, -1)
         )
+        # the transfer to the single block of size n: the twist parity (n - n_i) % 2 and
+        # the doubled weight-shift base n_i - n + 2·offset_i of the position's block i
+        n, offsets = self.n, self.offsets
+        parity = tuple((n - blocks[i]) % 2 for i, _ in positions)
+        shift_base = tuple(blocks[i] - n + 2 * offsets[i] for i, _ in positions)
         _set(self, "_positions", positions)
         _set(self, "_neighbours", neighbours)
         _set(self, "_modulus_half_doubled", doubled)
         _set(self, "_modulus_half_values", values)
+        _set(self, "_twist_parity", parity)
+        _set(self, "_shift_base_doubled", shift_base)
 
     _builders = dict.fromkeys(_POSITION_TABLES, _build_positions)
 

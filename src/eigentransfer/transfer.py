@@ -93,18 +93,20 @@ def _doubled_alpha(alpha: Fraction | int | str) -> int:
 
 
 def _weight_shifts(source: GroupShape, two_alpha: int) -> tuple[int, ...]:
-    """The weight-shift vector in flat source layout; see :func:`weight_shift`."""
-    n = source.n
-    shifts: list[int] = []
-    for i, (m, offset) in enumerate(zip(source.blocks, source.offsets)):
-        doubled = two_alpha * ((n - m) % 2) + m - n + 2 * offset
-        if doubled % 2:
-            raise NonIntegralShift(
-                f"weight shift {Fraction(doubled, 2)} at block {i + 1} is not an integer "
-                f"(alpha = {Fraction(two_alpha, 2)})"
-            )
-        shifts.extend([doubled // 2] * m)
-    return tuple(shifts)
+    """The weight-shift vector in flat source layout; see :func:`weight_shift`.
+
+    The doubled shift at a position is ``2·alpha`` times the shape's twist parity plus
+    its doubled shift base, and the base is congruent to the parity mod 2, so the shift
+    fails to be an integer exactly at the twisted positions when ``2·alpha`` is even;
+    the error names the first such position's block."""
+    parity, base = source._twist_parity, source._shift_base_doubled
+    if two_alpha % 2 == 0 and 1 in parity:
+        u = parity.index(1)
+        raise NonIntegralShift(
+            f"weight shift {Fraction(two_alpha + base[u], 2)} at block "
+            f"{source._positions[u][0] + 1} is not an integer (alpha = {Fraction(two_alpha, 2)})"
+        )
+    return tuple([(two_alpha * t + b) // 2 for t, b in zip(parity, base)])
 
 
 def invert_permutation(sigma: Sequence[int]) -> tuple[int, ...]:
@@ -570,12 +572,13 @@ def _archimedean_transfer(weight: AlgebraicWeight, alpha) -> tuple[ArchimedeanTr
     if weight.classify() == "neither":
         raise ValueError("archimedean transfer needs a dominant weight")
     two_alpha = _doubled_alpha(alpha)
-    n, exps = shape.n, weight.exps
-    # doubled parameters 2m = 2k + (n_i + 1) - 2(j + 1) + 2·alpha·[n - n_i odd]
-    ms: list[int] = []
-    for m, offset in zip(shape.blocks, shape.offsets):
-        base = m - 1 + two_alpha * ((n - m) % 2)
-        ms.extend(2 * exps[offset + j] + base - 2 * j for j in range(m))
+    n = shape.n
+    # doubled parameters 2m = 2k + (n_i + 1) - 2(j + 1) + 2·alpha·[n - n_i odd], where
+    # (n_i + 1) - 2(j + 1) is minus the doubled half-modulus exponent at the position
+    ms = [
+        2 * k - d + two_alpha * t
+        for k, d, t in zip(weight.exps, shape._modulus_half_doubled, shape._twist_parity)
+    ]
     if len(set(ms)) != n:
         # the text of Fraction(d, 2), without building one
         raise NotRelevant(
@@ -700,7 +703,9 @@ def satake_param_transfer(
 ) -> tuple[Monomial, ...]:
     """Union of the per-block parameter multisets, each twisted by its ``M`` power.
 
-    Returned sorted by canonical text, since only the multiset is meaningful.
+    Returned sorted by canonical text, since only the multiset is meaningful.  The
+    twist has coefficient one, so each twisted value keeps its own coefficient and
+    gains the twist's row of doubled exponents.
     """
     blocks = tuple(tuple(block) for block in params)
     if len(blocks) != cfg.source.r or any(
@@ -710,11 +715,10 @@ def satake_param_transfer(
             f"parameter blocks must have sizes {cfg.source.blocks}, got "
             f"{tuple(len(block) for block in blocks)}"
         )
-    out: list[Monomial] = []
-    for i, block in enumerate(blocks):
-        twist = cfg.twist_monomial(i)
-        out.extend(twist * value for value in block)
-    return tuple(sorted(out, key=lambda m: m.text()))
+    twisted = ((cfg.mu, 2),)
+    rows = [twisted if t else () for t in cfg.source._twist_parity]
+    values = [value for block in blocks for value in block]
+    return tuple(sorted(_times_rows(rows, values, range(cfg.n)), key=Monomial.text))
 
 
 def weight_map_check(cfg: TransferConfig) -> bool:

@@ -26,7 +26,7 @@ ENV = {
 }
 
 
-def _write(root, workload, seed, ops, mtime, **env):
+def _write(root, workload, seed, ops, mtime, rss=25.0, attempted=None, **env):
     out = root / "bench" / "out"
     out.mkdir(parents=True, exist_ok=True)
     metrics = {
@@ -34,11 +34,11 @@ def _write(root, workload, seed, ops, mtime, **env):
         "latency_p50_ms": 1000 / ops,
         "latency_tail_ms": 2000 / ops,
         "setup_s": 0.1,
-        "peak_rss_mib": 25.0,
+        "peak_rss_mib": rss,
     }
     record = {
         "environment": {**ENV, **env, "seed": seed},
-        "attempted": int(ops * 30),
+        "attempted": int(ops * 30) if attempted is None else attempted,
         "failed": 0,
         "metrics": {name: {"value": value, "unit": "?"} for name, value in metrics.items()},
     }
@@ -148,3 +148,33 @@ def test_tier1_takes_alternated_logs_per_side(tmp_path, monkeypatch):
     assert json.loads(out.read_text())["tier1_durations_s"]["suite_s"]["parent"]["runs"] == [
         60.0, 61.0
     ]
+
+
+def test_rss_is_compared_at_the_pooled_median_op_count(tmp_path):
+    """The change runs faster, so it attempts more ops, and RSS grows with the ops at the
+    same rate on both sides: its plain median RSS reads higher, but both sides' fitted
+    RSS at the pooled median op count agree.  A side whose runs all attempted one count
+    gives its median RSS."""
+    checkouts = _checkouts(tmp_path)
+    for k, seed in enumerate(SEEDS):
+        for side, ops in (("parent", 100.0 + k), ("change", 120.0 - k)):
+            attempted = int(ops * 30)
+            for workload in WORKLOADS:
+                _write(checkouts[side], workload, seed, ops, 1000, 20 + attempted / 1000)
+    # the last workload's parent attempts one count in every run
+    for seed, rss in zip(SEEDS, (24.0, 26.0, 25.0)):
+        _write(checkouts["parent"], WORKLOADS[-1], seed, 100.0, 1000, rss, attempted=3000)
+    commits = {"parent": "a" * 40, "change": "b" * 40}
+    result = bench_pairs.summarise(checkouts, commits, SEEDS, None, "")
+    entry = result["workloads"][WORKLOADS[0]]
+    assert entry["peak_rss_mib"]["change_vs_parent_median"] == pytest.approx(23.57 / 23.03 - 1)
+    common = entry["peak_rss_mib_at_common_ops"]
+    # attempted: parent 3000, 3030, 3060; change 3600, 3570, 3540; pooled median 3300
+    assert common["attempted"] == 3300
+    for side in ("parent", "change"):
+        assert common[side]["mib"] == pytest.approx(23.3)
+        assert common[side]["mib_per_1000_ops"] == pytest.approx(1.0)
+    assert common["change_vs_parent"] == pytest.approx(0, abs=1e-9)
+    constant = result["workloads"][WORKLOADS[-1]]["peak_rss_mib_at_common_ops"]
+    assert constant["parent"] == {"mib": 25.0, "mib_per_1000_ops": None}
+    assert constant["change"]["mib"] == pytest.approx(20 + constant["attempted"] / 1000)

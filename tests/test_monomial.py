@@ -254,6 +254,31 @@ def test_symbol_value_validation():
         SymbolValue(9, 2)
 
 
+def test_symbol_value_pairs_are_slots_not_fields():
+    """The integer pairs that evaluation reads are slots beside the two fields:
+    equality, hash, repr, copy and pickle see the value and the root only, and a copy
+    keeps the pairs of its value and root, negative roots included."""
+    cases = [
+        (SymbolValue(9), SymbolValue("9"), "SymbolValue(value=Fraction(9, 1), sqrt=None)"),
+        (
+            SymbolValue(Fraction(9, 4), Fraction(-3, 2)),
+            SymbolValue("9/4", "-3/2"),
+            "SymbolValue(value=Fraction(9, 4), sqrt=Fraction(-3, 2))",
+        ),
+    ]
+    for sv, twin, text in cases:
+        assert SymbolValue._fields == ("value", "sqrt")
+        assert sv == twin and hash(sv) == hash(twin) and sv is not twin
+        assert sv != SymbolValue(sv.value + 1) and repr(sv) == text
+        for clone in (copy.copy(sv), copy.deepcopy(sv), pickle.loads(pickle.dumps(sv))):
+            assert clone == sv and hash(clone) == hash(sv) and repr(clone) == text
+            root = clone.sqrt
+            assert clone._value_pair == (clone.value.numerator, clone.value.denominator)
+            assert clone._root_pair == (None if root is None else (root.numerator, root.denominator))
+        with pytest.raises(AttributeError):
+            sv._value_pair = (1, 1)
+
+
 _INEXACT = (0.1, 2.0, "0.1", "1e-1", " 3", "1_000", Decimal("0.1"), [1])
 
 

@@ -20,6 +20,8 @@ from eigentransfer.errors import MissingSymbol, NonSquareAssignment
 from eigentransfer.laurent import LaurentPoly
 from eigentransfer.monomial import Monomial, SymbolValue, _merge
 
+from evaluation import fraction_value, monomial_value, outcome
+
 _FACTOR_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)(?:\^(?:(-?\d+)|\((-?\d+)/2\)))?\Z")
 _COEFF_RE = re.compile(r"[+-]?\d+(?:/\d+)?\Z", re.ASCII)
 
@@ -87,19 +89,7 @@ class FractionMonomial:
         return hash((self._coeff, self._twice))
 
     def evaluate(self, assignment):
-        result = self._coeff
-        for name, t in self._twice:
-            try:
-                sv = assignment[name]
-            except KeyError:
-                raise MissingSymbol(f"no value assigned to symbol {name!r}") from None
-            if t % 2 == 0:
-                result *= sv.value ** (t // 2)
-            else:
-                if sv.sqrt is None:
-                    raise NonSquareAssignment(f"symbol {name!r} needs a square root")
-                result *= sv.sqrt ** t
-        return result
+        return fraction_value(self._coeff, {n: Fraction(t, 2) for n, t in self._twice}, assignment)
 
     def text(self):
         parts = [str(self._coeff)]
@@ -367,36 +357,6 @@ def test_laurent_arithmetic_matches_fraction_terms(x, y, pi):
     _same_poly(px.permute_variables(pi), _reference_permute(rx, pi))
 
 
-def _fraction_evaluate(m, assignment):
-    """``Monomial.evaluate`` as it was: one ``Fraction`` step per symbol."""
-    result = m._coeff
-    for name, t in m._twice:
-        try:
-            sv = assignment[name]
-        except KeyError:
-            raise MissingSymbol(f"no value assigned to symbol {name!r}") from None
-        if t % 2 == 0:
-            result *= sv.value ** (t // 2)
-        else:
-            if sv.sqrt is None:
-                raise NonSquareAssignment(
-                    f"symbol {name!r} occurs with a half-integer exponent "
-                    "but its assignment declares no square root"
-                )
-            result *= sv.sqrt ** t
-    return result if type(result) is Fraction else Fraction(result)
-
-
-def _outcome(evaluate, m, assignment):
-    """The value, checked to be a ``Fraction``, or the type and text of the error."""
-    try:
-        value = evaluate(m, assignment)
-    except (MissingSymbol, NonSquareAssignment) as err:
-        return type(err), str(err)
-    assert type(value) is Fraction
-    return value
-
-
 _monomials = st.one_of(_pairs.map(lambda pair: pair[0]), st.builds(Monomial, _coefficients))
 # declared roots of both signs: a negative root makes odd powers negative
 _signed_roots = st.builds(Fraction, st.sampled_from((-5, -3, -2, -1, 1, 2, 3, 5)), st.integers(1, 5))
@@ -407,7 +367,7 @@ _rooted = _signed_roots.map(lambda r: SymbolValue(r * r, r))
 @given(_monomials, st.lists(_rooted, min_size=len(_NAMES), max_size=len(_NAMES)))
 def test_evaluate_matches_fraction_steps(m, values):
     assignment = dict(zip(_NAMES, values))
-    assert _outcome(Monomial.evaluate, m, assignment) == _fraction_evaluate(m, assignment)
+    assert outcome(Monomial.evaluate, m, assignment) == monomial_value(m, assignment)
 
 
 # each symbol is unassigned, assigned without a root, or assigned with a root
@@ -426,7 +386,7 @@ _partial = st.fixed_dictionaries(
 @settings(max_examples=200, derandomize=True, database=None)
 @given(_monomials, _partial)
 def test_evaluate_errors_match_fraction_steps(m, assignment):
-    assert _outcome(Monomial.evaluate, m, assignment) == _outcome(_fraction_evaluate, m, assignment)
+    assert outcome(Monomial.evaluate, m, assignment) == outcome(monomial_value, m, assignment)
 
 
 def test_evaluate_raises_at_the_first_bad_symbol_in_sorted_order():
@@ -442,8 +402,8 @@ def test_evaluate_raises_at_the_first_bad_symbol_in_sorted_order():
     ]
     for assignment, error, name in cases:
         assignment = {n: sv for n, sv in assignment.items() if sv is not None}
-        kind, text = _outcome(Monomial.evaluate, m, assignment)
-        assert (kind, text) == _outcome(_fraction_evaluate, m, assignment)
+        kind, text = outcome(Monomial.evaluate, m, assignment)
+        assert (kind, text) == outcome(monomial_value, m, assignment)
         assert kind is error and repr(name) in text
 
 
@@ -458,7 +418,7 @@ def test_evaluate_with_negative_roots_and_negative_exponents():
     # -3/5 * (4/9)^2 * (-2)^-3 * (-1/2)^1 * (9/7)^-1
     value = m.evaluate(assignment)
     assert type(value) is Fraction and value == Fraction(-7, 1215)
-    assert value == _fraction_evaluate(m, assignment)
+    assert value == monomial_value(m, assignment)
 
 
 def test_integral_evaluate_matches_fraction_reference():
@@ -532,14 +492,39 @@ def test_split_matches_dict_reference(x, name):
     assert coeff is m._coeff
 
 
-@settings(max_examples=150, derandomize=True, database=None)
-@given(st.lists(_pairs, max_size=4), st.lists(_powers, min_size=4, max_size=4), _powers)
-def test_from_twice_power_product_matches_fraction_reference(pairs, exps, w):
-    """One pass over the values gives the product of their powers, times the seed."""
+@settings(max_examples=200, derandomize=True, database=None)
+@given(st.lists(_pairs, max_size=4), st.lists(_powers, min_size=4, max_size=4), _powers, _partial)
+def test_power_product_value_matches_fraction_reference(pairs, exps, w, assignment):
+    """The power product of the values, seeded with ``W^(w/2)``, evaluated as one
+    integer pair: the value, or the error type and text, of the ``Fraction`` reference
+    product under the oracle, so half exponents that cancel across the values need no
+    root and a negative power inverts the coefficient."""
     exps = exps[: len(pairs)]
-    ref = FractionMonomial(3, {"W": Fraction(w, 2)})
+    ref = FractionMonomial(1, {"W": Fraction(w, 2)})
     for (_, r), e in zip(pairs, exps):
         ref = ref * r ** e
-    m = Monomial._from_twice(3, {"W": w}, [m for m, _ in pairs], exps)
-    _agree(m, ref)
-    assert _well_formed(m)
+    twice = {"W": w}
+    got = outcome(monomial._power_product_value, twice, [m for m, _ in pairs], exps, assignment)
+    assert got == outcome(ref.evaluate, assignment)
+    assert {name: t for name, t in twice.items() if t} == dict(ref._twice)
+
+
+def test_power_product_value_cancelling_half_exponents_and_errors():
+    """Half exponents that cancel to an integer across the values need no root; an odd
+    total still does, and an unassigned symbol is named, with the oracle's texts."""
+    half = Monomial(Fraction(-2, 3), {"q": Fraction(1, 2), "a": Fraction(-3, 2)})
+    other = Monomial(Fraction(5, 4), {"q": Fraction(1, 2), "a": Fraction(3, 2)})
+    plain = {"q": SymbolValue(5), "a": SymbolValue(Fraction(1, 2)), "W": SymbolValue(3)}
+    value = monomial._power_product_value({"W": 2}, (half, other), (1, 1), plain)
+    expected = monomial_value(half * other * Monomial(1, {"W": 1}), plain)
+    assert value == Fraction(-2, 3) * Fraction(5, 4) * 5 * 3 == expected
+    cases = [((half,), (1,), NonSquareAssignment), ((half,), (2,), MissingSymbol)]
+    for values, exps, error in cases:
+        assignment = plain if error is NonSquareAssignment else {"q": SymbolValue(5)}
+        product = Monomial(1, {"W": 1})
+        for m, e in zip(values, exps):
+            product = product * m ** e
+        expected = outcome(monomial_value, product, assignment)
+        assert expected[0] is error
+        got = outcome(monomial._power_product_value, {"W": 2}, values, exps, assignment)
+        assert got == expected

@@ -33,6 +33,7 @@ from eigentransfer.tori import (
 )
 from eigentransfer.transfer import TransferConfig
 
+from evaluation import monomial_value, outcome
 from shapes import compositions
 
 HALF = Fraction(1, 2)
@@ -133,15 +134,18 @@ def test_atkin_lehner_factor_eigenvalue():
 
 
 def _weight_character_eigenvalue(factor, point, assign):
-    """Oracle: the weight twist as the weight character's value at the cocharacter."""
+    """Oracle: ``chi.eval(v)`` times the weight character's value at ``v``, multiplied
+    as monomials and evaluated by the shared definition oracle."""
     vector = CocharVector(point.weight.shape, factor.cochar)
     chi = point.up_at(factor.place)
-    return (chi.eval(vector) * weight_as_character(point.weight).eval(vector)).evaluate(assign)
+    product = chi.eval(vector) * weight_as_character(point.weight).eval(vector)
+    return monomial_value(product, assign)
 
 
-def test_atkin_lehner_eigenvalue_matches_weight_character_oracle():
-    rng = random.Random(15)
-    orthogonal = 0
+def _seeded_character_cases(rng):
+    """Every shape with ``n <= 4``: four seeded weights and characters each, values with
+    ``c`` powers and half ``W`` powers, every symbol assigned with a root, and the zero
+    cocharacter with up to eight antidominant ones in ``[-2, 2]``."""
     for n in range(1, 5):
         for blocks in compositions(n):
             shape = GroupShape(blocks)
@@ -161,30 +165,14 @@ def test_atkin_lehner_eigenvalue_matches_weight_character_oracle():
                 w, c = Fraction(rng.choice((-3, -2, 2, 3)), rng.randint(1, 3)), rng.randint(2, 5)
                 assign = {"W": SymbolValue(w * w, w), "c": SymbolValue(Fraction(c, 7))}
                 for v in [(0,) * n] + rng.sample(antidominant, min(8, len(antidominant))):
-                    factor = AtkinLehnerFactor("p", v)
-                    value = factor.eigenvalue(point, assign)
-                    assert type(value) is Fraction
-                    assert value == _weight_character_eigenvalue(factor, point, assign), (blocks, v)
-                    orthogonal += any(v) and sum(k * e for k, e in zip(weight.exps, v)) == 0
-    # nonzero cocharacters whose weight pairing is 0 are among the cases, not only v = 0
-    assert orthogonal >= 10
+                    yield AtkinLehnerFactor("p", v), point, assign
 
 
-def _eigenvalue_outcome(fn, *args):
-    try:
-        return fn(*args)
-    except (MissingSymbol, NonSquareAssignment) as err:
-        return type(err), str(err)
-
-
-def test_atkin_lehner_one_pass_matches_eval_oracle():
-    """The one-pass eigenvalue against ``chi.eval(v)`` times the weight character's
-    value, evaluated: ``Fraction`` coefficients, negative cocharacter entries, half
-    exponents, and assignments that lack a symbol or its root, with the same error
-    type and text."""
-    rng = random.Random(18)
+def _partial_assignment_cases(rng):
+    """1,500 seeded cases with ``n <= 3``: ``Fraction`` coefficients, half exponents of
+    four symbols, negative cocharacter entries, and assignments that give a symbol a
+    root, a plain value or nothing."""
     names = ("W", "a", "q", "z")
-    outcomes = {Fraction: 0, MissingSymbol: 0, NonSquareAssignment: 0}
     for _ in range(1500):
         blocks = rng.choice([blocks for n in range(1, 4) for blocks in compositions(n)])
         shape = GroupShape(blocks)
@@ -201,7 +189,6 @@ def test_atkin_lehner_one_pass_matches_eval_oracle():
         for i in range(shape.r):
             block = shape.block_range(i)
             cochar[block.start : block.stop] = sorted(cochar[block.start : block.stop])[::-1]
-        factor = AtkinLehnerFactor("p", cochar)
         assign = {}
         for name in names:
             r = Fraction(rng.choice((-3, -2, 2, 3)), rng.randint(1, 3))
@@ -210,11 +197,29 @@ def test_atkin_lehner_one_pass_matches_eval_oracle():
                 assign[name] = SymbolValue(r * r, r)
             elif kind == "plain":
                 assign[name] = SymbolValue(abs(r))
-        got = _eigenvalue_outcome(factor.eigenvalue, point, assign)
-        assert got == _eigenvalue_outcome(_weight_character_eigenvalue, factor, point, assign), (
-            values, cochar, assign
+        yield AtkinLehnerFactor("p", cochar), point, assign
+
+
+def test_atkin_lehner_one_pass_matches_eval_oracle():
+    """The one-pass eigenvalue against ``chi.eval(v)`` times the weight character's
+    value, evaluated by the definition oracle, over both seeded families: a
+    ``Fraction`` value, or the same error type and text.  Nonzero cocharacters whose
+    weight pairing is 0 are among the cases, not only ``v = 0``."""
+    outcomes = {Fraction: 0, MissingSymbol: 0, NonSquareAssignment: 0}
+    orthogonal = 0
+    cases = [
+        *_seeded_character_cases(random.Random(15)),
+        *_partial_assignment_cases(random.Random(18)),
+    ]
+    for factor, point, assign in cases:
+        got = outcome(factor.eigenvalue, point, assign)
+        assert got == outcome(_weight_character_eigenvalue, factor, point, assign), (
+            point, factor.cochar, assign
         )
         outcomes[type(got) if type(got) is Fraction else got[0]] += 1
+        v = factor.cochar
+        orthogonal += any(v) and sum(k * e for k, e in zip(point.weight.exps, v)) == 0
+    assert orthogonal >= 10
     assert all(count >= 50 for count in outcomes.values()), outcomes
 
 
@@ -233,13 +238,13 @@ def test_atkin_lehner_half_exponents_cancelling_across_slots_need_no_root():
         assert value == expected == _weight_character_eigenvalue(factor, point, plain)
     # an odd total exponent still needs the root, with the oracle's error text
     factor = AtkinLehnerFactor("p", (1, 0))
-    expected = _eigenvalue_outcome(_weight_character_eigenvalue, factor, point, plain)
+    expected = outcome(_weight_character_eigenvalue, factor, point, plain)
     assert expected[0] is NonSquareAssignment
-    assert _eigenvalue_outcome(factor.eigenvalue, point, plain) == expected
+    assert outcome(factor.eigenvalue, point, plain) == expected
     del plain["a"]
-    expected = _eigenvalue_outcome(_weight_character_eigenvalue, factor, point, plain)
+    expected = outcome(_weight_character_eigenvalue, factor, point, plain)
     assert expected == (MissingSymbol, "no value assigned to symbol 'a'")
-    assert _eigenvalue_outcome(factor.eigenvalue, point, plain) == expected
+    assert outcome(factor.eigenvalue, point, plain) == expected
 
 
 def test_spherical_factor_eigenvalue():

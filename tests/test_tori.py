@@ -104,10 +104,23 @@ def test_interned_blocks_do_not_admit_inexact_equals():
         assert blocks not in _SHAPES
 
 
+def _block_walk_transfer_tables(blocks):
+    """The twist parity ``(n - n_i) % 2`` and the doubled shift base
+    ``n_i - n + 2·offset_i`` of each flat position, by a walk over the blocks that
+    repeats block ``i``'s entries ``n_i`` times."""
+    n, offset, parity, base = sum(blocks), 0, [], []
+    for b in blocks:
+        parity += [(n - b) % 2] * b
+        base += [b - n + 2 * offset] * b
+        offset += b
+    return {"_twist_parity": tuple(parity), "_shift_base_doubled": tuple(base)}
+
+
 def _seed_tables(blocks):
     """Every table a shape stores, each by its own formula from the blocks: running
-    offsets, the ``(block, entry)`` scan, each block's adjacent flat pairs and the half
-    modulus ``q^(-sign (m + 1 - 2j) / 2)`` at 1-based entry ``j``."""
+    offsets, the ``(block, entry)`` scan, each block's adjacent flat pairs, the half
+    modulus ``q^(-sign (m + 1 - 2j) / 2)`` at 1-based entry ``j`` and the block walk
+    of the transfer tables."""
     offsets, acc = [], 0
     for b in blocks:
         offsets.append(acc)
@@ -128,6 +141,7 @@ def _seed_tables(blocks):
         "_modulus_half_values": tuple(
             tuple(Monomial(1, {"q": Fraction(sign * d, 2)}) for d in doubled) for sign in (1, -1)
         ),
+        **_block_walk_transfer_tables(blocks),
     }
 
 
@@ -148,11 +162,24 @@ def test_shape_tables_are_plain_attributes():
         assert vars(poly._shape) == _seed_tables(blocks), blocks
 
 
+def test_transfer_tables_match_the_block_walk():
+    """Every shape with ``n <= 6``: the twist parity and the doubled shift base equal
+    their block-walk definitions, whichever of the two is read first."""
+    family = [blocks for n in range(1, 7) for blocks in compositions(n)]
+    assert len(family) == 63
+    for k, blocks in enumerate(family):
+        first = ("_twist_parity", "_shift_base_doubled")[k % 2]
+        shape = GroupShape(blocks)
+        getattr(shape, first)
+        walk = _block_walk_transfer_tables(blocks)
+        assert {name: getattr(shape, name) for name in walk} == walk, blocks
+
+
 def test_position_tables_wait_for_their_first_read():
     """A shape's ``n`` is not bounded by the input that names it, so a new shape, alone
     or under a Laurent polynomial, stores only what its blocks size (``n``, ``r`` and
     the offsets) until a table of one entry per flat position is read; then it stores
-    all four.  Other missing attributes raise the usual ``AttributeError``.  (The CLI
+    all six.  Other missing attributes raise the usual ``AttributeError``.  (The CLI
     tests run a job naming ``10**9`` positions in a child with a capped address space.)"""
     for blocks, offsets in (((997,), (0,)), ((3, 401, 1), (0, 3, 404))):
         shape = GroupShape(blocks)

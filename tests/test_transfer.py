@@ -1079,6 +1079,40 @@ def test_pullbacks_match_the_multiplier_definition():
     assert seen == {str, tuple}
 
 
+def test_non_integral_shift_text_names_the_first_odd_block():
+    """Every config with n <= 5 under the integer alphas -2 .. 2: ``weight_shift`` raises
+    exactly when some block has odd ``n - n_i``, with the text of the first such block
+    from the block walk (its doubled shift ``2·alpha + n_i - n + 2·offset_i`` and its
+    1-based number), which the verifier's shift-integrality check reports too."""
+    raised = 0
+    for n in range(1, 6):
+        for blocks in compositions(n):
+            shape = GroupShape(blocks)
+            for sigma, alpha in product(block_order_preserving_permutations(shape), range(-2, 3)):
+                cfg = TransferConfig(source=shape, sigma=sigma, alpha=alpha)
+                offset, expected = 0, None
+                for i, m in enumerate(blocks):
+                    if (n - m) % 2 and expected is None:
+                        doubled = 2 * alpha + m - n + 2 * offset
+                        expected = (
+                            f"weight shift {Fraction(doubled, 2)} at block {i + 1} "
+                            f"is not an integer (alpha = {alpha})"
+                        )
+                    offset += m
+                shift_check = verify_transfer_compatibility(cfg).checks[0]
+                if expected is None:
+                    shifts = zip(blocks, _block_shifts(blocks, alpha))
+                    assert weight_shift(cfg) == tuple(int(s) for m, s in shifts for _ in range(m))
+                    assert shift_check.residuals == ()
+                    continue
+                with pytest.raises(NonIntegralShift) as err:
+                    weight_shift(cfg)
+                assert str(err.value) == expected
+                assert shift_check.residuals == (expected,)
+                raised += 1
+    assert raised > 1000
+
+
 def test_config_tables_wait_for_their_first_read():
     """A new config stores its fields, the inverse of ``sigma``, ``n`` and ``target``.
     The first read of any slot table stores the multiplier tables together, the three

@@ -12,7 +12,12 @@ metric the output holds both sides' median, quartiles
 relative median difference, and ``wins``: the pairs in which the change is
 better in the metric's direction.  It also records the failed and attempted
 op counts per run, which side ran first in each pair (by record mtime), the
-environment and both commits.  ``--tier1`` takes ``pytest --durations`` logs
+environment and both commits.  Since ``peak_rss_mib`` grows with the ops a run
+attempts, a faster side reads as using more memory; so for each workload
+``peak_rss_mib_at_common_ops`` fits each side's ``peak_rss_mib`` against its
+``attempted`` (``statistics.linear_regression``) and gives both sides' fitted RSS at
+the median ``attempted`` of all runs of both sides (a side whose runs all attempted
+the same count gives its median RSS).  ``--tier1`` takes ``pytest --durations`` logs
 of the Tier-1 command as pairs, parent log then change log, one pair per
 alternated run; it adds each side's median time of the slowest tests, its
 passed count and the suite's median, range and every run, and the change's
@@ -66,6 +71,21 @@ def _record(checkout: Path, workload: str, seed: int) -> tuple[dict, float]:
 def _spread(runs: list[float]) -> dict:
     q1, median, q3 = statistics.quantiles(runs, n=4, method="inclusive")
     return {"median": median, "q1": q1, "q3": q3, "runs": runs}
+
+
+def _rss_at_common_ops(attempted: dict[str, list[int]], rss: dict[str, list[float]]) -> dict:
+    """Each side's ``peak_rss_mib`` at the pooled median op count, from a least-squares
+    line through that side's ``(attempted, peak_rss_mib)`` runs."""
+    ops = statistics.median([a for side in SIDES for a in attempted[side]])
+    out: dict = {"attempted": ops}
+    for side in SIDES:
+        if len(set(attempted[side])) < 2:
+            out[side] = {"mib": statistics.median(rss[side]), "mib_per_1000_ops": None}
+            continue
+        slope, intercept = statistics.linear_regression(attempted[side], rss[side])
+        out[side] = {"mib": intercept + slope * ops, "mib_per_1000_ops": 1000 * slope}
+    out["change_vs_parent"] = out["change"]["mib"] / out["parent"]["mib"] - 1
+    return out
 
 
 def _tier1_log(log: Path) -> tuple[dict[str, float], int, float]:
@@ -150,6 +170,9 @@ def summarise(
                     for p, c in zip(values["parent"], values["change"])
                 ),
             }
+        entry["peak_rss_mib_at_common_ops"] = _rss_at_common_ops(
+            entry["attempted"], {side: entry["peak_rss_mib"][side]["runs"] for side in SIDES}
+        )
         out_workloads[w] = entry
     about = (
         f"Paired runs of `python3 bench/run.py --workload all --seconds {env['seconds']:g}` "

@@ -356,10 +356,10 @@ MUTANTS = [
         ["tests/test_points.py::test_elementary_symmetric_cases"],
     ),
     (
-        "odd exponent evaluated on the value instead of the declared root",
+        "odd exponent evaluated on the value pair instead of the declared root's",
         MONOMIAL,
-        "base, e = sv.sqrt, t",
-        "base, e = sv.value, t",
+        "pair, e = sv._root_pair, t",
+        "pair, e = sv._value_pair, t",
         ["tests/test_monomial_kernel.py::test_evaluate_with_negative_roots_and_negative_exponents"],
     ),
     (
@@ -374,7 +374,7 @@ MUTANTS = [
         POINTS,
         "{UNIFORMIZER_SYMBOL: 2 * pairing}",
         "{UNIFORMIZER_SYMBOL: -2 * pairing}",
-        ["tests/test_points.py::test_atkin_lehner_eigenvalue_matches_weight_character_oracle"],
+        ["tests/test_points.py::test_atkin_lehner_one_pass_matches_eval_oracle"],
     ),
     (
         "Atkin-Lehner exponent pass dropping the cocharacter entry",
@@ -748,6 +748,41 @@ MUTANTS = [
         '    """:func:`refinement_count_inequality` for a descriptor that passed its checks."""\n'
         "    _require_transfer_generic(desc, cfg)\n",
         ["tests/test_cli.py::test_accessible_transfer_job_runs_the_transferred_sweep_once"],
+    ),
+    (
+        "twist parity table with the entries of the last block flipped",
+        TORI,
+        "parity = tuple((n - blocks[i]) % 2 for i, _ in positions)",
+        "parity = tuple((n - blocks[i] + (i == self.r - 1)) % 2 for i, _ in positions)",
+        ["tests/test_transfer.py::test_non_integral_shift_text_names_the_first_odd_block"],
+    ),
+    (
+        "doubled shift base table off by one",
+        TORI,
+        "shift_base = tuple(blocks[i] - n + 2 * offsets[i] for i, _ in positions)",
+        "shift_base = tuple(blocks[i] - n + 2 * offsets[i] + 1 for i, _ in positions)",
+        ["tests/test_tori.py::test_transfer_tables_match_the_block_walk"],
+    ),
+    (
+        "root pair of a symbol value built from the value, so odd exponents read the value",
+        MONOMIAL,
+        "None if sqrt is None else (sqrt.numerator, sqrt.denominator)",
+        "None if sqrt is None else (value.numerator, value.denominator)",
+        ["tests/test_monomial.py::test_symbol_value_pairs_are_slots_not_fields"],
+    ),
+    (
+        "negative Atkin-Lehner exponent leaving its coefficient uninverted",
+        MONOMIAL,
+        "num, den = num * c.denominator ** -e, den * c.numerator ** -e",
+        "num, den = num * c.numerator ** -e, den * c.denominator ** -e",
+        ["tests/test_points.py::test_atkin_lehner_one_pass_matches_eval_oracle"],
+    ),
+    (
+        "Satake parameter transfer dropping the twist row",
+        TRANSFER,
+        "rows = [twisted if t else () for t in cfg.source._twist_parity]",
+        "rows = [() for t in cfg.source._twist_parity]",
+        ["tests/test_transfer.py::test_satake_param_transfer"],
     ),
 ]
 
