@@ -715,9 +715,11 @@ def satake_param_transfer(
             f"parameter blocks must have sizes {cfg.source.blocks}, got "
             f"{tuple(len(block) for block in blocks)}"
         )
+    values = [value for block in blocks for value in block]
+    if not all(isinstance(value, Monomial) for value in values):
+        raise ValueError("Satake parameters must be Monomials")
     twisted = ((cfg.mu, 2),)
     rows = [twisted if t else () for t in cfg.source._twist_parity]
-    values = [value for block in blocks for value in block]
     return tuple(sorted(_times_rows(rows, values, range(cfg.n)), key=Monomial.text))
 
 

@@ -976,6 +976,14 @@ def test_satake_param_transfer():
         satake_param_transfer(((symbol("a"), symbol("b")),), cfg)
     with pytest.raises(SizeMismatch):
         satake_param_transfer(((symbol("a"),), (symbol("b"),)), cfg)
+    # the twist is a row of doubled exponents: each value keeps its own coefficient
+    half = Monomial(Fraction(-3, 2), {"s": Fraction(1, 2)})
+    out = satake_param_transfer(((half,), (Monomial(4), symbol("c"))), cfg)
+    assert out == (half, Monomial.parse("1 * M * c"), Monomial.parse("4 * M"))
+    assert [type(m.coeff) for m in out] == [Fraction] * 3
+    for bad in (3, Fraction(1, 2), "s"):
+        with pytest.raises(ValueError, match="^Satake parameters must be Monomials$"):
+            satake_param_transfer(((symbol("a"),), (symbol("b"), bad)), cfg)
 
 
 @cache
